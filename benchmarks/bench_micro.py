@@ -183,10 +183,10 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
     case mix shift, a fallback-rate change, or one decline reason.
 
     Controllers that export an inlined server closure
-    (``make_deferred_server``) bypass ``access_deferred`` /
-    ``access_batch`` entirely, so the factory itself is wrapped: the
-    serve/batch closures it returns are timed the same way the bound
-    methods are.
+    (``make_deferred_server``) bypass ``access_deferred``, so the factory
+    itself is wrapped: the serve closure it returns is timed the same way
+    the bound method is. Its replay is the instance's ``access_batch``,
+    which is already wrapped.
     """
     from time import perf_counter
 
@@ -233,8 +233,11 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
 
         real_make_server = getattr(ctrl, "make_deferred_server", None)
         if real_make_server is not None:
-            def timed_make_server(dirty_blocks=None):
-                serve, flush, batch = real_make_server(dirty_blocks)
+            def timed_make_server():
+                server = real_make_server()
+                if server is None:
+                    return None
+                serve, flush, batch = server
 
                 def timed_serve(addr, is_write, code, aux):
                     t0 = perf_counter()
@@ -246,14 +249,8 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
                         acc["deferred_ops"] += 1
                     return op
 
-                def timed_server_batch(ops, cycles, mlp):
-                    t0 = perf_counter()
-                    out = batch(ops, cycles, mlp)
-                    acc["batch_s"] += perf_counter() - t0
-                    acc["batch_flushes"] += 1
-                    return out
-
-                return timed_serve, flush, timed_server_batch
+                # ``batch`` is the instance's access_batch, already timed.
+                return timed_serve, flush, batch
 
             ctrl.make_deferred_server = timed_make_server
     decline_base = dict(getattr(ctrl, "deferred_declines", None) or {})

@@ -688,7 +688,7 @@ def _print_deferred_declines(controller) -> None:
     """Per-reason deferred-seam decline table (``repro report``).
 
     The counters live on the controller (not in ``stats``: only the
-    batched path classifies, and stats must stay bit-identical across
+    deferred seam classifies, and stats must stay bit-identical across
     loops). All-zero with per-access tracing attached simply means the
     seam never engaged.
     """
@@ -817,15 +817,14 @@ def cmd_report(argv) -> int:
     print("  events by type:")
     for etype, count in sorted(tracer.counts_by_type().items()):
         print(f"    {etype:<16} {count}")
-    # The traced run pins the controller to the scalar path (per-access
-    # tracing disables batching), so the seam diagnostics come from one
-    # untraced batched rerun of the same cell — bit-identical results,
-    # real decline counters.
+    # Per-access tracing turns the deferred seam off, so the seam
+    # diagnostics come from one untraced rerun of the same cell —
+    # bit-identical results, real decline counters.
     seam_result, seam_ctrl = _observed_run(args, configs)
     if getattr(seam_ctrl, "deferred_declines", None) is not None:
         _print_deferred_declines(seam_ctrl)
         if seam_result.to_dict() != result.to_dict():
-            print("  WARNING: batched rerun diverged from the traced run",
+            print("  WARNING: untraced rerun diverged from the traced run",
                   file=sys.stderr)
 
     if registry is not None:
@@ -1188,10 +1187,7 @@ def main(argv=None) -> int:
     for key, value in result.summary().items():
         print(f"  {key:<18} {value:.4f}")
     _print_case_mix(result.case_counts)
-    if not args.profile:
-        # Profiling forces the scalar loop; otherwise the batched seam
-        # ran and its decline mix is a real diagnostic.
-        _print_deferred_declines(controller)
+    _print_deferred_declines(controller)
     if profiler is not None:
         print(profiler.format_report())
     return 0

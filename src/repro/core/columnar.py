@@ -425,14 +425,17 @@ class ColumnarState:
 # --------------------------------------------------------------------------
 # Vectorized run classification for the deferred batch fast path.
 #
-# Verdict codes shared between :class:`DeferredRunClassifier`,
-# :meth:`~repro.core.controller.BaryonController.access_classified` and the
-# simulator's deferred span. Positive codes are pre-resolved accepts served
-# by ``access_classified`` without re-probing membership; ``CLS_PER_OP``
-# routes through the per-op ``access_deferred`` classifier (flat-home
-# candidates, compressed writes needing the oracle's mutable probes, stale
-# verdicts); negative codes are pre-resolved declines — the simulator goes
-# straight to the scalar path and charges the per-reason decline counter.
+# Verdict codes shared between :class:`DeferredRunClassifier`, the
+# ``serve`` closure of
+# :meth:`~repro.core.controller.BaryonController.make_deferred_server` and
+# the simulator's fast loop. Positive codes are pre-resolved accepts that
+# ``serve`` trusts without re-probing membership (unless the block is in
+# the dirty set); ``CLS_PER_OP`` makes ``serve`` classify inline
+# (flat-home candidates, compressed writes needing the oracle's mutable
+# probes). Negative codes are pre-resolved declines: a staging fetch is
+# still served inline by ``serve`` (its transfers captured for replay),
+# every other decline goes straight to the scalar ``access`` call and
+# charges the per-reason decline counter.
 CLS_PER_OP = 0
 CLS_STAGE_READ = 1
 CLS_STAGE_ZERO = 2
@@ -474,11 +477,11 @@ class DeferredRunClassifier:
     Verdicts are membership-only, so they can be computed early: every
     order-sensitive effect (remap-cache LRU and fills, stage LRU/credit
     touches, row-buffer state, oracle write draws) still happens per op,
-    in exact trace order, inside ``access_classified``. Between the gather
-    and the serve the state may move (flush-driven stages, commits,
-    evictions); those mutation sites mark their block in
-    ``ColumnarState.dirty_blocks`` and the simulator demotes any verdict
-    for a dirtied block to the per-op classifier. A stale *decline* is
+    in exact trace order, inside the deferred server's ``serve``. Between
+    the gather and the serve the state may move (flush-driven stages,
+    commits, evictions); those mutation sites mark their block in
+    ``ColumnarState.dirty_blocks`` and any verdict for a dirtied block is
+    demoted to ``serve``'s inline classification. A stale *decline* is
     harmless by construction — the scalar path serves every access
     bit-identically — so the verdict is purely a fast-path routing hint
     and bit-identity never depends on invalidation completeness.

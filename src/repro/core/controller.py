@@ -685,16 +685,17 @@ class BaryonController:
 
         return build_run_classifier(self, addrs, writes)
 
-    def make_deferred_server(self, dirty_blocks=None):
+    def make_deferred_server(self):
         """Build the inlined serve/flush closure pair for the hot loop.
 
-        Returns ``(serve, flush, replay)`` or ``None``. ``serve(addr,
-        is_write, code, aux)`` is a drop-in for :meth:`access_deferred` (``code ==
-        0``: classify inline) and :meth:`access_classified` (``code > 0``:
-        trust the gathered verdict — revalidated against ``dirty_blocks``,
-        the classifier's post-gather mutation set, falling back to the
-        inline classification when the block went stale) with every
-        per-op helper call inlined:
+        Returns ``(serve, flush, replay)`` or ``None``; ``replay`` is
+        :meth:`access_batch` itself. ``serve(addr, is_write, code, aux)``
+        is a drop-in for :meth:`access_deferred` (``code == 0``: classify
+        inline; ``code > 0``: trust the run classifier's gathered verdict
+        — revalidated against the columnar arena's ``dirty_blocks``, the
+        classifier's post-gather mutation set, falling back to the inline
+        classification when the block went stale) with every per-op
+        helper call inlined:
         the remap-cache LRU probe, the row-buffer bank transition, the
         stage rank / fast-area stamp touches, and the set-access aging
         count. Traffic, case, and hit-ratio counters accumulate in closure
@@ -790,7 +791,7 @@ class BaryonController:
         idx_slowd = self._idx_slow_direct
         idx_smiss = AccessCase.STAGE_MISS.index
         idx_bmiss = AccessCase.BLOCK_MISS.index
-        dirty = dirty_blocks if dirty_blocks is not None else frozenset()
+        dirty = col.dirty_blocks
         # Staging-fetch capture: the real fetch-and-stage runs eagerly
         # against these recording pools (see :class:`_RecordingPool`).
         miss_cap = stage.config.miss_counter_max()
@@ -1496,235 +1497,7 @@ class BaryonController:
                     rb_a = 0
             return None
 
-        # Prebound replay: access_batch with the prologue binds hoisted
-        # (the loop body is copied verbatim — same float operation order).
-        fast_transfer = fast.pool.transfer
-        slow_transfer = slow.pool.transfer
-        tag_lat = self._tag_lat_f
-        meta_hit = self._meta_hit_f
-        rc_lat = self._rc_lat_f
-        probe_lat = fast.read_latency + 0.0
-
-        def replay(ops, cycles, mlp):
-            now = self._now
-            for op in ops:
-                if op.__class__ is float:
-                    cycles += op
-                    continue
-                rc_miss, stage_meta, dev, nbytes, arr, decomp, _lines = op
-                now = cycles
-                if dev >= 3:
-                    if dev >= 5:
-                        # Staging fetch (cases 3/5): replay the captured
-                        # transfer sequence — table probe, demand read,
-                        # then the posted background traffic — and stall
-                        # the core only for reads (dev 5).
-                        demand_nb, extras = nbytes
-                        if rc_miss:
-                            queue, transfer = fast_transfer(now, 16, True)
-                            remap_lat = rc_lat + ((probe_lat + queue) + transfer)
-                            latency = remap_lat if remap_lat > tag_lat else tag_lat
-                        else:
-                            latency = meta_hit
-                        if demand_nb:
-                            queue, transfer = slow_transfer(now, demand_nb, True)
-                            latency += (arr + queue) + transfer
-                            if decomp:
-                                latency += decomp
-                        for pid, nb, pri in extras:
-                            if pid:
-                                fast_transfer(now, nb, pri)
-                            else:
-                                slow_transfer(now, nb, pri)
-                        if dev == 5:
-                            cycles += latency / mlp
-                        continue
-                    if rc_miss:
-                        fast_transfer(now, 16, True)
-                    if dev == 3:
-                        fast_transfer(now, nbytes)
-                    else:
-                        slow_transfer(now, nbytes)
-                    continue
-                if rc_miss:
-                    queue, transfer = fast_transfer(now, 16, True)
-                    if stage_meta:
-                        latency = tag_lat
-                    else:
-                        remap_lat = rc_lat + ((probe_lat + queue) + transfer)
-                        latency = remap_lat if remap_lat > tag_lat else tag_lat
-                else:
-                    latency = tag_lat if stage_meta else meta_hit
-                if dev:
-                    queue, transfer = (
-                        fast_transfer(now, nbytes, True)
-                        if dev == 1
-                        else slow_transfer(now, nbytes, True)
-                    )
-                    latency += (arr + queue) + transfer
-                    if decomp:
-                        latency += decomp
-                cycles += latency / mlp
-            self._now = now
-            return cycles
-
-        return serve, flush, replay
-
-    def access_classified(self, addr: int, is_write: bool, code: int, aux: int):
-        """Serve one access whose membership verdict was pre-resolved.
-
-        ``code``/``aux`` come from the run classifier's gather pass (see
-        :mod:`repro.core.columnar`): the verdict already encodes which
-        Fig. 6 case applies and where the covering range lives, so this
-        only applies the order-sensitive eager effects — stage credit and
-        LRU touches, the remap-cache probe with its fill, traffic and
-        case counters, row-buffer evolution, dirty marks and oracle write
-        notes — in exactly :meth:`access_deferred`'s order, and emits the
-        same op tuple for :meth:`access_batch`. Counter updates and float
-        expressions mirror that method operation for operation; the
-        fuzzer holds both to the scalar reference bit-for-bit.
-        """
-        block_size = self._g_block_size
-        block_id = addr // block_size
-        super_id = block_id // self._g_super_blocks
-        stage = self.stage
-        set_index = super_id % stage.num_sets
-        if code <= 3:
-            # Case 1: stage hit; aux packs way/slot/cf/sub_start.
-            way = aux & 7
-            if is_write:
-                # CLS_STAGE_WRITE: uncompressed non-zero slot, no
-                # overflow probe needed (cf <= 1 never overflows).
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                stage.touch(set_index, way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                sub_size = self._g_sub_size
-                sub_idx = (addr % block_size) // sub_size
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                stage.mark_dirty(set_index, way, (aux >> 3) & 31)
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_stage_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, True, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            stage.touch(set_index, way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_stage_hit] += 1
-            self._n_served_fast += 1
-            if code == 2:  # CLS_STAGE_ZERO
-                return (rc_miss, True, 0, 0, 0.0, 0.0, None)
-            cf = (aux >> 8) & 7
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            rem = addr % block_size
-            sub_size = self._g_sub_size
-            sub_idx = rem // sub_size
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(
-                    block_id, aux >> 12, cf, sub_idx, line_idx
-                )
-                return (rc_miss, True, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, True, 1, nbytes, arr, 0.0, None)
-        if code <= 6:
-            # Case 2: commit hit; aux packs range_of's (cf, sub_start).
-            # The fast-area residency invariant stays a live per-op check.
-            blk_off = block_id % self._g_super_blocks
-            located = self.fast_area.find_block(super_id, blk_off)
-            if located is None:
-                self.deferred_declines["invariant"] += 1
-                return None
-            way, state = located
-            sub_size = self._g_sub_size
-            rem = addr % block_size
-            sub_idx = rem // sub_size
-            if is_write:
-                # CLS_COMMIT_WRITE: cf <= 1, non-zero — never overflows.
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                state.dirty_subs.add((blk_off, sub_idx))
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_commit_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_commit_hit] += 1
-            self._n_served_fast += 1
-            if code == 5:  # CLS_COMMIT_ZERO
-                return (rc_miss, False, 0, 0, 0.0, 0.0, None)
-            cf = aux & 7
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(block_id, aux >> 3, cf, sub_idx, line_idx)
-                return (rc_miss, False, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-        # Case 4: commit miss — a pure slow-memory bypass.
-        stage.record_set_access(set_index)
-        rc_miss = not self.remap_cache.access(super_id)
-        if rc_miss:
-            self._count_table_probe()
-        self._n_accesses += 1
-        self._n_cases[self._idx_commit_miss] += 1
-        dev = self.devices.slow
-        nbytes = self._cl_size
-        if is_write:
-            self._n_writes += 1
-            dev._n_write_bytes += nbytes
-            dev._n_writes += 1
-            return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-        self._n_reads += 1
-        dev._n_read_bytes += nbytes
-        dev._n_reads += 1
-        dev._n_demand_read_bytes += nbytes
-        return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
+        return serve, flush, self.access_batch
 
     def access_batch(self, ops, cycles: float, mlp: float) -> float:
         """Replay a span of deferred ops against the channel pools.

@@ -15,6 +15,26 @@ from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.sim.results import SimResult
 
 
+def _decline(addr, is_write):
+    """The seam of a controller without one: every op takes ``access``."""
+    return None
+
+
+def _timed(acc: list, fn):
+    """``fn`` with every call's wall time and count added to ``acc``
+    (``[seconds, calls]``, folded into the profiler once per run)."""
+    clock = perf_counter
+
+    def timed(*args):
+        t0 = clock()
+        out = fn(*args)
+        acc[0] += clock() - t0
+        acc[1] += 1
+        return out
+
+    return timed
+
+
 class SystemSimulator:
     """Runs one (controller, trace) pair and produces a :class:`SimResult`.
 
@@ -27,51 +47,65 @@ class SystemSimulator:
 
     ``scalar``
         The original reference loop, kept verbatim: one
-        :class:`~repro.cache.hierarchy.HierarchyResult` per access,
-        per-access metric ticks, per-access profiling.
-    ``batched`` (default)
-        The hot-path loop: trace arrays are converted to plain Python
-        lists once, the hierarchy runs through the allocation-free
-        :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, and
-        observing/profiling hooks fire on interval samples instead of
-        every access. Simulation state and every :class:`SimResult`
-        counter are bit-identical to the scalar loop (the float
-        accumulation order of ``cycles`` is preserved operation for
-        operation); ``tests/test_hotpath_equivalence.py`` asserts this.
+        :class:`~repro.cache.hierarchy.HierarchyResult` per access and one
+        ``controller.access`` call per LLC miss and writeback.
+    ``fast`` (default)
+        Every other run. Trace arrays are converted to plain Python lists
+        once and the hierarchy runs through its allocation-free closures
+        (:meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`).
+        LLC misses and writebacks take the controller's *deferred seam*
+        when it has one: safe ops — reads, write hits that provably do
+        not overflow, batch-safe writebacks — are state-applied eagerly
+        in trace order and their channel timing replays in one
+        ``access_batch`` call. For Baryon the ops are served by the
+        inlined ``serve`` closure of ``make_deferred_server``, fed bulk
+        verdicts by a numpy run classifier; without a server (a non-LRU
+        fast area) they go through the per-op ``access_deferred``. Any
+        unsafe op (staging cases, overflowing writes, block fills) first
+        flushes the pending run and then takes ``controller.access`` with
+        the current clock; without the seam every miss and writeback
+        does. SimResults — cycles, counters, energy — are bit-identical
+        to the scalar loop (the float accumulation order of ``cycles`` is
+        preserved operation for operation);
+        ``tests/test_hotpath_equivalence.py`` and the golden corpus in
+        ``tests/test_golden.py`` assert this.
 
-    When the controller advertises ``supports_batching`` (no fault
-    injection, recovery, shadow checker, phase tracker or event tracing
-    attached) and neither profiling nor metrics are active, the batched
-    loop additionally *defers* the timing of safe LLC-miss reads: runs of
-    consecutive misses are classified and state-applied eagerly through
-    ``BaryonController.access_deferred`` and their channel timing replays
-    in one ``BaryonController.access_batch`` call. Any unsafe access
-    (writes, staging fetches, evictions) flushes the pending run and
-    falls back to the scalar ``access`` call, so results — cycles,
-    counters, energy — stay bit-identical to both reference loops.
+    The seam has two vetoes. The controller's ``supports_batching`` is
+    false while a per-access observer of its own is attached — fault
+    injection, recovery, the shadow checker, the phase tracker, the
+    content oracle or event tracing all hook the scalar ``access`` flow —
+    and always for unison, dice and hybrid2. An attached ``metrics``
+    registry turns it off as well: a deferred op's latency exists only at
+    replay time, but the latency histogram observes every miss as it is
+    served. Profiling, spans and progress callbacks never change which
+    code runs.
 
     Observability (all optional, all free when absent):
 
     ``metrics``
         A :class:`~repro.obs.metrics.MetricsRegistry`; the simulator
-        registers a memory-latency histogram plus windowed serve-rate and
-        IPC time series sampled every ``metrics_window`` accesses.
+        registers a memory-latency histogram (one observation per demand
+        LLC miss) plus windowed serve-rate and IPC time series sampled
+        every ``metrics_window`` accesses.
     ``profiler``
         A :class:`~repro.obs.profiler.PhaseProfiler`; wall-clock is split
         into warmup/measured phases and cache-hierarchy vs controller
-        time, with instruction counts per phase. The batched loop samples
-        the hierarchy/controller timers one access in 64.
+        time, with instruction counts per phase. The fast loop wraps its
+        bound hierarchy and controller callables once per run, so every
+        call is timed and unprofiled runs pay nothing.
     ``spans``
         A :class:`~repro.obs.spans.SpanTracer`; the run is wrapped in a
         ``sim.run`` span with ``sim.warmup``/``sim.measured`` child
-        phase spans (batched loop; the scalar reference loop records the
+        phase spans (fast loop; the scalar reference loop records the
         run span only).
     ``progress``
         A ``callable(done, total)`` invoked every ``progress_every``
-        accesses (and at each phase boundary). With a callback attached
-        the batched loop runs in ``progress_every``-sized chunks — the
-        chunking only changes where local accumulators are written back,
-        so results stay bit-identical to the unchunked loop.
+        accesses (and at each phase boundary).
+
+    With progress or metrics attached the fast loop runs in chunks that
+    end at progress reports and series sampling ticks — chunking only
+    changes where local accumulators are written back, so results stay
+    bit-identical to the unchunked loop.
     """
 
     def __init__(
@@ -95,10 +129,8 @@ class SystemSimulator:
         self._progress = progress
         self._progress_every = max(1, progress_every)
         self._run_span = None
-        self._deferred = False
-        self._classifier = None
-        self._server = None
-        self._fast_path = None
+        self._loop = None
+        self._timers: Dict[str, list] = {}
         self.cycles = 0.0
         self.instructions = 0
         self._served_fast = 0
@@ -127,19 +159,10 @@ class SystemSimulator:
         just before access ``warmup_end`` runs, or after the loop when
         warmup covers the whole (possibly empty) trace — so the window is
         always well-defined, at worst empty. ``scalar=True`` selects the
-        reference per-access loop instead of the batched hot path.
+        reference per-access loop instead of the fast loop.
         """
         n = len(trace)
         warmup_end = min(n, int(n * self.config.warmup_fraction))
-        # The deferred batch path needs full custody of the per-access
-        # flow: no per-access profiling/metrics hooks, and a controller
-        # with no per-access observers of its own.
-        self._deferred = (
-            not scalar
-            and not self.profiler.enabled
-            and self.metrics is None
-            and getattr(self.controller, "supports_batching", False)
-        )
         spans = self.spans
         if spans.enabled:
             self._run_span = spans.start(
@@ -150,7 +173,7 @@ class SystemSimulator:
             if scalar:
                 mark, wall_start = self._run_scalar(trace, n, warmup_end)
             else:
-                mark, wall_start = self._run_batched(trace, n, warmup_end)
+                mark, wall_start = self._run_fast(trace, n, warmup_end)
             return self._finalize(
                 trace, name, design, n, warmup_end, mark, wall_start
             )
@@ -167,7 +190,7 @@ class SystemSimulator:
         self, trace, n: int, warmup_end: int
     ) -> Tuple[Optional[Dict[str, float]], float]:
         """The original per-access loop, kept verbatim as the equivalence
-        reference for the batched hot path."""
+        reference for the fast loop."""
         mark: Optional[Dict[str, float]] = None
 
         addrs = trace.addrs
@@ -242,51 +265,25 @@ class SystemSimulator:
             progress(n, n)
         return mark, wall_start
 
-    # ----------------------------------------------------- batched hot path
-    def _run_batched(
+    # ----------------------------------------------------- fast loop
+    def _run_fast(
         self, trace, n: int, warmup_end: int
     ) -> Tuple[Optional[Dict[str, float]], float]:
-        """Segmented hot-path loop: warmup span, boundary snapshot,
-        measured span. State effects are bit-identical to the scalar
-        loop (see :meth:`run`)."""
+        """Segmented fast loop: warmup span, boundary snapshot, measured
+        span. State effects are bit-identical to the scalar loop (see the
+        class docstring)."""
         mark: Optional[Dict[str, float]] = None
         profiling = self.profiler.enabled
         self._served_fast = 0
         self._mem_seen = 0
 
+        self._loop = self._bind_loop(trace.addrs, trace.writes)
         # One bulk conversion: list indexing beats numpy scalar reads in
         # a Python loop, and ``tolist`` yields native int/bool objects.
-        addrs = trace.addrs
-        writes = trace.writes
-        igaps = trace.igaps
-        cores = trace.cores
-        # Bulk verdicts for the deferred path: the classifier keeps the
-        # numpy trace arrays and gather-classifies chunks of future
-        # indices ahead of the loop (see repro.core.columnar). Controllers
-        # without one (or non-numpy traces) classify per op as before.
-        make = getattr(self.controller, "make_run_classifier", None)
-        self._classifier = (
-            make(addrs, writes) if (self._deferred and make is not None) else None
+        addrs, writes, igaps, cores = (
+            arr.tolist() if hasattr(arr, "tolist") else list(arr)
+            for arr in (trace.addrs, trace.writes, trace.igaps, trace.cores)
         )
-        # The inlined serve/flush closure pair (tallied counters, inline
-        # LRU/row-buffer transitions); None falls back to access_deferred.
-        # The server holds the classifier's dirty set so coded verdicts
-        # are revalidated against post-gather mutations inside serve().
-        make_server = getattr(self.controller, "make_deferred_server", None)
-        self._server = (
-            make_server(
-                None if self._classifier is None else self._classifier.dirty_blocks
-            )
-            if (self._deferred and make_server is not None)
-            else None
-        )
-        # Closure form of the hierarchy walk (attribute binds hoisted,
-        # tallied hit counters); None falls back to the bound methods.
-        self._fast_path = self.hierarchy.make_fast_path() if self._deferred else None
-        addrs = addrs.tolist() if hasattr(addrs, "tolist") else list(addrs)
-        writes = writes.tolist() if hasattr(writes, "tolist") else list(writes)
-        igaps = igaps.tolist() if hasattr(igaps, "tolist") else list(igaps)
-        cores = cores.tolist() if hasattr(cores, "tolist") else list(cores)
 
         spans = self.spans
         wall_start = perf_counter() if profiling else 0.0
@@ -315,186 +312,154 @@ class SystemSimulator:
             self._segment(warmup_end, n, addrs, writes, igaps, cores, n)
             if phase_span is not None:
                 spans.end(phase_span)
+        for row, (seconds, calls) in self._timers.items():
+            if calls:
+                self.profiler.add(row, seconds, calls=calls)
         return mark, wall_start
+
+    def _bind_loop(self, addrs, writes) -> tuple:
+        """Bind the fast loop's callables once per run.
+
+        The deferred seam (``serve``/``defer``, ``flush``, ``batch``) is
+        bound only when neither veto applies (see the class docstring);
+        otherwise ``defer`` declines every op. The run classifier is
+        built only for a server, its one consumer. A profiler wraps every
+        bound hierarchy and controller callable here, so the loop itself
+        has no profiling branch.
+        """
+        controller = self.controller
+        hierarchy = self.hierarchy
+        fast_path = hierarchy.make_fast_path()
+        if fast_path is None:
+            # Non-LRU levels: the bound methods, with no tallies to fold.
+            fast_path = (hierarchy.access_fast, hierarchy.install_llc_fast, None)
+        access, install, hier_flush = fast_path
+        ctrl_access = controller.access
+        defer = _decline
+        serve = flush = batch = classifier = classify = None
+        if self.metrics is None and getattr(controller, "supports_batching", False):
+            make_server = getattr(controller, "make_deferred_server", None)
+            server = make_server() if make_server is not None else None
+            if server is not None:
+                serve, flush, batch = server
+                classifier = controller.make_run_classifier(addrs, writes)
+                if classifier is not None:
+                    classify = classifier.classify
+            else:
+                defer = controller.access_deferred
+                batch = controller.access_batch
+        if self.profiler.enabled:
+            hier = [0.0, 0]
+            ctrl = [0.0, 0]
+            self._timers = {"hierarchy": hier, "controller": ctrl}
+            access = _timed(hier, access)
+            install = _timed(hier, install)
+            ctrl_access, serve, flush, batch, classify = (
+                None if fn is None else _timed(ctrl, fn)
+                for fn in (ctrl_access, serve, flush, batch, classify)
+            )
+            if defer is not _decline:
+                defer = _timed(ctrl, defer)
+        observe = self._observe_miss if self.metrics is not None else None
+        return (
+            access, install, hier_flush, ctrl_access, defer, serve, flush,
+            batch, classifier, classify, observe,
+        )
+
+    def _observe_miss(self, mem) -> None:
+        """Metrics for one demand miss served by ``controller.access``."""
+        self._h_latency.observe(mem.latency_cycles)
+        self._mem_seen += 1
+        if mem.served_fast:
+            self._served_fast += 1
 
     def _segment(
         self, start: int, stop: int, addrs, writes, igaps, cores, total: int
     ) -> None:
-        """One warmup/measured segment, chunked only when a progress
-        callback is attached (state write-back between chunks is the
-        only difference, so counters stay bit-identical)."""
+        """One warmup/measured segment, in chunks that end at progress
+        reports and series sampling ticks when those are attached."""
         progress = self._progress
-        if progress is None:
-            self._batched_span(start, stop, addrs, writes, igaps, cores)
+        metered = self.metrics is not None
+        if progress is None and not metered:
+            self._fast_span(start, stop, addrs, writes, igaps, cores)
             return
         stride = self._progress_every
+        report = start + stride if progress is not None else stop
         pos = start
         while pos < stop:
-            chunk_end = min(stop, pos + stride)
-            self._batched_span(pos, chunk_end, addrs, writes, igaps, cores)
-            pos = chunk_end
-            progress(pos, total)
+            end = min(stop, report)
+            if metered:
+                end = min(end, pos + self._until_sample())
+            self._fast_span(pos, end, addrs, writes, igaps, cores)
+            if metered:
+                self._tick_series(end - pos)
+            pos = end
+            if progress is not None and (pos == report or pos == stop):
+                progress(pos, total)
+                report += stride
 
-    def _batched_span(
+    def _until_sample(self) -> int:
+        """Accesses left until either series records its next point."""
+        return min(
+            series.next_due() - series.ticks
+            for series in (self._ts_serve, self._ts_ipc)
+        )
+
+    def _tick_series(self, count: int) -> None:
+        """Advance both series by ``count`` accesses. A chunk never
+        crosses a due tick, so a chunk that ends on one records the
+        point exactly as a per-access ``tick`` would have."""
+        mem_seen = self._mem_seen
+        cycles = self.cycles
+        for series, value in (
+            (self._ts_serve, self._served_fast / mem_seen if mem_seen else 0.0),
+            (self._ts_ipc, self.instructions / cycles if cycles else 0.0),
+        ):
+            tick = series.ticks + count
+            if tick == series.next_due():
+                series.sample_at(tick, value)
+            else:
+                series.advance_to(tick)
+
+    def _fast_span(
         self, start: int, stop: int, addrs, writes, igaps, cores
     ) -> None:
-        """Run accesses ``[start, stop)`` through the allocation-free path.
+        """Run accesses ``[start, stop)`` through the fast loop.
 
-        The float accumulation into ``cycles`` keeps the scalar loop's
-        operation order exactly: the only skipped additions are ``+ 0.0``
-        terms (zero instruction gaps), which cannot change a non-negative
-        accumulator bit pattern, and the precomputed L1 quotient equals
-        the per-access division bit for bit.
+        Deferred ops accumulate in ``ops`` together with the interleaved
+        core-side cycle increments; one ``batch`` call replays the run,
+        evolving the channel pools and the ``cycles`` accumulator in the
+        scalar loop's exact float operation order. A declined op first
+        flushes the pending run (so ``cycles`` is current) and then takes
+        ``controller.access`` with that clock, exactly as the scalar loop
+        would. The only skipped additions are ``+ 0.0`` terms (zero
+        instruction gaps), which cannot change a non-negative accumulator
+        bit pattern, and the precomputed L1 quotient equals the
+        per-access division bit for bit.
+
+        With a run classifier attached, verdicts for chunks of future
+        trace indices are precomputed in one numpy gather pass. Accepts
+        and per-op verdicts go to ``serve`` (which revalidates accepts
+        against the classifier's dirty set); staging fetches and stale
+        declines are served inline by ``serve`` too; the remaining
+        pre-resolved declines skip classification entirely (the
+        per-reason decline counter is charged here). Every op is still
+        served in exact trace order, so state and cycles stay
+        bit-identical.
         """
         if start >= stop:
             return
-        if self._deferred:
-            self._deferred_span(start, stop, addrs, writes, igaps, cores)
-            return
+        (
+            access_fast, install_fast, hier_flush, ctrl_access, ctrl_deferred,
+            serve, server_flush, ctrl_batch, classifier, classify, observe,
+        ) = self._loop
         cfg = self.config
         base_cpi = cfg.base_cpi
         mlp = cfg.memory_level_parallelism
         threads = max(1, cfg.hierarchy.cores)
-        hierarchy = self.hierarchy
-        access_fast = hierarchy.access_fast
-        install_fast = hierarchy.install_llc_fast
-        ctrl_access = self.controller.access
-        l1_div = hierarchy.config.l1d.latency_cycles / threads
-        profiler = self.profiler
-        profiling = profiler.enabled
-        observing = self.metrics is not None
-
-        cycles = self.cycles
-        instructions = self.instructions
-        served_fast = self._served_fast
-        mem_seen = self._mem_seen
-        if observing:
-            ts_serve = self._ts_serve
-            ts_ipc = self._ts_ipc
-            observe_latency = self._h_latency.observe
-            serve_ticks = ts_serve.ticks
-            due_serve = ts_serve.next_due()
-            ipc_ticks = ts_ipc.ticks
-            due_ipc = ts_ipc.next_due()
-
-        for i in range(start, stop):
-            gap = igaps[i]
-            instructions += gap + 1
-            if gap:
-                cycles += gap * base_cpi / threads
-
-            addr = addrs[i]
-            is_write = writes[i]
-            if profiling and not (i & 63):
-                t0 = perf_counter()
-                outcome = access_fast(addr, is_write, cores[i])
-                profiler.add("hierarchy", perf_counter() - t0)
-            else:
-                outcome = access_fast(addr, is_write, cores[i])
-            if outcome is None:
-                cycles += l1_div
-            else:
-                cycles += outcome[1] / threads
-                if outcome[2]:  # LLC miss: the controller serves it.
-                    if profiling and not (i & 63):
-                        t0 = perf_counter()
-                        mem = ctrl_access(addr, is_write, cycles)
-                        profiler.add("controller", perf_counter() - t0)
-                    else:
-                        mem = ctrl_access(addr, is_write, cycles)
-                    if not is_write:
-                        # Writes are posted; only reads stall the core.
-                        cycles += mem.latency_cycles / mlp
-                    if observing:
-                        observe_latency(mem.latency_cycles)
-                        mem_seen += 1
-                        if mem.served_fast:
-                            served_fast += 1
-                    pls = mem.prefetched_lines
-                    if pls:
-                        for line_addr in pls:
-                            wb = install_fast(line_addr)
-                            if wb:
-                                ctrl_access(wb, True, cycles)
-                wbs = outcome[3]
-                if wbs is not None:
-                    for wb in wbs:
-                        ctrl_access(wb, True, cycles)
-            if observing:
-                serve_ticks += 1
-                if serve_ticks == due_serve:
-                    ts_serve.sample_at(
-                        serve_ticks, served_fast / mem_seen if mem_seen else 0.0
-                    )
-                    due_serve = ts_serve.next_due()
-                ipc_ticks += 1
-                if ipc_ticks == due_ipc:
-                    ts_ipc.sample_at(
-                        ipc_ticks, instructions / cycles if cycles else 0.0
-                    )
-                    due_ipc = ts_ipc.next_due()
-
-        self.cycles = cycles
-        self.instructions = instructions
-        self._served_fast = served_fast
-        self._mem_seen = mem_seen
-        if observing:
-            ts_serve.advance_to(serve_ticks)
-            ts_ipc.advance_to(ipc_ticks)
-
-    def _deferred_span(
-        self, start: int, stop: int, addrs, writes, igaps, cores
-    ) -> None:
-        """The deferred-timing variant of :meth:`_batched_span`.
-
-        Safe LLC misses — reads, write hits that provably do not
-        overflow, and dirty writebacks of batch-safe blocks — are
-        state-applied eagerly (in trace order) and their op records
-        accumulate in ``ops`` together with the interleaved core-side
-        cycle increments; one ``access_batch`` call replays the run,
-        evolving the channel pools and the ``cycles`` accumulator in the
-        scalar loop's exact float operation order. Unsafe accesses —
-        staging cases, overflowing or zero-breaking writes, block-filling
-        writebacks — first flush the pending run (so ``cycles`` is
-        current) and then take the scalar ``controller.access`` call with
-        that clock, exactly as the plain batched loop would.
-
-        With a run classifier attached, membership verdicts for chunks of
-        future trace indices are precomputed in one numpy gather pass:
-        accepted verdicts route through the lean ``access_classified``
-        serve, pre-resolved declines skip classification entirely (the
-        per-reason decline counter is charged here), and verdicts whose
-        block mutated since the gather (``dirty`` set) or that need the
-        oracle's per-op probes fall back to ``access_deferred``. Either
-        way every op is still served in exact trace order, so state and
-        cycles stay bit-identical.
-        """
-        cfg = self.config
-        base_cpi = cfg.base_cpi
-        mlp = cfg.memory_level_parallelism
-        threads = max(1, cfg.hierarchy.cores)
-        hierarchy = self.hierarchy
-        fast_path = self._fast_path
-        if fast_path is not None:
-            access_fast, install_fast, hier_flush = fast_path
-        else:
-            access_fast = hierarchy.access_fast
-            install_fast = hierarchy.install_llc_fast
-            hier_flush = None
-        controller = self.controller
-        ctrl_access = controller.access
-        ctrl_deferred = controller.access_deferred
-        ctrl_batch = controller.access_batch
-        l1_div = hierarchy.config.l1d.latency_cycles / threads
-
-        server = self._server
-        if server is not None:
-            serve, server_flush, ctrl_batch = server
-        else:
-            serve = server_flush = None
-        classifier = self._classifier
+        l1_div = self.hierarchy.config.l1d.latency_cycles / threads
         if classifier is not None:
-            declines = controller.deferred_declines
+            declines = self.controller.deferred_declines
             reason_of = DECLINE_REASONS
             sf_code = CLS_DECLINE_STAGING_FETCH
             dirty = classifier.dirty_blocks
@@ -543,7 +508,7 @@ class SystemSimulator:
                     if i >= cls_end:
                         cls_base = i
                         cls_end = min(stop, i + chunk)
-                        codes, auxes = classifier.classify(cls_base, cls_end)
+                        codes, auxes = classify(cls_base, cls_end)
                     code = codes[i - cls_base]
                     if code > 0:
                         # serve() rechecks the dirty set itself (it already
@@ -590,6 +555,8 @@ class SystemSimulator:
                     if not is_write:
                         # Writes are posted; only reads stall the core.
                         cycles += mem.latency_cycles / mlp
+                    if observe is not None:
+                        observe(mem)
                     pls = mem.prefetched_lines
                     if pls:
                         for line_addr in pls:

@@ -308,7 +308,7 @@ def run_classified_case(
 
     This is the simulator's actual hot path (``make_run_classifier``
     gathers bulk verdicts, ``make_deferred_server`` serves them inline)
-    driven the way ``SystemSimulator._deferred_span`` drives it — but
+    driven the way ``SystemSimulator._fast_span`` drives it — but
     under adversarial scheduling: the gather chunk is randomized down to
     a single op (so chunk boundaries land on and around declines), and
     random span boundaries force batch-replay/flush points mid-run, the
@@ -335,9 +335,7 @@ def run_classified_case(
     addrs = np.asarray([addr for addr, _ in trace], dtype=np.int64)
     writes = np.asarray([w for _, w in trace], dtype=np.bool_)
     classifier = v_ctrl.make_run_classifier(addrs, writes)
-    server = v_ctrl.make_deferred_server(
-        None if classifier is None else classifier.dirty_blocks
-    )
+    server = v_ctrl.make_deferred_server()
     if server is None:
         return False
     serve, server_flush, batch = server

@@ -208,9 +208,7 @@ class TestVectorizedClassifier:
         classifier = vec.make_run_classifier(addrs, writes)
         assert classifier is not None
         classifier.chunk = 1
-        serve, server_flush, batch = vec.make_deferred_server(
-            classifier.dirty_blocks
-        )
+        serve, server_flush, batch = vec.make_deferred_server()
         declines = vec.deferred_declines
         sf_code = CLS_DECLINE_STAGING_FETCH
         dirty = classifier.dirty_blocks

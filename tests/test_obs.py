@@ -371,6 +371,51 @@ class TestTracedRun:
         assert report["counters"]["accesses"] == 800
         assert report["phases"]["controller"]["calls"] > 0
 
+    def test_profiled_run_keeps_the_seam(self):
+        """A profiler wraps the fast loop's callables: the run stays on
+        the deferred seam, matches the unprofiled result bit for bit,
+        and times every hierarchy access (no sampling)."""
+        plain, plain_ctrl, _ = run_traced(seed=4)
+        profiler = PhaseProfiler()
+        profiled, ctrl, _ = run_traced(seed=4, profiler=profiler)
+        assert profiled.to_dict() == plain.to_dict()
+        assert ctrl.deferred_declines == plain_ctrl.deferred_declines
+        assert sum(ctrl.deferred_declines.values()) > 0
+        phases = profiler.report()["phases"]
+        assert phases["hierarchy"]["calls"] >= 3000
+        assert phases["controller"]["calls"] > 0
+        assert phases["controller"]["seconds"] > 0.0
+
+    def test_metered_fast_loop_matches_scalar_exports(self):
+        """Metrics keep the fast loop (seam off): the histogram and the
+        series sampled at chunk boundaries equal the scalar loop's
+        per-access ticks, across odd windows, decimation and progress
+        chunking."""
+        exports = []
+        for scalar in (True, False):
+            config = make_small_config()
+            trace = ZipfWorkload(
+                "wl", 4 * config.layout.fast_capacity, seed=6
+            ).generate(2500)
+            registry = MetricsRegistry()
+            registry.series("repro_serve_rate", every=7, capacity=8)
+            registry.series("repro_ipc", every=7, capacity=8)
+            ctrl = BaryonController(config, seed=6, metrics=registry)
+            trace.apply_compressibility(ctrl.oracle)
+            sim = SystemSimulator(
+                ctrl, make_small_sim_config(), metrics=registry,
+                progress=lambda done, total: None, progress_every=300,
+            )
+            result = sim.run(trace, scalar=scalar)
+            exports.append((result.to_dict(), {
+                name: registry.get(name).to_json()
+                for name in (
+                    "repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc"
+                )
+            }))
+        assert exports[0] == exports[1]
+        assert exports[0][1]["repro_serve_rate"]["every"] > 7
+
     def test_untraced_run_unchanged(self):
         """Observability off must not perturb simulation results."""
         plain, _, _ = run_traced(seed=9)
