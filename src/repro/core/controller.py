@@ -760,8 +760,7 @@ class BaryonController:
         # for the transitions the probe below must preserve.
         rc_sets, rc_num_sets, _, rc_col = rc.probe_state()
         rc_credit = rc.credit_probes
-        fa_blocks = fa.blocks
-        fa_num_sets = fa.num_sets
+        fa_find = fa.find_block
         entries_tbl = self.remap_table._entries
         entries_get = entries_tbl.get
         oracle = self.oracle
@@ -868,17 +867,11 @@ class BaryonController:
                     case = 2
                     blk_off = block_id % super_blocks
                     # The fast-area residency invariant stays a live check.
-                    found = None
-                    for w, st in enumerate(fa_blocks[super_id % fa_num_sets]):
-                        if st is not None and st.super_id == super_id:
-                            if blk_off in st.committed:
-                                found = w
-                                state = st
-                                break
+                    found = fa_find(super_id, blk_off)
                     if found is None:
                         declines["invariant"] += 1
                         return None
-                    way = found
+                    way, state = found
                     zero = code == 5
                     if code == 4:
                         cf = aux & 7
@@ -919,19 +912,11 @@ class BaryonController:
                         entry.zero or (entry.remap >> sub_idx) & 1
                     ):
                         case = 2
-                        found = None
-                        for w, st in enumerate(
-                            fa_blocks[super_id % fa_num_sets]
-                        ):
-                            if st is not None and st.super_id == super_id:
-                                if blk_off in st.committed:
-                                    found = w
-                                    state = st
-                                    break
+                        found = fa_find(super_id, blk_off)
                         if found is None:
                             declines["invariant"] += 1
                             return None
-                        way = found
+                        way, state = found
                         zero = entry.zero
                         if is_write:
                             if zero:

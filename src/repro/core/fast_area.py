@@ -6,20 +6,31 @@ class owns the physical side of that story:
 * which super-block's data each fast block space holds, and which logical
   blocks (BlkOffs) of it are committed there;
 * the per-physical-block dirty/replacement metadata the paper stores
-  separately from the remap entries (Sec. III-C);
-* LRU victim selection for low-associative configurations and FIFO for
-  fully-associative ones (Sec. III-E);
+  separately from the remap entries (Sec. III-C): replacement stamps,
+  which :meth:`FastArea.touch` refreshes under LRU;
 * for the flat scheme, which OS-visible fast block is *homed* at each
   space and whether it is currently displaced by committed data.
+
+Commit victims are chosen by the controller, not here: cache-mode and
+set-associative flat sets take the coldest way by stamp
+(``BaryonController._coldest_way``), and the fully-associative
+organization (Sec. III-E) takes a cycling FIFO pointer
+(``BaryonController._fa_next_victim``). :meth:`FastArea.victim_way`
+implements the paper's interchangeable policies for standalone use; it
+is not on the simulation path.
 
 Indexing: slow-side lookups map a super-block to a set via
 ``super_block_id % num_sets`` so that one stage block (whose ranges all
 share a super-block, Rule 1) commits into a single set. Fast block spaces
-are statically partitioned across sets.
+are statically partitioned across sets. A super-block index maps each
+resident super-block to the ways holding its data, so lookups cost the
+few ways of that one super-block, not the set's associativity (thousands
+of ways in the fully-associative organization).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,7 +63,7 @@ class FastBlockState:
 
 
 class FastArea:
-    """Set-associative committed area with LRU or FIFO replacement."""
+    """Set-associative committed area, indexed by super-block."""
 
     #: Fast-to-slow eviction policies the paper lists as interchangeable
     #: (Sec. III-E: "LRU, LFU, CLOCK, and even random").
@@ -81,6 +92,10 @@ class FastArea:
         self.blocks: List[List[Optional[FastBlockState]]] = [
             [None] * ways for _ in range(num_sets)
         ]
+        #: super_id -> ascending ways of its set holding that super-block's
+        #: data. ``install``/``remove`` keep it current; a state's
+        #: ``super_id`` never changes while it is installed.
+        self._ways_of_super: Dict[int, List[int]] = {}
         self._clock = 0
         self._rng = random.Random(seed)
         self.stats = CounterGroup("fast_area")
@@ -94,19 +109,23 @@ class FastArea:
 
     # -- lookup --------------------------------------------------------------
     def lookup_super(self, super_id: int) -> List[Tuple[int, FastBlockState]]:
-        """All ways of the set currently holding data of ``super_id``."""
-        set_index = self.set_of_super(super_id)
-        return [
-            (way, state)
-            for way, state in enumerate(self.blocks[set_index])
-            if state is not None and state.super_id == super_id
-        ]
+        """All ways of the set currently holding data of ``super_id``,
+        in ascending way order."""
+        ways = self._ways_of_super.get(super_id)
+        if ways is None:
+            return []
+        row = self.blocks[super_id % self.num_sets]
+        return [(way, row[way]) for way in ways]
 
     def find_block(self, super_id: int, blk_off: int) -> Optional[Tuple[int, FastBlockState]]:
-        """The way holding committed data of logical block ``blk_off``."""
-        for way, state in self.lookup_super(super_id):
-            if blk_off in state.committed:
-                return way, state
+        """The lowest way holding committed data of logical block ``blk_off``."""
+        ways = self._ways_of_super.get(super_id)
+        if ways is not None:
+            row = self.blocks[super_id % self.num_sets]
+            for way in ways:
+                state = row[way]
+                if blk_off in state.committed:
+                    return way, state
         return None
 
     def state(self, set_index: int, way: int) -> Optional[FastBlockState]:
@@ -176,9 +195,15 @@ class FastArea:
     def install(self, set_index: int, way: int, state: FastBlockState) -> None:
         if self.blocks[set_index][way] is not None:
             raise LayoutError("installing over an occupied fast block space")
+        if state.super_id % self.num_sets != set_index:
+            raise LayoutError(
+                f"super-block {state.super_id} belongs in set "
+                f"{state.super_id % self.num_sets}, not set {set_index}"
+            )
         self._clock += 1
         state.stamp = self._clock
         self.blocks[set_index][way] = state
+        insort(self._ways_of_super.setdefault(state.super_id, []), way)
         self.stats.inc("installs")
 
     def remove(self, set_index: int, way: int) -> FastBlockState:
@@ -186,6 +211,10 @@ class FastArea:
         if state is None:
             raise LayoutError("removing an empty fast block space")
         self.blocks[set_index][way] = None
+        ways = self._ways_of_super[state.super_id]
+        ways.remove(way)
+        if not ways:
+            del self._ways_of_super[state.super_id]
         self.stats.inc("removals")
         return state
 

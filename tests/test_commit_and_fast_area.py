@@ -1,5 +1,7 @@
 """The Eq. 1 commit policy and the committed-area bookkeeping."""
 
+import random
+
 import pytest
 
 from repro.common.config import CommitConfig, Geometry
@@ -139,3 +141,102 @@ class TestFastArea:
             FastArea(0, 1, Geometry())
         with pytest.raises(LayoutError):
             FastArea(1, 1, Geometry(), replacement="belady")
+
+    def test_misplaced_install_rejected(self):
+        """A state outside set ``super_id % num_sets`` would be invisible
+        to every lookup."""
+        area = self.make()
+        with pytest.raises(LayoutError):
+            area.install(1, 0, FastBlockState(super_id=4))
+        assert area.lookup_super(4) == []
+
+
+def scan_lookup(area, super_id):
+    """Brute-force oracle: scan the whole set, as lookups once did."""
+    return [
+        (way, state)
+        for way, state in enumerate(area.blocks[super_id % area.num_sets])
+        if state is not None and state.super_id == super_id
+    ]
+
+
+def scan_find(area, super_id, blk_off):
+    for way, state in scan_lookup(area, super_id):
+        if blk_off in state.committed:
+            return way, state
+    return None
+
+
+class _NoIterRow(list):
+    """A fast-area set that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("lookup iterated a whole fast-area set")
+
+
+SUPER_BLOCKS = Geometry().super_block_blocks
+
+
+class TestSuperBlockIndex:
+    """``lookup_super``/``find_block`` read a super-block index that
+    ``install``/``remove`` maintain; they must answer exactly like a scan."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "num_sets,ways,replacement", [(1, 64, "fifo"), (4, 2, "lru")]
+    )
+    def test_random_sequences_match_scan(self, num_sets, ways, replacement, seed):
+        rng = random.Random(seed)
+        area = FastArea(num_sets, ways, Geometry(), replacement)
+        # Few distinct super-blocks per set, so several ways share one.
+        supers = range(3 * num_sets)
+        for _ in range(400):
+            occupied = [
+                (s, w)
+                for s in range(num_sets)
+                for w in range(ways)
+                if area.blocks[s][w] is not None
+            ]
+            op = rng.random()
+            if op < 0.45:
+                super_id = rng.choice(supers)
+                set_index = super_id % num_sets
+                free = [w for w in range(ways) if area.blocks[set_index][w] is None]
+                if free:
+                    committed = {
+                        off: 1
+                        for off in rng.sample(range(SUPER_BLOCKS), rng.randint(0, 3))
+                    }
+                    area.install(
+                        set_index,
+                        rng.choice(free),
+                        FastBlockState(super_id=super_id, committed=committed),
+                    )
+            elif op < 0.75 and occupied:
+                area.remove(*rng.choice(occupied))
+            elif occupied:
+                state = area.state(*rng.choice(occupied))
+                off = rng.randrange(SUPER_BLOCKS)
+                if off in state.committed:
+                    del state.committed[off]
+                else:
+                    state.committed[off] = 1
+                area.touch(*rng.choice(occupied))
+            for super_id in supers:
+                assert area.lookup_super(super_id) == scan_lookup(area, super_id)
+                for blk_off in range(SUPER_BLOCKS):
+                    assert area.find_block(super_id, blk_off) == scan_find(
+                        area, super_id, blk_off
+                    )
+
+    def test_lookups_never_iterate_a_set(self):
+        area = FastArea(1, 64, Geometry(), "fifo")
+        area.install(0, 40, FastBlockState(super_id=7, committed={2: 1}))
+        area.install(0, 3, FastBlockState(super_id=7, committed={5: 1}))
+        area.install(0, 9, FastBlockState(super_id=8, committed={2: 1}))
+        area.blocks[0] = _NoIterRow(area.blocks[0])
+        assert [way for way, _ in area.lookup_super(7)] == [3, 40]
+        assert area.find_block(7, 2)[0] == 40
+        assert area.find_block(7, 5)[0] == 3
+        assert area.find_block(7, 1) is None
+        assert area.lookup_super(6) == []

@@ -1,11 +1,12 @@
 """Golden behaviour corpus: committed per-layer digests of SimResults.
 
-Every cell runs one (workload, design) pair at 3k accesses and 1/512
-scale and hashes each SimResult field group separately, so a mismatch
-names the layer that moved: core timing, the SRAM hierarchy, the
-controller and its Fig. 6 case mix, device traffic, or energy. The
-digests live in ``tests/golden_corpus.json``; a shared helper that
-changes every code path the same way still fails here, which an
+Every cell runs one (workload, design) pair at 1/512 scale (3k accesses
+unless its name ends in ``@<accesses>``) and hashes each SimResult field
+group separately, so a mismatch names the layer that moved: core
+timing, the SRAM hierarchy, the controller and its Fig. 6 case mix,
+device traffic, or energy. The digests live in
+``tests/golden_corpus.json``; a shared helper that changes every code
+path the same way still fails here, which an
 in-tree scalar-vs-fast comparison cannot catch.
 
 The corpus also pins observation: profiled, metered and
@@ -57,18 +58,40 @@ LAYERS = {
     "energy": ("energy",),
 }
 
-#: Single-design Baryon variants whose observers keep the run off the
-#: deferred seam.
+
+def _with_resilience(**probs):
+    resilience = ResilienceConfig(enabled=True, **probs)
+    return lambda config: dataclasses.replace(config, resilience=resilience)
+
+
+def _flat_layout(config):
+    """The CLI's ``--flat``: 75% flat / 25% cache, set-associative."""
+    layout = dataclasses.replace(config.layout, flat_fraction=0.75)
+    return dataclasses.replace(config, layout=layout)
+
+
+#: Single-design Baryon variants: config transforms (observers that keep
+#: the run off the deferred seam, or the set-associative flat scheme), or
+#: ``None`` for the content oracle.
 VARIANTS = {
-    "faults": ResilienceConfig(
-        enabled=True, p_read_transient=1e-2, p_latency_spike=1e-2,
-        p_row_glitch=1e-2,
+    "faults": _with_resilience(
+        p_read_transient=1e-2, p_latency_spike=1e-2, p_row_glitch=1e-2,
     ),
-    "checker": ResilienceConfig(
-        enabled=True, check_invariants=True, p_table_corruption=2e-3,
-    ),
+    "checker": _with_resilience(check_invariants=True, p_table_corruption=2e-3),
+    "flat": _flat_layout,
     "oracle": None,
 }
+
+#: Flat-scheme cells long enough to hit committed data hundreds of times
+#: (at 3k accesses they record 1-26 commit hits), so the fast-area
+#: committed-block lookup is pinned: the set-associative ``--flat``
+#: Baryon cell and the fully-associative Fig. 10 pair.
+FLAT_CELLS = (
+    "YCSB-B/baryon+flat@10000",
+    "YCSB-B/baryon-fa@10000",
+    "YCSB-B/hybrid2@10000",
+)
+MIN_FLAT_COMMIT_HITS = 100
 
 #: Designs whose observed runs must match their unobserved digests.
 OBSERVED_DESIGNS = ("baryon", "simple", "unison")
@@ -79,7 +102,7 @@ METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 def cell_names():
     names = [f"{wl}/{design}" for wl in WORKLOADS for design in DESIGNS]
     names += [f"YCSB-B/baryon+{variant}" for variant in VARIANTS]
-    return names
+    return names + list(FLAT_CELLS)
 
 
 def layer_digests(result) -> dict:
@@ -92,14 +115,14 @@ def layer_digests(result) -> dict:
     }
 
 
-def _run_variant(workload: str, variant: str):
+def _run_variant(workload: str, variant: str, n_accesses: int):
     config, sim_config = scaled_system(SCALE)
     if variant != "oracle":
-        config = dataclasses.replace(config, resilience=VARIANTS[variant])
-        return run_cell(workload, "baryon", config, sim_config, N_ACCESSES, SEED)[0]
+        config = VARIANTS[variant](config)
+        return run_cell(workload, "baryon", config, sim_config, n_accesses, SEED)[0]
     controller = ContentBackedController(config, seed=SEED)
     trace = build_workload(
-        workload, config.layout.fast_capacity, n_accesses=N_ACCESSES, seed=SEED
+        workload, config.layout.fast_capacity, n_accesses=n_accesses, seed=SEED
     )
     trace.apply_compressibility(controller.oracle)
     return SystemSimulator(controller, sim_config).run(trace, workload, "baryon")
@@ -107,11 +130,15 @@ def _run_variant(workload: str, variant: str):
 
 @lru_cache(maxsize=None)
 def run_golden_cell(cell: str, observation: str = "") -> tuple:
-    """``(layer digests, metered-export digest or None)`` for one cell."""
+    """``(layer digests, metered-export digest or None, commit hits)``
+    for one cell."""
     workload, _, design = cell.partition("/")
+    design, _, length = design.partition("@")
+    n_accesses = int(length) if length else N_ACCESSES
     design, _, variant = design.partition("+")
     if variant:
-        return layer_digests(_run_variant(workload, variant)), None
+        result = _run_variant(workload, variant, n_accesses)
+        return layer_digests(result), None, result.case_counts.get("commit_hit", 0)
     config, sim_config = scaled_system(SCALE)
     kwargs = {}
     if observation == "profiled":
@@ -123,7 +150,7 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         kwargs["progress"] = lambda done, total: None
         kwargs["progress_every"] = 256
     result, _ = run_cell(
-        workload, design, config, sim_config, N_ACCESSES, SEED, **kwargs
+        workload, design, config, sim_config, n_accesses, SEED, **kwargs
     )
     exported = None
     if observation == "metered":
@@ -131,7 +158,7 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         exported = _result_digest(
             {name: registry.get(name).to_json() for name in METERED_SERIES}
         )
-    return layer_digests(result), exported
+    return layer_digests(result), exported, result.case_counts.get("commit_hit", 0)
 
 
 @lru_cache(maxsize=1)
@@ -157,6 +184,12 @@ def test_cell_matches_golden(cell):
     got = run_golden_cell(cell)[0]
     moved = [layer for layer in LAYERS if got[layer] != want[layer]]
     assert not moved, f"{cell}: layer digests moved: {moved}"
+
+
+@pytest.mark.parametrize("cell", FLAT_CELLS)
+def test_flat_cell_hits_committed_data(cell):
+    """The flat cells must keep exercising the committed-block lookup."""
+    assert run_golden_cell(cell)[2] >= MIN_FLAT_COMMIT_HITS
 
 
 @pytest.mark.parametrize("observation", OBSERVATIONS)

@@ -32,8 +32,8 @@ def _make_trace(workload_cls, config, n, seed, **wl_kwargs):
     ).generate(n)
 
 
-def _run(workload_cls, *, scalar, n=3000, seed=2, **wl_kwargs):
-    config = make_small_config()
+def _run(workload_cls, *, scalar, n=3000, seed=2, config=None, **wl_kwargs):
+    config = config or make_small_config()
     sim_config = make_small_sim_config()
     trace = _make_trace(workload_cls, config, n, seed, **wl_kwargs)
     ctrl = BaryonController(config, seed=seed)
@@ -42,14 +42,46 @@ def _run(workload_cls, *, scalar, n=3000, seed=2, **wl_kwargs):
     return sim.run(trace, "wl", "baryon", scalar=scalar)
 
 
+#: Fast-area organizations: cache mode, the set-associative flat scheme
+#: (LRU: commit hits go through the inline server's lookup), and the
+#: fully-associative flat scheme (FIFO: no inline server, commit hits go
+#: through ``access_deferred``).
+LAYOUTS = {
+    "cache": {},
+    "flat": {"flat": 0.75},
+    "flat-fa": {"flat": 1.0, "fully_associative": True},
+}
+#: Cache-mode cases keep their plain workload ids.
+BIT_IDENTITY_CASES = [
+    pytest.param(
+        workload_cls,
+        layout,
+        id=workload_cls.__name__ + ("" if layout == "cache" else f"-{layout}"),
+    )
+    for layout in LAYOUTS
+    for workload_cls in (ZipfWorkload, StreamWorkload)
+]
+
+
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("workload_cls", [ZipfWorkload, StreamWorkload])
-    def test_simresult_bit_identical(self, workload_cls):
+    @pytest.mark.parametrize("workload_cls,layout", BIT_IDENTITY_CASES)
+    def test_simresult_bit_identical(self, workload_cls, layout):
         """Every SimResult field, cycles included, matches bit for bit."""
-        ref = _run(workload_cls, scalar=True)
-        fast = _run(workload_cls, scalar=False)
+        config = make_small_config(**LAYOUTS[layout])
+        ref = _run(workload_cls, scalar=True, config=config)
+        fast = _run(workload_cls, scalar=False, config=config)
         assert fast.to_dict() == ref.to_dict()
         assert fast.cycles == ref.cycles  # exact float equality, no tolerance
+        if workload_cls is ZipfWorkload:
+            # Zipf re-reads committed data, so the fast loop's
+            # committed-block lookup is on the compared path.
+            assert ref.case_counts["commit_hit"] > 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_selects_commit_hit_path(self, layout):
+        config = make_small_config(**LAYOUTS[layout])
+        server = BaryonController(config, seed=2).make_deferred_server()
+        assert (server is None) == config.layout.fully_associative
 
     def test_empty_and_tiny_traces(self):
         config = make_small_config()
