@@ -176,7 +176,7 @@ def _bench_matrix(workloads, designs, scale, accesses, seed, jobs):
 def _hotpath_breakdown(ctrl, sim, trace, workload, design):
     """One untimed batched run with the controller entry points wrapped.
 
-    Attributes wall time to the deferred fast path (classification plus
+    Attributes wall time to the deferred fast path (per-op serve plus
     batched replay) versus the scalar ``access`` fallback, and reports
     the full-run :class:`AccessCase` counts plus the per-reason decline
     counters — so a hot-path regression is attributable to a specific
@@ -191,7 +191,7 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
     from time import perf_counter
 
     acc = {
-        "deferred_ops": 0, "deferred_declined": 0, "deferred_s": 0.0,
+        "deferred_ops": 0, "serve_s": 0.0,
         "batch_flushes": 0, "batch_s": 0.0,
         "fallback_calls": 0, "fallback_s": 0.0,
     }
@@ -204,22 +204,22 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
         acc["fallback_calls"] += 1
         return out
 
+    def timed(serve):
+        def timed_serve(addr, is_write):
+            t0 = perf_counter()
+            op = serve(addr, is_write)
+            acc["serve_s"] += perf_counter() - t0
+            if op is not None:
+                acc["deferred_ops"] += 1
+            return op
+
+        return timed_serve
+
     # Instance attributes shadow the class methods, so the simulator's
     # lookups bind the wrappers without any simulator-side hooks.
     ctrl.access = timed_access
     if getattr(ctrl, "supports_batching", False):
-        real_deferred = ctrl.access_deferred
         real_batch = ctrl.access_batch
-
-        def timed_deferred(addr, is_write):
-            t0 = perf_counter()
-            op = real_deferred(addr, is_write)
-            acc["deferred_s"] += perf_counter() - t0
-            if op is None:
-                acc["deferred_declined"] += 1
-            else:
-                acc["deferred_ops"] += 1
-            return op
 
         def timed_batch(ops, cycles, mlp):
             t0 = perf_counter()
@@ -228,7 +228,7 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
             acc["batch_flushes"] += 1
             return out
 
-        ctrl.access_deferred = timed_deferred
+        ctrl.access_deferred = timed(ctrl.access_deferred)
         ctrl.access_batch = timed_batch
 
         real_make_server = getattr(ctrl, "make_deferred_server", None)
@@ -238,19 +238,8 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
                 if server is None:
                     return None
                 serve, flush, batch = server
-
-                def timed_serve(addr, is_write, code, aux):
-                    t0 = perf_counter()
-                    op = serve(addr, is_write, code, aux)
-                    acc["deferred_s"] += perf_counter() - t0
-                    if op is None:
-                        acc["deferred_declined"] += 1
-                    else:
-                        acc["deferred_ops"] += 1
-                    return op
-
                 # ``batch`` is the instance's access_batch, already timed.
-                return timed_serve, flush, batch
+                return timed(serve), flush, batch
 
             ctrl.make_deferred_server = timed_make_server
     decline_base = dict(getattr(ctrl, "deferred_declines", None) or {})
@@ -260,30 +249,20 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
         for key, value in ctrl.stats.as_dict().items()
         if key.startswith("case_")
     }
-    # Authoritative decline accounting: the controller's per-reason
-    # counters see every decline — serve()-time ones and the
-    # pre-resolved classifier verdicts that never reach serve().
-    decline_counters = getattr(ctrl, "deferred_declines", None)
-    if decline_counters is not None:
-        decline_reasons = {
-            reason: count - decline_base.get(reason, 0)
-            for reason, count in decline_counters.items()
-        }
-        declined = sum(decline_reasons.values())
-    else:
-        decline_reasons = {}
-        declined = acc["deferred_declined"]
+    decline_reasons = {
+        reason: count - decline_base.get(reason, 0)
+        for reason, count in (getattr(ctrl, "deferred_declines", None) or {}).items()
+    }
     return {
         "access_cases": cases,
         "fast_path": {
             "deferred_ops": acc["deferred_ops"],
-            "classify_s": round(acc["deferred_s"], 4),
+            "serve_s": round(acc["serve_s"], 4),
             "batch_flushes": acc["batch_flushes"],
             "replay_s": round(acc["batch_s"], 4),
         },
         "scalar_fallback": {
             "calls": acc["fallback_calls"],
-            "declined_classifications": declined,
             "decline_reasons": decline_reasons,
             "time_s": round(acc["fallback_s"], 4),
         },

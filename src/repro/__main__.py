@@ -281,7 +281,7 @@ def build_validate_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fuzz-batched", action="store_true",
                         help="additionally cross-check every fuzz case "
                         "across the controller's deferred-batch seam "
-                        "(access_deferred/access_batch vs scalar access; "
+                        "(deferred server + access_batch vs scalar access; "
                         "fault injection off, oracle on)")
     parser.add_argument("--minimize", action="store_true",
                         help="delta-debug any fuzzer-found failure before "
@@ -348,7 +348,6 @@ def cmd_validate(argv) -> int:
         stats = report.stats
         batched_note = (
             f", {report.stats.get('fuzz_batched_checks')} batched-seam + "
-            f"{report.stats.get('fuzz_classifier_checks')} classifier + "
             f"{report.stats.get('fuzz_simple_checks')} simple-seam check(s)"
             if args.fuzz_batched else ""
         )

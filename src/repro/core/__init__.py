@@ -12,9 +12,8 @@ The package composes the substrates into the paper's architecture:
 * :class:`~repro.core.controller.BaryonController` — the access flow of
   Fig. 6 (cases 1-5), slow-to-stage prefetching, cacheline-aligned
   transfers, flat-scheme swapping and compressed writeback;
-* :class:`~repro.core.columnar.ColumnarState` — the columnar (structured
-  numpy array) mirror of the controller metadata plus the O(1) probe
-  indices behind the deferred batch fast path.
+* :class:`~repro.core.columnar.ColumnarState` — O(1) probe indices over
+  the stage tag array, read by the access flow and the deferred server.
 """
 
 from repro.core.columnar import ColumnarState

@@ -35,6 +35,7 @@ from repro.common.config import BaryonConfig
 from repro.common.errors import CorruptionError, SimulationError, TransientDeviceError
 from repro.common.stats import CounterGroup
 from repro.compression.synthetic import SyntheticCompressibility
+from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitPolicy
 from repro.core.events import (
     CASE_COUNTER_KEYS,
@@ -206,15 +207,11 @@ class BaryonController:
                 self.checker = ShadowChecker(pointer_bits=pointer_bits)
                 self.remap_table.shadow = self.checker
 
-        # Columnar mirror of the metadata state (numpy structured arrays
-        # plus the O(1) probe indices the deferred batch fast path
-        # classifies with). Created after the resilience layer so it
-        # chains in front of any existing remap-table shadow observer.
-        from repro.core.columnar import ColumnarState
-
+        # O(1) stage probe indices, read by ``_dispatch`` and the
+        # deferred server in place of the way x slot scans.
         self.columnar = ColumnarState(self)
 
-        # Cached constants for the deferred fast path (access_deferred /
+        # Cached constants for the deferred fast path (the server and
         # access_batch); all are invariant after construction.
         self._stage_on = self.config.stage.enabled
         self._g_sub_per_block = g.sub_blocks_per_block
@@ -236,10 +233,10 @@ class BaryonController:
         self._idx_fast_home = AccessCase.FAST_HOME.index
         self._idx_slow_direct = AccessCase.SLOW_DIRECT.index
 
-        # Per-reason deferred-classification decline counters. Kept out of
-        # ``stats`` deliberately: the scalar and batched paths must agree
-        # on every stats counter bit-for-bit, and only the batched path
-        # classifies, so these live beside the stats rather than in them.
+        # Per-reason deferred-seam decline counters. Kept out of ``stats``
+        # deliberately: the scalar and batched paths must agree on every
+        # stats counter bit-for-bit, and only the batched path declines,
+        # so these live beside the stats rather than in them.
         self.deferred_declines: Dict[str, int] = {
             "z_break": 0,
             "write_overflow": 0,
@@ -361,7 +358,8 @@ class BaryonController:
     @property
     def supports_batching(self) -> bool:
         """May the simulator drive this controller through the deferred
-        batch fast path (:meth:`access_deferred` + :meth:`access_batch`)?
+        batch fast path (:meth:`make_deferred_server` +
+        :meth:`access_batch`)?
 
         Requires every optional per-access observer to be absent: fault
         injection, recovery, the shadow checker, the phase tracker, event
@@ -394,321 +392,72 @@ class BaryonController:
         way = ref[0]
         return way, self.stage.tags.entries[super_id % self.stage.num_sets][way]
 
-    def _count_table_probe(self) -> None:
-        """Traffic accounting of the 16 B off-chip remap-table probe; its
-        queue/transfer timing replays later from the op record."""
-        dev = self.devices.fast
-        dev._n_read_bytes += 16
-        dev._n_reads += 1
-        dev._n_demand_read_bytes += 16
-        self._stats.inc("remap_table_reads")
-
     def access_deferred(self, addr: int, is_write: bool = False):
         """Serve one 64 B access with state applied now and timing deferred.
 
-        The batch-safe cases — stage hit, commit hit, commit miss,
-        resident/displaced flat home — mutate no state whose transitions
-        depend on the clock, so their state effects (LRU touches,
-        remap-cache fills, credit/aging counters, dirty marks, oracle
-        write notes, traffic and case counters, prefetched-line
-        computation) are applied eagerly in trace order here, while the
-        clock-dependent part (channel queueing) is captured as one op
-        tuple for :meth:`access_batch` to replay:
-
-            (rc_miss, stage_meta, dev, nbytes, array_latency, decomp, lines)
-
-        ``dev`` is 0 (no data device: zero-encoded data), 1 (fast read),
-        2 (slow read), 3 (fast write) or 4 (slow write); ``stage_meta``
-        selects the stage-hit metadata latency rule (tag latency only)
-        over ``max(tag, remap)``; ``lines`` are the prefetched cacheline
-        addresses for the caller to install.
-
-        Write hits qualify only when they provably do not overflow: the
-        oracle's pure ``peek_write``/``fits_at`` probes test the
-        post-write verdict before anything mutates. Returns ``None`` —
-        with **no state applied** (classification uses only pure probes)
-        — whenever the access needs the scalar path: staging fetches
-        (cases 3/5), zero-encoding breaks, write overflows, the no-stage
-        ablation, or a broken fast-area invariant. The scalar
-        :meth:`access` then serves it bit-identically.
+        A per-op wrapper around :meth:`make_deferred_server`: build a
+        server, serve this one access and flush its tallies. Returns the
+        op tuple for :meth:`access_batch`, or ``None`` — with no state
+        applied — when no server can be built or the access needs the
+        scalar :meth:`access`. The simulator drives the server directly;
+        this entry point serves per-op callers such as tests and
+        benchmark hooks.
         """
-        block_size = self._g_block_size
-        block_id = addr // block_size
-        super_id = block_id // self._g_super_blocks
-        rem = addr % block_size
-        sub_size = self._g_sub_size
-        sub_idx = rem // sub_size
-        col = self.columnar
-        staged = col.stage_sub.get(block_id * self._g_sub_per_block + sub_idx)
-        if staged is not None:
-            # Case 1: stage hit.
-            way, slot_idx = staged
-            stage = self.stage
-            set_index = super_id % stage.num_sets
-            slot = stage.tags.entries[set_index][way].slots[slot_idx]
-            if is_write:
-                if slot.zero:
-                    # Z break: the scalar path re-stages.
-                    self.deferred_declines["z_break"] += 1
-                    return None
-                cf = slot.cf
-                if (
-                    cf > 1
-                    and self.oracle.peek_write(block_id, sub_idx)
-                    and not self.oracle.fits_at(
-                        block_id, slot.sub_start, cf, self._ca,
-                        self.oracle.version_of(block_id) + 1,
-                    )
-                ):
-                    # Write overflow: the scalar path splits the range.
-                    self.deferred_declines["write_overflow"] += 1
-                    return None
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                stage.touch(set_index, way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                stage.mark_dirty(set_index, way, slot_idx)
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_stage_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, True, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            stage.touch(set_index, way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_stage_hit] += 1
-            self._n_served_fast += 1
-            if slot.zero:
-                return (rc_miss, True, 0, 0, 0.0, 0.0, None)
-            cf = slot.cf
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(
-                    block_id, slot.sub_start, cf, sub_idx, line_idx
-                )
-                return (rc_miss, True, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, True, 1, nbytes, arr, 0.0, None)
-
-        entry = self.remap_table._entries.get(block_id)
-        blk_off = block_id % self._g_super_blocks
-        if entry is not None and entry.sub_block_remapped(sub_idx):
-            # Case 2: commit hit.
-            located = self.fast_area.find_block(super_id, blk_off)
-            if located is None:
-                # Broken invariant: the scalar path raises.
-                self.deferred_declines["invariant"] += 1
-                return None
-            way, state = located
-            if is_write:
-                if entry.zero:
-                    # Z break: the scalar path evicts the logical block.
-                    self.deferred_declines["z_break"] += 1
-                    return None
-                start, cf = entry.range_of(sub_idx)
-                if (
-                    self.oracle.peek_write(block_id, sub_idx)
-                    and cf > 1
-                    and not self.oracle.fits_at(
-                        block_id, start, cf, self._ca,
-                        self.oracle.version_of(block_id) + 1,
-                    )
-                ):
-                    # Rule-4 overflow: the scalar path evicts.
-                    self.deferred_declines["write_overflow"] += 1
-                    return None
-                self.stage.record_set_access(super_id % self.stage.num_sets)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                state.dirty_subs.add((blk_off, sub_idx))
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_commit_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_commit_hit] += 1
-            self._n_served_fast += 1
-            if entry.zero:
-                return (rc_miss, False, 0, 0, 0.0, 0.0, None)
-            start, cf = entry.range_of(sub_idx)
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
-                return (rc_miss, False, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-        if self._stage_on and block_id in col.stage_block:
-            # Case 3: the staged fetch mutates, scalar path.
-            self.deferred_declines["staging_fetch"] += 1
+        server = self.make_deferred_server()
+        if server is None:
             return None
-        if entry is not None:
-            # entry.is_remapped but the demanded sub-block is not staged
-            # or committed.
-            if not self._stage_on:
-                # The no-stage ablation inserts directly.
-                self.deferred_declines["no_stage"] += 1
-                return None
-            # Case 4: commit miss — a pure slow-memory bypass.
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self._n_accesses += 1
-            self._n_cases[self._idx_commit_miss] += 1
-            dev = self.devices.slow
-            nbytes = self._cl_size
-            if is_write:
-                self._n_writes += 1
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-            self._n_reads += 1
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
-        if (
-            self._flat_blocks
-            and block_id % self._home_period == 0
-            and block_id // self._home_period < self._flat_blocks
-        ):
-            if block_id not in self._displaced:
-                # Flat scheme: resident home block, served in place.
-                self.stage.record_set_access(super_id % self.stage.num_sets)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self._n_accesses += 1
-                self._n_cases[self._idx_fast_home] += 1
-                self._n_served_fast += 1
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                if is_write:
-                    self._n_writes += 1
-                    dev._n_write_bytes += nbytes
-                    dev._n_writes += 1
-                    dev._array_latency(
-                        block_id * block_size, dev.write_latency
-                    )
-                    self._home_stamps[block_id] = self.fast_area.next_stamp()
-                    return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-                self._n_reads += 1
-                dev._n_read_bytes += nbytes
-                dev._n_reads += 1
-                dev._n_demand_read_bytes += nbytes
-                arr = dev._array_latency(
-                    block_id * block_size, dev.read_latency
-                ) + 0.0
-                self._home_stamps[block_id] = self.fast_area.next_stamp()
-                return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-            # Displaced home: served from its spread slow copy.
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self._n_accesses += 1
-            self._n_cases[self._idx_slow_direct] += 1
-            dev = self.devices.slow
-            nbytes = self._cl_size
-            if is_write:
-                self._n_writes += 1
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-            self._n_reads += 1
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
-        # Case 5: the block miss stages a fetch, scalar path.
-        self.deferred_declines["staging_fetch"] += 1
-        return None
-
-    def make_run_classifier(self, addrs, writes):
-        """Bulk verdict source for a whole trace's deferred path.
-
-        Returns a :class:`~repro.core.columnar.DeferredRunClassifier`
-        classifying chunks of future trace indices with numpy gathers
-        over the columnar arrays, or ``None`` when the trace or this
-        controller cannot support it (the simulator then classifies every
-        op with :meth:`access_deferred` exactly as before).
-        """
-        if not self.supports_batching:
-            return None
-        from repro.core.columnar import build_run_classifier
-
-        return build_run_classifier(self, addrs, writes)
+        serve, flush, _ = server
+        op = serve(addr, is_write)
+        flush()
+        return op
 
     def make_deferred_server(self):
         """Build the inlined serve/flush closure pair for the hot loop.
 
         Returns ``(serve, flush, replay)`` or ``None``; ``replay`` is
-        :meth:`access_batch` itself. ``serve(addr, is_write, code, aux)``
-        is a drop-in for :meth:`access_deferred` (``code == 0``: classify
-        inline; ``code > 0``: trust the run classifier's gathered verdict
-        — revalidated against the columnar arena's ``dirty_blocks``, the
-        classifier's post-gather mutation set, falling back to the inline
-        classification when the block went stale) with every per-op
-        helper call inlined:
-        the remap-cache LRU probe, the row-buffer bank transition, the
-        stage rank / fast-area stamp touches, and the set-access aging
-        count. Traffic, case, and hit-ratio counters accumulate in closure
-        locals and ``flush()`` scatters them into the real counter
-        attributes in one bulk update — integer sums, so the folded totals
-        are bit-identical to per-op increments and no intermediate value
-        is ever observable (the simulator flushes before any scalar
+        :meth:`access_batch` itself. ``serve(addr, is_write)`` serves one
+        64 B access with its state applied now and its timing deferred.
+        Every case whose state transitions do not depend on the clock —
+        stage hit, commit hit, commit miss, resident/displaced flat home,
+        and the staging fetches of cases 3/5 — mutates state eagerly in
+        trace order (LRU and replacement touches, remap-cache fills,
+        credit/aging counters, dirty marks, oracle write notes, stage
+        inserts), while the clock-dependent part (channel queueing) is
+        returned as one op tuple for :meth:`access_batch` to replay:
+
+            (rc_miss, stage_meta, dev, nbytes, array_latency, decomp, lines)
+
+        ``dev`` is 0 (no data device: zero-encoded data), 1 (fast read),
+        2 (slow read), 3 (fast write), 4 (slow write), or 5/6 (staging
+        fetch read/write, ``nbytes`` then carries ``(demand_bytes,
+        extras)``); ``stage_meta`` selects the stage-hit metadata latency
+        rule (tag latency only) over ``max(tag, remap)``; ``lines`` are
+        the prefetched cacheline addresses for the caller to install.
+
+        Write hits qualify only when they provably do not overflow: the
+        oracle's pure ``peek_write``/``fits_at`` probes test the
+        post-write verdict before anything mutates. ``serve`` returns
+        ``None`` — with **no state applied** — whenever the access needs
+        the scalar path: zero-encoding breaks, write overflows, the
+        no-stage ablation, or a broken fast-area invariant; each decline
+        charges its reason in :attr:`deferred_declines`. The scalar
+        :meth:`access` then serves it bit-identically.
+
+        Every per-op helper call is inlined: the remap-cache LRU probe,
+        the row-buffer bank transition, the stage rank / fast-area stamp
+        touches (a non-LRU fast area goes through
+        :meth:`FastArea.touch`), and the set-access aging count. Traffic,
+        case, and hit-ratio counters accumulate in closure locals and
+        ``flush()`` scatters them into the real counter attributes in one
+        bulk update — integer sums, so the folded totals are
+        bit-identical to per-op increments and no intermediate value is
+        ever observable (the simulator flushes before any scalar
         ``access`` call and before every stats snapshot).
 
         Construction declines (returns ``None``) when any per-op observer
         the inlined bodies skip could fire: controller-level hooks (via
         :attr:`supports_batching`), remap-cache tracing or faults, device
-        faults, or row-buffer tracing, faults, or a non-LRU fast area.
+        faults, or row-buffer tracing or faults.
         """
         if not self.supports_batching:
             return None
@@ -724,7 +473,6 @@ class BaryonController:
             or fast.faults is not None
             or slow.faults is not None
             or (rb is not None and (rb.obs.enabled or rb.faults is not None))
-            or fa.replacement != "lru"
         ):
             return None
 
@@ -755,12 +503,14 @@ class BaryonController:
         aging_period = stage._aging_period
         age_set = stage.age_set
         lines_per_sub = self.geometry.cachelines_per_sub_block
-        col_mark_dirty = None if col is None else col.stage_mark_dirty
         # Remap-cache inline-probe contract: see RemapCache.probe_state
         # for the transitions the probe below must preserve.
-        rc_sets, rc_num_sets, _, rc_col = rc.probe_state()
+        rc_sets, rc_num_sets, _ = rc.probe_state()
         rc_credit = rc.credit_probes
         fa_find = fa.find_block
+        fa_lru = fa.replacement == "lru"
+        fa_touch = fa.touch
+        fa_num_sets = fa.num_sets
         entries_tbl = self.remap_table._entries
         entries_get = entries_tbl.get
         oracle = self.oracle
@@ -768,7 +518,6 @@ class BaryonController:
         fits_at = oracle.fits_at
         version_of = oracle.version_of
         note_write = oracle.note_write
-        chunk_lines = self._chunk_lines
         declines = self.deferred_declines
         f_read_lat = fast.read_latency
         f_write_lat = fast.write_latency
@@ -790,12 +539,10 @@ class BaryonController:
         idx_slowd = self._idx_slow_direct
         idx_smiss = AccessCase.STAGE_MISS.index
         idx_bmiss = AccessCase.BLOCK_MISS.index
-        dirty = col.dirty_blocks
         # Staging-fetch capture: the real fetch-and-stage runs eagerly
         # against these recording pools (see :class:`_RecordingPool`).
         miss_cap = stage.config.miss_counter_max()
         mru_miss_cnt = stage.mru_miss_cnt
-        col_block_miss = col.stage_block_miss
         fetch_and_stage = self._fetch_and_stage
         real_fast_pool = fast.pool
         real_slow_pool = slow.pool
@@ -830,7 +577,7 @@ class BaryonController:
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
 
-        def serve(addr, is_write, code, aux):
+        def serve(addr, is_write):
             nonlocal t_acc, t_reads, t_writes, t_served
             nonlocal c_stage, c_commit, c_cmiss, c_home, c_slowd, tbl_reads
             nonlocal c_smiss, c_bmiss
@@ -844,147 +591,109 @@ class BaryonController:
             rem = addr % block_size
             sub_idx = rem // sub_size
 
-            # ---- resolve the case: gathered verdict or inline classify ----
-            slot = None
-            entry = None
-            state = None
-            if code and block_id in dirty:
-                code = 0
-            if code:
-                if code <= 3:
-                    case = 1
-                    way = aux & 7
-                    if code == 1:
-                        zero = False
-                        cf = (aux >> 8) & 7
-                        sub_start = aux >> 12
-                    elif code == 2:
-                        zero = True
-                    else:
-                        zero = False
-                        slot_idx = (aux >> 3) & 31
-                elif code <= 6:
+            # ---- resolve the case ----
+            staged = stage_sub_get(block_id * sub_per_block + sub_idx)
+            if staged is not None:
+                case = 1
+                way, slot_idx = staged
+                slot = stage_entries[super_id % stage_num_sets][way].slots[slot_idx]
+                zero = slot.zero
+                if is_write:
+                    if zero:
+                        declines["z_break"] += 1
+                        return None
+                    cf = slot.cf
+                    if (
+                        cf > 1
+                        and peek_write(block_id, sub_idx)
+                        and not fits_at(
+                            block_id, slot.sub_start, cf, ca,
+                            version_of(block_id) + 1,
+                        )
+                    ):
+                        declines["write_overflow"] += 1
+                        return None
+                elif not zero:
+                    cf = slot.cf
+                    sub_start = slot.sub_start
+            else:
+                entry = entries_get(block_id)
+                blk_off = block_id % super_blocks
+                if entry is not None and (entry.zero or (entry.remap >> sub_idx) & 1):
                     case = 2
-                    blk_off = block_id % super_blocks
-                    # The fast-area residency invariant stays a live check.
                     found = fa_find(super_id, blk_off)
                     if found is None:
                         declines["invariant"] += 1
                         return None
                     way, state = found
-                    zero = code == 5
-                    if code == 4:
-                        cf = aux & 7
-                        sub_start = aux >> 3
-                else:
-                    case = 4
-            else:
-                staged = stage_sub_get(block_id * sub_per_block + sub_idx)
-                if staged is not None:
-                    case = 1
-                    way, slot_idx = staged
-                    slot = stage_entries[super_id % stage_num_sets][way].slots[
-                        slot_idx
-                    ]
-                    zero = slot.zero
+                    zero = entry.zero
                     if is_write:
                         if zero:
                             declines["z_break"] += 1
                             return None
-                        cf = slot.cf
+                        # entry.range_of, inlined (zero is False and
+                        # membership already established above).
+                        quad = sub_idx >> 2
+                        if (entry.cf4 >> quad) & 1:
+                            sub_start = quad << 2
+                            cf = 4
+                        else:
+                            pair = sub_idx >> 1
+                            if (entry.cf2 >> pair) & 1:
+                                sub_start = pair << 1
+                                cf = 2
+                            else:
+                                sub_start = sub_idx
+                                cf = 1
                         if (
-                            cf > 1
-                            and peek_write(block_id, sub_idx)
+                            peek_write(block_id, sub_idx)
+                            and cf > 1
                             and not fits_at(
-                                block_id, slot.sub_start, cf, ca,
+                                block_id, sub_start, cf, ca,
                                 version_of(block_id) + 1,
                             )
                         ):
                             declines["write_overflow"] += 1
                             return None
                     elif not zero:
-                        cf = slot.cf
-                        sub_start = slot.sub_start
-                else:
-                    entry = entries_get(block_id)
-                    blk_off = block_id % super_blocks
-                    if entry is not None and (
-                        entry.zero or (entry.remap >> sub_idx) & 1
-                    ):
-                        case = 2
-                        found = fa_find(super_id, blk_off)
-                        if found is None:
-                            declines["invariant"] += 1
-                            return None
-                        way, state = found
-                        zero = entry.zero
-                        if is_write:
-                            if zero:
-                                declines["z_break"] += 1
-                                return None
-                            # entry.range_of, inlined (zero is False and
-                            # membership already established above).
-                            quad = sub_idx >> 2
-                            if (entry.cf4 >> quad) & 1:
-                                sub_start = quad << 2
-                                cf = 4
+                        quad = sub_idx >> 2
+                        if (entry.cf4 >> quad) & 1:
+                            sub_start = quad << 2
+                            cf = 4
+                        else:
+                            pair = sub_idx >> 1
+                            if (entry.cf2 >> pair) & 1:
+                                sub_start = pair << 1
+                                cf = 2
                             else:
-                                pair = sub_idx >> 1
-                                if (entry.cf2 >> pair) & 1:
-                                    sub_start = pair << 1
-                                    cf = 2
-                                else:
-                                    sub_start = sub_idx
-                                    cf = 1
-                            if (
-                                peek_write(block_id, sub_idx)
-                                and cf > 1
-                                and not fits_at(
-                                    block_id, sub_start, cf, ca,
-                                    version_of(block_id) + 1,
-                                )
-                            ):
-                                declines["write_overflow"] += 1
-                                return None
-                        elif not zero:
-                            quad = sub_idx >> 2
-                            if (entry.cf4 >> quad) & 1:
-                                sub_start = quad << 2
-                                cf = 4
-                            else:
-                                pair = sub_idx >> 1
-                                if (entry.cf2 >> pair) & 1:
-                                    sub_start = pair << 1
-                                    cf = 2
-                                else:
-                                    sub_start = sub_idx
-                                    cf = 1
-                    elif stage_on and block_id in stage_block:
-                        # Case 3: sub-block miss on a staged block.
-                        case = 7
-                        miss_way = stage_block[block_id][0]
-                    elif entry is not None:
-                        if not stage_on:
-                            declines["no_stage"] += 1
-                            return None
-                        case = 4
-                    elif (
-                        flat_blocks
-                        and block_id % home_period == 0
-                        and block_id // home_period < flat_blocks
-                    ):
-                        case = 5 if block_id not in displaced else 6
-                    elif not stage_on:
-                        # No-stage ablation miss: the scalar path inserts
-                        # directly (access_deferred's decline reason).
-                        declines["staging_fetch"] += 1
+                                sub_start = sub_idx
+                                cf = 1
+                elif stage_on and block_id in stage_block:
+                    # Case 3: sub-block miss on a staged block.
+                    case = 7
+                    miss_way = stage_block[block_id][0]
+                elif entry is not None:
+                    if not stage_on:
+                        declines["no_stage"] += 1
                         return None
-                    else:
-                        # Case 5: block miss, fetch-and-stage.
-                        case = 7
-                        miss_way = None
+                    case = 4
+                elif (
+                    flat_blocks
+                    and block_id % home_period == 0
+                    and block_id // home_period < flat_blocks
+                ):
+                    case = 5 if block_id not in displaced else 6
+                elif not stage_on:
+                    # No-stage ablation miss: the scalar path inserts
+                    # directly.
+                    declines["staging_fetch"] += 1
+                    return None
+                else:
+                    # Case 5: block miss, fetch-and-stage.
+                    case = 7
+                    miss_way = None
 
-            # ---- shared eager effects, in access_deferred's exact order ----
+            # ---- shared eager effects, in the scalar path's exact order ----
             set_index = super_id % stage_num_sets
             n = set_counts[set_index] + 1
             if n < aging_period:
@@ -1009,8 +718,6 @@ class BaryonController:
                 if len(rc_lines) >= rc_set.ways:
                     del rc_lines[next(iter(rc_lines))]
                     rc_ne += 1
-                elif rc_col is not None:
-                    rc_col.rc_occupancy[rci] += 1
                 rc_line = CacheLine(rc_tag)
                 rc_set._clock += 1
                 rc_line.counter = rc_set._clock
@@ -1056,20 +763,19 @@ class BaryonController:
                                 rb_p += 1
                             else:
                                 rb_a += 1
-                    if slot is None:
-                        slot = stage_entries[set_index][way].slots[slot_idx]
                     slot.dirty = True
-                    if col_mark_dirty is not None:
-                        col_mark_dirty(set_index, way, slot_idx)
                     note_write(block_id, sub_idx)
                     return (rc_miss, True, 3, cl_size, 0.0, 0.0, None)
                 t_reads += 1
                 if zero:
                     return (rc_miss, True, 0, 0, 0.0, 0.0, None)
             elif case == 2:
-                # Commit hit: fast-area LRU stamp, then serve.
-                fa._clock += 1
-                state.stamp = fa._clock
+                # Commit hit: fast-area replacement touch, then serve.
+                if fa_lru:
+                    fa._clock += 1
+                    state.stamp = fa._clock
+                else:
+                    fa_touch(super_id % fa_num_sets, way)
                 t_acc += 1
                 c_commit += 1
                 t_served += 1
@@ -1141,7 +847,6 @@ class BaryonController:
                     if n > miss_cap:
                         n = miss_cap
                     bound_entry.miss_count = n
-                    col_block_miss(set_index, miss_way, n)
                     if bound_entry.lru == valid_counts[set_index] - 1:
                         n = mru_miss_cnt[set_index] + 1
                         mru_miss_cnt[set_index] = (
@@ -1489,7 +1194,7 @@ class BaryonController:
 
         ``ops`` interleaves plain floats (core-side cycle increments the
         caller deferred to keep the accumulation order) with op tuples
-        from :meth:`access_deferred`, in trace order. Each op is served at
+        from the deferred server's ``serve``, in trace order. Each op is served at
         the clock value the accumulator has reached — exactly the ``now``
         the scalar loop would have passed to :meth:`access` — so the
         channel busy-state evolution, the queueing delays and the float
@@ -1755,9 +1460,9 @@ class BaryonController:
         the access now pays the off-chip table probe, as any miss would.
 
         Delegates to :meth:`RemapCache.repair`, which fuses the old
-        invalidate + fault-paused refill into one pass over the set (the
-        columnar occupancy column replaces the re-probe); a paused access
-        never consulted the injector, so no pause/resume is needed here.
+        invalidate + fault-paused refill into one pass over the set; a
+        paused access never consulted the injector, so no pause/resume is
+        needed here.
         """
         self.remap_cache.repair(super_id)
         self.recovery.record("remap_cache_repairs", site="remap_cache")

@@ -53,10 +53,9 @@ class StageArea:
         #: tag corruption surfaces on block lookups; the controller flushes
         #: and quarantines the affected entry.
         self.faults = None
-        #: Optional :class:`~repro.core.columnar.ColumnarState` mirror.
-        #: Mutation sites notify it so the columnar arrays and the O(1)
-        #: probe indices stay exact; the per-access LRU/credit columns are
-        #: write-behind (see ``ColumnarState.sync_deferred_columns``).
+        #: Optional :class:`~repro.core.columnar.ColumnarState`. The slot
+        #: mutation sites (insert, remove, invalidate) notify it so its
+        #: O(1) probe indices stay exact.
         self.columnar = None
 
     # -- lookup ------------------------------------------------------------
@@ -177,8 +176,6 @@ class StageArea:
         entry.miss_count = 0
         # A fresh entry enters at MRU; existing dense ranks 0..n-2 stand.
         entry.lru = self._valid_count(set_index) - 1
-        if self.columnar is not None:
-            self.columnar.stage_allocate(set_index, way, entry)
         self.stats.inc("allocations")
         return set_index, way
 
@@ -242,8 +239,6 @@ class StageArea:
             index = (entry.fifo + step) % n
             if slots[index] is not None:
                 entry.fifo = (index + 1) % n
-                if self.columnar is not None:
-                    self.columnar.stage_fifo(set_index, way, entry.fifo)
                 return index
         raise LayoutError("FIFO victim requested from an empty stage block")
 
@@ -263,8 +258,6 @@ class StageArea:
         if slot is None:
             raise LayoutError("dirtying an empty slot")
         slot.dirty = True
-        if self.columnar is not None:
-            self.columnar.stage_mark_dirty(set_index, way, slot_index)
 
     # -- miss statistics for the commit model ---------------------------------
     def record_set_access(self, set_index: int) -> None:
@@ -287,8 +280,6 @@ class StageArea:
         self.mru_miss_cnt[set_index] >>= 1
         for entry in self.tags.entries[set_index]:
             entry.miss_count >>= 1
-        if self.columnar is not None:
-            self.columnar.stage_aging(set_index)
         self.stats.inc("agings")
 
     def record_block_miss(self, set_index: int, way: Optional[int]) -> None:
@@ -302,8 +293,6 @@ class StageArea:
         if way is not None:
             entry = self.tags.entry(set_index, way)
             entry.miss_count = min(cap, entry.miss_count + 1)
-            if self.columnar is not None:
-                self.columnar.stage_block_miss(set_index, way, entry.miss_count)
             if self.mru_way(set_index) == way:
                 self.mru_miss_cnt[set_index] = min(cap, self.mru_miss_cnt[set_index] + 1)
         else:

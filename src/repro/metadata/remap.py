@@ -247,11 +247,8 @@ class RemapTable:
 
     pointer_bits: int = 2
     _entries: Dict[int, RemapEntry] = field(default_factory=dict)
-    #: Optional update observer (duck-typed ``on_set``/``on_clear``).
-    #: Observers chain: :class:`~repro.core.columnar.ColumnarState` mirrors
-    #: every authoritative update into its structured-array arena and
-    #: forwards to the previous shadow (e.g. the
-    #: :class:`~repro.resilience.checker.ShadowChecker` shadow copy).
+    #: Optional update observer (duck-typed ``on_set``/``on_clear``), e.g.
+    #: the :class:`~repro.resilience.checker.ShadowChecker` shadow copy.
     shadow: Optional[object] = field(default=None, compare=False, repr=False)
 
     def get(self, block_id: int) -> RemapEntry:

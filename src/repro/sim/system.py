@@ -7,7 +7,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SimulationConfig
-from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
 from repro.devices.energy import EnergyModel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
@@ -18,6 +17,10 @@ from repro.sim.results import SimResult
 def _decline(addr, is_write):
     """The seam of a controller without one: every op takes ``access``."""
     return None
+
+
+def _no_flush():
+    """The flush of a seam that keeps no tallies between calls."""
 
 
 def _timed(acc: list, fn):
@@ -58,10 +61,9 @@ class SystemSimulator:
         not overflow, batch-safe writebacks — are state-applied eagerly
         in trace order and their channel timing replays in one
         ``access_batch`` call. For Baryon the ops are served by the
-        inlined ``serve`` closure of ``make_deferred_server``, fed bulk
-        verdicts by a numpy run classifier; without a server (a non-LRU
-        fast area) they go through the per-op ``access_deferred``. Any
-        unsafe op (staging cases, overflowing writes, block fills) first
+        inlined ``serve`` closure of ``make_deferred_server``, for
+        ``simple`` by its per-op ``access_deferred``. Any unsafe op
+        (zero-encoding breaks, overflowing writes, block fills) first
         flushes the pending run and then takes ``controller.access`` with
         the current clock; without the seam every miss and writeback
         does. SimResults — cycles, counters, energy — are bit-identical
@@ -277,7 +279,7 @@ class SystemSimulator:
         self._served_fast = 0
         self._mem_seen = 0
 
-        self._loop = self._bind_loop(trace.addrs, trace.writes)
+        self._loop = self._bind_loop()
         # One bulk conversion: list indexing beats numpy scalar reads in
         # a Python loop, and ``tolist`` yields native int/bool objects.
         addrs, writes, igaps, cores = (
@@ -317,13 +319,14 @@ class SystemSimulator:
                 self.profiler.add(row, seconds, calls=calls)
         return mark, wall_start
 
-    def _bind_loop(self, addrs, writes) -> tuple:
+    def _bind_loop(self) -> tuple:
         """Bind the fast loop's callables once per run.
 
-        The deferred seam (``serve``/``defer``, ``flush``, ``batch``) is
+        The deferred seam is ``serve``, ``flush`` and ``batch``: the
+        controller's ``make_deferred_server`` triple when it builds one,
+        else its per-op ``access_deferred`` with ``access_batch``. It is
         bound only when neither veto applies (see the class docstring);
-        otherwise ``defer`` declines every op. The run classifier is
-        built only for a server, its one consumer. A profiler wraps every
+        otherwise ``serve`` declines every op. A profiler wraps every
         bound hierarchy and controller callable here, so the loop itself
         has no profiling branch.
         """
@@ -335,35 +338,29 @@ class SystemSimulator:
             fast_path = (hierarchy.access_fast, hierarchy.install_llc_fast, None)
         access, install, hier_flush = fast_path
         ctrl_access = controller.access
-        defer = _decline
-        serve = flush = batch = classifier = classify = None
+        serve, flush, batch = _decline, _no_flush, None
         if self.metrics is None and getattr(controller, "supports_batching", False):
             make_server = getattr(controller, "make_deferred_server", None)
             server = make_server() if make_server is not None else None
             if server is not None:
                 serve, flush, batch = server
-                classifier = controller.make_run_classifier(addrs, writes)
-                if classifier is not None:
-                    classify = classifier.classify
             else:
-                defer = controller.access_deferred
-                batch = controller.access_batch
+                serve, batch = controller.access_deferred, controller.access_batch
         if self.profiler.enabled:
             hier = [0.0, 0]
             ctrl = [0.0, 0]
             self._timers = {"hierarchy": hier, "controller": ctrl}
             access = _timed(hier, access)
             install = _timed(hier, install)
-            ctrl_access, serve, flush, batch, classify = (
-                None if fn is None else _timed(ctrl, fn)
-                for fn in (ctrl_access, serve, flush, batch, classify)
+            ctrl_access = _timed(ctrl, ctrl_access)
+            serve, flush, batch = (
+                fn if fn in (_decline, _no_flush, None) else _timed(ctrl, fn)
+                for fn in (serve, flush, batch)
             )
-            if defer is not _decline:
-                defer = _timed(ctrl, defer)
         observe = self._observe_miss if self.metrics is not None else None
         return (
-            access, install, hier_flush, ctrl_access, defer, serve, flush,
-            batch, classifier, classify, observe,
+            access, install, hier_flush, ctrl_access, serve, flush, batch,
+            observe,
         )
 
     def _observe_miss(self, mem) -> None:
@@ -426,47 +423,30 @@ class SystemSimulator:
     ) -> None:
         """Run accesses ``[start, stop)`` through the fast loop.
 
+        Every LLC miss and writeback first goes to the seam's ``serve``.
         Deferred ops accumulate in ``ops`` together with the interleaved
         core-side cycle increments; one ``batch`` call replays the run,
         evolving the channel pools and the ``cycles`` accumulator in the
         scalar loop's exact float operation order. A declined op first
-        flushes the pending run (so ``cycles`` is current) and then takes
-        ``controller.access`` with that clock, exactly as the scalar loop
-        would. The only skipped additions are ``+ 0.0`` terms (zero
-        instruction gaps), which cannot change a non-negative accumulator
-        bit pattern, and the precomputed L1 quotient equals the
-        per-access division bit for bit.
-
-        With a run classifier attached, verdicts for chunks of future
-        trace indices are precomputed in one numpy gather pass. Accepts
-        and per-op verdicts go to ``serve`` (which revalidates accepts
-        against the classifier's dirty set); staging fetches and stale
-        declines are served inline by ``serve`` too; the remaining
-        pre-resolved declines skip classification entirely (the
-        per-reason decline counter is charged here). Every op is still
-        served in exact trace order, so state and cycles stay
-        bit-identical.
+        replays the pending run (so ``cycles`` is current) and flushes
+        the seam's tallies, then takes ``controller.access`` with that
+        clock, exactly as the scalar loop would. The only skipped
+        additions are ``+ 0.0`` terms (zero instruction gaps), which
+        cannot change a non-negative accumulator bit pattern, and the
+        precomputed L1 quotient equals the per-access division bit for
+        bit.
         """
         if start >= stop:
             return
         (
-            access_fast, install_fast, hier_flush, ctrl_access, ctrl_deferred,
-            serve, server_flush, ctrl_batch, classifier, classify, observe,
+            access_fast, install_fast, hier_flush, ctrl_access, serve,
+            server_flush, ctrl_batch, observe,
         ) = self._loop
         cfg = self.config
         base_cpi = cfg.base_cpi
         mlp = cfg.memory_level_parallelism
         threads = max(1, cfg.hierarchy.cores)
         l1_div = self.hierarchy.config.l1d.latency_cycles / threads
-        if classifier is not None:
-            declines = self.controller.deferred_declines
-            reason_of = DECLINE_REASONS
-            sf_code = CLS_DECLINE_STAGING_FETCH
-            dirty = classifier.dirty_blocks
-            block_size = classifier.block_size
-            chunk = classifier.chunk
-            codes = None
-            cls_base = cls_end = start
 
         cycles = self.cycles
         instructions = self.instructions
@@ -474,12 +454,10 @@ class SystemSimulator:
         append = ops.append
         # zip over list slices: one C-level iteration replaces four
         # per-element list index reads in the hottest Python loop.
-        i = start - 1
         for addr, is_write, gap, core in zip(
             addrs[start:stop], writes[start:stop],
             igaps[start:stop], cores[start:stop],
         ):
-            i += 1
             instructions += gap + 1
             if gap:
                 g = gap * base_cpi / threads
@@ -500,31 +478,7 @@ class SystemSimulator:
             else:
                 cycles += h
             if outcome[2]:  # LLC miss: the controller serves it.
-                if serve is None:
-                    op = ctrl_deferred(addr, is_write)
-                elif classifier is None:
-                    op = serve(addr, is_write, 0, 0)
-                else:
-                    if i >= cls_end:
-                        cls_base = i
-                        cls_end = min(stop, i + chunk)
-                        codes, auxes = classify(cls_base, cls_end)
-                    code = codes[i - cls_base]
-                    if code > 0:
-                        # serve() rechecks the dirty set itself (it already
-                        # has block_id in hand) before trusting the verdict.
-                        op = serve(addr, is_write, code, auxes[i - cls_base])
-                    elif code == 0:
-                        op = serve(addr, is_write, 0, 0)
-                    elif code == sf_code or addr // block_size in dirty:
-                        # Staging fetches serve inline (the closure runs
-                        # the real fetch-and-stage with its transfers
-                        # captured for replay); stale pre-resolved
-                        # declines re-classify inline the same way.
-                        op = serve(addr, is_write, 0, 0)
-                    else:
-                        declines[reason_of[code]] += 1
-                        op = None
+                op = serve(addr, is_write)
                 if op is not None:
                     append(op)
                     pls = op[6]
@@ -532,25 +486,19 @@ class SystemSimulator:
                         for line_addr in pls:
                             wb = install_fast(line_addr)
                             if wb:
-                                wop = (
-                                    serve(wb, True, 0, 0)
-                                    if serve is not None
-                                    else ctrl_deferred(wb, True)
-                                )
+                                wop = serve(wb, True)
                                 if wop is not None:
                                     append(wop)
                                 else:
                                     cycles = ctrl_batch(ops, cycles, mlp)
                                     ops.clear()
-                                    if server_flush is not None:
-                                        server_flush()
+                                    server_flush()
                                     ctrl_access(wb, True, cycles)
                 else:
                     if ops:
                         cycles = ctrl_batch(ops, cycles, mlp)
                         ops.clear()
-                    if server_flush is not None:
-                        server_flush()
+                    server_flush()
                     mem = ctrl_access(addr, is_write, cycles)
                     if not is_write:
                         # Writes are posted; only reads stall the core.
@@ -570,25 +518,19 @@ class SystemSimulator:
                     # the exact clock the scalar call would have seen, so
                     # batch-safe writebacks extend the run instead of
                     # flushing it.
-                    wop = (
-                        serve(wb, True, 0, 0)
-                        if serve is not None
-                        else ctrl_deferred(wb, True)
-                    )
+                    wop = serve(wb, True)
                     if wop is not None:
                         append(wop)
                     else:
                         if ops:
                             cycles = ctrl_batch(ops, cycles, mlp)
                             ops.clear()
-                        if server_flush is not None:
-                            server_flush()
+                        server_flush()
                         ctrl_access(wb, True, cycles)
         if ops:
             cycles = ctrl_batch(ops, cycles, mlp)
             ops.clear()
-        if server_flush is not None:
-            server_flush()
+        server_flush()
         if hier_flush is not None:
             hier_flush()
         self.cycles = cycles

@@ -49,6 +49,7 @@ def make_tiny_config(
     zero_block_support: bool = True,
     commit_all: bool = False,
     stability_only: bool = False,
+    fast_replacement: str = "auto",
 ) -> BaryonConfig:
     """A deliberately tiny configuration for fast, stressful fuzzing.
 
@@ -85,6 +86,7 @@ def make_tiny_config(
         compressed_writeback=compressed_writeback,
         two_level_replacement=two_level_replacement,
         share_physical_blocks=share_physical_blocks,
+        fast_replacement=fast_replacement,
     )
     if sub_block_size is not None:
         config = config.with_sub_block_size(sub_block_size)
@@ -249,158 +251,71 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
         columnar.verify()
 
 
-def run_batched_case(config_kwargs: Dict, trace: List[TraceRecord], seed: int) -> None:
-    """Replay one fuzz case across the deferred-batch seam; raise on drift.
+def run_batched_case(
+    config_kwargs: Dict,
+    trace: List[TraceRecord],
+    seed: int,
+    rng: random.Random,
+) -> None:
+    """Replay one fuzz case across Baryon's deferred seam; raise on drift.
 
     The batched controller configuration is *forced*: fault injection off,
     the synthetic compressibility oracle on — exactly the shape for which
     ``BaryonController.supports_batching`` holds. One controller replays
     the trace through plain ``access`` calls; a twin replays it the way
-    the simulator's deferred span does — ``access_deferred`` applies state
-    eagerly in trace order and ``access_batch`` replays the channel timing
-    at every unsafe-access flush. Both must finish with bit-identical
+    ``SystemSimulator._fast_span`` does — ``make_deferred_server``'s
+    ``serve`` applies state eagerly in trace order and ``access_batch``
+    replays the channel timing at every declined access — under
+    adversarial scheduling: random span boundaries force
+    batch-replay/flush points mid-run, the same write-back points
+    progress chunking introduces. Both must finish with bit-identical
     counters (controller, devices, remap cache) and the same clock, and
-    the batched twin's columnar arena must verify against its object
-    state. Raises :class:`OracleViolation` (``kind="batched_divergence"``)
-    otherwise.
+    the twin's stage probe indices must verify against its tag array.
+    Raises :class:`OracleViolation` (``kind="batched_divergence"``)
+    otherwise, including when the twin builds no server.
     """
     from repro.core import BaryonController
 
-    config = make_tiny_config(**config_kwargs)
-    scalar_ctrl = BaryonController(config, seed=seed)
-    batched_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    if not getattr(batched_ctrl, "supports_batching", False):
+    twin = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
+    server = twin.make_deferred_server()
+    if server is None:
         raise OracleViolation(
-            "forced batched configuration does not support batching",
-            kind="batched_divergence", location="supports_batching",
+            "forced batched configuration builds no deferred server",
+            kind="batched_divergence", location="make_deferred_server",
         )
+    serve, server_flush, batch = server
     mlp = 4.0
+    scalar_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
+    n = len(trace)
+    # Forced replay boundaries, as progress chunking would place them.
+    boundary = rng.randrange(1, n + 1) if rng.random() < 0.7 else n + 1
 
     b_cycles = 0.0
     ops: List = []
-    deferred = batched_ctrl.access_deferred
-    batch = batched_ctrl.access_batch
-    for addr, is_write in trace:
-        op = deferred(addr, is_write)
+    for i, (addr, is_write) in enumerate(trace):
+        if i == boundary:
+            if ops:
+                b_cycles = batch(ops, b_cycles, mlp)
+                ops.clear()
+            server_flush()
+            boundary += rng.randrange(1, max(2, n // 4))
+        op = serve(addr, is_write)
         if op is not None:
             ops.append(op)
             continue
         if ops:
             b_cycles = batch(ops, b_cycles, mlp)
             ops.clear()
-        mem = batched_ctrl.access(addr, is_write, b_cycles)
+        server_flush()
+        mem = twin.access(addr, is_write, b_cycles)
         if not is_write:
             b_cycles += mem.latency_cycles / mlp
     if ops:
         b_cycles = batch(ops, b_cycles, mlp)
-
-    _assert_twin_match(scalar_ctrl, batched_ctrl, cycles, b_cycles, "batched")
-
-
-def run_classified_case(
-    config_kwargs: Dict,
-    trace: List[TraceRecord],
-    seed: int,
-    rng: random.Random,
-) -> bool:
-    """Replay one fuzz case through the vectorized classifier + server.
-
-    This is the simulator's actual hot path (``make_run_classifier``
-    gathers bulk verdicts, ``make_deferred_server`` serves them inline)
-    driven the way ``SystemSimulator._fast_span`` drives it — but
-    under adversarial scheduling: the gather chunk is randomized down to
-    a single op (so chunk boundaries land on and around declines), and
-    random span boundaries force batch-replay/flush points mid-run, the
-    same write-back points progress chunking introduces. Counters,
-    cycles and the columnar arena must still match the plain scalar
-    replay bit for bit.
-
-    Returns ``True`` when the twin check ran. Configurations for which
-    the controller declines to build a server (e.g. a non-LRU fast
-    area) are skipped with ``False`` — the simulator would fall back to
-    the per-op seam there, which :func:`run_batched_case` covers.
-    """
-    import numpy as np
-
-    from repro.core import BaryonController
-    from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
-
-    v_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    if not getattr(v_ctrl, "supports_batching", False):
-        raise OracleViolation(
-            "forced batched configuration does not support batching",
-            kind="batched_divergence", location="supports_batching",
-        )
-    addrs = np.asarray([addr for addr, _ in trace], dtype=np.int64)
-    writes = np.asarray([w for _, w in trace], dtype=np.bool_)
-    classifier = v_ctrl.make_run_classifier(addrs, writes)
-    server = v_ctrl.make_deferred_server()
-    if server is None:
-        return False
-    serve, server_flush, batch = server
-    mlp = 4.0
-    scalar_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-    if classifier is not None:
-        # Tiny chunks force verdict boundaries onto (and right after)
-        # decline sites; large ones exercise verdict staleness.
-        classifier.chunk = rng.choice([1, 2, 3, 5, 8, 32, 4096])
-        declines = v_ctrl.deferred_declines
-        reason_of = DECLINE_REASONS
-        sf_code = CLS_DECLINE_STAGING_FETCH
-        dirty = classifier.dirty_blocks
-        block_size = classifier.block_size
-        chunk = classifier.chunk
-        codes = auxes = None
-    n = len(trace)
-    # Forced replay boundaries, as progress chunking would place them.
-    boundary = rng.randrange(1, n + 1) if rng.random() < 0.7 else n + 1
-
-    v_cycles = 0.0
-    ops: List = []
-    cls_base = cls_end = 0
-    for i, (addr, is_write) in enumerate(trace):
-        if i == boundary:
-            if ops:
-                v_cycles = batch(ops, v_cycles, mlp)
-                ops.clear()
-            server_flush()
-            cls_end = i  # span boundary: the next op re-gathers
-            boundary += rng.randrange(1, max(2, n // 4))
-        if classifier is None:
-            op = serve(addr, is_write, 0, 0)
-        else:
-            if i >= cls_end:
-                cls_base = i
-                cls_end = min(n, i + chunk)
-                codes, auxes = classifier.classify(cls_base, cls_end)
-            code = codes[i - cls_base]
-            if code > 0:
-                op = serve(addr, is_write, code, auxes[i - cls_base])
-            elif code == 0:
-                op = serve(addr, is_write, 0, 0)
-            elif code == sf_code or addr // block_size in dirty:
-                op = serve(addr, is_write, 0, 0)
-            else:
-                declines[reason_of[code]] += 1
-                op = None
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            v_cycles = batch(ops, v_cycles, mlp)
-            ops.clear()
-        server_flush()
-        mem = v_ctrl.access(addr, is_write, v_cycles)
-        if not is_write:
-            v_cycles += mem.latency_cycles / mlp
-    if ops:
-        v_cycles = batch(ops, v_cycles, mlp)
     server_flush()
 
-    _assert_twin_match(scalar_ctrl, v_ctrl, cycles, v_cycles, "classified")
-    return True
+    _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, "batched")
 
 
 def run_simple_case(
@@ -457,11 +372,10 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    across the deferred-batch seam three ways, each against a fresh
-    scalar twin: the per-op pair (:func:`run_batched_case`), the
-    vectorized classifier + server under randomized chunk sizes and
-    forced flush boundaries (:func:`run_classified_case`), and the
-    ``simple`` baseline's seam (:func:`run_simple_case`).
+    across the deferred-batch seam two ways, each against a fresh scalar
+    twin: Baryon's inline server under forced flush boundaries
+    (:func:`run_batched_case`) and the ``simple`` baseline's seam
+    (:func:`run_simple_case`).
     """
     report = FuzzReport()
     for iteration in range(iterations):
@@ -475,10 +389,8 @@ def run_fuzz(
         try:
             controller = run_case(config_kwargs, trace, seed, inject_bug)
             if batched:
-                run_batched_case(config_kwargs, trace, seed)
+                run_batched_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_batched_checks")
-                if run_classified_case(config_kwargs, trace, seed, rng):
-                    report.stats.inc("fuzz_classifier_checks")
                 run_simple_case(config_kwargs, trace, seed)
                 report.stats.inc("fuzz_simple_checks")
         except OracleViolation as error:

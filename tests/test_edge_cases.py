@@ -146,20 +146,28 @@ class TestRemapCacheBehaviour:
         assert not cache.contains(0)  # LRU victim
         assert cache.stats.get("evictions") == 1
 
-    def test_repair_keeps_columnar_occupancy_exact(self):
-        """With the columnar mirror attached, repair under a full set
-        must leave the occupancy column exact (verified arena-wide)."""
-        from repro.validation import make_tiny_config
-
-        ctrl = BaryonController(make_tiny_config(), seed=3)
-        rc = ctrl.remap_cache
-        target = 5
-        for way in range(rc.ways):  # fill target's set
-            rc.access(target + way * rc.num_sets)
-        assert rc.repair(target) is False
-        ctrl.columnar.verify()
-        assert rc.repair(target + rc.ways * rc.num_sets) is False
-        ctrl.columnar.verify()
+    def test_repeated_repairs_into_full_set_evict_lru(self):
+        """Repairs size a full set from its own lines: a resident repair
+        refills at MRU without evicting, each absent repair evicts the
+        LRU line, and the set never holds more than its ways."""
+        cache = RemapCache(num_sets=4, ways=4)
+        target = 1
+        order = [target + way * cache.num_sets for way in range(cache.ways)]
+        for super_id in order:  # fill target's set, LRU first
+            cache.access(super_id)
+        lines = cache._sets[target].lines
+        assert cache.repair(order[0]) is False
+        assert len(lines) == cache.ways
+        assert cache.stats.get("evictions") == 0
+        order = order[1:] + order[:1]
+        for k in range(cache.ways + 1):
+            fresh = target + (cache.ways + k) * cache.num_sets
+            assert cache.repair(fresh) is False
+            assert not cache.contains(order[0])  # the LRU line went
+            order = order[1:] + [fresh]
+            assert all(cache.contains(super_id) for super_id in order)
+            assert len(lines) <= cache.ways
+        assert cache.stats.get("evictions") == cache.ways + 1
 
     def test_storage_is_32kb_at_table1_geometry(self):
         """256 sets x 8 ways x 16 B entry data = 32 kB (plus 8 kB tags)."""

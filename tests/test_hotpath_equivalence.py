@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
-from repro.core import BaryonController
+from repro.core import BaryonController, FastArea
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController, generate_trace, make_tiny_config
 from repro.workloads import StreamWorkload, ZipfWorkload
@@ -42,32 +42,51 @@ def _run(workload_cls, *, scalar, n=3000, seed=2, config=None, **wl_kwargs):
     return sim.run(trace, "wl", "baryon", scalar=scalar)
 
 
-#: Fast-area organizations: cache mode, the set-associative flat scheme
-#: (LRU: commit hits go through the inline server's lookup), and the
-#: fully-associative flat scheme (FIFO: no inline server, commit hits go
-#: through ``access_deferred``).
+#: Fast-area organizations: cache mode and the set-associative flat
+#: scheme (LRU by default), and the fully-associative flat scheme (FIFO
+#: by default). The inline server serves commit hits under all of them.
 LAYOUTS = {
     "cache": {},
     "flat": {"flat": 0.75},
     "flat-fa": {"flat": 1.0, "fully_associative": True},
 }
-#: Cache-mode cases keep their plain workload ids.
+#: Explicit non-LRU fast-area policies: on a commit hit the server calls
+#: ``FastArea.touch`` instead of bumping an LRU stamp inline.
+POLICIES = ("lfu", "clock", "random")
+
+
+def _case_id(workload_cls, layout, policy=None):
+    # Cache-mode, default-policy cases keep their plain workload ids.
+    parts = [workload_cls.__name__]
+    if layout != "cache":
+        parts.append(layout)
+    if policy is not None:
+        parts.append(policy)
+    return "-".join(parts)
+
+
 BIT_IDENTITY_CASES = [
-    pytest.param(
-        workload_cls,
-        layout,
-        id=workload_cls.__name__ + ("" if layout == "cache" else f"-{layout}"),
-    )
+    pytest.param(workload_cls, layout, None, id=_case_id(workload_cls, layout))
     for layout in LAYOUTS
+    for workload_cls in (ZipfWorkload, StreamWorkload)
+] + [
+    pytest.param(
+        workload_cls, layout, policy,
+        id=_case_id(workload_cls, layout, policy),
+    )
+    for layout in ("cache", "flat-fa")
+    for policy in POLICIES
     for workload_cls in (ZipfWorkload, StreamWorkload)
 ]
 
 
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("workload_cls,layout", BIT_IDENTITY_CASES)
-    def test_simresult_bit_identical(self, workload_cls, layout):
+    @pytest.mark.parametrize("workload_cls,layout,policy", BIT_IDENTITY_CASES)
+    def test_simresult_bit_identical(self, workload_cls, layout, policy):
         """Every SimResult field, cycles included, matches bit for bit."""
         config = make_small_config(**LAYOUTS[layout])
+        if policy is not None:
+            config = dataclasses.replace(config, fast_replacement=policy)
         ref = _run(workload_cls, scalar=True, config=config)
         fast = _run(workload_cls, scalar=False, config=config)
         assert fast.to_dict() == ref.to_dict()
@@ -79,9 +98,13 @@ class TestBatchedEqualsScalar:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_layout_selects_commit_hit_path(self, layout):
-        config = make_small_config(**LAYOUTS[layout])
-        server = BaryonController(config, seed=2).make_deferred_server()
-        assert (server is None) == config.layout.fully_associative
+        """Every layout and fast-area policy takes the inline server."""
+        for policy in ("auto",) + FastArea.POLICIES:
+            config = make_small_config(
+                **LAYOUTS[layout], fast_replacement=policy
+            )
+            server = BaryonController(config, seed=2).make_deferred_server()
+            assert server is not None, policy
 
     def test_empty_and_tiny_traces(self):
         config = make_small_config()
@@ -124,13 +147,13 @@ class TestBatchedEqualsScalar:
 
 
 class TestColumnarEquivalence:
-    """The columnar arena must stay bit-exact with the object state."""
+    """The stage probe indices must stay exact with the tag array."""
 
     def test_columnar_verifies_after_every_mutation(self):
         """Drive a movement-heavy tiny trace access by access, verifying
-        the columnar arena after every access — so every controller
-        mutation site (stage insert, commit, eviction, remap-cache
-        repair) is checked the moment it happens, not just at the end."""
+        the probe indices after every access — so every controller
+        mutation site (stage insert, commit, eviction) is checked the
+        moment it happens, not just at the end."""
         config = make_tiny_config()
         records = generate_trace(random.Random(21), config, 700)
         ctrl = BaryonController(config, seed=21)
@@ -145,16 +168,12 @@ class TestColumnarEquivalence:
         assert ctrl.stats.get("commits") > 0
         assert ctrl.stage.stats.get("allocations") > 0
         assert ctrl.stage.stats.get("invalidations") > 0
-        # The repair path (normally fault-triggered) keeps the columnar
-        # occupancy column exact too.
-        for way in range(ctrl.remap_cache.ways + 1):
-            ctrl.remap_cache.repair(way * ctrl.remap_cache.num_sets)
-            ctrl.columnar.verify()
 
     def test_random_scalar_batched_interleaving(self):
-        """Flip between the scalar ``access`` call and the deferred-batch
-        seam at random mid-run; the final counters and clock must match
-        the all-scalar replay bit for bit."""
+        """Flip between the scalar ``access`` call and the per-op
+        ``access_deferred`` delegate at random mid-run; the final
+        counters and clock must match the all-scalar replay bit for
+        bit."""
         config = make_tiny_config()
         records = generate_trace(random.Random(31), config, 900)
         mlp = 4.0
@@ -201,88 +220,28 @@ class TestColumnarEquivalence:
         mixed.columnar.verify()
 
 
-class TestVectorizedClassifier:
-    """The bulk-gather classifier + inline server vs the scalar replay."""
+class TestInlineServer:
+    """Baryon's inline deferred server vs the scalar replay."""
 
     @pytest.mark.parametrize("seed", [3, 17, 29, 41])
-    def test_random_chunks_and_interleavings_bit_identical(self, seed):
-        """The fuzzer's classifier twin under randomized gather chunks
-        and forced mid-run flush boundaries; raises on any divergence."""
-        from repro.validation.fuzz import run_classified_case
+    def test_random_flush_boundaries_bit_identical(self, seed):
+        """The fuzzer's server twin under random forced mid-run flush
+        boundaries; raises on any divergence."""
+        from repro.validation.fuzz import run_batched_case
 
-        config_kwargs = {}
-        records = generate_trace(
-            random.Random(seed), make_tiny_config(**config_kwargs), 900
-        )
-        assert run_classified_case(
-            config_kwargs, records, seed, random.Random(seed * 7)
-        )
+        records = generate_trace(random.Random(seed), make_tiny_config(), 900)
+        run_batched_case({}, records, seed, random.Random(seed * 7))
 
-    def test_single_op_chunks_force_decline_boundaries(self):
-        """chunk=1 puts a gather boundary on every op, so every decline
-        sits on a chunk edge; state must still match the scalar twin."""
-        from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_non_lru_commit_victims_bit_identical(self, policy):
+        """The tiny fast area fills its sets, so commit victims are
+        picked from replacement state the server's non-LRU touch left
+        behind; the server twin must still match the scalar replay."""
+        from repro.validation.fuzz import run_batched_case
 
-        config = make_tiny_config()
-        records = generate_trace(random.Random(53), config, 900)
-        mlp = 4.0
-
-        ref = BaryonController(config, seed=53)
-        cycles = 0.0
-        for addr, is_write in records:
-            mem = ref.access(addr, is_write, cycles)
-            if not is_write:
-                cycles += mem.latency_cycles / mlp
-
-        vec = BaryonController(make_tiny_config(), seed=53)
-        addrs = np.asarray([a for a, _ in records], dtype=np.int64)
-        writes = np.asarray([w for _, w in records], dtype=np.bool_)
-        classifier = vec.make_run_classifier(addrs, writes)
-        assert classifier is not None
-        classifier.chunk = 1
-        serve, server_flush, batch = vec.make_deferred_server()
-        declines = vec.deferred_declines
-        sf_code = CLS_DECLINE_STAGING_FETCH
-        dirty = classifier.dirty_blocks
-        block_size = classifier.block_size
-        b_cycles = 0.0
-        ops = []
-        served = declined = 0
-        for i, (addr, is_write) in enumerate(records):
-            codes, auxes = classifier.classify(i, i + 1)
-            code = codes[0]
-            if code > 0:
-                op = serve(addr, is_write, code, auxes[0])
-            elif code == 0 or code == sf_code or addr // block_size in dirty:
-                op = serve(addr, is_write, 0, 0)
-            else:
-                declines[DECLINE_REASONS[code]] += 1
-                op = None
-            if op is not None:
-                ops.append(op)
-                served += 1
-                continue
-            declined += 1
-            if ops:
-                b_cycles = batch(ops, b_cycles, mlp)
-                ops.clear()
-            server_flush()
-            mem = vec.access(addr, is_write, b_cycles)
-            if not is_write:
-                b_cycles += mem.latency_cycles / mlp
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-        server_flush()
-        assert served > 0 and declined > 0  # both edges exercised
-        assert b_cycles == cycles
-        assert vec.stats.as_dict() == ref.stats.as_dict()
-        assert (vec.devices.fast.stats.as_dict()
-                == ref.devices.fast.stats.as_dict())
-        assert (vec.devices.slow.stats.as_dict()
-                == ref.devices.slow.stats.as_dict())
-        assert (vec.remap_cache.stats.as_dict()
-                == ref.remap_cache.stats.as_dict())
-        vec.columnar.verify()
+        kwargs = {"fast_replacement": policy}
+        records = generate_trace(random.Random(13), make_tiny_config(**kwargs), 900)
+        run_batched_case(kwargs, records, 13, random.Random(91))
 
     def test_decline_reasons_are_counted_per_reason(self):
         """A batched sim run charges every decline to a named reason —
