@@ -45,6 +45,11 @@ N_ACCESSES = 3000
 SCALE = 512
 SEED = 1
 WORKLOADS = ("YCSB-B", "519.lbm_r")
+#: Write-heavy YCSB-A (dirty L1 -> L2 -> LLC spills) and hierarchy-heavy
+#: pr.twitter, pinned for the Fig. 9 cache-mode designs: the streams
+#: whose LLC write-allocation order the private-cache walk re-sequences.
+SPILL_WORKLOADS = ("YCSB-A", "pr.twitter")
+CACHE_DESIGNS = DESIGNS[:5]
 
 #: SimResult fields per layer (``extra`` entries flattened to
 #: ``extra.<key>``); ``name`` and ``design`` are labels, not behaviour.
@@ -101,6 +106,7 @@ METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 
 def cell_names():
     names = [f"{wl}/{design}" for wl in WORKLOADS for design in DESIGNS]
+    names += [f"{wl}/{d}" for wl in SPILL_WORKLOADS for d in CACHE_DESIGNS]
     names += [f"YCSB-B/baryon+{variant}" for variant in VARIANTS]
     return names + list(FLAT_CELLS)
 
