@@ -12,21 +12,23 @@ memory-to-LLC prefetch of Sec. III-E — when the controller decompresses one
 64 B chunk into up to four cachelines, the extra lines are installed into
 the LLC directly.
 
-Hot-path engineering: :meth:`access_fast` is the allocation-free form the
-simulator's batched loop drives — ``None`` for the dominant L1-hit case, a
-plain tuple otherwise — and level hit counters accumulate in integers that
-fold into the public ``stats`` group lazily on read. :meth:`access` wraps
-it into the original :class:`HierarchyResult` for compatibility.
+Hot-path engineering: the private L1/L2 walk is the same for every
+design, so the fast loop computes it once per trace and replays only the
+LLC stream (:meth:`CacheHierarchy.make_fast_path`). Level hit counters
+accumulate in integers folded into ``stats`` lazily on read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.cache.replacement import CacheLine
-from repro.cache.sram_cache import SetAssociativeCache
+import numpy as np
+
+from repro.cache.sram_cache import SetAssociativeCache, lru_fill
 from repro.common.config import HierarchyConfig
+from repro.common.errors import SimulationError
 from repro.common.stats import CounterGroup
 
 
@@ -43,6 +45,171 @@ class HierarchyResult:
     llc_miss: bool
     latency_cycles: int
     writebacks: List[int] = field(default_factory=list)
+
+
+#: Per-cache counters a private walk totals, in ``PrivateWalk.counts`` order.
+_CACHE_COUNTERS = (
+    "_n_accesses", "_n_hits", "_n_misses", "_n_installs", "_n_writebacks",
+    "_n_evictions",
+)
+
+#: The one memoized walk, ``(key, columns, walk)``. ``columns`` holds the
+#: keyed trace columns, so their buffers (and with them the key) cannot
+#: be freed and reused while the entry lives.
+_walk_memo: list = [None]
+
+
+def _column_key(column) -> tuple:
+    """Identity of one trace column: the numpy buffer region it views, or
+    the object itself for a plain sequence. Never the content."""
+    face = getattr(column, "__array_interface__", None)
+    if face is None:
+        return (id(column),)
+    return (face["data"][0], face["shape"], face["strides"], face["typestr"])
+
+
+class PrivateWalk:
+    """One trace's pass through cold private L1/L2 caches.
+
+    ``incs``: the core-side cycle increments in scalar order, per access
+    a non-zero gap's ``gap * base_cpi / threads`` then its SRAM latency
+    over ``threads``. One record per access that touches the LLC:
+    ``ends`` (the offset where its increments end), ``addrs``, ``kinds``
+    (0: an L2 hit that only spills; 2/3: a read/write LLC demand probe)
+    and its LLC write-allocations in order, ``spills`` (the dirty L1
+    victim's L2 spill) then ``victims`` (the dirty L2 demand victim), -1
+    when absent. ``l1_hits``, ``l2_hits`` and ``counts`` (per L1, then
+    per L2 cache, in ``_CACHE_COUNTERS`` order) total the counters.
+    """
+
+    __slots__ = (
+        "incs", "ends", "addrs", "kinds", "spills", "victims", "l1_hits",
+        "l2_hits", "counts",
+    )
+
+
+def _walk_private(
+    config: HierarchyConfig, addrs, writes, igaps, cores, base_cpi, threads
+) -> PrivateWalk:
+    """Run a trace through fresh private L1/L2 caches (see PrivateWalk).
+
+    The loop only probes the caches; numpy then tallies the counters and
+    lays out the increments (its float64 ``*`` and ``/`` round exactly
+    like Python floats) and records.
+    """
+    addrs, writes, igaps, cores = map(np.asarray, (addrs, writes, igaps, cores))
+    n_cores = config.cores
+    cores = cores.astype(np.int64) % n_cores
+    l1s = [SetAssociativeCache(config.l1d) for _ in range(n_cores)]
+    l2s = [SetAssociativeCache(config.l2) for _ in range(n_cores)]
+    l1_lru, l1_line, l1_n = l1s[0]._is_lru, l1s[0]._line_size, l1s[0].num_sets
+    l2_lru, l2_line, l2_n = l2s[0]._is_lru, l2s[0]._line_size, l2s[0].num_sets
+    # Per access: 0 L1 hit, 1 L2 hit, 2 LLC probe; its dirty L1 victim's
+    # L2 spill and its dirty L2 demand victim, -1 when absent.
+    levels = bytearray(len(addrs))
+    spills = array("q", [-1]) * len(addrs)
+    victims = array("q", [-1]) * len(addrs)
+    # Private caches see only their own core's accesses, so each core's
+    # subsequence is walked on its own, in trace order.
+    for core, (l1, l2) in enumerate(zip(l1s, l2s)):
+        mine = np.flatnonzero(cores == core)
+        l1_sets, l2_sets = l1._sets, l2._sets
+        for i, addr, is_write in zip(
+            mine.tolist(), addrs[mine].tolist(), writes[mine].tolist()
+        ):
+            if l1_lru:
+                # Inlined LRU probe; its counters are tallied after the loop.
+                line = addr // l1_line
+                index = line % l1_n
+                cache_set = l1_sets[index]
+                tag = line // l1_n
+                lines = cache_set.lines
+                entry = lines.get(tag)
+                if entry is not None:
+                    cache_set._clock += 1
+                    entry.counter = cache_set._clock
+                    lines[tag] = lines.pop(tag)
+                    if is_write:
+                        entry.dirty = True
+                    continue
+                l1_wb = lru_fill(l1, cache_set, index, tag, is_write)[0]
+            else:
+                hit, l1_wb, _ = l1.access_raw(addr, is_write)
+                if hit:
+                    continue
+            # Read-only at L2 under NINE: dirtiness is tracked at L1.
+            if l2_lru:
+                line = addr // l2_line
+                index = line % l2_n
+                cache_set = l2_sets[index]
+                tag = line // l2_n
+                lines = cache_set.lines
+                entry = lines.get(tag)
+                if entry is not None:
+                    cache_set._clock += 1
+                    entry.counter = cache_set._clock
+                    lines[tag] = lines.pop(tag)
+                    hit2 = True
+                    l2_wb = None
+                else:
+                    hit2 = False
+                    l2_wb = lru_fill(l2, cache_set, index, tag, False)[0]
+            else:
+                hit2, l2_wb, _ = l2.access_raw(addr, False)
+            if l2_wb is not None:
+                victims[i] = l2_wb
+            if l1_wb is not None:
+                # Dirty L1 victim lands in L2 (write-allocate at L2).
+                spill = l2.access_raw(l1_wb, True)[1]
+                if spill is not None:
+                    spills[i] = spill
+            levels[i] = 1 if hit2 else 2
+
+    level = np.frombuffer(levels, np.uint8)
+    # Per core: demand accesses that hit L1, hit L2, and reach the LLC.
+    tally = np.bincount(cores * 3 + level, minlength=3 * n_cores)
+    tally = tally.reshape(n_cores, 3).tolist()
+    for (l1_hit, l2_hit, llc), l1, l2 in zip(tally, l1s, l2s):
+        if l1_lru:
+            l1._n_accesses += l1_hit + l2_hit + llc
+            l1._n_hits += l1_hit
+            l1._n_misses += l2_hit + llc
+        if l2_lru:
+            l2._n_accesses += l2_hit + llc
+            l2._n_hits += l2_hit
+            l2._n_misses += llc
+    walk = PrivateWalk()
+    walk.l1_hits = sum(row[0] for row in tally)
+    walk.l2_hits = sum(row[1] for row in tally)
+    walk.counts = [
+        tuple(getattr(c, name) for name in _CACHE_COUNTERS) for c in (*l1s, *l2s)
+    ]
+    # Each access's increments: a non-zero gap's, then its latency's.
+    gapped = igaps != 0
+    ends = np.cumsum(gapped + 1, dtype=np.int64)
+    geometries = (config.l1d, config.l2, config.llc)
+    latency = np.cumsum([geometry.latency_cycles for geometry in geometries])
+    incs = np.empty(int(ends[-1]) if len(ends) else 0)
+    incs[ends - 1] = (latency / threads)[level]
+    incs[ends[gapped] - 2] = igaps[gapped] * base_cpi / threads
+    spills = np.frombuffer(spills, np.int64)
+    records = np.flatnonzero((level == 2) | (spills >= 0))
+    walk.incs = _packed("d", incs)
+    walk.ends = _packed("q", ends[records])
+    walk.addrs = _packed("q", addrs[records])
+    walk.kinds = bytes(
+        np.where(level[records] == 2, 2 + writes[records], 0).astype(np.uint8)
+    )
+    walk.spills = _packed("q", spills[records])
+    walk.victims = _packed("q", np.frombuffer(victims, np.int64)[records])
+    return walk
+
+
+def _packed(typecode: str, values) -> array:
+    """A numpy column as a compact ``array`` (no intermediate bytes)."""
+    out = array(typecode)
+    out.frombytes(memoryview(np.ascontiguousarray(values, typecode)).cast("B"))
+    return out
 
 
 class CacheHierarchy:
@@ -101,103 +268,35 @@ class CacheHierarchy:
         Simulation effects are identical to :meth:`access`.
         """
         core %= self._cores
-        l1 = self._l1[core]
-        if l1._is_lru:
-            # Inlined L1 LRU probe: the L1 hit is the dominant outcome and
-            # this skips the access_raw call for it (same state effects).
-            line = addr // l1._line_size
-            index = line % l1.num_sets
-            cache_set = l1._sets[index]
-            tag = line // l1.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l1._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                if is_write:
-                    entry.dirty = True
-                l1._n_hits += 1
-                self._n_l1_hits += 1
-                return None
-            l1._n_misses += 1
-            l1_wb, _ = l1._allocate(cache_set, index, tag, is_write)
-        else:
-            hit, l1_wb, _ = l1.access_raw(addr, is_write)
-            if hit:
-                self._n_l1_hits += 1
-                return None
-
+        hit, l1_wb, _ = self._l1[core].access_raw(addr, is_write)
+        if hit:
+            self._n_l1_hits += 1
+            return None
         writebacks: Optional[List[int]] = None
         l2 = self._l2[core]
-        if l2._is_lru:
-            # Inlined L2 demand probe (read-only at L2 under NINE; same
-            # state transitions and counters as access_raw).
-            line = addr // l2._line_size
-            index = line % l2.num_sets
-            cache_set = l2._sets[index]
-            tag = line // l2.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l2._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                l2._n_hits += 1
-                hit2 = True
-                l2_wb = None
-            else:
-                l2._n_misses += 1
-                hit2 = False
-                l2_wb, _ = l2._allocate(cache_set, index, tag, False)
-        else:
-            hit2, l2_wb, _ = l2.access_raw(addr, False)
+        llc = self.llc
+        # Read-only at L2 under NINE: dirtiness is tracked at L1.
+        hit2, l2_wb, _ = l2.access_raw(addr, False)
         if l1_wb is not None:
             # Dirty L1 victim lands in L2 (write-allocate at L2).
             _, spill, _ = l2.access_raw(l1_wb, True)
             if spill is not None:
-                _, llc_wb, _ = self.llc.access_raw(spill, True)
+                _, llc_wb, _ = llc.access_raw(spill, True)
                 # Truthiness (not `is not None`) preserves the historical
                 # spill semantics exactly.
                 if llc_wb:
                     writebacks = [llc_wb]
         if hit2:
             self._n_l2_hits += 1
-            # Dirtiness is tracked at L1; the L2 copy stays clean (NINE).
             return ("L2", self._lat_l12, False, writebacks)
         if l2_wb is not None:
-            _, llc_wb, _ = self.llc.access_raw(l2_wb, True)
+            _, llc_wb, _ = llc.access_raw(l2_wb, True)
             if llc_wb:
                 if writebacks is None:
                     writebacks = [llc_wb]
                 else:
                     writebacks.append(llc_wb)
-
-        llc = self.llc
-        if llc._is_lru:
-            # Inlined LLC demand probe (see the L2 probe above).
-            line = addr // llc._line_size
-            index = line % llc.num_sets
-            cache_set = llc._sets[index]
-            tag = line // llc.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            llc._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                llc._n_hits += 1
-                hit3 = True
-                llc_wb = None
-            else:
-                llc._n_misses += 1
-                hit3 = False
-                llc_wb, _ = llc._allocate(cache_set, index, tag, False)
-        else:
-            hit3, llc_wb, _ = llc.access_raw(addr, False)
+        hit3, llc_wb, _ = llc.access_raw(addr, False)
         if llc_wb is not None:
             if writebacks is None:
                 writebacks = [llc_wb]
@@ -220,243 +319,124 @@ class CacheHierarchy:
         )
 
     def make_fast_path(self):
-        """Closure triple ``(access, install, flush)`` for the hot loop.
+        """Closures ``(walk, access, install, flush)`` for the fast loop.
 
-        ``access``/``install`` mirror :meth:`access_fast` and
-        :meth:`install_llc_fast` with the per-call attribute walks hoisted
-        into closure locals and the hierarchy-level hit counters tallied
-        in closure integers; ``flush`` folds the tallies back before any
-        :attr:`stats` read. Per-cache counters stay attribute increments
-        (their owners read them lazily through their own ``stats``).
-        Returns ``None`` when any level is not plain-LRU — the closures
-        inline only the LRU probe, so the caller falls back to the bound
-        methods.
+        L1D and L2 are private and non-inclusive, and prefetch installs
+        touch only the LLC, so a trace's L1/L2 walk is the same for every
+        design. ``walk(addrs, writes, igaps, cores, base_cpi, threads)``
+        returns ``(PrivateWalk, walked)``, computing the walk only when
+        the one-entry memo (keyed on the identity of the trace columns,
+        the L1/L2 geometry, the LLC latency, the core count, ``base_cpi``
+        and ``threads``) misses; ``walked`` counts the accesses walked.
+        ``access(addr, spill, victim, kind)`` does one walk record's LLC
+        work and returns ``(llc_miss, writebacks)``; ``install`` is
+        :meth:`install_llc_fast`; ``flush`` folds the LLC tallies into
+        :attr:`stats`. LRU probes are inlined, other policies go through
+        ``access_raw``. Raises :class:`SimulationError` unless this
+        hierarchy's L1/L2 are cold.
         """
-        l1s = self._l1
-        l2s = self._l2
+        if any(
+            cache.stats.get("accesses") or any(s.lines for s in cache._sets)
+            for cache in (*self._l1, *self._l2)
+        ):
+            raise SimulationError(
+                "the fast loop needs cold L1/L2 caches: simulate on a "
+                "fresh hierarchy, or pass scalar=True"
+            )
+        config = self.config
+        # Everything the walk reads besides the trace and the core timing
+        # (the LLC latency is part of a full miss's increment).
+        private = (config.l1d, config.l2, config.llc.latency_cycles, self._cores)
         llc = self.llc
-        if not all(c._is_lru for c in (*l1s, *l2s, llc)):
-            return None
-        cores = self._cores
-        lat_l12 = self._lat_l12
-        lat_full = self._lat_full
-        l1_geom = [(c, c._line_size, c.num_sets, c._sets) for c in l1s]
-        l2_geom = [(c, c._line_size, c.num_sets, c._sets) for c in l2s]
+        llc_lru = llc._is_lru
         llc_line = llc._line_size
         llc_sets_n = llc.num_sets
         llc_sets = llc._sets
         llc_raw = llc.access_raw
-        new_cache_line = CacheLine
+        llc_install_raw = llc.install_raw
 
-        n_l1 = n_l2 = n_llc = n_miss = n_pref = 0
+        n_llc = n_miss = n_pref = 0
 
-        def access(addr, is_write, core=0):
-            nonlocal n_l1, n_l2, n_llc, n_miss
-            l1, l1_line, l1_nsets, l1_sets = l1_geom[core % cores]
-            line = addr // l1_line
-            index = line % l1_nsets
-            cache_set = l1_sets[index]
-            tag = line // l1_nsets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l1._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                if is_write:
-                    entry.dirty = True
-                l1._n_hits += 1
-                n_l1 += 1
-                return None
-            l1._n_misses += 1
-            # SetAssociativeCache._allocate (LRU arm), inlined.
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                if victim.dirty:
-                    l1_wb = (victim_tag * l1_nsets + index) * l1_line
-                    l1._n_writebacks += 1
-                else:
-                    l1_wb = None
-                del lines[victim_tag]
-                l1._n_evictions += 1
-                victim.tag = tag
-                victim.dirty = is_write
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                new_line = victim
-            else:
-                l1_wb = None
-                new_line = new_cache_line(tag, dirty=is_write)
-            cache_set._clock += 1
-            new_line.counter = cache_set._clock
-            lines[tag] = new_line
+        def walk(addrs, writes, igaps, cores, base_cpi, threads):
+            columns = (addrs, writes, igaps, cores)
+            key = (*map(_column_key, columns), private, base_cpi, threads)
+            entry = _walk_memo[0]
+            if entry is not None and entry[0] == key:
+                return entry[2], 0
+            result = _walk_private(config, *columns, base_cpi, threads)
+            _walk_memo[0] = (key, columns, result)
+            return result, len(addrs)
 
+        def access(addr, spill, victim, kind):
+            nonlocal n_llc, n_miss
             writebacks = None
-            l2, l2_line, l2_nsets, l2_sets = l2_geom[core % cores]
-            line = addr // l2_line
-            index = line % l2_nsets
-            cache_set = l2_sets[index]
-            tag = line // l2_nsets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l2._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                l2._n_hits += 1
-                hit2 = True
-                l2_wb = None
-            else:
-                l2._n_misses += 1
-                hit2 = False
-                if len(lines) >= cache_set.ways:
-                    victim_tag, victim = next(iter(lines.items()))
-                    if victim.dirty:
-                        l2_wb = (victim_tag * l2_nsets + index) * l2_line
-                        l2._n_writebacks += 1
-                    else:
-                        l2_wb = None
-                    del lines[victim_tag]
-                    l2._n_evictions += 1
-                    victim.tag = tag
-                    victim.dirty = False
-                    victim.payload = None
-                    victim.referenced = False
-                    victim.stamp = 0
-                    new_line = victim
-                else:
-                    l2_wb = None
-                    new_line = new_cache_line(tag)
-                cache_set._clock += 1
-                new_line.counter = cache_set._clock
-                lines[tag] = new_line
-            if l1_wb is not None:
-                # Dirty L1 victim lands in L2 (write-allocate at L2).
-                _, spill, _ = l2.access_raw(l1_wb, True)
-                if spill is not None:
-                    _, llc_wb, _ = llc_raw(spill, True)
-                    # Truthiness (not `is not None`) preserves the
-                    # historical spill semantics exactly.
-                    if llc_wb:
-                        writebacks = [llc_wb]
-            if hit2:
-                n_l2 += 1
-                # Dirtiness is tracked at L1; the L2 copy stays clean.
-                return ("L2", lat_l12, False, writebacks)
-            if l2_wb is not None:
-                _, llc_wb, _ = llc_raw(l2_wb, True)
-                if llc_wb:
+            if spill >= 0:
+                _, wb, _ = llc_raw(spill, True)
+                # Truthiness (not `is not None`) preserves the historical
+                # spill semantics exactly.
+                if wb:
+                    writebacks = [wb]
+            if victim >= 0:
+                _, wb, _ = llc_raw(victim, True)
+                if wb:
                     if writebacks is None:
-                        writebacks = [llc_wb]
+                        writebacks = [wb]
                     else:
-                        writebacks.append(llc_wb)
-
-            line = addr // llc_line
-            index = line % llc_sets_n
-            cache_set = llc_sets[index]
-            tag = line // llc_sets_n
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            llc._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                llc._n_hits += 1
-                hit3 = True
-                llc_wb = None
-            else:
+                        writebacks.append(wb)
+            if not kind:
+                return False, writebacks
+            if llc_lru:
+                line = addr // llc_line
+                index = line % llc_sets_n
+                cache_set = llc_sets[index]
+                tag = line // llc_sets_n
+                lines = cache_set.lines
+                entry = lines.get(tag)
+                llc._n_accesses += 1
+                if entry is not None:
+                    cache_set._clock += 1
+                    entry.counter = cache_set._clock
+                    lines[tag] = lines.pop(tag)
+                    llc._n_hits += 1
+                    n_llc += 1
+                    return False, writebacks
                 llc._n_misses += 1
-                hit3 = False
-                if len(lines) >= cache_set.ways:
-                    victim_tag, victim = next(iter(lines.items()))
-                    if victim.dirty:
-                        llc_wb = (victim_tag * llc_sets_n + index) * llc_line
-                        llc._n_writebacks += 1
-                    else:
-                        llc_wb = None
-                    del lines[victim_tag]
-                    llc._n_evictions += 1
-                    victim.tag = tag
-                    victim.dirty = False
-                    victim.payload = None
-                    victim.referenced = False
-                    victim.stamp = 0
-                    new_line = victim
-                else:
-                    llc_wb = None
-                    new_line = new_cache_line(tag)
-                cache_set._clock += 1
-                new_line.counter = cache_set._clock
-                lines[tag] = new_line
-            if llc_wb is not None:
+                wb = lru_fill(llc, cache_set, index, tag, False)[0]
+            else:
+                hit, wb, _ = llc_raw(addr, False)
+                if hit:
+                    n_llc += 1
+                    return False, writebacks
+            if wb is not None:
                 if writebacks is None:
-                    writebacks = [llc_wb]
+                    writebacks = [wb]
                 else:
-                    writebacks.append(llc_wb)
-            if hit3:
-                n_llc += 1
-                return ("LLC", lat_full, False, writebacks)
+                    writebacks.append(wb)
             n_miss += 1
-            return ("MEM", lat_full, True, writebacks)
+            return True, writebacks
 
         def install(addr):
-            # install_raw with the LRU allocate arm inlined.
             nonlocal n_pref
             n_pref += 1
-            line = addr // llc_line
-            index = line % llc_sets_n
-            cache_set = llc_sets[index]
-            tag = line // llc_sets_n
-            lines = cache_set.lines
-            if lines.get(tag) is not None:
-                return None
-            llc._n_installs += 1
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                if victim.dirty:
-                    wb = (victim_tag * llc_sets_n + index) * llc_line
-                    llc._n_writebacks += 1
-                else:
-                    wb = None
-                del lines[victim_tag]
-                llc._n_evictions += 1
-                victim.tag = tag
-                victim.dirty = False
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                new_line = victim
-            else:
-                wb = None
-                new_line = new_cache_line(tag)
-            cache_set._clock += 1
-            new_line.counter = cache_set._clock
-            lines[tag] = new_line
-            return wb
+            return llc_install_raw(addr)
 
         def flush():
-            nonlocal n_l1, n_l2, n_llc, n_miss, n_pref
-            if n_l1:
-                self._n_l1_hits += n_l1
-                n_l1 = 0
-            if n_l2:
-                self._n_l2_hits += n_l2
-                n_l2 = 0
-            if n_llc:
-                self._n_llc_hits += n_llc
-                n_llc = 0
-            if n_miss:
-                self._n_llc_misses += n_miss
-                n_miss = 0
-            if n_pref:
-                self._n_prefetch_installs += n_pref
-                n_pref = 0
+            nonlocal n_llc, n_miss, n_pref
+            self._n_llc_hits += n_llc
+            self._n_llc_misses += n_miss
+            self._n_prefetch_installs += n_pref
+            n_llc = n_miss = n_pref = 0
 
-        return access, install, flush
+        return walk, access, install, flush
+
+    def add_walk_counts(self, walk: "PrivateWalk") -> None:
+        """Fold a private walk's L1/L2 counter totals into this hierarchy
+        (its ``stats`` and every per-core L1/L2 cache's counters)."""
+        self._n_l1_hits += walk.l1_hits
+        self._n_l2_hits += walk.l2_hits
+        for cache, counts in zip((*self._l1, *self._l2), walk.counts):
+            for name, value in zip(_CACHE_COUNTERS, counts):
+                setattr(cache, name, getattr(cache, name) + value)
 
     def install_llc_fast(self, addr: int) -> Optional[int]:
         """Install a prefetched line into the LLC; returns the dirty

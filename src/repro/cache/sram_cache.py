@@ -43,6 +43,40 @@ class AccessOutcome:
 _HIT = AccessOutcome(hit=True)
 
 
+def lru_fill(
+    cache: "SetAssociativeCache", cache_set: BaseSet, index: int, tag: int,
+    dirty: bool,
+) -> Tuple[Optional[int], Optional[int]]:
+    """Allocate ``tag`` in an LRU ``cache_set`` (a miss): evict the LRU
+    line if the set is full. Returns ``(writeback_addr, victim_addr)``.
+
+    A plain function, so the hierarchy's inlined LRU probes share it.
+    """
+    lines = cache_set.lines
+    writeback = victim_addr = None
+    if len(lines) >= cache_set.ways:
+        victim_tag, line = next(iter(lines.items()))
+        victim_addr = (victim_tag * cache.num_sets + index) * cache._line_size
+        if line.dirty:
+            writeback = victim_addr
+            cache._n_writebacks += 1
+        del lines[victim_tag]
+        cache._n_evictions += 1
+        # Recycle the evicted line object: reset every field
+        # CacheLine.__init__ would set, skipping the allocation.
+        line.tag = tag
+        line.dirty = dirty
+        line.payload = None
+        line.referenced = False
+        line.stamp = 0
+    else:
+        line = CacheLine(tag, dirty=dirty)
+    cache_set._clock += 1
+    line.counter = cache_set._clock
+    lines[tag] = line
+    return writeback, victim_addr
+
+
 class SetAssociativeCache:
     """One level of the hierarchy; line granularity = ``geometry.line_size``."""
 
@@ -175,32 +209,11 @@ class SetAssociativeCache:
     def _allocate(
         self, cache_set: BaseSet, index: int, tag: int, dirty: bool
     ) -> tuple[Optional[int], Optional[int]]:
+        if self._is_lru:
+            return lru_fill(self, cache_set, index, tag, dirty)
         writeback = None
         victim_addr = None
         lines = cache_set.lines
-        if self._is_lru:
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                victim_addr = (victim_tag * self.num_sets + index) * self._line_size
-                if victim.dirty:
-                    writeback = victim_addr
-                    self._n_writebacks += 1
-                del lines[victim_tag]
-                self._n_evictions += 1
-                # Recycle the evicted line object: reset every field
-                # CacheLine.__init__ would set, skipping the allocation.
-                victim.tag = tag
-                victim.dirty = dirty
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                line = victim
-            else:
-                line = CacheLine(tag, dirty=dirty)
-            cache_set._clock += 1
-            line.counter = cache_set._clock
-            lines[tag] = line
-            return writeback, victim_addr
         if len(lines) >= cache_set.ways:
             victim = cache_set.victim()
             victim_addr = self._addr_of(index, victim.tag)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
@@ -44,7 +45,8 @@ class SystemSimulator:
     The controller is any object with the
     ``access(addr, is_write, now) -> AccessResult`` duck type (Baryon or a
     baseline). A fresh :class:`~repro.cache.hierarchy.CacheHierarchy` is
-    built per simulator unless one is injected.
+    built per simulator unless one is injected; the fast loop requires
+    its L1/L2 caches to be cold.
 
     Two interchangeable per-access loops drive the trace:
 
@@ -53,20 +55,23 @@ class SystemSimulator:
         :class:`~repro.cache.hierarchy.HierarchyResult` per access and one
         ``controller.access`` call per LLC miss and writeback.
     ``fast`` (default)
-        Every other run. Trace arrays are converted to plain Python lists
-        once and the hierarchy runs through its allocation-free closures
-        (:meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`).
-        LLC misses and writebacks take the controller's *deferred seam*
-        when it has one: safe ops — reads, write hits that provably do
-        not overflow, batch-safe writebacks — are state-applied eagerly
-        in trace order and their channel timing replays in one
-        ``access_batch`` call. For Baryon the ops are served by the
-        inlined ``serve`` closure of ``make_deferred_server``, for
-        ``simple`` by its per-op ``access_deferred``. Any unsafe op
-        (zero-encoding breaks, overflowing writes, block fills) first
-        flushes the pending run and then takes ``controller.access`` with
-        the current clock; without the seam every miss and writeback
-        does. SimResults — cycles, counters, energy — are bit-identical
+        Every other run. The private L1/L2 walk is the same for every
+        design, so the hierarchy computes it once per trace (memoized;
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`):
+        the core-side cycle increments in scalar order plus one record
+        per access that touches the LLC. The loop replays only those
+        records' LLC work. LLC misses and writebacks take the
+        controller's *deferred seam* when it has one: safe ops — reads,
+        write hits that provably do not overflow, batch-safe writebacks —
+        are state-applied eagerly in trace order and their channel timing
+        replays in one ``access_batch`` call. For Baryon the ops are
+        served by the inlined ``serve`` closure of
+        ``make_deferred_server``, for ``simple`` by its per-op
+        ``access_deferred``. Any unsafe op (zero-encoding breaks,
+        overflowing writes, block fills) first flushes the pending run and
+        then takes ``controller.access`` with the current clock; without
+        the seam every miss and writeback does. SimResults — cycles,
+        counters, energy — and every hierarchy counter are bit-identical
         to the scalar loop (the float accumulation order of ``cycles`` is
         preserved operation for operation);
         ``tests/test_hotpath_equivalence.py`` and the golden corpus in
@@ -132,6 +137,8 @@ class SystemSimulator:
         self._progress_every = max(1, progress_every)
         self._run_span = None
         self._loop = None
+        self._walk = None
+        self._inc_pos = 0
         self._timers: Dict[str, list] = {}
         self.cycles = 0.0
         self.instructions = 0
@@ -279,21 +286,17 @@ class SystemSimulator:
         self._served_fast = 0
         self._mem_seen = 0
 
-        self._loop = self._bind_loop()
-        # One bulk conversion: list indexing beats numpy scalar reads in
-        # a Python loop, and ``tolist`` yields native int/bool objects.
-        addrs, writes, igaps, cores = (
-            arr.tolist() if hasattr(arr, "tolist") else list(arr)
-            for arr in (trace.addrs, trace.writes, trace.igaps, trace.cores)
-        )
+        wall_start = perf_counter() if profiling else 0.0
+        self._bind_loop(trace)
+        igaps = trace.igaps
+        igaps = igaps.tolist() if hasattr(igaps, "tolist") else list(igaps)
 
         spans = self.spans
-        wall_start = perf_counter() if profiling else 0.0
         phase_span = (
             spans.start("sim.warmup", parent=self._run_span, accesses=warmup_end)
             if spans.enabled and warmup_end else None
         )
-        self._segment(0, warmup_end, addrs, writes, igaps, cores, n)
+        self._segment(0, warmup_end, igaps, n)
         if phase_span is not None:
             spans.end(phase_span)
         if warmup_end < n:
@@ -311,16 +314,18 @@ class SystemSimulator:
                 )
                 if spans.enabled else None
             )
-            self._segment(warmup_end, n, addrs, writes, igaps, cores, n)
+            self._segment(warmup_end, n, igaps, n)
             if phase_span is not None:
                 spans.end(phase_span)
+        self.hierarchy.add_walk_counts(self._walk)
         for row, (seconds, calls) in self._timers.items():
             if calls:
                 self.profiler.add(row, seconds, calls=calls)
         return mark, wall_start
 
-    def _bind_loop(self) -> tuple:
-        """Bind the fast loop's callables once per run.
+    def _bind_loop(self, trace) -> None:
+        """Bind the fast loop's callables and the trace's private walk
+        once per run.
 
         The deferred seam is ``serve``, ``flush`` and ``batch``: the
         controller's ``make_deferred_server`` triple when it builds one,
@@ -328,15 +333,11 @@ class SystemSimulator:
         bound only when neither veto applies (see the class docstring);
         otherwise ``serve`` declines every op. A profiler wraps every
         bound hierarchy and controller callable here, so the loop itself
-        has no profiling branch.
+        has no profiling branch; its ``hierarchy`` row also times the
+        walk, one call per access walked (none on a memo hit).
         """
         controller = self.controller
-        hierarchy = self.hierarchy
-        fast_path = hierarchy.make_fast_path()
-        if fast_path is None:
-            # Non-LRU levels: the bound methods, with no tallies to fold.
-            fast_path = (hierarchy.access_fast, hierarchy.install_llc_fast, None)
-        access, install, hier_flush = fast_path
+        walk, access, install, hier_flush = self.hierarchy.make_fast_path()
         ctrl_access = controller.access
         serve, flush, batch = _decline, _no_flush, None
         if self.metrics is None and getattr(controller, "supports_batching", False):
@@ -358,10 +359,20 @@ class SystemSimulator:
                 for fn in (serve, flush, batch)
             )
         observe = self._observe_miss if self.metrics is not None else None
-        return (
+        self._loop = (
             access, install, hier_flush, ctrl_access, serve, flush, batch,
             observe,
         )
+        cfg = self.config
+        start = perf_counter()
+        self._walk, walked = walk(
+            trace.addrs, trace.writes, trace.igaps, trace.cores,
+            cfg.base_cpi, max(1, cfg.hierarchy.cores),
+        )
+        self._inc_pos = 0
+        if walked and self.profiler.enabled:
+            hier[0] += perf_counter() - start
+            hier[1] += walked
 
     def _observe_miss(self, mem) -> None:
         """Metrics for one demand miss served by ``controller.access``."""
@@ -370,15 +381,13 @@ class SystemSimulator:
         if mem.served_fast:
             self._served_fast += 1
 
-    def _segment(
-        self, start: int, stop: int, addrs, writes, igaps, cores, total: int
-    ) -> None:
+    def _segment(self, start: int, stop: int, igaps, total: int) -> None:
         """One warmup/measured segment, in chunks that end at progress
         reports and series sampling ticks when those are attached."""
         progress = self._progress
         metered = self.metrics is not None
         if progress is None and not metered:
-            self._fast_span(start, stop, addrs, writes, igaps, cores)
+            self._fast_span(start, stop, igaps)
             return
         stride = self._progress_every
         report = start + stride if progress is not None else stop
@@ -387,7 +396,7 @@ class SystemSimulator:
             end = min(stop, report)
             if metered:
                 end = min(end, pos + self._until_sample())
-            self._fast_span(pos, end, addrs, writes, igaps, cores)
+            self._fast_span(pos, end, igaps)
             if metered:
                 self._tick_series(end - pos)
             pos = end
@@ -418,66 +427,59 @@ class SystemSimulator:
             else:
                 series.advance_to(tick)
 
-    def _fast_span(
-        self, start: int, stop: int, addrs, writes, igaps, cores
-    ) -> None:
+    def _fast_span(self, start: int, stop: int, igaps) -> None:
         """Run accesses ``[start, stop)`` through the fast loop.
 
-        Every LLC miss and writeback first goes to the seam's ``serve``.
-        Deferred ops accumulate in ``ops`` together with the interleaved
-        core-side cycle increments; one ``batch`` call replays the run,
-        evolving the channel pools and the ``cycles`` accumulator in the
-        scalar loop's exact float operation order. A declined op first
-        replays the pending run (so ``cycles`` is current) and flushes
-        the seam's tallies, then takes ``controller.access`` with that
-        clock, exactly as the scalar loop would. The only skipped
-        additions are ``+ 0.0`` terms (zero instruction gaps), which
-        cannot change a non-negative accumulator bit pattern, and the
-        precomputed L1 quotient equals the per-access division bit for
-        bit.
+        Spans run in trace order. Between the walk's records its
+        increments are appended to ``ops`` while a deferred run is
+        pending, else added to ``cycles`` one by one — the scalar loop's
+        float operation order (``sum`` may compensate, so it is never
+        used on floats). Each record then does its LLC work, and every
+        LLC miss and writeback first goes to the seam's ``serve``. One
+        ``batch`` call replays a run of deferred ops and increments,
+        evolving the channel pools and ``cycles`` in scalar order. A
+        declined op first replays the pending run (so ``cycles`` is
+        current) and flushes the seam's tallies, then takes
+        ``controller.access`` with that clock, exactly as the scalar loop
+        would. The only skipped additions are ``+ 0.0`` terms (zero
+        instruction gaps), which cannot change a non-negative accumulator
+        bit pattern.
         """
         if start >= stop:
             return
         (
-            access_fast, install_fast, hier_flush, ctrl_access, serve,
+            llc_access, install_fast, hier_flush, ctrl_access, serve,
             server_flush, ctrl_batch, observe,
         ) = self._loop
-        cfg = self.config
-        base_cpi = cfg.base_cpi
-        mlp = cfg.memory_level_parallelism
-        threads = max(1, cfg.hierarchy.cores)
-        l1_div = self.hierarchy.config.l1d.latency_cycles / threads
+        mlp = self.config.memory_level_parallelism
+        walk = self._walk
+        incs = walk.incs
+        ends = walk.ends
+        # Spans run in trace order; each access has one increment plus
+        # one per non-zero gap.
+        gaps = igaps[start:stop]
+        pos = self._inc_pos
+        last = self._inc_pos = pos + 2 * (stop - start) - gaps.count(0)
+        first = bisect_right(ends, pos)
+        after = bisect_right(ends, last)
 
         cycles = self.cycles
-        instructions = self.instructions
         ops = []
         append = ops.append
-        # zip over list slices: one C-level iteration replaces four
-        # per-element list index reads in the hottest Python loop.
-        for addr, is_write, gap, core in zip(
-            addrs[start:stop], writes[start:stop],
-            igaps[start:stop], cores[start:stop],
+        for end, addr, kind, spill, victim in zip(
+            ends[first:after], walk.addrs[first:after],
+            walk.kinds[first:after], walk.spills[first:after],
+            walk.victims[first:after],
         ):
-            instructions += gap + 1
-            if gap:
-                g = gap * base_cpi / threads
-                if ops:
-                    append(g)
-                else:
-                    cycles += g
-            outcome = access_fast(addr, is_write, core)
-            if outcome is None:
-                if ops:
-                    append(l1_div)
-                else:
-                    cycles += l1_div
-                continue
-            h = outcome[1] / threads
             if ops:
-                append(h)
+                ops.extend(incs[pos:end])
             else:
-                cycles += h
-            if outcome[2]:  # LLC miss: the controller serves it.
+                for inc in incs[pos:end]:
+                    cycles += inc
+            pos = end
+            llc_miss, wbs = llc_access(addr, spill, victim, kind)
+            if llc_miss:  # The controller serves it.
+                is_write = kind == 3
                 op = serve(addr, is_write)
                 if op is not None:
                     append(op)
@@ -511,7 +513,6 @@ class SystemSimulator:
                             wb = install_fast(line_addr)
                             if wb:
                                 ctrl_access(wb, True, cycles)
-            wbs = outcome[3]
             if wbs is not None:
                 for wb in wbs:
                     # Writebacks are posted ops: a deferred one replays at
@@ -528,13 +529,16 @@ class SystemSimulator:
                         server_flush()
                         ctrl_access(wb, True, cycles)
         if ops:
+            ops.extend(incs[pos:last])
             cycles = ctrl_batch(ops, cycles, mlp)
             ops.clear()
+        else:
+            for inc in incs[pos:last]:
+                cycles += inc
         server_flush()
-        if hier_flush is not None:
-            hier_flush()
+        hier_flush()
         self.cycles = cycles
-        self.instructions = instructions
+        self.instructions += sum(gaps) + (stop - start)
 
     # -------------------------------------------------------- result assembly
     def _finalize(

@@ -16,11 +16,16 @@ import random
 import numpy as np
 import pytest
 
+import repro.cache.hierarchy as hierarchy_module
+from repro.analysis import build_controller
+from repro.cache import CacheHierarchy
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
+from repro.common.errors import SimulationError
 from repro.core import BaryonController, FastArea
+from repro.obs import MetricsRegistry
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController, generate_trace, make_tiny_config
-from repro.workloads import StreamWorkload, ZipfWorkload
+from repro.workloads import StreamWorkload, ZipfWorkload, build_workload, scaled_system
 from repro.workloads.base import Trace
 
 from tests.conftest import KB, make_small_config, make_small_sim_config
@@ -290,6 +295,163 @@ class TestSimpleDesignSeam:
 
         records = generate_trace(random.Random(seed), make_tiny_config(), 700)
         run_simple_case({}, records, seed)
+
+
+def _four_core_sim_config(policy="lru", l2_kb=32, base_cpi=None, llc_latency=38):
+    level = {"replacement": policy}
+    hierarchy = HierarchyConfig(
+        cores=4,
+        l1d=CacheGeometry("L1D", 8 * KB, 8, latency_cycles=4, **level),
+        l2=CacheGeometry("L2", l2_kb * KB, 8, latency_cycles=9, **level),
+        llc=CacheGeometry(
+            "LLC", 128 * KB, 16, latency_cycles=llc_latency, **level
+        ),
+    )
+    sim_config = SimulationConfig(hierarchy=hierarchy, warmup_fraction=0.1)
+    if base_cpi is not None:
+        sim_config = dataclasses.replace(sim_config, base_cpi=base_cpi)
+    return sim_config
+
+
+def _hierarchy_counters(sim):
+    hierarchy = sim.hierarchy
+    caches = [*hierarchy._l1, *hierarchy._l2, hierarchy.llc]
+    return hierarchy.stats.as_dict(), [cache.stats.as_dict() for cache in caches]
+
+
+def _run_design(design, trace, sim_config, *, scalar=False, seed=1, **sim_kwargs):
+    config, _ = scaled_system(512)
+    ctrl = build_controller(design, config, seed=seed)
+    if hasattr(ctrl, "oracle"):
+        trace.apply_compressibility(ctrl.oracle)
+    sim = SystemSimulator(ctrl, sim_config, **sim_kwargs)
+    return sim.run(trace, "wl", design, scalar=scalar), sim
+
+
+def _ycsb_a(n=3000):
+    """Write-heavy: dirty L1 victims spill through L2 into the LLC."""
+    config, _ = scaled_system(512)
+    return build_workload(
+        "YCSB-A", config.layout.fast_capacity, n_accesses=n, seed=1
+    ).replay_view()
+
+
+class TestSharedPrivateWalk:
+    """The fast loop replays one memoized L1/L2 walk per trace."""
+
+    def test_four_core_hierarchy_counters_match_scalar(self):
+        """Every hierarchy and per-level counter equals the scalar run's."""
+        trace = _ycsb_a()
+        counters = {}
+        for scalar in (True, False):
+            result, sim = _run_design(
+                "baryon", trace, _four_core_sim_config(), scalar=scalar
+            )
+            counters[scalar] = (result.to_dict(), _hierarchy_counters(sim))
+        assert counters[False] == counters[True]
+        levels, caches = counters[True][1]
+        assert levels["l1_hits"] and levels["l2_hits"] and levels["llc_hits"]
+        # Dirty victims left L1 and L2: the spill path is on the compared run.
+        assert all(stats.get("writebacks") for stats in caches[:8])
+        assert all(
+            {"accesses", "hits", "misses", "evictions"} <= set(stats)
+            for stats in caches
+        )
+
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    def test_non_lru_levels_bit_identical(self, policy):
+        """The walk and the LLC loop take access_raw for non-LRU levels."""
+        trace = _ycsb_a()
+        runs = [
+            _run_design(
+                design, trace, _four_core_sim_config(policy), scalar=scalar
+            )
+            for design in ("baryon", "simple")
+            for scalar in (True, False)
+        ]
+        for ref, fast in (runs[0:2], runs[2:4]):
+            assert fast[0].to_dict() == ref[0].to_dict()
+            assert _hierarchy_counters(fast[1]) == _hierarchy_counters(ref[1])
+
+    def test_walk_computed_once_per_trace_and_config(self, monkeypatch):
+        """Designs replaying one view share the walk; a changed base_cpi,
+        L2 geometry or LLC latency (part of the full-miss increment)
+        walks again, and each result still equals the scalar run's."""
+        walks = []
+        walk_private = hierarchy_module._walk_private
+
+        def counting(*args):
+            walks.append(args[0])
+            return walk_private(*args)
+
+        monkeypatch.setattr(hierarchy_module, "_walk_private", counting)
+        trace = _ycsb_a()
+        sim_config = _four_core_sim_config()
+        for design in ("simple", "baryon"):
+            fast, _ = _run_design(design, trace, sim_config)
+            ref, _ = _run_design(design, trace, sim_config, scalar=True)
+            assert fast.to_dict() == ref.to_dict()
+        assert len(walks) == 1
+        _run_design("simple", trace, _four_core_sim_config(base_cpi=0.5))
+        assert len(walks) == 2
+        _run_design("simple", trace, _four_core_sim_config(l2_kb=64))
+        assert len(walks) == 3
+        _run_design("simple", trace, _four_core_sim_config(l2_kb=64))
+        assert len(walks) == 3
+        slow_llc = _four_core_sim_config(l2_kb=64, llc_latency=50)
+        fast, _ = _run_design("simple", trace, slow_llc)
+        ref, _ = _run_design("simple", trace, slow_llc, scalar=True)
+        assert len(walks) == 4
+        assert fast.to_dict() == ref.to_dict()
+
+    def test_chunked_run_splitting_an_increment_run(self):
+        """Progress + metrics chunks, with the warmup boundary inside a
+        run of increments between two LLC records, match the unchunked
+        and the scalar run."""
+        trace = _ycsb_a()
+        sim_config = _four_core_sim_config()
+        walk, _ = CacheHierarchy(sim_config.hierarchy).make_fast_path()[0](
+            trace.addrs, trace.writes, trace.igaps, trace.cores,
+            sim_config.base_cpi, sim_config.hierarchy.cores,
+        )
+        access_ends = np.cumsum((trace.igaps != 0) + 1)
+        touches_llc = np.isin(access_ends, np.asarray(walk.ends))
+        boundary = next(
+            i for i in range(300, len(trace))
+            if not touches_llc[i - 1] and not touches_llc[i]
+        )
+        sim_config = dataclasses.replace(
+            sim_config, warmup_fraction=(boundary + 0.5) / len(trace)
+        )
+        plain, _ = _run_design("baryon", trace, sim_config)
+        scalar, _ = _run_design("baryon", trace, sim_config, scalar=True)
+        reports = []
+        chunked, _ = _run_design(
+            "baryon", trace, sim_config, metrics=MetricsRegistry(),
+            metrics_window=13, progress=lambda done, total: reports.append(done),
+            progress_every=97,
+        )
+        assert chunked.to_dict() == plain.to_dict() == scalar.to_dict()
+        assert len(reports) > len(trace) // 97
+
+    def test_warm_injected_hierarchy_raises(self):
+        """The walk starts from cold private caches, so a hierarchy whose
+        L1/L2 already hold lines is refused, not silently diverged from."""
+        trace = _ycsb_a(500)
+        sim_config = _four_core_sim_config()
+        warm = CacheHierarchy(sim_config.hierarchy)
+        warm.access(0x4000, True, core=1)
+        config, _ = scaled_system(512)
+        ctrl = build_controller("simple", config, seed=1)
+        with pytest.raises(SimulationError, match="cold L1/L2"):
+            SystemSimulator(ctrl, sim_config, hierarchy=warm).run(trace)
+        fresh = CacheHierarchy(sim_config.hierarchy)
+        ref, _ = _run_design("simple", trace, sim_config)
+        ctrl = build_controller("simple", config, seed=1)
+        got = SystemSimulator(ctrl, sim_config, hierarchy=fresh).run(
+            trace, "wl", "simple"
+        )
+        assert got.to_dict() == ref.to_dict()
 
 
 def _run_with_warmup(warmup_fraction, n=20000, seed=3):
