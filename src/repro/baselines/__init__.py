@@ -11,10 +11,11 @@
   (evaluated with a perfect way predictor, as in the paper);
 * :class:`~repro.baselines.hybrid2.Hybrid2` — **Hybrid2** (HPCA'20): a flat,
   fully-associative hybrid memory with 256 B sub-blocking and write-cost
-  migration decisions, no compression. It runs on the shared Baryon
-  machinery with compression disabled, physical-block sharing disabled and
-  the commit model reduced to its dirty-traffic term (k = 0), which is
-  exactly how the paper positions it.
+  migration decisions, no compression. It *is* a
+  :class:`~repro.core.controller.BaryonController` subclass configured with
+  compression disabled, physical-block sharing disabled and the commit
+  model reduced to its dirty-traffic term (k = 0), which is exactly how
+  the paper positions it; it takes Baryon's deferred seam unchanged.
 
 All expose the same ``access(addr, is_write, now) -> AccessResult`` duck
 type as :class:`~repro.core.controller.BaryonController`.

@@ -3,6 +3,7 @@
 Each baseline owns the same :class:`~repro.devices.memory.HybridMemoryDevices`
 pair as Baryon and returns :class:`~repro.core.events.AccessResult` objects,
 so the system simulator and the analysis code treat all designs uniformly.
+Hybrid2 is the exception: it subclasses ``BaryonController`` directly.
 """
 
 from __future__ import annotations

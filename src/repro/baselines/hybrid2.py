@@ -14,10 +14,10 @@ policy only cares about the write traffic similar to Hybrid2"):
 * no physical-block sharing (one logical block per fast block space);
 * commit benefit = the dirty-traffic term only (k = 0).
 
-So this class configures and wraps the shared
-:class:`~repro.core.controller.BaryonController` accordingly. The cache
-section size reuses the stage-area knob (Hybrid2's provisioned cache is of
-the same tens-of-MB magnitude).
+So Hybrid2 *is* a :class:`~repro.core.controller.BaryonController` built
+on :func:`hybrid2_config`, and the simulator drives it through the same
+deferred seam as Baryon. The cache section size reuses the stage-area
+knob (Hybrid2's provisioned cache is of the same tens-of-MB magnitude).
 """
 
 from __future__ import annotations
@@ -27,11 +27,28 @@ from typing import Optional
 
 from repro.common.config import BaryonConfig, CommitConfig
 from repro.core.controller import BaryonController
-from repro.core.events import AccessResult
 from repro.devices.memory import HybridMemoryDevices
 
 
-class Hybrid2:
+def hybrid2_config(base: BaryonConfig) -> BaryonConfig:
+    """Reduce a Baryon config to Hybrid2: fully-associative flat with a
+    provisioned cache section (a caller's flat fraction, else a 75/25
+    flat/cache split), k = 0, no compression, no sharing."""
+    flat_fraction = base.layout.flat_fraction or 0.75
+    layout = dataclasses.replace(
+        base.layout, flat_fraction=flat_fraction, fully_associative=True
+    )
+    return dataclasses.replace(
+        base,
+        layout=layout,
+        commit=CommitConfig(k=0.0),
+        compression_enabled=False,
+        share_physical_blocks=False,
+        compressed_writeback=False,
+    )
+
+
+class Hybrid2(BaryonController):
     """Flat, fully-associative, sub-blocked, compression-free baseline."""
 
     name = "hybrid2"
@@ -42,39 +59,5 @@ class Hybrid2:
         devices: Optional[HybridMemoryDevices] = None,
         seed: int = 1,
     ) -> None:
-        base = config or BaryonConfig.fully_associative()
-        # Hybrid2 is flat + fully-associative with a provisioned cache
-        # section; honour a caller-specified flat fraction, defaulting to
-        # a 75/25 flat/cache split when the config was cache-mode.
-        flat_fraction = base.layout.flat_fraction or 0.75
-        layout = dataclasses.replace(
-            base.layout, flat_fraction=flat_fraction, fully_associative=True
-        )
-        self.config = dataclasses.replace(
-            base,
-            layout=layout,
-            commit=CommitConfig(k=0.0),
-            compression_enabled=False,
-            share_physical_blocks=False,
-            compressed_writeback=False,
-        )
-        self._inner = BaryonController(self.config, devices=devices, seed=seed)
-
-    # -- delegation: same duck type as every other controller ----------------
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        return self._inner.access(addr, is_write, now)
-
-    @property
-    def devices(self) -> HybridMemoryDevices:
-        return self._inner.devices
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
-    @property
-    def geometry(self):
-        return self._inner.geometry
-
-    def serve_rate(self) -> float:
-        return self._inner.serve_rate()
+        config = hybrid2_config(config or BaryonConfig.fully_associative())
+        super().__init__(config, devices=devices, seed=seed)

@@ -124,12 +124,7 @@ def attach_observability(
     Works on any design by duck type: the controller's own ``obs``
     attribute plus every known instrumented sub-component that exists
     (stage area, commit policy, remap cache, device row buffers).
-    Wrapper designs that delegate to an inner controller (Hybrid2) are
-    unwrapped so the hooks land where the access flow actually runs.
     """
-    inner = getattr(controller, "_inner", None)
-    if inner is not None:
-        attach_observability(inner, tracer, metrics)
     if tracer is not None:
         controller.obs = tracer
         for attr in ("stage", "policy", "remap_cache", "faults", "recovery", "checker"):
@@ -170,7 +165,6 @@ def collect_run_metrics(
       and ``repro_checker_total{event=...}`` when the resilience layer is
       active (see docs/resilience.md).
     """
-    controller = getattr(controller, "_inner", controller)
     stats = getattr(controller, "stats", None)
     if stats is not None:
         cases = registry.counter(

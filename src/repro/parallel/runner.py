@@ -243,26 +243,25 @@ def _execute_cell(
         progress=progress,
         progress_every=heartbeat_every if heartbeat_every > 0 else 2048,
     )
-    inner = getattr(controller, "_inner", controller)
     devices: Dict[str, int] = {}
-    if getattr(inner, "devices", None) is not None:
-        for device in (inner.devices.fast, inner.devices.slow):
+    if getattr(controller, "devices", None) is not None:
+        for device in (controller.devices.fast, controller.devices.slow):
             for key, value in device.stats.as_dict().items():
                 devices[f"{device.name}.{key}"] = value
     compression: Dict[str, int] = {}
-    engine = getattr(getattr(inner, "oracle", None), "engine", None)
+    engine = getattr(getattr(controller, "oracle", None), "engine", None)
     if engine is not None:
         compression = engine.stats.as_dict()
     resilience: Dict[str, int] = {}
     for attr, prefix in (("faults", "fault"), ("recovery", "recovery"), ("checker", "checker")):
-        component = getattr(inner, attr, None)
+        component = getattr(controller, attr, None)
         if component is not None:
             for key, value in component.stats.as_dict().items():
                 resilience[f"{prefix}.{key}"] = value
     payload: Dict[str, Any] = {
         "index": cell.index,
         "result": result.to_dict(),
-        "controller": inner.stats.as_dict(),
+        "controller": controller.stats.as_dict(),
         "devices": devices,
         "compression": compression,
         "resilience": resilience,

@@ -81,7 +81,7 @@ class SystemSimulator:
     false while a per-access observer of its own is attached — fault
     injection, recovery, the shadow checker, the phase tracker, the
     content oracle or event tracing all hook the scalar ``access`` flow —
-    and always for unison, dice and hybrid2. An attached ``metrics``
+    and always for unison and dice. An attached ``metrics``
     registry turns it off as well: a deferred op's latency exists only at
     replay time, but the latency histogram observes every miss as it is
     served. Profiling, spans and progress callbacks never change which

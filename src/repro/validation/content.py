@@ -419,7 +419,7 @@ class ContentBackedController(BaryonController):
 class GoldenReference:
     """Content-transparent wrapper for the baseline controllers.
 
-    The baselines (SimpleCache, Unison, DICE, Hybrid2) never transform
+    The cache baselines (SimpleCache, Unison, DICE) never transform
     data in-model — their accounting moves no content — so the golden
     write-token model *is* what they serve. Wrapping them gives the
     differential checker a trivially-correct serve stream with the exact

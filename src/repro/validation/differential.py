@@ -7,8 +7,9 @@ hybrid memory, a read must return the bytes last written to its address.
 The differential checker replays one trace through all of them and
 asserts the served-read streams are bit-identical.
 
-The Baryon variants run as :class:`ContentBackedController`, so their
-stream is produced by the real staging/commit/swap machinery; the
+The Baryon variants and Hybrid2 (Baryon at k = 0, no compression or
+sharing) run as :class:`ContentBackedController`, so their
+stream is produced by the real staging/commit/swap machinery; the other
 baselines are content-transparent (their accounting moves no data) and
 run behind the :class:`GoldenReference` shim, which serves the golden
 write-token model directly. Any variant diverging from that stream has
@@ -21,13 +22,15 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import build_controller
+from repro.baselines.hybrid2 import hybrid2_config
 from repro.common.config import BaryonConfig
 from repro.common.errors import OracleViolation
 from repro.validation.content import ContentBackedController, GoldenReference, replay
 
 #: Baryon variants checked content-backed, in report order.
 BARYON_VARIANTS = ("cache", "flat", "fa", "64b")
-#: Baselines checked through the golden-reference shim.
+#: Baselines, in report order: Hybrid2 content-backed, the others
+#: through the golden-reference shim.
 BASELINE_DESIGNS = ("simple", "unison", "dice", "hybrid2")
 
 
@@ -72,9 +75,15 @@ def run_differential(
         replay(controller, trace)
         streams[f"baryon-{variant}"] = controller.served_reads
     for design in baselines:
-        shim = GoldenReference(build_controller(design, config, seed=seed))
-        replay(shim, trace)
-        streams[design] = shim.served_reads
+        controller = (
+            ContentBackedController(
+                hybrid2_config(config), seed=seed, inject_bug=inject_bug
+            )
+            if design == "hybrid2"
+            else GoldenReference(build_controller(design, config, seed=seed))
+        )
+        replay(controller, trace)
+        streams[design] = controller.served_reads
     _compare_streams(streams, trace)
     return streams
 

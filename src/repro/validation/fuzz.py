@@ -256,6 +256,7 @@ def run_batched_case(
     trace: List[TraceRecord],
     seed: int,
     rng: random.Random,
+    controller_cls=None,
 ) -> None:
     """Replay one fuzz case across Baryon's deferred seam; raise on drift.
 
@@ -273,10 +274,14 @@ def run_batched_case(
     the twin's stage probe indices must verify against its tag array.
     Raises :class:`OracleViolation` (``kind="batched_divergence"``)
     otherwise, including when the twin builds no server.
+
+    ``controller_cls`` swaps another ``BaryonController`` subclass into
+    both twins; ``Hybrid2`` puts the k = 0 commit policy on the seam.
     """
     from repro.core import BaryonController
 
-    twin = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
+    controller_cls = controller_cls or BaryonController
+    twin = controller_cls(make_tiny_config(**config_kwargs), seed=seed)
     server = twin.make_deferred_server()
     if server is None:
         raise OracleViolation(
@@ -285,7 +290,7 @@ def run_batched_case(
         )
     serve, server_flush, batch = server
     mlp = 4.0
-    scalar_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
+    scalar_ctrl = controller_cls(make_tiny_config(**config_kwargs), seed=seed)
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
     n = len(trace)
     # Forced replay boundaries, as progress chunking would place them.
@@ -315,7 +320,8 @@ def run_batched_case(
         b_cycles = batch(ops, b_cycles, mlp)
     server_flush()
 
-    _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, "batched")
+    path = getattr(controller_cls, "name", "batched")
+    _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, path)
 
 
 def run_simple_case(
@@ -372,11 +378,14 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    across the deferred-batch seam two ways, each against a fresh scalar
+    across the deferred-batch seam three ways, each against a fresh scalar
     twin: Baryon's inline server under forced flush boundaries
-    (:func:`run_batched_case`) and the ``simple`` baseline's seam
-    (:func:`run_simple_case`).
+    (:func:`run_batched_case`), the ``simple`` baseline's seam
+    (:func:`run_simple_case`), and Hybrid2 — Baryon at k = 0 — on the
+    same server (``run_batched_case`` with ``Hybrid2`` twins).
     """
+    from repro.baselines.hybrid2 import Hybrid2
+
     report = FuzzReport()
     for iteration in range(iterations):
         rng = random.Random(f"{seed}:{iteration}")
@@ -393,6 +402,8 @@ def run_fuzz(
                 report.stats.inc("fuzz_batched_checks")
                 run_simple_case(config_kwargs, trace, seed)
                 report.stats.inc("fuzz_simple_checks")
+                run_batched_case(config_kwargs, trace, seed, rng, Hybrid2)
+                report.stats.inc("fuzz_hybrid2_checks")
         except OracleViolation as error:
             report.stats.inc("fuzz_violations")
             report.failures.append(

@@ -139,10 +139,9 @@ class TestHybrid2:
         total = h.config.layout.fast_capacity * 2
         for _ in range(2000):
             h.access((rng.randrange(total) // 64) * 64, rng.random() < 0.3)
-        inner = h._inner
-        for set_index in range(inner.stage.num_sets):
-            for way in range(inner.stage.ways):
-                for slot in inner.stage.entry(set_index, way).slots:
+        for set_index in range(h.stage.num_sets):
+            for way in range(h.stage.ways):
+                for slot in h.stage.entry(set_index, way).slots:
                     assert slot is None or (slot.cf == 1 and not slot.zero)
 
     def test_duck_type(self):

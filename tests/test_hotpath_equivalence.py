@@ -18,6 +18,7 @@ import pytest
 
 import repro.cache.hierarchy as hierarchy_module
 from repro.analysis import build_controller
+from repro.baselines import Hybrid2
 from repro.cache import CacheHierarchy
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
 from repro.common.errors import SimulationError
@@ -37,11 +38,12 @@ def _make_trace(workload_cls, config, n, seed, **wl_kwargs):
     ).generate(n)
 
 
-def _run(workload_cls, *, scalar, n=3000, seed=2, config=None, **wl_kwargs):
+def _run(workload_cls, *, scalar, n=3000, seed=2, config=None, ctrl=None,
+         **wl_kwargs):
     config = config or make_small_config()
     sim_config = make_small_sim_config()
     trace = _make_trace(workload_cls, config, n, seed, **wl_kwargs)
-    ctrl = BaryonController(config, seed=seed)
+    ctrl = ctrl or BaryonController(config, seed=seed)
     trace.apply_compressibility(ctrl.oracle)
     sim = SystemSimulator(ctrl, sim_config)
     return sim.run(trace, "wl", "baryon", scalar=scalar)
@@ -295,6 +297,60 @@ class TestSimpleDesignSeam:
 
         records = generate_trace(random.Random(seed), make_tiny_config(), 700)
         run_simple_case({}, records, seed)
+
+
+class TestHybrid2Seam:
+    """Hybrid2 is Baryon at k = 0 without compression or sharing, so the
+    fast loop serves its misses through Baryon's inline server."""
+
+    @pytest.mark.parametrize("workload_cls", [ZipfWorkload, StreamWorkload])
+    def test_simresult_bit_identical(self, workload_cls):
+        ref, fast = (
+            _run(workload_cls, scalar=scalar, ctrl=Hybrid2(make_small_config(), seed=2))
+            for scalar in (True, False)
+        )
+        assert fast.to_dict() == ref.to_dict()
+        assert fast.cycles == ref.cycles  # exact float equality, no tolerance
+
+    def test_builds_deferred_server(self):
+        assert Hybrid2(make_small_config()).make_deferred_server() is not None
+
+    def test_k0_commits_run_through_the_server(self):
+        """A fast run defers ops, and the k = 0 policy commits stage
+        blocks from inside the server's eager staging fetches."""
+        ctrl = Hybrid2(make_small_config(), seed=2)
+        assert ctrl.policy.config.k == 0.0
+        counts = {"deferred": 0, "served_commits": 0}
+        serving = [False]
+        commit = ctrl._commit_stage_block
+
+        def counting_commit(*args):
+            if serving[0]:
+                counts["served_commits"] += 1
+            return commit(*args)
+
+        ctrl._commit_stage_block = counting_commit
+        make_server = ctrl.make_deferred_server
+
+        def counting_server():
+            serve, flush, batch = make_server()
+
+            def counting_serve(addr, is_write):
+                serving[0] = True
+                try:
+                    op = serve(addr, is_write)
+                finally:
+                    serving[0] = False
+                if op is not None:
+                    counts["deferred"] += 1
+                return op
+
+            return counting_serve, flush, batch
+
+        ctrl.make_deferred_server = counting_server
+        _run(ZipfWorkload, scalar=False, ctrl=ctrl)
+        assert counts["deferred"] > 0
+        assert counts["served_commits"] >= 1
 
 
 def _four_core_sim_config(policy="lru", l2_kb=32, base_cpi=None, llc_latency=38):

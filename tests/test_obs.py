@@ -293,11 +293,11 @@ class TestAttachObservability:
             ctrl.access(64, True)
         assert sum(1 for _ in tracer.events("access")) == 4
 
-    def test_attach_unwraps_hybrid2(self):
+    def test_attach_hybrid2(self):
         ctrl = Hybrid2(make_small_config(flat=0.75, fully_associative=True))
         tracer = EventTracer()
         attach_observability(ctrl, tracer)
-        assert ctrl._inner.obs is tracer
+        assert ctrl.obs is tracer
         ctrl.access(0, False)
         assert any(tracer.events("access"))
 

@@ -198,8 +198,7 @@ class TestShardMerging:
                 "YCSB-B", design, config, sim,
                 n_accesses=N_ACCESSES, seed=1,
             )
-            inner = getattr(controller, "_inner", controller)
-            expected.merge(inner.stats)
+            expected.merge(controller.stats)
         assert outcome.counters.as_dict() == expected.as_dict()
 
     def test_serve_ratio_merges_cell_results(self):

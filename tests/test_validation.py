@@ -143,6 +143,14 @@ class TestFuzz:
         assert a.ok and b.ok
         assert a.stats.as_dict() == b.stats.as_dict()
 
+    def test_fuzz_batched_runs_every_seam_twin(self):
+        """Every batched iteration replays Baryon's server, the simple
+        seam and Hybrid2 (k = 0) on the server against scalar twins."""
+        report = run_fuzz(iterations=3, seed=7, n_accesses=300, batched=True)
+        assert report.ok
+        for check in ("batched", "simple", "hybrid2"):
+            assert report.stats.get(f"fuzz_{check}_checks") == 3
+
     def test_fuzz_collects_injected_failures(self):
         report = run_fuzz(
             iterations=6, seed=5, n_accesses=400, inject_bug="commit_stale_data"
