@@ -349,7 +349,9 @@ def cmd_validate(argv) -> int:
         batched_note = (
             f", {report.stats.get('fuzz_batched_checks')} batched-seam + "
             f"{report.stats.get('fuzz_simple_checks')} simple-seam + "
-            f"{report.stats.get('fuzz_hybrid2_checks')} hybrid2-seam check(s)"
+            f"{report.stats.get('fuzz_hybrid2_checks')} hybrid2-seam + "
+            f"{report.stats.get('fuzz_unison_checks')} unison-seam + "
+            f"{report.stats.get('fuzz_dice_checks')} dice-seam check(s)"
             if args.fuzz_batched else ""
         )
         print(f"fuzz: {report.iterations} iterations, {report.accesses} "
@@ -690,10 +692,14 @@ def _print_deferred_declines(controller) -> None:
     The counters live on the controller (not in ``stats``: only the
     deferred seam classifies, and stats must stay bit-identical across
     loops). All-zero with per-access tracing attached simply means the
-    seam never engaged.
+    seam never engaged. A design with no decline reasons (Unison, DICE)
+    gets one line instead of an empty table.
     """
     declines = getattr(controller, "deferred_declines", None)
     if declines is None:
+        return
+    if not declines:
+        print("  deferred-seam declines: none (this design never declines)")
         return
     total = sum(declines.values())
     print(f"  deferred-seam declines ({total} total):")

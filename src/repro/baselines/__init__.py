@@ -18,7 +18,12 @@
   the paper positions it; it takes Baryon's deferred seam unchanged.
 
 All expose the same ``access(addr, is_write, now) -> AccessResult`` duck
-type as :class:`~repro.core.controller.BaryonController`.
+type as :class:`~repro.core.controller.BaryonController`, and all take the
+simulator's deferred seam while no event tracer is attached: Simple through
+a per-op ``access_deferred`` whose block fills decline to ``access``, Unison
+and DICE through inline servers that never decline
+(:class:`~repro.baselines.base.InlineServedBaseline`), Hybrid2 through
+Baryon's.
 """
 
 from repro.baselines.base import BaselineController

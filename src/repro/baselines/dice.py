@@ -11,6 +11,10 @@ Per the paper's evaluation setup, DICE runs with a *perfect* way/index
 predictor, so hits cost a single fast-memory access and no extra tag
 probes. Compressed residency also grants DICE the memory-to-LLC spatial
 prefetch of co-compressed lines.
+
+No state here depends on the clock, so the simulator's deferred seam
+serves every access (:meth:`DiceCache.make_deferred_server`) and replays
+the channel timing in :meth:`DiceCache.access_batch`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.baselines.base import BaselineController
+from repro.baselines.base import InlineServedBaseline
 from repro.compression.synthetic import SyntheticCompressibility
-from repro.core.events import AccessCase, AccessResult
+from repro.core.events import CASE_COUNTER_KEYS, AccessCase, AccessResult
+
+# Deferred op kinds: hit, compressed read hit (decompresses and
+# prefetches its slot-mates), line miss.
+_HIT, _COMPRESSED_HIT, _MISS = 0, 1, 2
+#: Shared op tuples for the uncompressed read hit and the write hit
+#: that does not overflow, indexed by ``is_write``.
+_HIT_OPS = ((_HIT, False, 0, 0, 0, 0, None), (_HIT, True, 0, 0, 0, 0, None))
+_HIT_KEY = CASE_COUNTER_KEYS[AccessCase.COMMIT_HIT]
+_MISS_KEY = CASE_COUNTER_KEYS[AccessCase.BLOCK_MISS]
 
 
 @dataclass
@@ -34,7 +47,7 @@ class _GroupEntry:
     cf: int = 1
 
 
-class DiceCache(BaselineController):
+class DiceCache(InlineServedBaseline):
     """Direct-mapped compressed 64 B-line DRAM cache."""
 
     name = "dice"
@@ -159,3 +172,225 @@ class DiceCache(BaselineController):
             self.devices.fast.read(now, nbytes, demand=False)
             self.devices.slow.write(now, nbytes)
             self.stats.inc("dirty_writebacks")
+
+    # ------------------------------------------------ deferred batch path
+    def make_deferred_server(self):
+        """Build the inline ``(serve, flush, replay)`` triple.
+
+        ``serve(addr, is_write)`` applies :meth:`access`'s state effects
+        in trace order — group entries and their present/dirty sets, the
+        oracle's ``note_write`` and ``max_cf`` queries, and the state
+        half of :meth:`_recheck_fit` — and returns the access's channel
+        work as one op for :meth:`access_batch`:
+
+            (kind, is_write, writeback_bytes, extra_bytes, install_bytes,
+             overflow_bytes, lines)
+
+        ``kind`` is 0 (hit), 1 (compressed read hit: decompression plus
+        ``lines``, the slot-mates to prefetch, in :meth:`access`'s order)
+        or 2 (miss, with the victim's dirty writeback, the extra
+        neighbour fetch and the install); ``overflow_bytes`` is a write
+        hit's overflow writeback. Counters tally in closure locals until
+        ``flush()`` scatters them into ``stats`` and the devices.
+        """
+        if not self.supports_batching:
+            return None
+        g = self.geometry
+        line_size = g.cacheline_size
+        block_size = g.block_size
+        sub_size = g.sub_block_size
+        group_lines = self._GROUP_LINES
+        group_bytes = group_lines * line_size
+        tad_bytes = self._TAD_BYTES
+        num_sets = self.num_sets
+        sets = self._sets
+        sets_get = sets.get
+        note_write = self.oracle.note_write
+        max_cf = self.oracle.max_cf
+        stats = self.stats
+        fast = self.devices.fast
+        slow = self.devices.slow
+        hit_ops = _HIT_OPS
+        # Tallies: accesses, writes, hits, line fills, evictions, dirty
+        # writebacks, write overflows.
+        t_acc = t_writes = t_hits = t_fills = t_evictions = 0
+        t_dirty_wb = t_overflows = 0
+        # Device tallies: demand reads, fill reads (count, bytes), writes
+        # (count, bytes). Fast demand reads are TAD-sized, slow ones one
+        # cacheline.
+        f_dr = f_fr = f_fb = f_nw = f_wb = 0
+        s_dr = s_fr = s_fb = s_nw = s_wb = 0
+
+        def serve(addr, is_write):
+            nonlocal t_acc, t_writes, t_hits, t_fills, t_evictions
+            nonlocal t_dirty_wb, t_overflows
+            nonlocal f_dr, f_fr, f_fb, f_nw, f_wb
+            nonlocal s_dr, s_fr, s_fb, s_nw, s_wb
+            line = addr // line_size
+            group_id = line // group_lines
+            line_in_group = line % group_lines
+            set_index = group_id % num_sets
+            entry = sets_get(set_index)
+            t_acc += 1
+            if is_write:
+                t_writes += 1
+            if (
+                entry is not None
+                and entry.group_id == group_id
+                and line_in_group in entry.present
+            ):
+                t_hits += 1
+                if not is_write:
+                    f_dr += 1
+                    if entry.cf > 1:
+                        base = group_id * group_bytes
+                        return (_COMPRESSED_HIT, False, 0, 0, 0, 0, [
+                            base + i * line_size
+                            for i in entry.present
+                            if i != line_in_group
+                        ])
+                    return hit_ops[0]
+                f_nw += 1
+                f_wb += tad_bytes
+                entry.dirty.add(line_in_group)
+                if not note_write(addr // block_size, (addr % block_size) // sub_size):
+                    return hit_ops[1]
+                # _recheck_fit, state half: its transfers go in the op.
+                # _group_cf, inlined: the group's first sub-block range.
+                base = group_id * group_bytes
+                new_cf = max_cf(base // block_size, (base % block_size) // sub_size, True)
+                if new_cf >= entry.cf:
+                    return hit_ops[1]
+                t_overflows += 1
+                keep_start = (line_in_group // new_cf) * new_cf
+                keep = set(range(keep_start, keep_start + new_cf))
+                evicted_dirty = entry.dirty - keep
+                overflow_bytes = len(evicted_dirty) * line_size
+                if overflow_bytes:
+                    f_fr += 1
+                    f_fb += overflow_bytes
+                    s_nw += 1
+                    s_wb += overflow_bytes
+                entry.present &= keep
+                entry.dirty &= keep
+                entry.cf = new_cf
+                return (_HIT, True, 0, 0, 0, overflow_bytes, None)
+
+            # Miss: fetch the line (plus compressible neighbours) from slow.
+            if is_write:
+                s_nw += 1
+                s_wb += line_size
+            else:
+                s_dr += 1
+            base = group_id * group_bytes
+            cf = max_cf(base // block_size, (base % block_size) // sub_size, True)
+            writeback_bytes = 0
+            if entry is not None:
+                # _writeback, inlined; a different group is also evicted.
+                if entry.dirty:
+                    writeback_bytes = len(entry.dirty) * line_size
+                    f_fr += 1
+                    f_fb += writeback_bytes
+                    s_nw += 1
+                    s_wb += writeback_bytes
+                    t_dirty_wb += 1
+                if entry.group_id != group_id:
+                    t_evictions += 1
+            start = (line_in_group // cf) * cf
+            present = set(range(start, min(start + cf, group_lines)))
+            present.add(line_in_group)
+            extra_bytes = (len(present) - 1) * line_size
+            if extra_bytes:
+                s_fr += 1
+                s_fb += extra_bytes
+            install_bytes = max(
+                tad_bytes, (len(present) // max(1, cf)) * tad_bytes
+            )
+            f_nw += 1
+            f_wb += install_bytes
+            sets[set_index] = _GroupEntry(
+                group_id=group_id,
+                present=present,
+                dirty={line_in_group} if is_write else set(),
+                cf=cf,
+            )
+            t_fills += 1
+            return (_MISS, is_write, writeback_bytes, extra_bytes,
+                    install_bytes, 0, None)
+
+        def flush():
+            nonlocal t_acc, t_writes, t_hits, t_fills, t_evictions
+            nonlocal t_dirty_wb, t_overflows
+            nonlocal f_dr, f_fr, f_fb, f_nw, f_wb
+            nonlocal s_dr, s_fr, s_fb, s_nw, s_wb
+            if not t_acc:
+                return
+            for key, count in (
+                ("accesses", t_acc), ("reads", t_acc - t_writes),
+                ("writes", t_writes), ("served_fast", t_hits),
+                (_HIT_KEY, t_hits), ("write_overflows", t_overflows),
+                ("dirty_writebacks", t_dirty_wb), ("evictions", t_evictions),
+                ("line_fills", t_fills), (_MISS_KEY, t_fills),
+            ):
+                if count:
+                    stats.inc(key, count)
+            fast.credit_traffic(f_dr, f_dr * tad_bytes, f_fr, f_fb, f_nw, f_wb)
+            slow.credit_traffic(s_dr, s_dr * line_size, s_fr, s_fb, s_nw, s_wb)
+            t_acc = t_writes = t_hits = t_fills = t_evictions = 0
+            t_dirty_wb = t_overflows = 0
+            f_dr = f_fr = f_fb = f_nw = f_wb = 0
+            s_dr = s_fr = s_fb = s_nw = s_wb = 0
+
+        return serve, flush, self.access_batch
+
+    def access_batch(self, ops, cycles: float, mlp: float) -> float:
+        """Replay a run of deferred ops against the channel pools.
+
+        Each op's transfers run at the clock the accumulator has reached
+        — the ``now`` the scalar loop passes to :meth:`access` — in
+        :meth:`access`'s order. A read's latency is the device total
+        ``((latency + 0.0) + queue) + transfer`` of its TAD or
+        slow-memory read, plus the decompression latency on a compressed
+        hit, so the channel busy state and ``cycles`` stay bit-identical
+        to the scalar path.
+        """
+        fast_transfer = self.devices.fast.pool.transfer
+        slow_transfer = self.devices.slow.pool.transfer
+        f_lat = self.devices.fast.read_latency + 0.0
+        s_lat = self.devices.slow.read_latency + 0.0
+        decomp = self.config.compression.decompression_latency_cycles
+        line_size = self.geometry.cacheline_size
+        tad_bytes = self._TAD_BYTES
+        now = self._now
+        for op in ops:
+            if op.__class__ is float:
+                cycles += op
+                continue
+            kind, is_write, wb_bytes, extra_bytes, install_bytes, overflow, _ = op
+            now = cycles
+            if kind == _MISS:
+                if is_write:
+                    slow_transfer(now, line_size)
+                else:
+                    queue, transfer = slow_transfer(now, line_size, True)
+                    cycles += ((s_lat + queue) + transfer) / mlp
+                if wb_bytes:
+                    fast_transfer(now, wb_bytes)
+                    slow_transfer(now, wb_bytes)
+                if extra_bytes:
+                    slow_transfer(now, extra_bytes)
+                fast_transfer(now, install_bytes)
+            elif is_write:
+                # Posted: channel occupancy only, no core-visible latency.
+                fast_transfer(now, tad_bytes)
+                if overflow:
+                    fast_transfer(now, overflow)
+                    slow_transfer(now, overflow)
+            else:
+                queue, transfer = fast_transfer(now, tad_bytes, True)
+                latency = (f_lat + queue) + transfer
+                if kind == _COMPRESSED_HIT:
+                    latency += decomp
+                cycles += latency / mlp
+        self._now = now
+        return cycles

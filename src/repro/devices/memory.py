@@ -135,6 +135,25 @@ class MemoryDevice:
         self._n_writes += 1
         return DeviceAccess(self._array_latency(addr, self.write_latency), queue, transfer)
 
+    def credit_traffic(
+        self,
+        demand_reads: int,
+        demand_bytes: int,
+        fill_reads: int,
+        fill_bytes: int,
+        writes: int,
+        write_bytes: int,
+    ) -> None:
+        """Count traffic whose transfers a deferred server replays itself:
+        the totals per-access :meth:`read` and :meth:`write` calls would
+        have added, folded in one update."""
+        self._n_reads += demand_reads + fill_reads
+        self._n_read_bytes += demand_bytes + fill_bytes
+        self._n_demand_read_bytes += demand_bytes
+        self._n_fill_read_bytes += fill_bytes
+        self._n_writes += writes
+        self._n_write_bytes += write_bytes
+
     @property
     def total_bytes(self) -> int:
         stats = self.stats  # flushes pending counts

@@ -15,6 +15,12 @@ from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.sim.results import SimResult
 
 
+#: The fast loop replays its pending run of deferred ops and cycle
+#: increments once it holds more than this many entries, so a long
+#: run's memory stays bounded. Replay boundaries never change results.
+MAX_PENDING_OPS = 4096
+
+
 def _decline(addr, is_write):
     """The seam of a controller without one: every op takes ``access``."""
     return None
@@ -64,27 +70,27 @@ class SystemSimulator:
         controller's *deferred seam* when it has one: safe ops — reads,
         write hits that provably do not overflow, batch-safe writebacks —
         are state-applied eagerly in trace order and their channel timing
-        replays in one ``access_batch`` call. For Baryon the ops are
-        served by the inlined ``serve`` closure of
+        replays in one ``access_batch`` call. For Baryon, Hybrid2, Unison
+        and DICE the ops are served by the inlined ``serve`` closure of
         ``make_deferred_server``, for ``simple`` by its per-op
         ``access_deferred``. Any unsafe op (zero-encoding breaks,
         overflowing writes, block fills) first flushes the pending run and
         then takes ``controller.access`` with the current clock; without
-        the seam every miss and writeback does. SimResults — cycles,
-        counters, energy — and every hierarchy counter are bit-identical
-        to the scalar loop (the float accumulation order of ``cycles`` is
-        preserved operation for operation);
+        the seam every miss and writeback does. Unison and DICE keep no
+        clock-dependent state, so none of their ops is unsafe. SimResults
+        — cycles, counters, energy — and every hierarchy counter are
+        bit-identical to the scalar loop (the float accumulation order of
+        ``cycles`` is preserved operation for operation);
         ``tests/test_hotpath_equivalence.py`` and the golden corpus in
         ``tests/test_golden.py`` assert this.
 
     The seam has two vetoes. The controller's ``supports_batching`` is
     false while a per-access observer of its own is attached — fault
     injection, recovery, the shadow checker, the phase tracker, the
-    content oracle or event tracing all hook the scalar ``access`` flow —
-    and always for unison and dice. An attached ``metrics``
-    registry turns it off as well: a deferred op's latency exists only at
-    replay time, but the latency histogram observes every miss as it is
-    served. Profiling, spans and progress callbacks never change which
+    content oracle or event tracing all hook the scalar ``access`` flow.
+    An attached ``metrics`` registry turns it off as well: a deferred
+    op's latency exists only at replay time, but the latency histogram
+    observes every miss as it is served. Profiling, spans and progress callbacks never change which
     code runs.
 
     Observability (all optional, all free when absent):
@@ -441,9 +447,14 @@ class SystemSimulator:
         declined op first replays the pending run (so ``cycles`` is
         current) and flushes the seam's tallies, then takes
         ``controller.access`` with that clock, exactly as the scalar loop
-        would. The only skipped additions are ``+ 0.0`` terms (zero
-        instruction gaps), which cannot change a non-negative accumulator
-        bit pattern.
+        would. The pending run is bounded: once it holds more than
+        :data:`MAX_PENDING_OPS` entries, the next record boundary replays
+        it. A replay boundary only decides when ``batch`` runs, not what
+        it computes, so results do not depend on the bound; it keeps a
+        long run of never-declining ops (Unison, DICE) from holding a
+        whole span in memory. The only skipped additions are ``+ 0.0``
+        terms (zero instruction gaps), which cannot change a
+        non-negative accumulator bit pattern.
         """
         if start >= stop:
             return
@@ -452,6 +463,7 @@ class SystemSimulator:
             server_flush, ctrl_batch, observe,
         ) = self._loop
         mlp = self.config.memory_level_parallelism
+        max_pending = MAX_PENDING_OPS
         walk = self._walk
         incs = walk.incs
         ends = walk.ends
@@ -471,6 +483,9 @@ class SystemSimulator:
             walk.kinds[first:after], walk.spills[first:after],
             walk.victims[first:after],
         ):
+            if len(ops) > max_pending:
+                cycles = ctrl_batch(ops, cycles, mlp)
+                ops.clear()
             if ops:
                 ops.extend(incs[pos:end])
             else:

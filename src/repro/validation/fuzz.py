@@ -246,9 +246,65 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
             f"{path} seam diverged in cycles: {cycles} vs {twin_cycles}",
             kind="batched_divergence", location="cycles",
         )
+    for name in ("fast", "slow"):
+        # Posted transfers add no latency, so only the channels show them.
+        scalar_pool = getattr(scalar_ctrl.devices, name).pool
+        twin_pool = getattr(twin_ctrl.devices, name).pool
+        if (scalar_pool._busy_until, scalar_pool.total_busy_cycles) != (
+            twin_pool._busy_until, twin_pool.total_busy_cycles
+        ):
+            raise OracleViolation(
+                f"{path} seam diverged in {name} channel busy state",
+                kind="batched_divergence", location=f"{name}_pool",
+            )
     columnar = getattr(twin_ctrl, "columnar", None)
     if columnar is not None:
         columnar.verify()
+
+
+def _seam_replay(
+    ctrl, serve, server_flush, batch, trace: List[TraceRecord], mlp: float,
+    rng: Optional[random.Random],
+) -> float:
+    """Drive ``trace`` through one deferred seam as
+    ``SystemSimulator._fast_span`` does; returns the finishing clock.
+
+    Served ops queue for ``batch``; a declined access first replays the
+    pending run and flushes the seam's tallies, then takes
+    ``ctrl.access`` at the current clock. With an ``rng``, random span
+    boundaries also force replay/flush points mid-run, the same
+    write-back points progress chunking and the pending-run bound
+    introduce.
+    """
+    n = len(trace)
+    boundary = n + 1
+    if rng is not None and rng.random() < 0.7:
+        boundary = rng.randrange(1, n + 1)
+
+    cycles = 0.0
+    ops: List = []
+    for i, (addr, is_write) in enumerate(trace):
+        if i == boundary:
+            if ops:
+                cycles = batch(ops, cycles, mlp)
+                ops.clear()
+            server_flush()
+            boundary += rng.randrange(1, max(2, n // 4))
+        op = serve(addr, is_write)
+        if op is not None:
+            ops.append(op)
+            continue
+        if ops:
+            cycles = batch(ops, cycles, mlp)
+            ops.clear()
+        server_flush()
+        mem = ctrl.access(addr, is_write, cycles)
+        if not is_write:
+            cycles += mem.latency_cycles / mlp
+    if ops:
+        cycles = batch(ops, cycles, mlp)
+    server_flush()
+    return cycles
 
 
 def run_batched_case(
@@ -268,12 +324,12 @@ def run_batched_case(
     ``serve`` applies state eagerly in trace order and ``access_batch``
     replays the channel timing at every declined access — under
     adversarial scheduling: random span boundaries force
-    batch-replay/flush points mid-run, the same write-back points
-    progress chunking introduces. Both must finish with bit-identical
-    counters (controller, devices, remap cache) and the same clock, and
-    the twin's stage probe indices must verify against its tag array.
-    Raises :class:`OracleViolation` (``kind="batched_divergence"``)
-    otherwise, including when the twin builds no server.
+    batch-replay/flush points mid-run (:func:`_seam_replay`). Both must
+    finish with bit-identical counters (controller, devices, remap cache)
+    and the same clock, and the twin's stage probe indices must verify
+    against its tag array. Raises :class:`OracleViolation`
+    (``kind="batched_divergence"``) otherwise, including when the twin
+    builds no server.
 
     ``controller_cls`` swaps another ``BaryonController`` subclass into
     both twins; ``Hybrid2`` puts the k = 0 commit policy on the seam.
@@ -288,84 +344,55 @@ def run_batched_case(
             "forced batched configuration builds no deferred server",
             kind="batched_divergence", location="make_deferred_server",
         )
-    serve, server_flush, batch = server
     mlp = 4.0
     scalar_ctrl = controller_cls(make_tiny_config(**config_kwargs), seed=seed)
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-    n = len(trace)
-    # Forced replay boundaries, as progress chunking would place them.
-    boundary = rng.randrange(1, n + 1) if rng.random() < 0.7 else n + 1
-
-    b_cycles = 0.0
-    ops: List = []
-    for i, (addr, is_write) in enumerate(trace):
-        if i == boundary:
-            if ops:
-                b_cycles = batch(ops, b_cycles, mlp)
-                ops.clear()
-            server_flush()
-            boundary += rng.randrange(1, max(2, n // 4))
-        op = serve(addr, is_write)
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-            ops.clear()
-        server_flush()
-        mem = twin.access(addr, is_write, b_cycles)
-        if not is_write:
-            b_cycles += mem.latency_cycles / mlp
-    if ops:
-        b_cycles = batch(ops, b_cycles, mlp)
-    server_flush()
+    b_cycles = _seam_replay(twin, *server, trace, mlp, rng)
 
     path = getattr(controller_cls, "name", "batched")
     _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, path)
 
 
-def run_simple_case(
-    config_kwargs: Dict, trace: List[TraceRecord], seed: int
+def run_baseline_case(
+    config_kwargs: Dict,
+    trace: List[TraceRecord],
+    seed: int,
+    baseline_cls=None,
+    rng: Optional[random.Random] = None,
 ) -> None:
-    """Drive the ``simple`` baseline's deferred seam against its scalar twin.
+    """Drive a cache baseline's deferred seam against its scalar twin.
 
-    The simple design batches its commit-hit stream (block misses
-    decline with no state applied), so the same twin-controller
-    discipline applies: counters, device traffic, remap-cache stats and
-    the clock must be bit-identical.
+    ``baseline_cls`` is ``SimpleCache`` (the default), ``UnisonCache``
+    or ``DiceCache`` (both twins' oracles seeded with ``seed``). A design with a ``make_deferred_server`` is driven through
+    its server; ``simple`` through its per-op ``access_deferred``, whose
+    block misses decline with no state applied. The same twin-controller
+    discipline applies: counters, device traffic, the remap-cache stats
+    of designs that have one, and the clock must be bit-identical. An
+    ``rng`` adds forced replay boundaries (:func:`_seam_replay`).
     """
-    from repro.baselines.simple_cache import SimpleCache
+    from repro.baselines import DiceCache, SimpleCache
 
-    config = make_tiny_config(**config_kwargs)
-    scalar_ctrl = SimpleCache(config)
-    batched_ctrl = SimpleCache(make_tiny_config(**config_kwargs))
-    if not getattr(batched_ctrl, "supports_batching", False):
+    baseline_cls = baseline_cls or SimpleCache
+    kwargs = {"seed": seed} if issubclass(baseline_cls, DiceCache) else {}
+    scalar_ctrl = baseline_cls(make_tiny_config(**config_kwargs), **kwargs)
+    twin = baseline_cls(make_tiny_config(**config_kwargs), **kwargs)
+    name = baseline_cls.name
+    if not getattr(twin, "supports_batching", False):
         raise OracleViolation(
-            "simple baseline unexpectedly declines batching",
+            f"{name} baseline unexpectedly declines batching",
             kind="batched_divergence", location="supports_batching",
         )
+    make_server = getattr(twin, "make_deferred_server", None)
+    if make_server is not None:
+        server = make_server()
+    else:
+        # Per-op seam: its tallies land as it serves, nothing to flush.
+        server = (twin.access_deferred, lambda: None, twin.access_batch)
     mlp = 4.0
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
+    b_cycles = _seam_replay(twin, *server, trace, mlp, rng)
 
-    b_cycles = 0.0
-    ops: List = []
-    deferred = batched_ctrl.access_deferred
-    batch = batched_ctrl.access_batch
-    for addr, is_write in trace:
-        op = deferred(addr, is_write)
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-            ops.clear()
-        mem = batched_ctrl.access(addr, is_write, b_cycles)
-        if not is_write:
-            b_cycles += mem.latency_cycles / mlp
-    if ops:
-        b_cycles = batch(ops, b_cycles, mlp)
-
-    _assert_twin_match(scalar_ctrl, batched_ctrl, cycles, b_cycles, "simple")
+    _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, name)
 
 
 def run_fuzz(
@@ -378,13 +405,17 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    across the deferred-batch seam three ways, each against a fresh scalar
+    across the deferred-batch seam five ways, each against a fresh scalar
     twin: Baryon's inline server under forced flush boundaries
     (:func:`run_batched_case`), the ``simple`` baseline's seam
-    (:func:`run_simple_case`), and Hybrid2 — Baryon at k = 0 — on the
-    same server (``run_batched_case`` with ``Hybrid2`` twins).
+    (:func:`run_baseline_case`), Hybrid2 — Baryon at k = 0 — on the
+    same server (``run_batched_case`` with ``Hybrid2`` twins), and the
+    Unison and DICE servers under forced flush boundaries
+    (``run_baseline_case`` with their classes). The later checks draw
+    from the iteration's rng after the earlier ones, so adding them
+    changed no earlier check's draws.
     """
-    from repro.baselines.hybrid2 import Hybrid2
+    from repro.baselines import DiceCache, Hybrid2, UnisonCache
 
     report = FuzzReport()
     for iteration in range(iterations):
@@ -400,10 +431,14 @@ def run_fuzz(
             if batched:
                 run_batched_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_batched_checks")
-                run_simple_case(config_kwargs, trace, seed)
+                run_baseline_case(config_kwargs, trace, seed)
                 report.stats.inc("fuzz_simple_checks")
                 run_batched_case(config_kwargs, trace, seed, rng, Hybrid2)
                 report.stats.inc("fuzz_hybrid2_checks")
+                run_baseline_case(config_kwargs, trace, seed, UnisonCache, rng)
+                report.stats.inc("fuzz_unison_checks")
+                run_baseline_case(config_kwargs, trace, seed, DiceCache, rng)
+                report.stats.inc("fuzz_dice_checks")
         except OracleViolation as error:
             report.stats.inc("fuzz_violations")
             report.failures.append(

@@ -99,7 +99,7 @@ FLAT_CELLS = (
 MIN_FLAT_COMMIT_HITS = 100
 
 #: Designs whose observed runs must match their unobserved digests.
-OBSERVED_DESIGNS = ("baryon", "simple", "unison")
+OBSERVED_DESIGNS = ("baryon", "simple", "unison", "dice")
 OBSERVATIONS = ("profiled", "metered", "progress+spans")
 METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 

@@ -18,7 +18,7 @@ import pytest
 
 import repro.cache.hierarchy as hierarchy_module
 from repro.analysis import build_controller
-from repro.baselines import Hybrid2
+from repro.baselines import DiceCache, Hybrid2, UnisonCache
 from repro.cache import CacheHierarchy
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
 from repro.common.errors import SimulationError
@@ -293,10 +293,10 @@ class TestSimpleDesignSeam:
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_fuzz_twin_clean(self, seed):
-        from repro.validation.fuzz import run_simple_case
+        from repro.validation.fuzz import run_baseline_case
 
         records = generate_trace(random.Random(seed), make_tiny_config(), 700)
-        run_simple_case({}, records, seed)
+        run_baseline_case({}, records, seed)
 
 
 class TestHybrid2Seam:
@@ -351,6 +351,139 @@ class TestHybrid2Seam:
         _run(ZipfWorkload, scalar=False, ctrl=ctrl)
         assert counts["deferred"] > 0
         assert counts["served_commits"] >= 1
+
+
+def _counting_server(ctrl, counts):
+    """Wrap ``ctrl.make_deferred_server`` so every op its ``serve``
+    returns is counted in ``counts["deferred"]``, and every op carrying
+    prefetched lines in ``counts["prefetching"]``."""
+    make_server = ctrl.make_deferred_server
+
+    def counting_server():
+        serve, flush, batch = make_server()
+
+        def counting_serve(addr, is_write):
+            op = serve(addr, is_write)
+            if op is not None:
+                counts["deferred"] += 1
+                if op[6]:
+                    counts["prefetching"] += 1
+            return op
+
+        return counting_serve, flush, batch
+
+    ctrl.make_deferred_server = counting_server
+
+
+#: Unison/DICE seam cells: (design, workload, fast MB, accesses, workload
+#: kwargs, counters the fast run must make non-zero). The strided stream
+#: touches one line per 2 kB page over twice the footprint-history
+#: capacity, so Unison evicts history records; ``prefetching`` counts
+#: DICE's compressed read hits that hand slot-mates to the LLC.
+BASELINE_SEAM_CELLS = [
+    pytest.param(UnisonCache, ZipfWorkload, 4, 3000, {},
+                 ("way_mispredictions", "footprint_misses"), id="unison-Zipf"),
+    pytest.param(UnisonCache, StreamWorkload, 4, 3000, {},
+                 ("footprint_misses",), id="unison-Stream"),
+    pytest.param(UnisonCache, StreamWorkload, 1, 4000, {"stride": 2048},
+                 ("way_mispredictions", "history_evictions", "dirty_writebacks"),
+                 id="unison-Stream-paged"),
+    pytest.param(DiceCache, ZipfWorkload, 4, 3000, {},
+                 ("write_overflows", "prefetching"), id="dice-Zipf"),
+    pytest.param(DiceCache, StreamWorkload, 4, 3000, {},
+                 ("write_overflows", "prefetching"), id="dice-Stream"),
+]
+
+
+def _run_baseline(cls, workload_cls, fast_mb, n, wl_kwargs, *, scalar):
+    """One small-config run of a cache baseline; returns the result, the
+    controller and the run's op counts."""
+    config = make_small_config(fast_mb=fast_mb)
+    ctrl = cls(config, seed=2) if cls is DiceCache else cls(config)
+    counts = {"deferred": 0, "prefetching": 0}
+    _counting_server(ctrl, counts)
+    trace = _make_trace(workload_cls, config, n, seed=2, **wl_kwargs)
+    if hasattr(ctrl, "oracle"):
+        trace.apply_compressibility(ctrl.oracle)
+    sim = SystemSimulator(ctrl, make_small_sim_config())
+    return sim.run(trace, "wl", cls.name, scalar=scalar), ctrl, counts
+
+
+class TestUnisonAndDiceSeam:
+    """Unison and DICE serve every miss through their own inline
+    servers; the fast loop must match the scalar loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cls,workload_cls,fast_mb,n,wl_kwargs,covered", BASELINE_SEAM_CELLS
+    )
+    def test_simresult_bit_identical(
+        self, cls, workload_cls, fast_mb, n, wl_kwargs, covered
+    ):
+        ref, ref_ctrl, ref_counts = _run_baseline(
+            cls, workload_cls, fast_mb, n, wl_kwargs, scalar=True
+        )
+        fast, ctrl, counts = _run_baseline(
+            cls, workload_cls, fast_mb, n, wl_kwargs, scalar=False
+        )
+        assert fast.to_dict() == ref.to_dict()
+        assert fast.cycles == ref.cycles  # exact float equality, no tolerance
+        assert ctrl.stats.as_dict() == ref_ctrl.stats.as_dict()
+        # The scalar run never serves; the fast run defers every access.
+        assert ref_counts["deferred"] == 0
+        assert counts["deferred"] == ctrl.stats.get("accesses") > 0
+        assert ctrl.deferred_declines == {}
+        # The rare paths are on the compared path.
+        seen = {**ctrl.stats.as_dict(), **counts}
+        assert all(seen.get(key, 0) > 0 for key in covered), seen
+
+    @pytest.mark.parametrize("cls", [UnisonCache, DiceCache], ids=["unison", "dice"])
+    def test_event_tracer_turns_the_seam_off(self, cls):
+        from repro.obs import EventTracer, attach_observability
+
+        ctrl = cls(make_small_config())
+        assert ctrl.supports_batching
+        attach_observability(ctrl, EventTracer())
+        assert not ctrl.supports_batching
+        assert ctrl.make_deferred_server() is None
+        assert ctrl.access_deferred(0, False) is None
+
+    def test_pending_run_bound_keeps_bit_identity(self, monkeypatch):
+        """A tiny bound replays the pending run every few records; the
+        result must not move."""
+        import repro.sim.system as system_module
+
+        ref = _run_baseline(
+            UnisonCache, ZipfWorkload, 4, 3000, {}, scalar=True
+        )[0]
+        monkeypatch.setattr(system_module, "MAX_PENDING_OPS", 8)
+        config = make_small_config()
+        ctrl = UnisonCache(config)
+        replays = [0]
+        batch = ctrl.access_batch
+
+        def counting_batch(ops, cycles, mlp):
+            replays[0] += 1
+            return batch(ops, cycles, mlp)
+
+        ctrl.access_batch = counting_batch
+        trace = _make_trace(ZipfWorkload, config, 3000, seed=2)
+        fast = SystemSimulator(ctrl, make_small_sim_config()).run(
+            trace, "wl", "unison"
+        )
+        assert fast.to_dict() == ref.to_dict()
+        assert fast.cycles == ref.cycles
+        # Unbounded, the warmup and measured spans replay once each; the
+        # bound cut them into hundreds of runs.
+        assert replays[0] > 100
+
+    @pytest.mark.parametrize("cls", [UnisonCache, DiceCache], ids=["unison", "dice"])
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_fuzz_twin_clean(self, cls, seed):
+        """The fuzzer's server twin under random forced flush boundaries."""
+        from repro.validation.fuzz import run_baseline_case
+
+        records = generate_trace(random.Random(seed), make_tiny_config(), 700)
+        run_baseline_case({}, records, seed, cls, random.Random(seed * 7))
 
 
 def _four_core_sim_config(policy="lru", l2_kb=32, base_cpi=None, llc_latency=38):

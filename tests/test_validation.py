@@ -145,10 +145,11 @@ class TestFuzz:
 
     def test_fuzz_batched_runs_every_seam_twin(self):
         """Every batched iteration replays Baryon's server, the simple
-        seam and Hybrid2 (k = 0) on the server against scalar twins."""
+        seam, Hybrid2 (k = 0) on the server, and the Unison and DICE
+        servers against scalar twins."""
         report = run_fuzz(iterations=3, seed=7, n_accesses=300, batched=True)
         assert report.ok
-        for check in ("batched", "simple", "hybrid2"):
+        for check in ("batched", "simple", "hybrid2", "unison", "dice"):
             assert report.stats.get(f"fuzz_{check}_checks") == 3
 
     def test_fuzz_collects_injected_failures(self):
