@@ -11,8 +11,14 @@ in-tree scalar-vs-fast comparison cannot catch.
 
 The corpus also pins observation: profiled, metered and
 progress-plus-spans runs must reproduce the unobserved digests, and the
-exported latency histogram and serve-rate/IPC series of two metered
+exported latency histogram and serve-rate/IPC series of four metered
 cells are pinned too.
+
+Unison and DICE are further pinned access by access: for the seed-7
+fuzz cases ``repro validate --fuzz-batched`` draws, a per-op ``access``
+replay's final clock, counters, channel busy state and per-access
+``(case, latency, prefetched)`` stream are hashed into the ``twins``
+corpus.
 
 An intentional behaviour change re-baselines the corpus in its own
 change::
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -37,6 +44,12 @@ from repro.obs.manifest import _result_digest
 from repro.obs.spans import SpanTracer
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController
+from repro.validation.fuzz import (
+    _scalar_replay,
+    generate_trace,
+    make_tiny_config,
+    sample_config_kwargs,
+)
 from repro.workloads import build_workload, scaled_system
 
 GOLDEN_PATH = Path(__file__).with_name("golden_corpus.json")
@@ -102,6 +115,14 @@ MIN_FLAT_COMMIT_HITS = 100
 OBSERVED_DESIGNS = ("baryon", "simple", "unison", "dice")
 OBSERVATIONS = ("profiled", "metered", "progress+spans")
 METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
+#: Designs whose metered exports (latency histogram, series) are pinned.
+METERED_DESIGNS = ("baryon", "simple", "unison", "dice")
+
+#: The twin corpus: ``run_fuzz``'s seed and the iterations whose
+#: (config, trace) cases are replayed per design.
+TWIN_SEED = 7
+TWIN_ITERATIONS = 25
+TWIN_DESIGNS = ("unison", "dice")
 
 
 def cell_names():
@@ -167,6 +188,47 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
     return layer_digests(result), exported, result.case_counts.get("commit_hit", 0)
 
 
+def twin_digest(design: str, iteration: int) -> str:
+    """Digest of one fuzz case replayed through ``design``'s per-op
+    ``access``: the final clock, controller and device counters, channel
+    busy state and the per-access ``(case, latency, prefetched)`` stream.
+    The case is the one ``run_fuzz(iterations, TWIN_SEED)`` draws for
+    ``iteration``."""
+    from repro.baselines import DiceCache, UnisonCache
+
+    rng = random.Random(f"{TWIN_SEED}:{iteration}")
+    config_kwargs = sample_config_kwargs(rng)
+    trace = generate_trace(rng, make_tiny_config(**config_kwargs))
+    if design == "dice":
+        ctrl = DiceCache(make_tiny_config(**config_kwargs), seed=TWIN_SEED)
+    else:
+        ctrl = UnisonCache(make_tiny_config(**config_kwargs))
+    stream = []
+    access = ctrl.access
+
+    def recording_access(addr, is_write, now):
+        mem = access(addr, is_write, now)
+        stream.append(
+            (mem.case.value, mem.latency_cycles, list(mem.prefetched_lines))
+        )
+        return mem
+
+    ctrl.access = recording_access
+    cycles = _scalar_replay(ctrl, trace, 4.0)
+    devices = ctrl.devices
+    return _result_digest({
+        "cycles": cycles,
+        "controller": ctrl.stats.as_dict(),
+        "fast": devices.fast.stats.as_dict(),
+        "slow": devices.slow.stats.as_dict(),
+        "channels": [
+            (pool._busy_until, pool.total_busy_cycles)
+            for pool in (devices.fast.pool, devices.slow.pool)
+        ],
+        "stream": stream,
+    })
+
+
 @lru_cache(maxsize=1)
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -205,10 +267,22 @@ def test_observed_run_matches_unobserved(design, observation):
     assert run_golden_cell(cell, observation)[0] == golden()["cells"][cell]
 
 
-@pytest.mark.parametrize("design", ("baryon", "simple"))
+@pytest.mark.parametrize("design", METERED_DESIGNS)
 def test_metered_export_matches_golden(design):
     cell = f"YCSB-B/{design}"
     assert run_golden_cell(cell, "metered")[1] == golden()["metrics"][cell]
+
+
+@pytest.mark.parametrize("design", TWIN_DESIGNS)
+def test_twin_replay_matches_golden(design):
+    """Per-access pin of the Unison and DICE access flow: every fuzz
+    case's replay must hash to its committed digest."""
+    want = golden()["twins"][design]
+    got = [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
+    moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(want) == TWIN_ITERATIONS and not moved, (
+        f"{design}: twin digests moved at fuzz iterations {moved}"
+    )
 
 
 def regenerate() -> dict:
@@ -219,7 +293,11 @@ def regenerate() -> dict:
         "cells": {cell: run_golden_cell(cell)[0] for cell in cell_names()},
         "metrics": {
             f"YCSB-B/{design}": run_golden_cell(f"YCSB-B/{design}", "metered")[1]
-            for design in ("baryon", "simple")
+            for design in METERED_DESIGNS
+        },
+        "twins": {
+            design: [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
+            for design in TWIN_DESIGNS
         },
     }
 
