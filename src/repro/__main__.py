@@ -281,7 +281,7 @@ def build_validate_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fuzz-batched", action="store_true",
                         help="additionally cross-check every fuzz case "
                         "across the controller's deferred-batch seam "
-                        "(deferred server + access_batch vs scalar access; "
+                        "(deferred server + access_batch vs per-op access; "
                         "fault injection off, oracle on)")
     parser.add_argument("--minimize", action="store_true",
                         help="delta-debug any fuzzer-found failure before "

@@ -4,18 +4,19 @@ Each baseline owns the same :class:`~repro.devices.memory.HybridMemoryDevices`
 pair as Baryon and returns :class:`~repro.core.events.AccessResult` objects,
 so the system simulator and the analysis code treat all designs uniformly.
 Hybrid2 is the exception: it subclasses ``BaryonController`` directly.
-:class:`InlineServedBaseline` adds the deferred-seam contract for designs
-whose state never depends on the clock (Unison, DICE).
+:class:`InlineServedBaseline` is the whole access flow of designs whose
+state never depends on the clock (Unison, DICE): one inline server plus
+one transfer replay, shared by ``access`` and the deferred seam.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.config import BaryonConfig
 from repro.common.stats import CounterGroup
-from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessResult
+from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase, AccessResult
 from repro.devices.memory import HybridMemoryDevices
 from repro.obs.tracer import NULL_TRACER
 
@@ -87,12 +88,27 @@ class InlineServedBaseline(BaselineController):
 
     Subclasses keep no clock-dependent state: LRU order, predictors,
     footprint history and compression state all evolve in trace order.
-    So ``make_deferred_server``'s ``serve`` applies every access's state
-    eagerly and never declines, and ``access_batch`` replays the channel
-    transfers each op recorded, at the op's clock and in the scalar
-    order. The scalar :meth:`access` stays the reference, and the path
-    for traced runs.
+    So each design is two closures, built once per controller:
+
+    * ``serve(addr, is_write)`` (from :meth:`_build_server`, with its
+      ``flush``) applies every state effect eagerly and never declines.
+      It returns one fixed-shape 7-slot op: slot 0 indexes
+      :attr:`_CASES`, slot 1 is ``is_write``, slot 6 holds the
+      prefetched cacheline addresses (or ``None``). ``flush()`` scatters
+      the counter tallies into ``stats`` and the devices.
+    * ``replay(op, now)`` (from :meth:`_build_replay`) runs the op's
+      channel transfers at ``now`` in the design's order and returns the
+      access's latency, writes included; each device total is
+      ``((latency + 0.0) + queue) + transfer`` as in ``MemoryDevice``.
+
+    :meth:`access` is serve, flush and replay of one op;
+    :meth:`access_batch` loops ``replay`` over a deferred run. The
+    closures hold no reference to the controller (a cycle would keep it
+    alive until the cyclic collector ran).
     """
+
+    #: ``AccessResult.case`` per op kind (slot 0 of an op).
+    _CASES: Tuple[AccessCase, ...] = ()
 
     def __init__(
         self,
@@ -101,16 +117,39 @@ class InlineServedBaseline(BaselineController):
     ) -> None:
         super().__init__(config, devices)
         #: Per-reason decline counters, as on Baryon and ``simple``;
-        #: always empty, since no access needs the scalar path.
+        #: always empty, since no access needs a fallback.
         self.deferred_declines: Dict[str, int] = {}
+        self._closures = None
 
     @property
     def supports_batching(self) -> bool:
         """The seam applies whenever per-access event tracing is off."""
         return not self.obs.enabled
 
+    def _bind(self):
+        """``(serve, flush, replay)``, built on first use (the subclass
+        state they close over exists only after ``__init__``)."""
+        if self._closures is None:
+            self._closures = (*self._build_server(), self._build_replay())
+        return self._closures
+
+    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
+        now = self._advance(now)
+        serve, flush, replay = self._closures or self._bind()
+        op = serve(addr, is_write)
+        flush()
+        case = self._CASES[op[0]]
+        result = AccessResult(case, replay(op, now), is_write, False, op[6] or [])
+        if self.obs.enabled:
+            self.obs.emit(
+                "access", t=now, addr=addr, block=self.geometry.block_id(addr),
+                case=case.value, write=is_write, latency=result.latency_cycles,
+                fast=case in FAST_CASES, overflow=False,
+            )
+        return result
+
     def access_deferred(self, addr: int, is_write: bool = False):
-        """Serve one access through a fresh server and flush its tallies.
+        """Serve one access and flush its tallies.
 
         Returns the op tuple for :meth:`access_batch`, or ``None`` while
         the seam is vetoed. The simulator drives the server directly;
@@ -124,16 +163,41 @@ class InlineServedBaseline(BaselineController):
         flush()
         return op
 
-    @abc.abstractmethod
     def make_deferred_server(self):
         """``(serve, flush, self.access_batch)``, or ``None`` while
-        :attr:`supports_batching` is false. ``serve(addr, is_write)``
-        returns one fixed-shape 7-slot op tuple whose slot 6 holds the
-        prefetched cacheline addresses (or ``None``); ``flush()``
-        scatters the closure's counter tallies into ``stats`` and the
-        devices."""
+        :attr:`supports_batching` is false."""
+        if not self.supports_batching:
+            return None
+        serve, flush, _ = self._bind()
+        return serve, flush, self.access_batch
 
-    @abc.abstractmethod
     def access_batch(self, ops, cycles: float, mlp: float) -> float:
         """Replay ``ops`` (op tuples interleaved with float cycle
-        increments) against the channel pools; return the new clock."""
+        increments) against the channel pools; return the new clock.
+
+        Each op replays at the clock the accumulator has reached — the
+        ``now`` the scalar loop passes to :meth:`access` — and a read's
+        latency stalls the core by ``latency / mlp``, so the channel busy
+        state and ``cycles`` match per-op :meth:`access` bit for bit.
+        """
+        replay = self._bind()[2]
+        now = self._now
+        for op in ops:
+            if op.__class__ is float:
+                cycles += op
+                continue
+            now = cycles
+            latency = replay(op, now)
+            if not op[1]:
+                # Writes are posted; only read latency stalls the core.
+                cycles += latency / mlp
+        self._now = now
+        return cycles
+
+    @abc.abstractmethod
+    def _build_server(self):
+        """``(serve, flush)`` closures over the design's state."""
+
+    @abc.abstractmethod
+    def _build_replay(self):
+        """``replay(op, now) -> latency`` over the channel pools."""

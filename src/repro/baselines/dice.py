@@ -12,19 +12,19 @@ predictor, so hits cost a single fast-memory access and no extra tag
 probes. Compressed residency also grants DICE the memory-to-LLC spatial
 prefetch of co-compressed lines.
 
-No state here depends on the clock, so the simulator's deferred seam
-serves every access (:meth:`DiceCache.make_deferred_server`) and replays
-the channel timing in :meth:`DiceCache.access_batch`.
+No state here depends on the clock, so the design is one inline server
+that applies each access's state in trace order and one replay of its
+channel transfers (:class:`~repro.baselines.base.InlineServedBaseline`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.baselines.base import InlineServedBaseline
 from repro.compression.synthetic import SyntheticCompressibility
-from repro.core.events import CASE_COUNTER_KEYS, AccessCase, AccessResult
+from repro.core.events import CASE_COUNTER_KEYS, AccessCase
 
 # Deferred op kinds: hit, compressed read hit (decompresses and
 # prefetches its slot-mates), line miss.
@@ -51,6 +51,7 @@ class DiceCache(InlineServedBaseline):
     """Direct-mapped compressed 64 B-line DRAM cache."""
 
     name = "dice"
+    _CASES = (AccessCase.COMMIT_HIT, AccessCase.COMMIT_HIT, AccessCase.BLOCK_MISS)
     _GROUP_LINES = 4
     #: TAD (tag-and-data) transfer size: the tag rides in spare ECC bits
     #: plus alignment, costing extra fast-memory bandwidth per access.
@@ -64,137 +65,25 @@ class DiceCache(InlineServedBaseline):
         self.num_sets = fast_lines
         self._sets: Dict[int, _GroupEntry] = {}
 
-    # -- address helpers -------------------------------------------------------
-    def _group_of(self, addr: int) -> tuple[int, int]:
-        line = addr // self.geometry.cacheline_size
-        return line // self._GROUP_LINES, line % self._GROUP_LINES
+    def _build_server(self):
+        """The inline ``(serve, flush)`` pair.
 
-    def _group_cf(self, group_id: int) -> int:
-        """Achievable lines-per-slot for this group via the shared oracle.
-
-        The oracle speaks sub-block ranges; cacheline groups compress with
-        the same locality, so we query the CF of the enclosing sub-block
-        range — both are 'can 4x the data fit in one transfer unit'.
-        """
-        g = self.geometry
-        addr = group_id * self._GROUP_LINES * g.cacheline_size
-        return self.oracle.max_cf(g.block_id(addr), g.sub_block_index(addr), True)
-
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        now = self._advance(now)
-        g = self.geometry
-        group_id, line_in_group = self._group_of(addr)
-        set_index = group_id % self.num_sets
-        entry = self._sets.get(set_index)
-
-        if entry is not None and entry.group_id == group_id and line_in_group in entry.present:
-            if is_write:
-                device = self.devices.fast.write(now, self._TAD_BYTES)
-                entry.dirty.add(line_in_group)
-                if self.oracle.note_write(g.block_id(addr), g.sub_block_index(addr)):
-                    self._recheck_fit(now, entry, addr)
-            else:
-                device = self.devices.fast.read(now, self._TAD_BYTES)
-            latency = device.total_cycles
-            prefetched = []
-            if entry.cf > 1 and not is_write:
-                latency += self.config.compression.decompression_latency_cycles
-                base = group_id * self._GROUP_LINES * g.cacheline_size
-                prefetched = [
-                    base + i * g.cacheline_size
-                    for i in entry.present
-                    if i != line_in_group
-                ]
-            return self._count(
-                AccessResult(AccessCase.COMMIT_HIT, latency, is_write, False, prefetched),
-                is_write,
-                addr,
-            )
-
-        # Miss: fetch the line (plus compressible neighbours) from slow.
-        if is_write:
-            demand = self.devices.slow.write(now, g.cacheline_size)
-        else:
-            demand = self.devices.slow.read(now, g.cacheline_size, demand=True)
-        latency = demand.total_cycles
-
-        cf = self._group_cf(group_id)
-        if entry is not None and entry.group_id == group_id:
-            # Same group resident but this line missing (a lower-CF slot):
-            # refetch the group at its current CF capacity.
-            self._writeback(now, entry)
-        elif entry is not None:
-            self._writeback(now, entry)
-            self.stats.inc("evictions")
-        start = (line_in_group // cf) * cf
-        present = set(range(start, min(start + cf, self._GROUP_LINES)))
-        present.add(line_in_group)
-        extra = (len(present) - 1) * g.cacheline_size
-        if extra:
-            self.devices.slow.read(now, extra, demand=False)
-        # Compressed install: CF lines share one 64 B slot (plus tag).
-        install_bytes = max(
-            self._TAD_BYTES, (len(present) // max(1, cf)) * self._TAD_BYTES
-        )
-        self.devices.fast.write(now, install_bytes)
-        self._sets[set_index] = _GroupEntry(
-            group_id=group_id,
-            present=present,
-            dirty={line_in_group} if is_write else set(),
-            cf=cf,
-        )
-        self.stats.inc("line_fills")
-        return self._count(
-            AccessResult(AccessCase.BLOCK_MISS, latency, is_write), is_write, addr
-        )
-
-    def _recheck_fit(self, now: float, entry: _GroupEntry, addr: int) -> None:
-        """A write changed the data: lines may no longer co-compress."""
-        new_cf = self._group_cf(entry.group_id)
-        if new_cf < entry.cf:
-            # Overflow: keep only the demanded line's sub-group resident.
-            self.stats.inc("write_overflows")
-            line_in_group = (addr // self.geometry.cacheline_size) % self._GROUP_LINES
-            keep_start = (line_in_group // new_cf) * new_cf
-            keep = set(range(keep_start, keep_start + new_cf))
-            evicted_dirty = entry.dirty - keep
-            if evicted_dirty:
-                nbytes = len(evicted_dirty) * self.geometry.cacheline_size
-                self.devices.fast.read(now, nbytes, demand=False)
-                self.devices.slow.write(now, nbytes)
-            entry.present &= keep
-            entry.dirty &= keep
-            entry.cf = new_cf
-
-    def _writeback(self, now: float, entry: _GroupEntry) -> None:
-        if entry.dirty:
-            nbytes = len(entry.dirty) * self.geometry.cacheline_size
-            self.devices.fast.read(now, nbytes, demand=False)
-            self.devices.slow.write(now, nbytes)
-            self.stats.inc("dirty_writebacks")
-
-    # ------------------------------------------------ deferred batch path
-    def make_deferred_server(self):
-        """Build the inline ``(serve, flush, replay)`` triple.
-
-        ``serve(addr, is_write)`` applies :meth:`access`'s state effects
-        in trace order — group entries and their present/dirty sets, the
-        oracle's ``note_write`` and ``max_cf`` queries, and the state
-        half of :meth:`_recheck_fit` — and returns the access's channel
-        work as one op for :meth:`access_batch`:
+        ``serve(addr, is_write)`` applies an access's state effects in
+        trace order — group entries and their present/dirty sets, the
+        oracle's ``note_write`` and ``max_cf`` queries, and the fit
+        recheck after a write — and returns its channel work as one op
+        for ``replay``:
 
             (kind, is_write, writeback_bytes, extra_bytes, install_bytes,
              overflow_bytes, lines)
 
         ``kind`` is 0 (hit), 1 (compressed read hit: decompression plus
-        ``lines``, the slot-mates to prefetch, in :meth:`access`'s order)
-        or 2 (miss, with the victim's dirty writeback, the extra
-        neighbour fetch and the install); ``overflow_bytes`` is a write
-        hit's overflow writeback. Counters tally in closure locals until
-        ``flush()`` scatters them into ``stats`` and the devices.
+        ``lines``, the slot-mates to prefetch) or 2 (miss, with the
+        victim's dirty writeback, the extra neighbour fetch and the
+        install); ``overflow_bytes`` is a write hit's overflow writeback.
+        Counters tally in closure locals until ``flush()`` scatters them
+        into ``stats`` and the devices.
         """
-        if not self.supports_batching:
-            return None
         g = self.geometry
         line_size = g.cacheline_size
         block_size = g.block_size
@@ -255,12 +144,13 @@ class DiceCache(InlineServedBaseline):
                 entry.dirty.add(line_in_group)
                 if not note_write(addr // block_size, (addr % block_size) // sub_size):
                     return hit_ops[1]
-                # _recheck_fit, state half: its transfers go in the op.
-                # _group_cf, inlined: the group's first sub-block range.
+                # The write may have broken the group's fit: query the
+                # CF of its first sub-block range, as at fill time.
                 base = group_id * group_bytes
                 new_cf = max_cf(base // block_size, (base % block_size) // sub_size, True)
                 if new_cf >= entry.cf:
                     return hit_ops[1]
+                # Overflow: keep only the demanded line's sub-group.
                 t_overflows += 1
                 keep_start = (line_in_group // new_cf) * new_cf
                 keep = set(range(keep_start, keep_start + new_cf))
@@ -282,11 +172,16 @@ class DiceCache(InlineServedBaseline):
                 s_wb += line_size
             else:
                 s_dr += 1
+            # The oracle speaks sub-block ranges; a line group compresses
+            # with the same locality, so its CF is that of its enclosing
+            # range (both ask whether 4x the data fits one transfer unit).
             base = group_id * group_bytes
             cf = max_cf(base // block_size, (base % block_size) // sub_size, True)
             writeback_bytes = 0
             if entry is not None:
-                # _writeback, inlined; a different group is also evicted.
+                # The old entry's dirty lines go back. The same group
+                # missing this line (a lower-CF slot) is refetched at its
+                # current CF; a different group is also an eviction.
                 if entry.dirty:
                     writeback_bytes = len(entry.dirty) * line_size
                     f_fr += 1
@@ -303,6 +198,7 @@ class DiceCache(InlineServedBaseline):
             if extra_bytes:
                 s_fr += 1
                 s_fb += extra_bytes
+            # Compressed install: CF lines share one 64 B slot (plus tag).
             install_bytes = max(
                 tad_bytes, (len(present) // max(1, cf)) * tad_bytes
             )
@@ -341,56 +237,49 @@ class DiceCache(InlineServedBaseline):
             f_dr = f_fr = f_fb = f_nw = f_wb = 0
             s_dr = s_fr = s_fb = s_nw = s_wb = 0
 
-        return serve, flush, self.access_batch
+        return serve, flush
 
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
-        """Replay a run of deferred ops against the channel pools.
-
-        Each op's transfers run at the clock the accumulator has reached
-        — the ``now`` the scalar loop passes to :meth:`access` — in
-        :meth:`access`'s order. A read's latency is the device total
-        ``((latency + 0.0) + queue) + transfer`` of its TAD or
-        slow-memory read, plus the decompression latency on a compressed
-        hit, so the channel busy state and ``cycles`` stay bit-identical
-        to the scalar path.
-        """
+    def _build_replay(self):
+        """``replay(op, now)``: the op's transfers at ``now`` in access
+        order. The latency is the device total of the TAD access or the
+        slow-memory demand read or write, plus the decompression latency
+        on a compressed hit."""
         fast_transfer = self.devices.fast.pool.transfer
         slow_transfer = self.devices.slow.pool.transfer
         f_lat = self.devices.fast.read_latency + 0.0
+        f_wlat = self.devices.fast.write_latency
         s_lat = self.devices.slow.read_latency + 0.0
+        s_wlat = self.devices.slow.write_latency
         decomp = self.config.compression.decompression_latency_cycles
         line_size = self.geometry.cacheline_size
         tad_bytes = self._TAD_BYTES
-        now = self._now
-        for op in ops:
-            if op.__class__ is float:
-                cycles += op
-                continue
+
+        def replay(op, now):
             kind, is_write, wb_bytes, extra_bytes, install_bytes, overflow, _ = op
-            now = cycles
             if kind == _MISS:
                 if is_write:
-                    slow_transfer(now, line_size)
+                    queue, transfer = slow_transfer(now, line_size)
+                    latency = (s_wlat + queue) + transfer
                 else:
                     queue, transfer = slow_transfer(now, line_size, True)
-                    cycles += ((s_lat + queue) + transfer) / mlp
+                    latency = (s_lat + queue) + transfer
                 if wb_bytes:
                     fast_transfer(now, wb_bytes)
                     slow_transfer(now, wb_bytes)
                 if extra_bytes:
                     slow_transfer(now, extra_bytes)
                 fast_transfer(now, install_bytes)
-            elif is_write:
-                # Posted: channel occupancy only, no core-visible latency.
-                fast_transfer(now, tad_bytes)
+                return latency
+            if is_write:
+                queue, transfer = fast_transfer(now, tad_bytes)
                 if overflow:
                     fast_transfer(now, overflow)
                     slow_transfer(now, overflow)
-            else:
-                queue, transfer = fast_transfer(now, tad_bytes, True)
-                latency = (f_lat + queue) + transfer
-                if kind == _COMPRESSED_HIT:
-                    latency += decomp
-                cycles += latency / mlp
-        self._now = now
-        return cycles
+                return (f_wlat + queue) + transfer
+            queue, transfer = fast_transfer(now, tad_bytes, True)
+            latency = (f_lat + queue) + transfer
+            if kind == _COMPRESSED_HIT:
+                latency += decomp
+            return latency
+
+        return replay

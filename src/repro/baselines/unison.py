@@ -13,18 +13,18 @@ prediction*, embedded in-DRAM tags and a way predictor:
 * unused sub-block slots of a page stay unused — the capacity
   under-utilization Baryon's co-location removes (Fig. 1a).
 
-No state here depends on the clock, so the simulator's deferred seam
-serves every access (:meth:`UnisonCache.make_deferred_server`) and
-replays the channel timing in :meth:`UnisonCache.access_batch`.
+No state here depends on the clock, so the design is one inline server
+that applies each access's state in trace order and one replay of its
+channel transfers (:class:`~repro.baselines.base.InlineServedBaseline`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict
 
 from repro.baselines.base import InlineServedBaseline
 from repro.cache.replacement import CacheLine, LruSet
-from repro.core.events import CASE_COUNTER_KEYS, AccessCase, AccessResult
+from repro.core.events import CASE_COUNTER_KEYS, AccessCase
 
 #: Default footprint for never-seen pages: the demanded line plus the next
 #: ones in this window (Footprint Cache's singleton/spatial default).
@@ -35,7 +35,7 @@ _HIT, _FOOTPRINT_MISS, _PAGE_MISS = 0, 1, 2
 #: Shared op tuples for every shape without byte counts, indexed by
 #: ``[kind][mispredict][is_write]``.
 _OPS = [
-    [[(kind, mis, w, 0, 0, 0, None) for w in (False, True)]
+    [[(kind, w, mis, 0, 0, 0, None) for w in (False, True)]
      for mis in (False, True)]
     for kind in (_HIT, _FOOTPRINT_MISS)
 ]
@@ -48,6 +48,7 @@ class UnisonCache(InlineServedBaseline):
     """Footprint-predicting sub-blocked DRAM cache with in-DRAM tags."""
 
     name = "unison"
+    _CASES = (AccessCase.COMMIT_HIT, AccessCase.STAGE_MISS, AccessCase.BLOCK_MISS)
 
     def __init__(self, config=None, devices=None) -> None:
         super().__init__(config, devices)
@@ -67,141 +68,16 @@ class UnisonCache(InlineServedBaseline):
         #: Way predictor: last way used per set (MRU-based prediction).
         self._predicted_way: Dict[int, int] = {}
 
-    def _set_for(self, index: int) -> LruSet:
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = LruSet(self.ways)
-            self._sets[index] = cache_set
-        return cache_set
+    def _build_server(self):
+        """The inline ``(serve, flush)`` pair.
 
-    def _line_index(self, addr: int) -> int:
-        return (addr % self.geometry.block_size) // self.geometry.cacheline_size
-
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        now = self._advance(now)
-        g = self.geometry
-        page_id = g.block_id(addr)
-        set_index = page_id % self.num_sets
-        tag = page_id // self.num_sets
-        line_idx = self._line_index(addr)
-        cache_set = self._set_for(set_index)
-
-        line = cache_set.lookup(tag)
-        # In-DRAM tags: the tag probe is a fast-memory access. With a
-        # correct way prediction it is bundled with the data access.
-        predicted = self._predicted_way.get(set_index)
-        tag_probe = self.devices.fast.read(now, g.cacheline_size, demand=True)
-        latency = tag_probe.total_cycles
-        if line is not None:
-            actual_way = line.payload["way"]
-            if predicted is not None and predicted != actual_way:
-                # Misprediction: a second access to the right way.
-                latency += self.devices.fast.read(
-                    now, g.cacheline_size, demand=True
-                ).total_cycles
-                self.stats.inc("way_mispredictions")
-            self._predicted_way[set_index] = actual_way
-
-        if line is not None:
-            cache_set.touch(line)
-            present: Set[int] = line.payload["present"]
-            touched: Set[int] = line.payload["touched"]
-            touched.add(line_idx)
-            if line_idx in present:
-                if is_write:
-                    line.payload["dirty"].add(line_idx)
-                    self.devices.fast.write(now, g.cacheline_size)
-                return self._count(
-                    AccessResult(AccessCase.COMMIT_HIT, latency, is_write), is_write, addr
-                )
-            # Footprint miss: fetch the single line from slow memory.
-            if is_write:
-                demand = self.devices.slow.write(now, g.cacheline_size)
-                line.payload["dirty"].add(line_idx)
-            else:
-                demand = self.devices.slow.read(now, g.cacheline_size, demand=True)
-            self.devices.fast.write(now, g.cacheline_size)
-            present.add(line_idx)
-            self.stats.inc("footprint_misses")
-            return self._count(
-                AccessResult(AccessCase.STAGE_MISS, latency + demand.total_cycles, is_write),
-                is_write,
-                addr,
-            )
-
-        # Page miss: allocate and fetch the predicted footprint.
-        if is_write:
-            demand = self.devices.slow.write(now, g.cacheline_size)
-        else:
-            demand = self.devices.slow.read(now, g.cacheline_size, demand=True)
-        latency += demand.total_cycles
-        footprint = self._predict_footprint(page_id, line_idx)
-        free_way = len(cache_set.lines)
-        if cache_set.is_full():
-            free_way = self._evict(now, cache_set, set_index)
-        fetch_lines = len(footprint)
-        extra = max(0, fetch_lines - 1) * g.cacheline_size
-        if extra:
-            self.devices.slow.read(now, extra, demand=False)
-        self.devices.fast.write(now, fetch_lines * g.cacheline_size)
-        payload = {
-            "page": page_id,
-            "way": free_way,
-            "present": set(footprint),
-            "touched": {line_idx},
-            "dirty": {line_idx} if is_write else set(),
-        }
-        cache_set.insert(CacheLine(tag, dirty=is_write, payload=payload))
-        self.stats.inc("page_fills")
-        self.stats.inc("footprint_fetched_lines", fetch_lines)
-        return self._count(
-            AccessResult(AccessCase.BLOCK_MISS, latency, is_write), is_write, addr
-        )
-
-    def _predict_footprint(self, page_id: int, line_idx: int) -> Set[int]:
-        bitmap = self._history.get(page_id)
-        if bitmap is None:
-            end = min(self.lines_per_page, line_idx + _DEFAULT_WINDOW_LINES)
-            return set(range(line_idx, end))
-        footprint = {i for i in range(self.lines_per_page) if (bitmap >> i) & 1}
-        footprint.add(line_idx)
-        return footprint
-
-    def _evict(self, now: float, cache_set: LruSet, set_index: int) -> int:
-        """Evict the LRU page; returns the way index it occupied."""
-        victim = cache_set.victim()
-        payload = victim.payload
-        dirty_lines = len(payload["dirty"])
-        if dirty_lines:
-            nbytes = dirty_lines * self.geometry.cacheline_size
-            self.devices.fast.read(now, nbytes, demand=False)
-            self.devices.slow.write(now, nbytes)
-            self.stats.inc("dirty_writebacks")
-        bitmap = 0
-        for i in payload["touched"]:
-            bitmap |= 1 << i
-        self._history.pop(payload["page"], None)
-        self._history[payload["page"]] = bitmap
-        while len(self._history) > self._history_capacity:
-            # FIFO: dicts preserve insertion order, so the first key is
-            # the oldest footprint record.
-            self._history.pop(next(iter(self._history)))
-            self.stats.inc("history_evictions")
-        cache_set.evict(victim.tag)
-        self.stats.inc("evictions")
-        return victim.payload["way"]
-
-    # ------------------------------------------------ deferred batch path
-    def make_deferred_server(self):
-        """Build the inline ``(serve, flush, replay)`` triple.
-
-        ``serve(addr, is_write)`` applies :meth:`access`'s state effects
-        in trace order — the LRU touch, the way predictor, the footprint
+        ``serve(addr, is_write)`` applies an access's state effects in
+        trace order — the LRU touch, the way predictor, the footprint
         present/touched/dirty sets, page fills and evictions with their
-        FIFO history-table updates — and returns the access's channel
-        work as one op for :meth:`access_batch`:
+        FIFO history-table updates — and returns its channel work as one
+        op for ``replay``:
 
-            (kind, mispredict, is_write, evict_bytes, extra_bytes,
+            (kind, is_write, mispredict, evict_bytes, extra_bytes,
              fill_bytes, None)
 
         ``kind`` is 0 (page hit), 1 (footprint miss) or 2 (page miss);
@@ -210,8 +86,6 @@ class UnisonCache(InlineServedBaseline):
         misses share constant tuples. Counters tally in closure locals
         until ``flush()`` scatters them into ``stats`` and the devices.
         """
-        if not self.supports_batching:
-            return None
         g = self.geometry
         block_size = g.block_size
         line_size = g.cacheline_size
@@ -222,8 +96,9 @@ class UnisonCache(InlineServedBaseline):
         predicted_way = self._predicted_way
         predicted_get = predicted_way.get
         history = self._history
+        history_get = history.get
         history_capacity = self._history_capacity
-        predict_footprint = self._predict_footprint
+        lines_per_page = self.lines_per_page
         stats = self.stats
         fast = self.devices.fast
         slow = self.devices.slow
@@ -278,6 +153,7 @@ class UnisonCache(InlineServedBaseline):
                         f_nw += 1
                         f_wb += line_size
                     return ops[0][mis][is_write]
+                # Footprint miss: fetch the single line from slow memory.
                 if is_write:
                     s_nw += 1
                     s_wb += line_size
@@ -296,11 +172,21 @@ class UnisonCache(InlineServedBaseline):
                 s_wb += line_size
             else:
                 s_dr += 1
-            footprint = predict_footprint(page_id, line_idx)
+            # The predicted footprint: the last residency's touched lines
+            # plus this one, else the default window from this line.
+            bitmap = history_get(page_id)
+            if bitmap is None:
+                end = min(lines_per_page, line_idx + _DEFAULT_WINDOW_LINES)
+                footprint = set(range(line_idx, end))
+            else:
+                footprint = {
+                    i for i in range(lines_per_page) if (bitmap >> i) & 1
+                }
+                footprint.add(line_idx)
             free_way = len(lines)
             evict_bytes = 0
             if free_way >= ways:
-                # _evict, inlined: the LRU page leaves.
+                # Evict the LRU page.
                 victim = next(iter(lines.values()))
                 payload = victim.payload
                 dirty_lines = len(payload["dirty"])
@@ -335,7 +221,7 @@ class UnisonCache(InlineServedBaseline):
             line = CacheLine(tag, dirty=is_write, payload={
                 "page": page_id,
                 "way": free_way,
-                "present": set(footprint),
+                "present": footprint,
                 "touched": {line_idx},
                 "dirty": {line_idx} if is_write else set(),
             })
@@ -346,7 +232,7 @@ class UnisonCache(InlineServedBaseline):
             lines[tag] = lines.pop(tag)
             t_pages += 1
             t_fetched += fetch_lines
-            return (_PAGE_MISS, False, is_write, evict_bytes, extra_bytes,
+            return (_PAGE_MISS, is_write, False, evict_bytes, extra_bytes,
                     fill_bytes, None)
 
         def flush():
@@ -375,59 +261,48 @@ class UnisonCache(InlineServedBaseline):
             f_dr = f_fr = f_fb = f_nw = f_wb = 0
             s_dr = s_fr = s_fb = s_nw = s_wb = 0
 
-        return serve, flush, self.access_batch
+        return serve, flush
 
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
-        """Replay a run of deferred ops against the channel pools.
-
-        Each op's transfers run at the clock the accumulator has reached
-        — the ``now`` the scalar loop passes to :meth:`access` — in
-        :meth:`access`'s order, and a read's latency is the same left
-        fold: tag probe, then the mispredicted second probe, then the
-        slow-memory demand read, each ``((latency + 0.0) + queue) +
-        transfer`` as in :meth:`MemoryDevice.read`. So the channel busy
-        state and ``cycles`` stay bit-identical to the scalar path.
-        """
+    def _build_replay(self):
+        """``replay(op, now)``: the op's transfers at ``now`` in access
+        order. The latency is the left fold of the tag probe, the
+        mispredicted second probe and, on a miss, the slow-memory demand
+        read or write."""
         fast_transfer = self.devices.fast.pool.transfer
         slow_transfer = self.devices.slow.pool.transfer
         f_lat = self.devices.fast.read_latency + 0.0
         s_lat = self.devices.slow.read_latency + 0.0
+        s_wlat = self.devices.slow.write_latency
         line_size = self.geometry.cacheline_size
-        now = self._now
-        for op in ops:
-            if op.__class__ is float:
-                cycles += op
-                continue
-            kind, mis, is_write, evict_bytes, extra_bytes, fill_bytes, _ = op
-            now = cycles
+
+        def replay(op, now):
+            kind, is_write, mis, evict_bytes, extra_bytes, fill_bytes, _ = op
+            # In-DRAM tags: the tag probe is a fast-memory read, bundled
+            # with the data unless the way prediction missed.
             queue, transfer = fast_transfer(now, line_size, True)
-            if is_write:
-                # Posted: channel occupancy only, no core-visible latency.
-                if mis:
-                    fast_transfer(now, line_size, True)
-                if kind == _HIT:
+            latency = (f_lat + queue) + transfer
+            if mis:
+                queue, transfer = fast_transfer(now, line_size, True)
+                latency += (f_lat + queue) + transfer
+            if kind == _HIT:
+                if is_write:
                     fast_transfer(now, line_size)
-                    continue
-                slow_transfer(now, line_size)
+                return latency
+            if is_write:
+                queue, transfer = slow_transfer(now, line_size)
+                latency += (s_wlat + queue) + transfer
             else:
-                latency = (f_lat + queue) + transfer
-                if mis:
-                    queue, transfer = fast_transfer(now, line_size, True)
-                    latency += (f_lat + queue) + transfer
-                if kind == _HIT:
-                    cycles += latency / mlp
-                    continue
                 queue, transfer = slow_transfer(now, line_size, True)
                 latency += (s_lat + queue) + transfer
-                cycles += latency / mlp
             if kind == _FOOTPRINT_MISS:
                 fast_transfer(now, line_size)
-                continue
+                return latency
             if evict_bytes:
                 fast_transfer(now, evict_bytes)
                 slow_transfer(now, evict_bytes)
             if extra_bytes:
                 slow_transfer(now, extra_bytes)
             fast_transfer(now, fill_bytes)
-        self._now = now
-        return cycles
+            return latency
+
+        return replay

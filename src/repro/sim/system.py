@@ -77,7 +77,9 @@ class SystemSimulator:
         overflowing writes, block fills) first flushes the pending run and
         then takes ``controller.access`` with the current clock; without
         the seam every miss and writeback does. Unison and DICE keep no
-        clock-dependent state, so none of their ops is unsafe. SimResults
+        clock-dependent state, so none of their ops is unsafe, and their
+        ``access`` is itself ``serve`` + ``flush`` + a one-op replay:
+        without the seam they run the same code one op at a time. SimResults
         — cycles, counters, energy — and every hierarchy counter are
         bit-identical to the scalar loop (the float accumulation order of
         ``cycles`` is preserved operation for operation);

@@ -360,15 +360,20 @@ def run_baseline_case(
     baseline_cls=None,
     rng: Optional[random.Random] = None,
 ) -> None:
-    """Drive a cache baseline's deferred seam against its scalar twin.
+    """Drive a cache baseline's deferred seam against a per-op twin.
 
     ``baseline_cls`` is ``SimpleCache`` (the default), ``UnisonCache``
-    or ``DiceCache`` (both twins' oracles seeded with ``seed``). A design with a ``make_deferred_server`` is driven through
-    its server; ``simple`` through its per-op ``access_deferred``, whose
-    block misses decline with no state applied. The same twin-controller
-    discipline applies: counters, device traffic, the remap-cache stats
-    of designs that have one, and the clock must be bit-identical. An
-    ``rng`` adds forced replay boundaries (:func:`_seam_replay`).
+    or ``DiceCache`` (both twins' oracles seeded with ``seed``). One
+    controller replays the trace through plain ``access`` calls; the
+    twin is driven through its ``make_deferred_server``, or for
+    ``simple`` its per-op ``access_deferred``, whose block misses
+    decline with no state applied. Unison's and DICE's ``access`` is
+    itself serve, flush and replay of one op, so for them the check is
+    per-op replay against batched replay under the forced boundaries an
+    ``rng`` adds (:func:`_seam_replay`); the committed twin corpus in
+    ``tests/golden_corpus.json`` pins the per-op replay itself.
+    Counters, device traffic, the remap-cache stats of designs that
+    have one, and the clock must be bit-identical.
     """
     from repro.baselines import DiceCache, SimpleCache
 
@@ -405,15 +410,16 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    across the deferred-batch seam five ways, each against a fresh scalar
-    twin: Baryon's inline server under forced flush boundaries
+    across the deferred-batch seam five ways, each against a fresh
+    per-op twin: Baryon's inline server under forced flush boundaries
     (:func:`run_batched_case`), the ``simple`` baseline's seam
     (:func:`run_baseline_case`), Hybrid2 — Baryon at k = 0 — on the
     same server (``run_batched_case`` with ``Hybrid2`` twins), and the
     Unison and DICE servers under forced flush boundaries
-    (``run_baseline_case`` with their classes). The later checks draw
-    from the iteration's rng after the earlier ones, so adding them
-    changed no earlier check's draws.
+    (``run_baseline_case`` with their classes; their twin is per-op
+    replay of the same server, pinned by the committed twin corpus).
+    The later checks draw from the iteration's rng after the earlier
+    ones, so adding them changed no earlier check's draws.
     """
     from repro.baselines import DiceCache, Hybrid2, UnisonCache
 

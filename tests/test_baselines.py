@@ -1,13 +1,17 @@
 """Baseline designs: Simple, Unison Cache, DICE, Hybrid2."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.baselines import DiceCache, Hybrid2, SimpleCache, UnisonCache
 from repro.core.events import AccessCase
+from repro.sim import SystemSimulator
+from repro.workloads.synthetic import ZipfWorkload
 
-from tests.conftest import make_small_config
+from tests.conftest import make_small_config, make_small_sim_config
 from tests.test_controller_cases import ScriptedOracle
 
 
@@ -122,6 +126,29 @@ class TestDice:
         conflict = ctrl.num_sets * 4 * 64  # same set, different group
         ctrl.access(conflict, False)
         assert ctrl.stats.get("dirty_writebacks") == 1
+
+
+@pytest.mark.parametrize("cls", [UnisonCache, DiceCache], ids=["unison", "dice"])
+def test_served_controller_is_freed_by_refcount(cls):
+    """The cached serve/flush/replay closures must not reference their
+    controller. A cycle would keep each finished cell's controller, and
+    all its cache state, alive until the cyclic collector ran."""
+    config = make_small_config()
+    trace = ZipfWorkload("wl", 4 * config.layout.fast_capacity, seed=2).generate(500)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctrl = cls(config)
+        for i in range(64):
+            ctrl.access(i * 4160, i % 3 == 0, float(i))
+        SystemSimulator(ctrl, make_small_sim_config()).run(trace, "wl", cls.name)
+        assert ctrl.stats.get("accesses") > 64
+        freed = weakref.ref(ctrl)
+        del ctrl
+        assert freed() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestHybrid2:
