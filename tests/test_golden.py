@@ -14,11 +14,13 @@ progress-plus-spans runs must reproduce the unobserved digests, and the
 exported latency histogram and serve-rate/IPC series of four metered
 cells are pinned too.
 
-Unison and DICE are further pinned access by access: for the seed-7
-fuzz cases ``repro validate --fuzz-batched`` draws, a per-op ``access``
-replay's final clock, counters, channel busy state and per-access
-``(case, latency, prefetched)`` stream are hashed into the ``twins``
-corpus.
+Unison, DICE, Baryon and Hybrid2 are further pinned access by access:
+for the seed-7 fuzz cases ``repro validate --fuzz-batched`` draws, a
+per-op ``access`` replay's final clock, counters, channel busy state and
+per-access ``(case, latency, prefetched)`` stream are hashed into the
+``twins`` corpus. Baryon is pinned that way under retry exhaustion,
+stage-tag corruption, metadata repair, the phase tracker, event tracing
+and row-buffer glitches too.
 
 An intentional behaviour change re-baselines the corpus in its own
 change::
@@ -122,7 +124,23 @@ METERED_DESIGNS = ("baryon", "simple", "unison", "dice")
 #: (config, trace) cases are replayed per design.
 TWIN_SEED = 7
 TWIN_ITERATIONS = 25
-TWIN_DESIGNS = ("unison", "dice")
+#: Baryon twin variants that arm the resilience layer, by their
+#: ``ResilienceConfig`` knobs (``rowbuf`` also models the row buffer).
+TWIN_RESILIENCE = {
+    "exhaust": {"p_read_transient": 5e-3, "p_write_drop": 5e-3, "max_retries": 0},
+    "writedrop": {"p_write_drop": 2e-2, "max_retries": 0},
+    "stagetag": {"p_stage_tag_corruption": 2e-2},
+    "checker": {
+        "p_table_corruption": 2e-3, "p_remap_corruption": 3e-3,
+        "check_invariants": True,
+    },
+    "rowbuf": {"p_row_glitch": 1e-2},
+}
+TWIN_DESIGNS = (
+    "unison", "dice", "baryon", "hybrid2",
+    *(f"baryon+{variant}" for variant in TWIN_RESILIENCE),
+    "baryon+tracker", "baryon+traced",
+)
 
 
 def cell_names():
@@ -188,35 +206,66 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
     return layer_digests(result), exported, result.case_counts.get("commit_hit", 0)
 
 
+def _twin_controller(design: str, config_kwargs: dict):
+    """The controller one twin digest replays, built as ``run_fuzz``
+    builds its per-op twins, plus the variant's observer."""
+    from repro.baselines import DiceCache, Hybrid2, UnisonCache
+    from repro.core import BaryonController
+    from repro.core.tracking import StagePhaseTracker
+    from repro.obs import EventTracer
+
+    config = make_tiny_config(**config_kwargs)
+    if design == "dice":
+        return DiceCache(config, seed=TWIN_SEED)
+    if design == "unison":
+        return UnisonCache(config)
+    if design == "hybrid2":
+        return Hybrid2(config, seed=TWIN_SEED)
+    variant = design.partition("+")[2]
+    if variant in TWIN_RESILIENCE:
+        config = dataclasses.replace(
+            config,
+            resilience=ResilienceConfig(enabled=True, **TWIN_RESILIENCE[variant]),
+        )
+    if variant == "rowbuf":
+        timings = dataclasses.replace(config.timings, model_row_buffer=True)
+        config = dataclasses.replace(config, timings=timings)
+    return BaryonController(
+        config, seed=TWIN_SEED,
+        tracker=StagePhaseTracker() if variant == "tracker" else None,
+        tracer=EventTracer() if variant == "traced" else None,
+    )
+
+
 def twin_digest(design: str, iteration: int) -> str:
     """Digest of one fuzz case replayed through ``design``'s per-op
     ``access``: the final clock, controller and device counters, channel
     busy state and the per-access ``(case, latency, prefetched)`` stream.
     The case is the one ``run_fuzz(iterations, TWIN_SEED)`` draws for
-    ``iteration``."""
-    from repro.baselines import DiceCache, UnisonCache
+    ``iteration``.
 
+    Baryon-family twins also hash each access's ``write_overflow`` flag
+    and the remap-cache counters, plus whichever of the resilience
+    scoreboards, row-buffer counters, phase-tracker reports and traced
+    events their variant attaches."""
     rng = random.Random(f"{TWIN_SEED}:{iteration}")
     config_kwargs = sample_config_kwargs(rng)
     trace = generate_trace(rng, make_tiny_config(**config_kwargs))
-    if design == "dice":
-        ctrl = DiceCache(make_tiny_config(**config_kwargs), seed=TWIN_SEED)
-    else:
-        ctrl = UnisonCache(make_tiny_config(**config_kwargs))
+    ctrl = _twin_controller(design, config_kwargs)
+    baryon = hasattr(ctrl, "remap_cache")
     stream = []
     access = ctrl.access
 
     def recording_access(addr, is_write, now):
         mem = access(addr, is_write, now)
-        stream.append(
-            (mem.case.value, mem.latency_cycles, list(mem.prefetched_lines))
-        )
+        record = (mem.case.value, mem.latency_cycles, list(mem.prefetched_lines))
+        stream.append((*record, mem.write_overflow) if baryon else record)
         return mem
 
     ctrl.access = recording_access
     cycles = _scalar_replay(ctrl, trace, 4.0)
     devices = ctrl.devices
-    return _result_digest({
+    payload = {
         "cycles": cycles,
         "controller": ctrl.stats.as_dict(),
         "fast": devices.fast.stats.as_dict(),
@@ -226,7 +275,32 @@ def twin_digest(design: str, iteration: int) -> str:
             for pool in (devices.fast.pool, devices.slow.pool)
         ],
         "stream": stream,
-    })
+    }
+    if baryon:
+        payload["remap_cache"] = ctrl.remap_cache.stats.as_dict()
+        for name in ("faults", "recovery", "checker"):
+            component = getattr(ctrl, name)
+            if component is not None:
+                payload[name] = component.stats.as_dict()
+        if devices.fast.row_buffer is not None:
+            payload["row_buffer"] = devices.fast.row_buffer.stats.as_dict()
+        tracker = ctrl.tracker
+        if tracker is not None:
+            tracker.finalize()
+            payload["tracker"] = {
+                "mpki": tracker.mpki_distribution(),
+                **{
+                    category: [
+                        tracker.breakdown_fractions(category),
+                        tracker.miss_rate(category),
+                        tracker.overflow_rate(category),
+                    ]
+                    for category in ("S", "C")
+                },
+            }
+        if ctrl.obs.enabled:
+            payload["events"] = list(ctrl.obs.ring)
+    return _result_digest(payload)
 
 
 @lru_cache(maxsize=1)
@@ -275,8 +349,8 @@ def test_metered_export_matches_golden(design):
 
 @pytest.mark.parametrize("design", TWIN_DESIGNS)
 def test_twin_replay_matches_golden(design):
-    """Per-access pin of the Unison and DICE access flow: every fuzz
-    case's replay must hash to its committed digest."""
+    """Per-access pin of each design's access flow: every fuzz case's
+    replay must hash to its committed digest."""
     want = golden()["twins"][design]
     got = [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
     moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
