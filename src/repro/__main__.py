@@ -692,8 +692,8 @@ def _print_deferred_declines(controller) -> None:
     The counters live on the controller (not in ``stats``: only the
     deferred seam classifies, and stats must stay bit-identical across
     loops). All-zero with per-access tracing attached simply means the
-    seam never engaged. A design with no decline reasons (Unison, DICE)
-    gets one line instead of an empty table.
+    seam never engaged. A design with no decline reasons (every design
+    but simple) gets one line instead of an empty table.
     """
     declines = getattr(controller, "deferred_declines", None)
     if declines is None:

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.config import BaryonConfig
 from repro.common.stats import CounterGroup
 from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase, AccessResult
+from repro.core.seam import ServedSeam
 from repro.devices.memory import HybridMemoryDevices
 from repro.obs.tracer import NULL_TRACER
 
@@ -83,7 +84,7 @@ class BaselineController(abc.ABC):
         return self.stats.get("served_fast") / accesses if accesses else 0.0
 
 
-class InlineServedBaseline(BaselineController):
+class InlineServedBaseline(BaselineController, ServedSeam):
     """A baseline whose deferred seam serves every access.
 
     Subclasses keep no clock-dependent state: LRU order, predictors,
@@ -102,9 +103,8 @@ class InlineServedBaseline(BaselineController):
       ``((latency + 0.0) + queue) + transfer`` as in ``MemoryDevice``.
 
     :meth:`access` is serve, flush and replay of one op;
-    :meth:`access_batch` loops ``replay`` over a deferred run. The
-    closures hold no reference to the controller (a cycle would keep it
-    alive until the cyclic collector ran).
+    :class:`~repro.core.seam.ServedSeam` loops ``replay`` over a deferred
+    run.
     """
 
     #: ``AccessResult.case`` per op kind (slot 0 of an op).
@@ -116,22 +116,14 @@ class InlineServedBaseline(BaselineController):
         devices: Optional[HybridMemoryDevices] = None,
     ) -> None:
         super().__init__(config, devices)
-        #: Per-reason decline counters, as on Baryon and ``simple``;
-        #: always empty, since no access needs a fallback.
+        #: Per-reason decline counters, as on ``simple``; always empty,
+        #: since no access needs a fallback.
         self.deferred_declines: Dict[str, int] = {}
-        self._closures = None
 
     @property
     def supports_batching(self) -> bool:
         """The seam applies whenever per-access event tracing is off."""
         return not self.obs.enabled
-
-    def _bind(self):
-        """``(serve, flush, replay)``, built on first use (the subclass
-        state they close over exists only after ``__init__``)."""
-        if self._closures is None:
-            self._closures = (*self._build_server(), self._build_replay())
-        return self._closures
 
     def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
         now = self._advance(now)
@@ -147,52 +139,6 @@ class InlineServedBaseline(BaselineController):
                 fast=case in FAST_CASES, overflow=False,
             )
         return result
-
-    def access_deferred(self, addr: int, is_write: bool = False):
-        """Serve one access and flush its tallies.
-
-        Returns the op tuple for :meth:`access_batch`, or ``None`` while
-        the seam is vetoed. The simulator drives the server directly;
-        this entry point serves per-op callers such as benchmark hooks.
-        """
-        server = self.make_deferred_server()
-        if server is None:
-            return None
-        serve, flush, _ = server
-        op = serve(addr, is_write)
-        flush()
-        return op
-
-    def make_deferred_server(self):
-        """``(serve, flush, self.access_batch)``, or ``None`` while
-        :attr:`supports_batching` is false."""
-        if not self.supports_batching:
-            return None
-        serve, flush, _ = self._bind()
-        return serve, flush, self.access_batch
-
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
-        """Replay ``ops`` (op tuples interleaved with float cycle
-        increments) against the channel pools; return the new clock.
-
-        Each op replays at the clock the accumulator has reached — the
-        ``now`` the scalar loop passes to :meth:`access` — and a read's
-        latency stalls the core by ``latency / mlp``, so the channel busy
-        state and ``cycles`` match per-op :meth:`access` bit for bit.
-        """
-        replay = self._bind()[2]
-        now = self._now
-        for op in ops:
-            if op.__class__ is float:
-                cycles += op
-                continue
-            now = cycles
-            latency = replay(op, now)
-            if not op[1]:
-                # Writes are posted; only read latency stalls the core.
-                cycles += latency / mlp
-        self._now = now
-        return cycles
 
     @abc.abstractmethod
     def _build_server(self):

@@ -332,20 +332,10 @@ class CompressionConfig:
     decompression_latency_cycles: int = 5
     cacheline_aligned: bool = True
     zero_block_support: bool = True
-    #: Rule 2 restriction: ranges share one CF. Disabling models the
-    #: "w/o same-CF restriction" ideal of Fig. 12.
-    same_cf_restriction: bool = True
-    #: Selective compression (the paper's future-work item, Sec. III-B):
-    #: skip compression for address regions whose expected CF falls below
-    #: ``selective_threshold``, avoiding decompression latency and write-
-    #: overflow risk where compression barely pays.
-    selective: bool = False
-    selective_threshold: float = 1.3
 
     def __post_init__(self) -> None:
         _require(len(self.algorithms) > 0, "at least one compression algorithm required")
         _require(self.decompression_latency_cycles >= 0, "latency must be non-negative")
-        _require(self.selective_threshold >= 1.0, "selective threshold must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ The package composes the substrates into the paper's architecture:
   Fig. 6 (cases 1-5), slow-to-stage prefetching, cacheline-aligned
   transfers, flat-scheme swapping and compressed writeback;
 * :class:`~repro.core.columnar.ColumnarState` — O(1) probe indices over
-  the stage tag array, read by the access flow and the deferred server.
+  the stage tag array, read by the access flow;
+* :class:`~repro.core.seam.ServedSeam` — the deferred seam of every
+  controller whose access is one served and replayed op.
 """
 
 from repro.core.columnar import ColumnarState

@@ -30,8 +30,8 @@ class ColumnarState:
     """Probe indices over one controller's stage tag array.
 
     Constructed by :class:`~repro.core.controller.BaryonController`,
-    which reads the dicts in its access flow (``_dispatch``,
-    ``_staged_block_of``) and in the deferred server's ``serve``.
+    which reads the dicts in its access flow (``serve``) and in
+    ``_staged_block_of``.
     """
 
     def __init__(self, controller) -> None:

@@ -28,6 +28,7 @@ five cases of Fig. 6 are implemented faithfully, including:
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import CacheLine
@@ -37,12 +38,9 @@ from repro.common.stats import CounterGroup
 from repro.compression.synthetic import SyntheticCompressibility
 from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitPolicy
-from repro.core.events import (
-    CASE_COUNTER_KEYS,
-    AccessCase,
-    AccessResult,
-)
+from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase, AccessResult
 from repro.core.fast_area import FastArea, FastBlockState
+from repro.core.seam import ServedSeam
 from repro.core.stage_area import StageArea
 from repro.core.tracking import StagePhaseTracker
 from repro.devices.memory import HybridMemoryDevices
@@ -60,13 +58,13 @@ class _RecordingPool:
     """Channel-pool stand-in that logs transfer requests instead of
     scheduling them.
 
-    The deferred serve closure swaps this in for the real pools while it
-    runs :meth:`BaryonController._fetch_and_stage` eagerly (cases 3/5):
-    every state decision in that tree is clock-free, so the captured
-    ``(pool, nbytes, priority)`` sequence replays bit-identically at the
-    op's exact clock inside :meth:`BaryonController.access_batch`. The
-    zero return keeps callers' latency arithmetic inert — the real
-    latency is recomputed from the replayed transfers.
+    The access server swaps this in for the real pools while movement
+    helpers (and, in exact mode, every device call) run at clock 0.0:
+    every state decision is clock-free, so the captured ``(pool, nbytes,
+    priority, start offset)`` sequence replays bit-identically at the
+    op's clock (the offset is a retry's backoff). The zero return keeps
+    callers' latency arithmetic inert — the real latency is recomputed
+    from the replayed transfers.
     """
 
     __slots__ = ("pool_id", "log")
@@ -77,11 +75,11 @@ class _RecordingPool:
 
     def transfer(self, now, nbytes, priority=False):
         if nbytes:
-            self.log.append((self.pool_id, nbytes, priority))
+            self.log.append((self.pool_id, nbytes, priority, now))
         return (0.0, 0.0)
 
 
-class BaryonController:
+class BaryonController(ServedSeam):
     """Hardware-transparent hybrid memory controller with compression and
     sub-blocking (the paper's primary contribution)."""
 
@@ -116,21 +114,10 @@ class BaryonController:
         self.stage = StageArea(self.config.stage, self.geometry)
         self._rng = random.Random(seed)
         self._stats = CounterGroup("baryon")
-        # Deferred per-access counters, folded into ``stats`` on read.
-        self._n_accesses = 0
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_served_fast = 0
+        # Deferred per-access counters, folded into ``stats`` on read:
+        # reads and writes, and accesses per case index.
+        self._n_rw = [0, 0]
         self._n_cases = [0] * len(AccessCase)
-        # Cached geometry constants for the per-access address split.
-        g = self.geometry
-        self._g_block_size = g.block_size
-        self._g_super_blocks = g.super_block_blocks
-        self._g_sub_size = g.sub_block_size
-        self._g_line_size = g.cacheline_size
-        #: Observability hook point; see :mod:`repro.obs`. Attached here
-        #: and on every instrumented sub-component by
-        #: :func:`repro.obs.attach_observability`.
         self.obs = NULL_TRACER
         self._h_fetch_subs = None
         self._h_fetch_bytes = None
@@ -207,43 +194,18 @@ class BaryonController:
                 self.checker = ShadowChecker(pointer_bits=pointer_bits)
                 self.remap_table.shadow = self.checker
 
-        # O(1) stage probe indices, read by ``_dispatch`` and the
-        # deferred server in place of the way x slot scans.
+        # O(1) stage probe indices, read by the access server in place of
+        # the way x slot scans.
         self.columnar = ColumnarState(self)
 
-        # Cached constants for the deferred fast path (the server and
-        # access_batch); all are invariant after construction.
-        self._stage_on = self.config.stage.enabled
-        self._g_sub_per_block = g.sub_blocks_per_block
-        self._cl_size = g.cacheline_size
-        self._sb_size = g.sub_block_size
+        # Cached config flags of the fetch and stage-insert helpers.
         self._ca = self.config.compression.cacheline_aligned
-        self._tag_lat_f = float(self.config.stage.tag_latency_cycles)
-        self._rc_lat_f = float(self.remap_cache.latency_cycles)
-        self._meta_hit_f = max(self._tag_lat_f, self._rc_lat_f)
-        self._decomp_f = float(self.config.compression.decompression_latency_cycles)
-        self._decomp_i = self.config.compression.decompression_latency_cycles
-        self._zero_support = self.config.compression.zero_block_support
         self._cwb = self.config.compressed_writeback
         self._two_level = self.config.two_level_replacement
         self._share_phys = self.config.share_physical_blocks
-        self._idx_stage_hit = AccessCase.STAGE_HIT.index
-        self._idx_commit_hit = AccessCase.COMMIT_HIT.index
-        self._idx_commit_miss = AccessCase.COMMIT_MISS.index
-        self._idx_fast_home = AccessCase.FAST_HOME.index
-        self._idx_slow_direct = AccessCase.SLOW_DIRECT.index
-
-        # Per-reason deferred-seam decline counters. Kept out of ``stats``
-        # deliberately: the scalar and batched paths must agree on every
-        # stats counter bit-for-bit, and only the batched path declines,
-        # so these live beside the stats rather than in them.
-        self.deferred_declines: Dict[str, int] = {
-            "z_break": 0,
-            "write_overflow": 0,
-            "staging_fetch": 0,
-            "no_stage": 0,
-            "invariant": 0,
-        }
+        #: Per-reason deferred-seam decline counters, as on every design
+        #: with a seam; always empty, since ``serve`` never declines.
+        self.deferred_declines: Dict[str, int] = {}
 
         if tracer is not None or metrics is not None:
             from repro.obs import attach_observability
@@ -263,24 +225,46 @@ class BaryonController:
             help="bytes moved from slow memory per fetch (compressed size)",
             buckets=[self.geometry.cacheline_size * 2 ** i for i in range(8)],
         )
+        self._closures = None
+
+    @property
+    def obs(self):
+        """Observability hook point; see :mod:`repro.obs`. Attached here
+        and on every instrumented sub-component by
+        :func:`repro.obs.attach_observability`."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, tracer) -> None:
+        self._obs = tracer
+        self._closures = None
+
+    @property
+    def oracle(self):
+        """The compressibility oracle (synthetic, content-backed or null)."""
+        return self._oracle
+
+    @oracle.setter
+    def oracle(self, oracle) -> None:
+        self._oracle = oracle
+        self._closures = None
 
     @property
     def stats(self) -> CounterGroup:
         """Counter group with all pending per-access counts folded in."""
         stats = self._stats
-        if self._n_accesses:
-            stats.inc("accesses", self._n_accesses)
-            self._n_accesses = 0
-        if self._n_reads:
-            stats.inc("reads", self._n_reads)
-            self._n_reads = 0
-        if self._n_writes:
-            stats.inc("writes", self._n_writes)
-            self._n_writes = 0
-        if self._n_served_fast:
-            stats.inc("served_fast", self._n_served_fast)
-            self._n_served_fast = 0
+        reads, writes = self._n_rw
+        if reads or writes:
+            stats.inc("accesses", reads + writes)
+            if reads:
+                stats.inc("reads", reads)
+            if writes:
+                stats.inc("writes", writes)
+            self._n_rw[:] = (0, 0)
         cases = self._n_cases
+        served = sum(cases[case.index] for case in FAST_CASES)
+        if served:
+            stats.inc("served_fast", served)
         for case in AccessCase:
             count = cases[case.index]
             if count:
@@ -290,67 +274,27 @@ class BaryonController:
 
     # ------------------------------------------------------------------ API
     def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        """Serve one 64 B memory access; the single external entry point."""
+        """Serve one 64 B memory access; the single external entry point.
+
+        One op of the access flow (:meth:`_build_server`): ``serve``
+        applies its state, ``flush`` folds its tallies and ``replay`` runs
+        its channel transfers at ``now`` and returns its latency.
+        """
         if now is not None:
             self._now = now
         else:
             self._now += 1.0
         now = self._now
-        # Inline address split on cached power-of-two geometry constants
-        # (identical to the Geometry methods for non-negative addresses).
-        block_size = self._g_block_size
-        block_id = addr // block_size
-        super_id = block_id // self._g_super_blocks
-        blk_off = block_id % self._g_super_blocks
-        rem = addr % block_size
-        sub_idx = rem // self._g_sub_size
-        line_idx = (rem % self._g_sub_size) // self._g_line_size
-
-        self._n_accesses += 1
-        if is_write:
-            self._n_writes += 1
-        else:
-            self._n_reads += 1
-        if self.tracker is not None:
-            self.tracker.tick()
-
-        entry = None
-        staged_block = None
-        if super_id in self._quarantined:
-            # Poisoned super-block: degraded service straight from slow
-            # memory, no staging or metadata side effects (counted).
-            result = self._quarantined_serve(now, is_write)
-        else:
-            try:
-                result, entry, staged_block = self._dispatch(
-                    now, super_id, block_id, blk_off, sub_idx, line_idx, is_write
-                )
-            except (TransientDeviceError, CorruptionError) as err:
-                if self.recovery is None:
-                    raise
-                result = self._degraded(now, super_id, err, is_write)
-
-        case = result.case
-        self._n_cases[case.index] += 1
-        fast = case.fast
-        if fast:
-            self._n_served_fast += 1
-        if self.obs.enabled:
-            self.obs.emit(
-                "access", t=now, addr=addr, block=block_id,
-                case=result.case.value, write=is_write,
-                latency=result.latency_cycles, fast=fast,
-                overflow=result.write_overflow,
-            )
-        if self.tracker is not None and result.case is not AccessCase.FAST_HOME:
-            self.tracker.record(
-                block_id,
-                staged=staged_block is not None,
-                committed=entry.is_remapped if entry is not None else False,
-                is_write=is_write,
-                miss=result.case
-                in (AccessCase.STAGE_MISS, AccessCase.COMMIT_MISS, AccessCase.BLOCK_MISS),
-                overflow=result.write_overflow,
+        serve, flush, replay = self._closures or self._bind()
+        op = serve(addr, is_write)
+        flush()
+        case = op[0]
+        result = AccessResult(case, replay(op, now), is_write, op[9], op[6] or [])
+        if self._obs.enabled:
+            self._obs.emit(
+                "access", t=now, addr=addr, block=self.geometry.block_id(addr),
+                case=case.value, write=is_write, latency=result.latency_cycles,
+                fast=case.fast, overflow=result.write_overflow,
             )
         return result
 
@@ -358,21 +302,21 @@ class BaryonController:
     @property
     def supports_batching(self) -> bool:
         """May the simulator drive this controller through the deferred
-        batch fast path (:meth:`make_deferred_server` +
-        :meth:`access_batch`)?
+        batch fast path (``make_deferred_server`` + ``access_batch``, see
+        :class:`~repro.core.seam.ServedSeam`)?
 
         Requires every optional per-access observer to be absent: fault
         injection, recovery, the shadow checker, the phase tracker, event
-        tracing, and quarantined super-blocks all hook the scalar flow.
-        Subclasses that intercept ``access`` (the content-backed oracle)
-        shadow this property with a class attribute ``False``.
+        tracing, and quarantined super-blocks. Subclasses that intercept
+        ``access`` (the content-backed oracle) shadow this property with
+        a class attribute ``False``.
         """
         return (
             self.faults is None
             and self.recovery is None
             and self.checker is None
             and self.tracker is None
-            and not self.obs.enabled
+            and not self._obs.enabled
             and not self._quarantined
         )
 
@@ -392,121 +336,113 @@ class BaryonController:
         way = ref[0]
         return way, self.stage.tags.entries[super_id % self.stage.num_sets][way]
 
-    def access_deferred(self, addr: int, is_write: bool = False):
-        """Serve one 64 B access with state applied now and timing deferred.
+    def _build_server(self):
+        """``(serve, flush)``: the Fig. 6 access flow.
 
-        A per-op wrapper around :meth:`make_deferred_server`: build a
-        server, serve this one access and flush its tallies. Returns the
-        op tuple for :meth:`access_batch`, or ``None`` — with no state
-        applied — when no server can be built or the access needs the
-        scalar :meth:`access`. The simulator drives the server directly;
-        this entry point serves per-op callers such as tests and
-        benchmark hooks.
+        ``serve(addr, is_write)`` resolves the access case and applies
+        every state effect now, in trace order: LRU and replacement
+        touches, remap-cache fills, aging and miss counters, dirty marks,
+        oracle write notes, stage inserts, Z-encoding breaks, overflow
+        splits, commits and evictions. Only its channel transfers are
+        deferred: it returns one op,
+
+            (case, is_write, rc, stage_meta, dev, nbytes, lines, arr, decomp, overflow)
+
+        which ``replay`` (:meth:`_build_replay`) runs at the access's
+        clock. ``rc`` is ``None`` or the remap-table probe's ``(start
+        offset, array latency)``; ``stage_meta`` selects the stage-hit
+        metadata latency (tag only) over ``max(tag, remap)``; ``lines``
+        are the prefetched cacheline addresses. ``dev`` is 0 (no data
+        transfer), 1-4 (one fast read, slow read, fast write or slow
+        write of ``nbytes`` bytes with array latency ``arr``), or 5/6 (a
+        read or write op with recorded transfers: ``nbytes`` is ``(log,
+        di)``, ``log`` the ``(pool, bytes, priority, start offset)``
+        transfers in order, pool 1 fast and 0 slow, and ``log[di]`` the
+        demand transfer, of array latency ``arr``).
+
+        Movement helpers run against recording pools
+        (:class:`_RecordingPool`), so their transfers join the op's log.
+        The hit, bypass and staging-fetch shapes are inlined; their
+        traffic, row-buffer and remap-cache outcomes are tallied in
+        closure locals that ``flush()`` folds into the real counters.
+
+        Observers are guarded branches, bound once per server:
+
+        * *exact* mode, when faults are armed or the remap cache or row
+          buffer is traced: the remap cache is probed through
+          :meth:`RemapCache.access` (repairing corruption), the lookups
+          that draw faults run (``_table_get``, ``lookup_block``), and
+          every transfer goes through ``_dev_read``/``_dev_write`` against
+          the recorders. Each site's fault draws, retries and row-buffer
+          outcomes then happen in the scalar order, and a transfer whose
+          retries run out raises before any later state change;
+        * quarantined super-blocks and ``_degraded`` service;
+        * the stage-phase tracker;
+        * a subclass's own ``_stage_insert`` (the content oracle) in
+          place of the inlined insert shapes.
+
+        Neither closure references the controller: helpers are called
+        through a weak proxy, and counts land in lists it owns.
         """
-        server = self.make_deferred_server()
-        if server is None:
-            return None
-        serve, flush, _ = server
-        op = serve(addr, is_write)
-        flush()
-        return op
-
-    def make_deferred_server(self):
-        """Build the inlined serve/flush closure pair for the hot loop.
-
-        Returns ``(serve, flush, replay)`` or ``None``; ``replay`` is
-        :meth:`access_batch` itself. ``serve(addr, is_write)`` serves one
-        64 B access with its state applied now and its timing deferred.
-        Every case whose state transitions do not depend on the clock —
-        stage hit, commit hit, commit miss, resident/displaced flat home,
-        and the staging fetches of cases 3/5 — mutates state eagerly in
-        trace order (LRU and replacement touches, remap-cache fills,
-        credit/aging counters, dirty marks, oracle write notes, stage
-        inserts), while the clock-dependent part (channel queueing) is
-        returned as one op tuple for :meth:`access_batch` to replay:
-
-            (rc_miss, stage_meta, dev, nbytes, array_latency, decomp, lines)
-
-        ``dev`` is 0 (no data device: zero-encoded data), 1 (fast read),
-        2 (slow read), 3 (fast write), 4 (slow write), or 5/6 (staging
-        fetch read/write, ``nbytes`` then carries ``(demand_bytes,
-        extras)``); ``stage_meta`` selects the stage-hit metadata latency
-        rule (tag latency only) over ``max(tag, remap)``; ``lines`` are
-        the prefetched cacheline addresses for the caller to install.
-
-        Write hits qualify only when they provably do not overflow: the
-        oracle's pure ``peek_write``/``fits_at`` probes test the
-        post-write verdict before anything mutates. ``serve`` returns
-        ``None`` — with **no state applied** — whenever the access needs
-        the scalar path: zero-encoding breaks, write overflows, the
-        no-stage ablation, or a broken fast-area invariant; each decline
-        charges its reason in :attr:`deferred_declines`. The scalar
-        :meth:`access` then serves it bit-identically.
-
-        Every per-op helper call is inlined: the remap-cache LRU probe,
-        the row-buffer bank transition, the stage rank / fast-area stamp
-        touches (a non-LRU fast area goes through
-        :meth:`FastArea.touch`), and the set-access aging count. Traffic,
-        case, and hit-ratio counters accumulate in closure locals and
-        ``flush()`` scatters them into the real counter attributes in one
-        bulk update — integer sums, so the folded totals are
-        bit-identical to per-op increments and no intermediate value is
-        ever observable (the simulator flushes before any scalar
-        ``access`` call and before every stats snapshot).
-
-        Construction declines (returns ``None``) when any per-op observer
-        the inlined bodies skip could fire: controller-level hooks (via
-        :attr:`supports_batching`), remap-cache tracing or faults, device
-        faults, or row-buffer tracing or faults.
-        """
-        if not self.supports_batching:
-            return None
+        ctrl = weakref.proxy(self)
         rc = self.remap_cache
-        devices = self.devices
-        fast = devices.fast
-        slow = devices.slow
+        fast = self.devices.fast
+        slow = self.devices.slow
         rb = fast.row_buffer
         fa = self.fast_area
-        if (
-            rc.obs.enabled
-            or rc.faults is not None
-            or fast.faults is not None
-            or slow.faults is not None
-            or (rb is not None and (rb.obs.enabled or rb.faults is not None))
-        ):
-            return None
+        stage = self.stage
+        tracker = self.tracker
+        recovery = self.recovery
+        exact = self.faults is not None or rc.obs.enabled or (
+            rb is not None and rb.obs.enabled
+        )
+        own_insert = type(self)._stage_insert is not BaryonController._stage_insert
 
-        # ---- bound hot state (locals inside the closures) ----
-        block_size = self._g_block_size
-        super_blocks = self._g_super_blocks
-        sub_size = self._g_sub_size
-        sub_per_block = self._g_sub_per_block
-        line_size = self._g_line_size
-        cl_size = self._cl_size
-        sb_size = self._sb_size
+        g = self.geometry
+        block_size = g.block_size
+        super_blocks = g.super_block_blocks
+        sub_size = g.sub_block_size
+        sub_per_block = g.sub_blocks_per_block
+        cl_size = g.cacheline_size
+        lines_per_sub = g.cachelines_per_sub_block
         ca = self._ca
-        decomp_f = self._decomp_f
-        stage_on = self._stage_on
+        decomp_f = float(self.config.compression.decompression_latency_cycles)
+        stage_on = self.config.stage.enabled
+        zero_support = self.config.compression.zero_block_support
+        cwb = self._cwb
+        share_phys = self._share_phys
         flat_blocks = self._flat_blocks
         home_period = self._home_period
         displaced = self._displaced
         home_stamps = self._home_stamps
+        quarantined = self._quarantined
+        cf_hints_get = self._cf_hints.get
+        rng_choice = self._rng.choice
+        stats_inc = self._stats.inc
+        h_fetch_subs = self._h_fetch_subs
+        h_fetch_bytes = self._h_fetch_bytes
+        n_rw = self._n_rw
+        n_cases = self._n_cases
         col = self.columnar
-        stage_sub = col.stage_sub
-        stage_sub_get = stage_sub.get
+        stage_sub_get = col.stage_sub.get
         stage_block = col.stage_block
-        stage = self.stage
         stage_entries = stage.tags.entries
         stage_num_sets = stage.num_sets
         set_counts = stage._set_accesses
         valid_counts = stage.valid_counts
         aging_period = stage._aging_period
         age_set = stage.age_set
-        lines_per_sub = self.geometry.cachelines_per_sub_block
+        mru_miss_cnt = stage.mru_miss_cnt
+        miss_cap = stage.config.miss_counter_max()
+        stage_allocate = stage.allocate
+        stage_insert_range = stage.insert_range
+        stage_tag_lookup = stage.tags.lookup
+        stage_lookup_block = stage.lookup_block
         # Remap-cache inline-probe contract: see RemapCache.probe_state
         # for the transitions the probe below must preserve.
         rc_sets, rc_num_sets, _ = rc.probe_state()
         rc_credit = rc.credit_probes
+        rc_access = rc.access
         fa_find = fa.find_block
         fa_lru = fa.replacement == "lru"
         fa_touch = fa.touch
@@ -514,14 +450,16 @@ class BaryonController:
         entries_tbl = self.remap_table._entries
         entries_get = entries_tbl.get
         oracle = self.oracle
-        peek_write = oracle.peek_write
-        fits_at = oracle.fits_at
-        version_of = oracle.version_of
         note_write = oracle.note_write
-        declines = self.deferred_declines
-        f_read_lat = fast.read_latency
+        fits = oracle.fits
+        is_zero = oracle.is_zero
+        max_cf = oracle.max_cf
+        f_read_lat = fast.read_latency + 0.0
         f_write_lat = fast.write_latency
-        s_read_lat = slow.read_latency
+        s_read_lat = slow.read_latency + 0.0
+        s_write_lat = slow.write_latency
+        #: A fault-free remap-table probe: at the op's clock, plain latency.
+        rc_miss_op = (0.0, f_read_lat)
         if rb is not None:
             rb_open = rb._open_rows
             rb_row_bytes = rb.row_bytes
@@ -531,169 +469,116 @@ class BaryonController:
             rb_act_lat = rb.t_rcd + rb.t_cas
         else:
             rb_open = None
-        n_cases = self._n_cases
-        idx_stage = self._idx_stage_hit
-        idx_commit = self._idx_commit_hit
-        idx_cmiss = self._idx_commit_miss
-        idx_home = self._idx_fast_home
-        idx_slowd = self._idx_slow_direct
-        idx_smiss = AccessCase.STAGE_MISS.index
-        idx_bmiss = AccessCase.BLOCK_MISS.index
-        # Staging-fetch capture: the real fetch-and-stage runs eagerly
-        # against these recording pools (see :class:`_RecordingPool`).
-        miss_cap = stage.config.miss_counter_max()
-        mru_miss_cnt = stage.mru_miss_cnt
-        fetch_and_stage = self._fetch_and_stage
-        real_fast_pool = fast.pool
-        real_slow_pool = slow.pool
+        STAGE_HIT = AccessCase.STAGE_HIT
+        COMMIT_HIT = AccessCase.COMMIT_HIT
+        STAGE_MISS = AccessCase.STAGE_MISS
+        COMMIT_MISS = AccessCase.COMMIT_MISS
+        BLOCK_MISS = AccessCase.BLOCK_MISS
+        FAST_HOME = AccessCase.FAST_HOME
+        SLOW_DIRECT = AccessCase.SLOW_DIRECT
+        misses = (STAGE_MISS, COMMIT_MISS, BLOCK_MISS)
         rec_log: list = []
         rec_fast = _RecordingPool(1, rec_log)
         rec_slow = _RecordingPool(0, rec_log)
-        # Staging-fetch fast path: the common fetch/insert shapes are
-        # inlined below; these bindings mirror the scalar helpers.
-        cf_hints_get = self._cf_hints.get
-        cwb = self._cwb
-        selective = self.config.compression.selective
-        zero_support = self._zero_support
-        is_zero = oracle.is_zero
-        max_cf = oracle.max_cf
-        h_fetch_subs = self._h_fetch_subs
-        h_fetch_bytes = self._h_fetch_bytes
-        share_phys = self._share_phys
-        rng_choice = self._rng.choice
-        stage_allocate = stage.allocate
-        stage_insert_range = stage.insert_range
-        stage_tag_lookup = stage.tags.lookup
-        stage_insert_m = self._stage_insert
-        stats_inc = self._stats.inc
 
-        # ---- tallies, scattered by flush() ----
-        t_acc = t_reads = t_writes = t_served = 0
-        c_stage = c_commit = c_cmiss = c_home = c_slowd = 0
-        c_smiss = c_bmiss = 0
-        tbl_reads = 0
+        # ---- tallies, folded by flush() ----
+        t_reads = t_writes = tbl_reads = 0
         rc_total = rc_hit_t = rc_nm = rc_ne = 0
         f_rb = f_nr = f_db = f_wb = f_nw = 0
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
 
-        def serve(addr, is_write):
-            nonlocal t_acc, t_reads, t_writes, t_served
-            nonlocal c_stage, c_commit, c_cmiss, c_home, c_slowd, tbl_reads
-            nonlocal c_smiss, c_bmiss
+        def recorded(helper, *args):
+            """Run a movement helper against the recording pools."""
+            saved = fast.pool, slow.pool
+            fast.pool = rec_fast
+            slow.pool = rec_slow
+            try:
+                return helper(*args)
+            finally:
+                fast.pool, slow.pool = saved
+
+        def row(a_addr):
+            """Inlined :meth:`RowBufferModel.access` (no faults or
+            tracing); returns the array latency."""
+            nonlocal rb_h, rb_m, rb_p, rb_a
+            r = a_addr // rb_row_bytes
+            bank = r % rb_banks
+            r //= rb_banks
+            prev = rb_open.get(bank)
+            if prev == r:
+                rb_h += 1
+                return rb_cas
+            rb_open[bank] = r
+            rb_m += 1
+            if prev is not None:
+                rb_p += 1
+                return rb_pre_lat
+            rb_a += 1
+            return rb_act_lat
+
+        def demand(pid, nbytes, is_write, a_addr=None):
+            """Log a recorded op's demand transfer; ``(index, array
+            latency)``. Exact mode goes through the retry wrappers."""
+            nonlocal f_rb, f_nr, f_db, f_wb, f_nw, s_rb, s_nr, s_db, s_wb, s_nw
+            di = len(rec_log)
+            device = fast if pid else slow
+            if exact:
+                if is_write:
+                    access = ctrl._dev_write(device, 0.0, nbytes, a_addr)
+                else:
+                    access = ctrl._dev_read(device, 0.0, nbytes, addr=a_addr)
+                return di, access.latency_cycles
+            rec_log.append((pid, nbytes, not is_write, 0.0))
+            if is_write:
+                if pid:
+                    f_wb += nbytes
+                    f_nw += 1
+                else:
+                    s_wb += nbytes
+                    s_nw += 1
+            elif pid:
+                f_rb += nbytes
+                f_nr += 1
+                f_db += nbytes
+            else:
+                s_rb += nbytes
+                s_nr += 1
+                s_db += nbytes
+            if pid and a_addr is not None and rb_open is not None:
+                return di, row(a_addr)
+            if is_write:
+                return di, f_write_lat if pid else s_write_lat
+            return di, f_read_lat if pid else s_read_lat
+
+        def logged(case, is_write, rc_op, stage_meta, di, arr, decomp, lines, overflow):
+            """Close an op whose transfers sit in the log (exact mode logs
+            the table probe first; it replays from ``rc_op`` instead)."""
+            skip = 1 if exact and rc_op is not None else 0
+            log = tuple(rec_log[skip:] if skip else rec_log)
+            rec_log.clear()
+            return (
+                case, is_write, rc_op, stage_meta, 6 if is_write else 5,
+                (log, di - skip), lines, arr, decomp, overflow,
+            )
+
+        def body(addr, is_write):
+            nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
             nonlocal f_rb, f_nr, f_db, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
-            nonlocal rb_h, rb_m, rb_p, rb_a
 
             block_id = addr // block_size
             super_id = block_id // super_blocks
+            blk_off = block_id % super_blocks
             rem = addr % block_size
             sub_idx = rem // sub_size
-
-            # ---- resolve the case ----
-            staged = stage_sub_get(block_id * sub_per_block + sub_idx)
-            if staged is not None:
-                case = 1
-                way, slot_idx = staged
-                slot = stage_entries[super_id % stage_num_sets][way].slots[slot_idx]
-                zero = slot.zero
-                if is_write:
-                    if zero:
-                        declines["z_break"] += 1
-                        return None
-                    cf = slot.cf
-                    if (
-                        cf > 1
-                        and peek_write(block_id, sub_idx)
-                        and not fits_at(
-                            block_id, slot.sub_start, cf, ca,
-                            version_of(block_id) + 1,
-                        )
-                    ):
-                        declines["write_overflow"] += 1
-                        return None
-                elif not zero:
-                    cf = slot.cf
-                    sub_start = slot.sub_start
+            if is_write:
+                t_writes += 1
             else:
-                entry = entries_get(block_id)
-                blk_off = block_id % super_blocks
-                if entry is not None and (entry.zero or (entry.remap >> sub_idx) & 1):
-                    case = 2
-                    found = fa_find(super_id, blk_off)
-                    if found is None:
-                        declines["invariant"] += 1
-                        return None
-                    way, state = found
-                    zero = entry.zero
-                    if is_write:
-                        if zero:
-                            declines["z_break"] += 1
-                            return None
-                        # entry.range_of, inlined (zero is False and
-                        # membership already established above).
-                        quad = sub_idx >> 2
-                        if (entry.cf4 >> quad) & 1:
-                            sub_start = quad << 2
-                            cf = 4
-                        else:
-                            pair = sub_idx >> 1
-                            if (entry.cf2 >> pair) & 1:
-                                sub_start = pair << 1
-                                cf = 2
-                            else:
-                                sub_start = sub_idx
-                                cf = 1
-                        if (
-                            peek_write(block_id, sub_idx)
-                            and cf > 1
-                            and not fits_at(
-                                block_id, sub_start, cf, ca,
-                                version_of(block_id) + 1,
-                            )
-                        ):
-                            declines["write_overflow"] += 1
-                            return None
-                    elif not zero:
-                        quad = sub_idx >> 2
-                        if (entry.cf4 >> quad) & 1:
-                            sub_start = quad << 2
-                            cf = 4
-                        else:
-                            pair = sub_idx >> 1
-                            if (entry.cf2 >> pair) & 1:
-                                sub_start = pair << 1
-                                cf = 2
-                            else:
-                                sub_start = sub_idx
-                                cf = 1
-                elif stage_on and block_id in stage_block:
-                    # Case 3: sub-block miss on a staged block.
-                    case = 7
-                    miss_way = stage_block[block_id][0]
-                elif entry is not None:
-                    if not stage_on:
-                        declines["no_stage"] += 1
-                        return None
-                    case = 4
-                elif (
-                    flat_blocks
-                    and block_id % home_period == 0
-                    and block_id // home_period < flat_blocks
-                ):
-                    case = 5 if block_id not in displaced else 6
-                elif not stage_on:
-                    # No-stage ablation miss: the scalar path inserts
-                    # directly.
-                    declines["staging_fetch"] += 1
-                    return None
-                else:
-                    # Case 5: block miss, fetch-and-stage.
-                    case = 7
-                    miss_way = None
+                t_reads += 1
 
-            # ---- shared eager effects, in the scalar path's exact order ----
+            # ---- stage-set aging, then the metadata probes ----
             set_index = super_id % stage_num_sets
             n = set_counts[set_index] + 1
             if n < aging_period:
@@ -701,37 +586,63 @@ class BaryonController:
             else:
                 set_counts[set_index] = 0
                 age_set(set_index)
-            rci = super_id % rc_num_sets
-            rc_tag = super_id // rc_num_sets
-            rc_set = rc_sets[rci]
-            rc_lines = rc_set.lines
-            rc_line = rc_lines.get(rc_tag)
-            rc_total += 1
-            if rc_line is not None:
-                rc_hit_t += 1
-                rc_set._clock += 1
-                rc_line.counter = rc_set._clock
-                rc_lines[rc_tag] = rc_lines.pop(rc_tag)
-                rc_miss = False
+            if exact:
+                try:
+                    hit = rc_access(super_id)
+                except CorruptionError:
+                    hit = ctrl._repair_remap_cache_line(super_id)
+                rc_op = None
+                if not hit:
+                    # Off-chip remap table probe: one super-block line.
+                    lat = ctrl._dev_read(fast, 0.0, 16).latency_cycles
+                    rc_op = (rec_log[-1][3], lat)
+                    tbl_reads += 1
+                ctrl._table_get(0.0, block_id)
+                if stage_on:
+                    stage_lookup_block(super_id, blk_off)
             else:
-                rc_nm += 1
-                if len(rc_lines) >= rc_set.ways:
-                    del rc_lines[next(iter(rc_lines))]
-                    rc_ne += 1
-                rc_line = CacheLine(rc_tag)
-                rc_set._clock += 1
-                rc_line.counter = rc_set._clock
-                rc_lines[rc_tag] = rc_line
-                rc_miss = True
-                f_rb += 16
-                f_nr += 1
-                f_db += 16
-                tbl_reads += 1
+                rci = super_id % rc_num_sets
+                rc_tag = super_id // rc_num_sets
+                rc_set = rc_sets[rci]
+                rc_lines = rc_set.lines
+                rc_line = rc_lines.get(rc_tag)
+                rc_total += 1
+                if rc_line is not None:
+                    rc_hit_t += 1
+                    rc_set._clock += 1
+                    rc_line.counter = rc_set._clock
+                    rc_lines[rc_tag] = rc_lines.pop(rc_tag)
+                    rc_op = None
+                else:
+                    rc_nm += 1
+                    if len(rc_lines) >= rc_set.ways:
+                        del rc_lines[next(iter(rc_lines))]
+                        rc_ne += 1
+                    rc_line = CacheLine(rc_tag)
+                    rc_set._clock += 1
+                    rc_line.counter = rc_set._clock
+                    rc_lines[rc_tag] = rc_line
+                    rc_op = rc_miss_op
+                    f_rb += 16
+                    f_nr += 1
+                    f_db += 16
+                    tbl_reads += 1
 
-            if case == 1:
-                # Stage hit: exact-rank LRU promote, then serve. Ranks are
-                # dense 0..valid-1, so a target already at MRU rank leaves
-                # every rank (including its own) unchanged.
+            # ---- resolve the case and apply its state ----
+            stage_meta = overflow = False
+            dev = nbytes = 0
+            di = -1
+            arr = decomp = 0.0
+            lines = None
+            staged = stage_sub_get(block_id * sub_per_block + sub_idx)
+            entry = None if staged is not None else entries_get(block_id)
+            if staged is not None:
+                # Case 1: stage hit. Exact-rank LRU promote: ranks are
+                # dense 0..valid-1, so a way already at MRU rank leaves
+                # every rank unchanged.
+                case = STAGE_HIT
+                stage_meta = True
+                way, slot_idx = staged
                 entries_si = stage_entries[set_index]
                 target = entries_si[way]
                 old_rank = target.lru
@@ -741,419 +652,436 @@ class BaryonController:
                         if e.valid and e.lru > old_rank:
                             e.lru -= 1
                     target.lru = mru
-                t_acc += 1
-                c_stage += 1
-                t_served += 1
-                if is_write:
-                    t_writes += 1
-                    f_wb += cl_size
-                    f_nw += 1
+                slot = target.slots[slot_idx]
+                read = not (slot.zero or is_write)
+                if slot.zero and is_write:
+                    # The write breaks the Z encoding.
+                    recorded(
+                        ctrl._stage_zero_write, 0.0, set_index, way, slot_idx,
+                        block_id, blk_off, sub_idx,
+                    )
+                    di, arr = demand(1, cl_size, True, block_id * block_size)
+                    overflow = True
+                elif is_write:
                     a_addr = block_id * block_size + sub_idx * sub_size
-                    if rb_open is not None:
-                        row = a_addr // rb_row_bytes
-                        bank = row % rb_banks
-                        row //= rb_banks
-                        prev = rb_open.get(bank)
-                        if prev == row:
-                            rb_h += 1
-                        else:
-                            rb_open[bank] = row
-                            rb_m += 1
-                            if prev is not None:
-                                rb_p += 1
-                            else:
-                                rb_a += 1
+                    if exact:
+                        di, arr = demand(1, cl_size, True, a_addr)
+                    else:
+                        f_wb += cl_size
+                        f_nw += 1
+                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        dev, nbytes = 3, cl_size
                     slot.dirty = True
-                    note_write(block_id, sub_idx)
-                    return (rc_miss, True, 3, cl_size, 0.0, 0.0, None)
-                t_reads += 1
-                if zero:
-                    return (rc_miss, True, 0, 0, 0.0, 0.0, None)
-            elif case == 2:
-                # Commit hit: fast-area replacement touch, then serve.
+                    cf = slot.cf
+                    if (
+                        note_write(block_id, sub_idx)
+                        and cf > 1
+                        and not fits(block_id, slot.sub_start, cf, ca)
+                    ):
+                        overflow = True
+                        if not exact:
+                            # The inlined write becomes the log's demand.
+                            di = len(rec_log)
+                            rec_log.append((1, cl_size, False, 0.0))
+                        recorded(
+                            ctrl._stage_overflow, 0.0, set_index, way, slot_idx,
+                            block_id, blk_off,
+                        )
+                elif read:
+                    cf = slot.cf
+                    sub_start = slot.sub_start
+            elif entry is not None and (entry.zero or (entry.remap >> sub_idx) & 1):
+                # Case 2: commit hit, then the fast-area replacement touch.
+                case = COMMIT_HIT
+                found = fa_find(super_id, blk_off)
+                if found is None:
+                    raise SimulationError(
+                        f"remap entry points to fast memory but block {block_id} "
+                        "is not tracked in the fast area"
+                    )
+                way, state = found
                 if fa_lru:
                     fa._clock += 1
                     state.stamp = fa._clock
                 else:
                     fa_touch(super_id % fa_num_sets, way)
-                t_acc += 1
-                c_commit += 1
-                t_served += 1
-                if is_write:
-                    t_writes += 1
-                    f_wb += cl_size
-                    f_nw += 1
-                    a_addr = block_id * block_size + sub_idx * sub_size
-                    if rb_open is not None:
-                        row = a_addr // rb_row_bytes
-                        bank = row % rb_banks
-                        row //= rb_banks
-                        prev = rb_open.get(bank)
-                        if prev == row:
-                            rb_h += 1
-                        else:
-                            rb_open[bank] = row
-                            rb_m += 1
-                            if prev is not None:
-                                rb_p += 1
-                            else:
-                                rb_a += 1
-                    state.dirty_subs.add((blk_off, sub_idx))
-                    note_write(block_id, sub_idx)
-                    return (rc_miss, False, 3, cl_size, 0.0, 0.0, None)
-                t_reads += 1
-                if zero:
-                    return (rc_miss, False, 0, 0, 0.0, 0.0, None)
-            elif case == 4:
-                # Commit miss: a pure slow-memory bypass.
-                t_acc += 1
-                c_cmiss += 1
-                if is_write:
-                    t_writes += 1
-                    s_wb += cl_size
-                    s_nw += 1
-                    return (rc_miss, False, 4, cl_size, 0.0, 0.0, None)
-                t_reads += 1
-                s_rb += cl_size
-                s_nr += 1
-                s_db += cl_size
-                return (rc_miss, False, 2, cl_size, s_read_lat + 0.0, 0.0, None)
-            elif case == 7:
-                # Cases 3/5 (staging fetch): every state decision in the
-                # fetch-and-stage tree is clock-free, so it runs eagerly
-                # here. The dominant shapes (non-zero fetch into a free
-                # slot or a fresh way) are inlined outright; the rare ones
-                # (zero blocks, selective compression, replacements) fall
-                # back to the real helpers with the channel pools swapped
-                # for recorders. Either way the op carries the transfer
-                # sequence, replayed in order at the op's exact clock
-                # (dev codes 5/6).
-                t_acc += 1
-                if is_write:
-                    t_writes += 1
-                else:
-                    t_reads += 1
-                # stage.record_block_miss, inlined; the MRU check uses the
-                # dense-rank invariant (MRU way has rank valid-1).
-                if miss_way is None:
-                    c_bmiss += 1
-                    bound_entry = None
-                    n = mru_miss_cnt[set_index] + 1
-                    mru_miss_cnt[set_index] = n if n < miss_cap else miss_cap
-                else:
-                    c_smiss += 1
-                    bound_entry = stage_entries[set_index][miss_way]
-                    n = bound_entry.miss_count + 1
-                    if n > miss_cap:
-                        n = miss_cap
-                    bound_entry.miss_count = n
-                    if bound_entry.lru == valid_counts[set_index] - 1:
-                        n = mru_miss_cnt[set_index] + 1
-                        mru_miss_cnt[set_index] = (
-                            n if n < miss_cap else miss_cap
-                        )
-                if selective or (
-                    bound_entry is None
-                    and zero_support
-                    and is_zero(block_id, 0, sub_per_block)
-                ):
-                    fast.pool = rec_fast
-                    slow.pool = rec_slow
-                    try:
-                        latency, prefetched = fetch_and_stage(
-                            0.0, 0.0, super_id, block_id, blk_off, sub_idx,
-                            (rem % sub_size) // line_size, is_write,
-                        )
-                    finally:
-                        fast.pool = real_fast_pool
-                        slow.pool = real_slow_pool
-                    if rec_log and rec_log[0][2]:
-                        # The demand read is the only priority transfer
-                        # the capture can see (the table probe replays
-                        # from rc_miss); the rest is posted traffic.
-                        demand_nb = rec_log[0][1]
-                        extras = tuple(rec_log[1:])
-                    else:
-                        demand_nb = 0  # zero block: meta-only latency
-                        extras = tuple(rec_log)
-                    del rec_log[:]
-                    return (
-                        rc_miss,
-                        False,
-                        6 if is_write else 5,
-                        (demand_nb, extras),
-                        s_read_lat + 0.0,
-                        decomp_f if prefetched else 0.0,
-                        prefetched if prefetched else None,
-                    )
-                # _choose_fetch_range, inlined (selective is off here).
-                compressed = False
-                hint = cf_hints_get(block_id)
-                if hint is not None and cwb:
-                    cf2h, cf4h, _z = hint
-                    if (cf4h >> (sub_idx >> 2)) & 1:
-                        sub_start = (sub_idx >> 2) << 2
+                read = not (entry.zero or is_write)
+                if not entry.zero:
+                    # entry.range_of, inlined (membership established).
+                    quad = sub_idx >> 2
+                    if (entry.cf4 >> quad) & 1:
+                        sub_start = quad << 2
                         cf = 4
-                        compressed = True
-                    elif (cf2h >> (sub_idx >> 1)) & 1:
-                        sub_start = (sub_idx >> 1) << 1
-                        cf = 2
-                        compressed = True
-                if not compressed:
-                    cf = max_cf(block_id, sub_idx, ca)
-                    sub_start = (sub_idx // cf) * cf
-                if bound_entry is not None and cf > 1:
-                    # Avoid refetching sub-blocks already staged.
-                    staged_subs = {
-                        s
-                        for bslot in bound_entry.slots
-                        if bslot is not None and bslot.blk_off == blk_off
-                        for s in bslot.sub_blocks
-                    }
-                    while cf > 1 and any(
-                        s in staged_subs
-                        for s in range(sub_start, sub_start + cf)
+                    else:
+                        pair = sub_idx >> 1
+                        if (entry.cf2 >> pair) & 1:
+                            sub_start = pair << 1
+                            cf = 2
+                        else:
+                            sub_start = sub_idx
+                            cf = 1
+                if entry.zero and is_write:
+                    # The write breaks the committed Z encoding: evict the
+                    # logical block and write to slow memory.
+                    stats_inc("commit_zero_breaks")
+                    note_write(block_id, sub_idx)
+                    recorded(
+                        ctrl._evict_committed_logical_block, 0.0, super_id,
+                        block_id, blk_off,
+                    )
+                    di, arr = demand(0, cl_size, True)
+                    overflow = True
+                elif is_write:
+                    a_addr = block_id * block_size + sub_idx * sub_size
+                    if exact:
+                        di, arr = demand(1, cl_size, True, a_addr)
+                    else:
+                        f_wb += cl_size
+                        f_nw += 1
+                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        dev, nbytes = 3, cl_size
+                    state.dirty_subs.add((blk_off, sub_idx))
+                    if (
+                        note_write(block_id, sub_idx)
+                        and cf > 1
+                        and not fits(block_id, sub_start, cf, ca)
                     ):
-                        cf //= 2
-                        sub_start = (sub_idx // cf) * cf
+                        overflow = True
+                        stats_inc("commit_write_overflows")
+                        if not exact:
+                            # The inlined write becomes the log's demand.
+                            di = len(rec_log)
+                            rec_log.append((1, cl_size, False, 0.0))
+                        recorded(
+                            ctrl._handle_commit_overflow, 0.0, super_id, block_id,
+                            blk_off, sub_start, cf, super_id % fa_num_sets, way,
+                        )
+            else:
+                read = False
+                miss_way = None
+                if stage_on and block_id in stage_block:
+                    # Case 3: sub-block miss on a staged block.
+                    case = STAGE_MISS
+                    miss_way = stage_block[block_id][0]
+                elif entry is not None:
+                    case = COMMIT_MISS if stage_on else BLOCK_MISS
+                elif (
+                    flat_blocks
+                    and block_id % home_period == 0
+                    and block_id // home_period < flat_blocks
+                ):
+                    case = FAST_HOME if block_id not in displaced else SLOW_DIRECT
+                else:
+                    # Case 5: block miss.
+                    case = BLOCK_MISS
+                if not stage_on and case is BLOCK_MISS:
+                    # No-stage ablation (Fig. 13c): insert straight into
+                    # the committed area; the demand read is the helper's
+                    # first transfer.
+                    di = len(rec_log)
+                    access, lines = recorded(
+                        ctrl._no_stage_miss, 0.0, super_id, block_id, blk_off,
+                        sub_idx, (rem % sub_size) // cl_size, is_write,
+                    )
+                    arr = access.latency_cycles
+                    if lines:
+                        decomp = decomp_f
+                    else:
+                        lines = None
+                elif case is COMMIT_MISS or case is SLOW_DIRECT:
+                    # Commit miss (a slow-memory bypass) or a displaced
+                    # home, served from its spread slow copy.
+                    if exact:
+                        di, arr = demand(0, cl_size, is_write)
+                    elif is_write:
+                        s_wb += cl_size
+                        s_nw += 1
+                        dev, nbytes, arr = 4, cl_size, s_write_lat
+                    else:
+                        s_rb += cl_size
+                        s_nr += 1
+                        s_db += cl_size
+                        dev, nbytes, arr = 2, cl_size, s_read_lat
+                elif case is FAST_HOME:
+                    # Flat scheme: resident home block, served in place.
+                    a_addr = block_id * block_size
+                    if exact:
+                        di, arr = demand(1, cl_size, is_write, a_addr)
+                    elif is_write:
+                        f_wb += cl_size
+                        f_nw += 1
+                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        dev, nbytes = 3, cl_size
+                    else:
+                        f_rb += cl_size
+                        f_nr += 1
+                        f_db += cl_size
+                        arr = f_read_lat if rb_open is None else row(a_addr)
+                        dev, nbytes = 1, cl_size
+                    fa._clock += 1
+                    home_stamps[block_id] = fa._clock
+                else:
+                    # Cases 3/5: fetch from slow memory, stage the range.
+                    # stage.record_block_miss, inlined; the MRU check uses
+                    # the dense-rank invariant (MRU way has rank valid-1).
+                    if miss_way is None:
+                        bound_entry = None
+                        n = mru_miss_cnt[set_index] + 1
+                        mru_miss_cnt[set_index] = n if n < miss_cap else miss_cap
+                    else:
+                        bound_entry = stage_entries[set_index][miss_way]
+                        n = bound_entry.miss_count + 1
+                        bound_entry.miss_count = n if n < miss_cap else miss_cap
+                        if bound_entry.lru == valid_counts[set_index] - 1:
+                            n = mru_miss_cnt[set_index] + 1
+                            mru_miss_cnt[set_index] = n if n < miss_cap else miss_cap
+                        if exact:
+                            # The fetch resolves its staged block again.
+                            stage_lookup_block(super_id, blk_off)
+                    if (
+                        bound_entry is None
+                        and zero_support
+                        and is_zero(block_id, 0, sub_per_block)
+                    ):
+                        # All-zero block: the Z encoding stages it whole,
+                        # for free.
+                        recorded(
+                            ctrl._stage_insert, 0.0, super_id, block_id, blk_off,
+                            RangeSlot(cf=1, dirty=is_write, blk_off=blk_off, zero=True),
+                            None,
+                        )
+                        stats_inc("zero_block_stages")
+                    else:
+                        # _choose_fetch_range, inlined.
                         compressed = False
-                lines = None
-                if compressed:
-                    demand_nb = cl_size if ca else sb_size
-                    fetch_bytes = sb_size
-                    # _chunk_lines, inlined.
-                    line_idx = (rem % sub_size) // line_size
+                        hint = cf_hints_get(block_id)
+                        if hint is not None and cwb:
+                            if (hint[1] >> (sub_idx >> 2)) & 1:
+                                sub_start = (sub_idx >> 2) << 2
+                                cf = 4
+                                compressed = True
+                            elif (hint[0] >> (sub_idx >> 1)) & 1:
+                                sub_start = (sub_idx >> 1) << 1
+                                cf = 2
+                                compressed = True
+                        if not compressed:
+                            cf = max_cf(block_id, sub_idx, ca)
+                            sub_start = (sub_idx // cf) * cf
+                        if bound_entry is not None and cf > 1:
+                            # Avoid refetching sub-blocks already staged.
+                            staged_subs = {
+                                s
+                                for bslot in bound_entry.slots
+                                if bslot is not None and bslot.blk_off == blk_off
+                                for s in bslot.sub_blocks
+                            }
+                            while cf > 1 and any(
+                                s in staged_subs for s in range(sub_start, sub_start + cf)
+                            ):
+                                cf //= 2
+                                sub_start = (sub_idx // cf) * cf
+                                compressed = False
+                        # Demand chunk first: one 64 B transfer, or the
+                        # whole compressed slot without cacheline-aligned
+                        # compression.
+                        if compressed:
+                            demand_nb = cl_size if ca else sub_size
+                            fetch_bytes = sub_size
+                            decomp = decomp_f
+                            # _chunk_lines, inlined.
+                            base = block_id * block_size + sub_start * sub_size
+                            demanded = (
+                                (sub_idx - sub_start) * lines_per_sub
+                                + (rem % sub_size) // cl_size
+                            )
+                            if ca:
+                                first = (demanded // cf) * cf
+                                rng = range(first, first + cf)
+                            else:
+                                rng = range(cf * lines_per_sub)
+                            lines = [base + i * cl_size for i in rng if i != demanded]
+                        else:
+                            demand_nb = cl_size
+                            fetch_bytes = cf * sub_size
+                        # Background: the rest of the range, then the
+                        # stage-area fill.
+                        rest = fetch_bytes - demand_nb
+                        if exact:
+                            di, arr = demand(0, demand_nb, False)
+                            if rest > 0:
+                                ctrl._bg_read(slow, 0.0, rest)
+                            ctrl._bg_write(fast, 0.0, sub_size)
+                        else:
+                            s_rb += demand_nb
+                            s_nr += 1
+                            s_db += demand_nb
+                            di, arr = len(rec_log), s_read_lat
+                            rec_log.append((0, demand_nb, True, 0.0))
+                            if rest > 0:
+                                s_rb += rest
+                                s_nr += 1
+                                s_fb += rest
+                                rec_log.append((0, rest, False, 0.0))
+                            f_wb += sub_size
+                            f_nw += 1
+                            rec_log.append((1, sub_size, False, 0.0))
+                        if h_fetch_subs is not None:
+                            h_fetch_subs.observe(cf)
+                            h_fetch_bytes.observe(fetch_bytes)
+                        new_slot = RangeSlot(
+                            cf=cf, dirty=is_write, blk_off=blk_off, sub_start=sub_start
+                        )
+                        # _stage_insert: free-slot / fresh-way shapes
+                        # inline, the replacement shapes (and a subclass's
+                        # own insert) via the helper.
+                        ins_way = None
+                        if own_insert:
+                            pass
+                        elif bound_entry is not None:
+                            if bound_entry.free_slot() is not None:
+                                ins_way = miss_way
+                        elif share_phys:
+                            candidates = stage_tag_lookup(
+                                set_index, super_id // stage_num_sets
+                            )
+                            if candidates:
+                                with_room = [
+                                    (w, e) for w, e in candidates
+                                    if e.free_slot() is not None
+                                ]
+                                if with_room:
+                                    ins_way = rng_choice(with_room)[0]
+                                    if len(candidates) > 1:
+                                        stats_inc("multi_block_super_stages")
+                            else:
+                                allocated = stage_allocate(super_id)
+                                if allocated is not None:
+                                    ins_way = allocated[1]
+                        else:
+                            allocated = stage_allocate(super_id)
+                            if allocated is not None:
+                                ins_way = allocated[1]
+                        if ins_way is not None:
+                            stage_insert_range(set_index, ins_way, new_slot)
+                            # stage.touch with the exact-rank MRU shortcut.
+                            entries_si = stage_entries[set_index]
+                            target = entries_si[ins_way]
+                            old_rank = target.lru
+                            mru = valid_counts[set_index] - 1
+                            if old_rank != mru:
+                                for e in entries_si:
+                                    if e.valid and e.lru > old_rank:
+                                        e.lru -= 1
+                                target.lru = mru
+                        else:
+                            recorded(
+                                ctrl._stage_insert, 0.0, super_id, block_id,
+                                blk_off, new_slot,
+                                None if bound_entry is None
+                                else (miss_way, bound_entry),
+                            )
+                        if is_write:
+                            note_write(block_id, sub_idx)
+                    if case is BLOCK_MISS and tracker is not None:
+                        tracker.block_staged(block_id)
+
+            if read:
+                # Cases 1/2: the demand read of the (compressed) chunk.
+                nbytes = cl_size if (cf <= 1 or ca) else sub_size
+                a_addr = block_id * block_size + sub_idx * sub_size
+                if exact:
+                    di, arr = demand(1, nbytes, False, a_addr)
+                else:
+                    f_rb += nbytes
+                    f_nr += 1
+                    f_db += nbytes
+                    arr = f_read_lat if rb_open is None else row(a_addr)
+                    dev = 1
+                if cf > 1:
+                    decomp = decomp_f
+                    # _chunk_lines, inlined: sibling cachelines of the
+                    # compressed chunk the demand read decompresses.
                     base = block_id * block_size + sub_start * sub_size
                     demanded = (
-                        (sub_idx - sub_start) * lines_per_sub + line_idx
+                        (sub_idx - sub_start) * lines_per_sub
+                        + (rem % sub_size) // cl_size
                     )
                     if ca:
                         first = (demanded // cf) * cf
                         rng = range(first, first + cf)
                     else:
                         rng = range(cf * lines_per_sub)
-                    lines = [
-                        base + i * line_size for i in rng if i != demanded
-                    ]
-                else:
-                    demand_nb = cl_size
-                    fetch_bytes = cf * sb_size
-                s_rb += demand_nb
-                s_nr += 1
-                s_db += demand_nb
-                rest = fetch_bytes - demand_nb
-                if rest > 0:
-                    s_rb += rest
-                    s_nr += 1
-                    s_fb += rest
-                    extras = [(0, rest, False), (1, sb_size, False)]
-                else:
-                    extras = [(1, sb_size, False)]
-                f_wb += sb_size
-                f_nw += 1
-                if h_fetch_subs is not None:
-                    h_fetch_subs.observe(cf)
-                    h_fetch_bytes.observe(fetch_bytes)
-                new_slot = RangeSlot(
-                    cf=cf, dirty=is_write, blk_off=blk_off,
-                    sub_start=sub_start,
+                    lines = [base + i * cl_size for i in rng if i != demanded]
+            n_cases[case.index] += 1
+            if exact or rec_log:
+                return logged(
+                    case, is_write, rc_op, stage_meta, di, arr, decomp, lines, overflow
                 )
-                # _stage_insert: free-slot / fresh-way shapes inline, the
-                # replacement shapes via the captured real helper.
-                ins_way = None
-                if bound_entry is not None:
-                    if bound_entry.free_slot() is not None:
-                        ins_way = miss_way
-                elif share_phys:
-                    candidates = stage_tag_lookup(
-                        set_index, super_id // stage_num_sets
-                    )
-                    if candidates:
-                        with_room = [
-                            (w, e)
-                            for w, e in candidates
-                            if e.free_slot() is not None
-                        ]
-                        if with_room:
-                            ins_way = rng_choice(with_room)[0]
-                            if len(candidates) > 1:
-                                stats_inc("multi_block_super_stages")
-                    else:
-                        allocated = stage_allocate(super_id)
-                        if allocated is not None:
-                            ins_way = allocated[1]
-                else:
-                    allocated = stage_allocate(super_id)
-                    if allocated is not None:
-                        ins_way = allocated[1]
-                if ins_way is not None:
-                    stage_insert_range(set_index, ins_way, new_slot)
-                    # stage.touch with the exact-rank MRU shortcut.
-                    entries_si = stage_entries[set_index]
-                    target = entries_si[ins_way]
-                    old_rank = target.lru
-                    mru = valid_counts[set_index] - 1
-                    if old_rank != mru:
-                        for e in entries_si:
-                            if e.valid and e.lru > old_rank:
-                                e.lru -= 1
-                        target.lru = mru
-                else:
-                    fast.pool = rec_fast
-                    slow.pool = rec_slow
-                    try:
-                        stage_insert_m(
-                            0.0, super_id, block_id, blk_off, new_slot,
-                            None if bound_entry is None
-                            else (miss_way, bound_entry),
-                        )
-                    finally:
-                        fast.pool = real_fast_pool
-                        slow.pool = real_slow_pool
-                    if rec_log:
-                        extras.extend(rec_log)
-                        del rec_log[:]
-                if is_write:
-                    note_write(block_id, sub_idx)
-                return (
-                    rc_miss,
-                    False,
-                    6 if is_write else 5,
-                    (demand_nb, extras),
-                    s_read_lat + 0.0,
-                    decomp_f if compressed else 0.0,
-                    lines,
-                )
-            elif case == 5:
-                # Flat scheme: resident home block, served in place.
-                t_acc += 1
-                c_home += 1
-                t_served += 1
-                a_addr = block_id * block_size
-                if rb_open is not None:
-                    row = a_addr // rb_row_bytes
-                    bank = row % rb_banks
-                    row //= rb_banks
-                    prev = rb_open.get(bank)
-                    if prev == row:
-                        rb_h += 1
-                        arr = rb_cas
-                    else:
-                        rb_open[bank] = row
-                        rb_m += 1
-                        if prev is not None:
-                            rb_p += 1
-                            arr = rb_pre_lat
-                        else:
-                            rb_a += 1
-                            arr = rb_act_lat
-                else:
-                    arr = f_write_lat if is_write else f_read_lat
-                fa._clock += 1
-                home_stamps[block_id] = fa._clock
-                if is_write:
-                    t_writes += 1
-                    f_wb += cl_size
-                    f_nw += 1
-                    return (rc_miss, False, 3, cl_size, 0.0, 0.0, None)
-                t_reads += 1
-                f_rb += cl_size
-                f_nr += 1
-                f_db += cl_size
-                return (rc_miss, False, 1, cl_size, arr + 0.0, 0.0, None)
-            else:
-                # Displaced home: served from its spread slow copy.
-                t_acc += 1
-                c_slowd += 1
-                if is_write:
-                    t_writes += 1
-                    s_wb += cl_size
-                    s_nw += 1
-                    return (rc_miss, False, 4, cl_size, 0.0, 0.0, None)
-                t_reads += 1
-                s_rb += cl_size
-                s_nr += 1
-                s_db += cl_size
-                return (rc_miss, False, 2, cl_size, s_read_lat + 0.0, 0.0, None)
+            return (
+                case, is_write, rc_op, stage_meta, dev, nbytes, lines, arr, decomp,
+                overflow,
+            )
 
-            # ---- non-zero read data transfer (cases 1 and 2) ----
-            nbytes = cl_size if (cf <= 1 or ca) else sb_size
-            f_rb += nbytes
-            f_nr += 1
-            f_db += nbytes
-            a_addr = block_id * block_size + sub_idx * sub_size
-            if rb_open is not None:
-                row = a_addr // rb_row_bytes
-                bank = row % rb_banks
-                row //= rb_banks
-                prev = rb_open.get(bank)
-                if prev == row:
-                    rb_h += 1
-                    arr = rb_cas
-                else:
-                    rb_open[bank] = row
-                    rb_m += 1
-                    if prev is not None:
-                        rb_p += 1
-                        arr = rb_pre_lat
+        def guarded(addr, is_write):
+            """``body`` behind the observers: the tracker, quarantine and
+            degraded service, and exact mode's recording pools."""
+            nonlocal t_reads, t_writes
+            if tracker is not None:
+                tracker.tick()
+            block_id = addr // block_size
+            super_id = block_id // super_blocks
+            staged = block_id in stage_block
+            committed = block_id in entries_tbl
+            saved = fast.pool, slow.pool
+            if exact:
+                fast.pool = rec_fast
+                slow.pool = rec_slow
+            try:
+                op = None
+                if super_id in quarantined:
+                    # Poisoned super-block: degraded service straight
+                    # from slow memory, no staging or metadata effects.
+                    if is_write:
+                        t_writes += 1
                     else:
-                        rb_a += 1
-                        arr = rb_act_lat
-            else:
-                arr = f_read_lat
-            stage_meta = case == 1
-            if cf > 1:
-                # _chunk_lines, inlined: sibling cachelines of the
-                # compressed chunk the demand read decompresses.
-                line_idx = (rem % sub_size) // line_size
-                base = block_id * block_size + sub_start * sub_size
-                demanded = (sub_idx - sub_start) * lines_per_sub + line_idx
-                if ca:
-                    first = (demanded // cf) * cf
-                    rng = range(first, first + cf)
+                        t_reads += 1
+                    access = ctrl._quarantined_serve(0.0, is_write)
                 else:
-                    rng = range(cf * lines_per_sub)
-                lines = [base + i * line_size for i in rng if i != demanded]
-                return (rc_miss, stage_meta, 1, nbytes, arr + 0.0, decomp_f, lines)
-            return (rc_miss, stage_meta, 1, nbytes, arr + 0.0, 0.0, None)
+                    try:
+                        op = body(addr, is_write)
+                    except (TransientDeviceError, CorruptionError) as err:
+                        if recovery is None:
+                            raise
+                        access = ctrl._degraded(0.0, super_id, err, is_write)
+                if op is None:
+                    n_cases[SLOW_DIRECT.index] += 1
+                    staged = committed = False
+                    op = logged(
+                        SLOW_DIRECT, is_write, None, True, len(rec_log) - 1,
+                        access.latency_cycles, 0.0, None, False,
+                    )
+            finally:
+                fast.pool, slow.pool = saved
+            case = op[0]
+            if tracker is not None and case is not FAST_HOME:
+                tracker.record(
+                    block_id, staged=staged, committed=committed,
+                    is_write=is_write, miss=case in misses, overflow=op[9],
+                )
+            return op
 
         def flush():
-            nonlocal t_acc, t_reads, t_writes, t_served
-            nonlocal c_stage, c_commit, c_cmiss, c_home, c_slowd, tbl_reads
-            nonlocal c_smiss, c_bmiss
+            nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
             nonlocal f_rb, f_nr, f_db, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
             nonlocal rb_h, rb_m, rb_p, rb_a
-            if t_acc:
-                self._n_accesses += t_acc
-                self._n_reads += t_reads
-                self._n_writes += t_writes
-                self._n_served_fast += t_served
-                t_acc = t_reads = t_writes = t_served = 0
-            if c_stage:
-                n_cases[idx_stage] += c_stage
-                c_stage = 0
-            if c_commit:
-                n_cases[idx_commit] += c_commit
-                c_commit = 0
-            if c_cmiss:
-                n_cases[idx_cmiss] += c_cmiss
-                c_cmiss = 0
-            if c_smiss:
-                n_cases[idx_smiss] += c_smiss
-                c_smiss = 0
-            if c_bmiss:
-                n_cases[idx_bmiss] += c_bmiss
-                c_bmiss = 0
-            if c_home:
-                n_cases[idx_home] += c_home
-                c_home = 0
-            if c_slowd:
-                n_cases[idx_slowd] += c_slowd
-                c_slowd = 0
+            if t_reads or t_writes:
+                n_rw[0] += t_reads
+                n_rw[1] += t_writes
+                t_reads = t_writes = 0
             if tbl_reads:
-                self._stats.inc("remap_table_reads", tbl_reads)
+                stats_inc("remap_table_reads", tbl_reads)
                 tbl_reads = 0
             if rc_total:
                 rc_credit(rc_total, rc_hit_t, rc_nm, rc_ne)
@@ -1185,201 +1113,55 @@ class BaryonController:
                 if rb_a:
                     rb.stats.inc("activations", rb_a)
                     rb_a = 0
-            return None
 
-        return serve, flush, self.access_batch
+        if exact or tracker is not None or recovery is not None:
+            return guarded, flush
+        return body, flush
 
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
-        """Replay a span of deferred ops against the channel pools.
-
-        ``ops`` interleaves plain floats (core-side cycle increments the
-        caller deferred to keep the accumulation order) with op tuples
-        from the deferred server's ``serve``, in trace order. Each op is served at
-        the clock value the accumulator has reached — exactly the ``now``
-        the scalar loop would have passed to :meth:`access` — so the
-        channel busy-state evolution, the queueing delays and the float
-        accumulation order of ``cycles`` are bit-identical to the scalar
-        path. Returns the advanced ``cycles``.
-        """
+    def _build_replay(self):
+        """``replay(op, now) -> latency``: run one op's channel transfers
+        at ``now`` in the scalar flow's order and return the access's
+        latency, writes included. Every device total is ``(array latency
+        + queue) + transfer``, as in :meth:`MemoryDevice.read`."""
         fast_transfer = self.devices.fast.pool.transfer
         slow_transfer = self.devices.slow.pool.transfer
-        tag_lat = self._tag_lat_f
-        meta_hit = self._meta_hit_f
-        rc_lat = self._rc_lat_f
-        probe_lat = self.devices.fast.read_latency + 0.0
-        now = self._now
-        for op in ops:
-            if op.__class__ is float:
-                cycles += op
-                continue
-            rc_miss, stage_meta, dev, nbytes, arr, decomp, _lines = op
-            now = cycles
-            if dev >= 3:
-                if dev >= 5:
-                    # Staging fetch (cases 3/5): ``nbytes`` carries
-                    # ``(demand_bytes, extras)`` — the demand read plus
-                    # the captured posted transfers, replayed in capture
-                    # order. Only reads (dev 5) stall the core.
-                    demand_nb, extras = nbytes
-                    if rc_miss:
-                        queue, transfer = fast_transfer(now, 16, True)
-                        remap_lat = rc_lat + ((probe_lat + queue) + transfer)
-                        latency = remap_lat if remap_lat > tag_lat else tag_lat
-                    else:
-                        latency = meta_hit
-                    if demand_nb:
-                        queue, transfer = slow_transfer(now, demand_nb, True)
-                        latency += (arr + queue) + transfer
-                        if decomp:
-                            latency += decomp
-                    for pid, nb, pri in extras:
-                        if pid:
-                            fast_transfer(now, nb, pri)
-                        else:
-                            slow_transfer(now, nb, pri)
-                    if dev == 5:
-                        cycles += latency / mlp
-                    continue
-                # Posted write: evolves the channel busy state (and the
-                # remap-table probe) but adds no core-visible latency —
-                # the simulator never accumulates write latencies.
-                if rc_miss:
-                    fast_transfer(now, 16, True)
-                if dev == 3:
-                    fast_transfer(now, nbytes)
-                else:
-                    slow_transfer(now, nbytes)
-                continue
-            if rc_miss:
-                queue, transfer = fast_transfer(now, 16, True)
+        tag_lat = float(self.config.stage.tag_latency_cycles)
+        rc_lat = float(self.remap_cache.latency_cycles)
+        meta_hit = max(tag_lat, rc_lat)
+
+        def replay(op, now):
+            _, _, rc_op, stage_meta, dev, nbytes, _, arr, decomp, _ = op
+            if rc_op is None:
+                latency = tag_lat if stage_meta else meta_hit
+            else:
+                t, lat = rc_op
+                queue, transfer = fast_transfer(now + t, 16, True)
                 if stage_meta:
                     latency = tag_lat
                 else:
-                    remap_lat = rc_lat + ((probe_lat + queue) + transfer)
+                    remap_lat = rc_lat + ((lat + queue) + transfer)
                     latency = remap_lat if remap_lat > tag_lat else tag_lat
-            else:
-                latency = tag_lat if stage_meta else meta_hit
-            if dev:
-                queue, transfer = (
-                    fast_transfer(now, nbytes, True)
-                    if dev == 1
-                    else slow_transfer(now, nbytes, True)
-                )
-                latency += (arr + queue) + transfer
-                if decomp:
-                    latency += decomp
-            cycles += latency / mlp
-        self._now = now
-        return cycles
-
-    def _dispatch(
-        self,
-        now: float,
-        super_id: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        is_write: bool,
-    ) -> Tuple[AccessResult, Optional[RemapEntry], Optional[Tuple[int, StageTagEntry]]]:
-        """The Fig. 6 case dispatch (the body of :meth:`access`)."""
-        stage_set = self.stage.set_index_of(super_id)
-        self.stage.record_set_access(stage_set)
-
-        # Metadata lookup: stage tag array and remap cache in parallel.
-        meta_latency = float(self.config.stage.tag_latency_cycles)
-        try:
-            remap_hit = self.remap_cache.access(super_id)
-        except CorruptionError:
-            # Injected remap-cache corruption: the line is dropped and
-            # rebuilt from the authoritative table. The refill runs with
-            # injection paused so the repair always terminates.
-            remap_hit = self._repair_remap_cache_line(super_id)
-        remap_latency = float(self.remap_cache.latency_cycles)
-        if not remap_hit:
-            # Off-chip remap table probe: one super-block line (16 B).
-            table = self._dev_read(self.devices.fast, now, 16, demand=True)
-            remap_latency += table.total_cycles
-            self._stats.inc("remap_table_reads")
-        # Fast path: with no fault injection armed, `_table_get` is a pure
-        # read, so the entry materialization can be deferred until a
-        # consumer needs it. The dominant stage-hit/remap-cache-hit case
-        # then skips it entirely unless a tracker is recording (the
-        # existing zero-cost guards stay in place).
-        defer_entry = self.faults is None
-        entry = None if defer_entry else self._table_get(now, block_id)
-
-        staged_block = None
-        staged_sub = None
-        if self.config.stage.enabled:
-            if self.faults is None:
-                # O(1) columnar probes replace the way x slot scans. The
-                # Rule-3 and no-overlap invariants (ColumnarState.verify)
-                # make the dict answers identical to the first-match
-                # scans; with fault injection armed the scans stay, since
-                # lookup_block draws the corruption sample per match.
-                ref = self.columnar.stage_block.get(block_id)
-                if ref is not None:
-                    way = ref[0]
-                    entry_obj = self.stage.tags.entries[stage_set][way]
-                    staged_block = (way, entry_obj)
-                    hit = self.columnar.stage_sub.get(
-                        block_id * self._g_sub_per_block + sub_idx
+            if dev < 5:
+                if dev:
+                    queue, transfer = (fast_transfer if dev & 1 else slow_transfer)(
+                        now, nbytes, dev < 3
                     )
-                    if hit is not None:
-                        staged_sub = (way, entry_obj, hit[1])
-            else:
-                staged_block = self.stage.lookup_block(super_id, blk_off)
-                if staged_block is not None:
-                    staged_sub = self.stage.lookup_sub_block(
-                        super_id, blk_off, sub_idx
-                    )
+                    latency += (arr + queue) + transfer
+                    if decomp:
+                        latency += decomp
+                return latency
+            log, di = nbytes
+            for i, (pid, nb, pri, t) in enumerate(log):
+                queue, transfer = (fast_transfer if pid else slow_transfer)(
+                    now + t, nb, pri
+                )
+                if i == di:
+                    latency += (arr + queue) + transfer
+                    if decomp:
+                        latency += decomp
+            return latency
 
-        if staged_sub is not None:
-            meta = meta_latency
-            result = self._case1_stage_hit(
-                now, meta, super_id, block_id, blk_off, sub_idx, line_idx,
-                staged_sub, is_write,
-            )
-            if defer_entry and self.tracker is not None:
-                entry = self._table_get(now, block_id)
-            return result, entry, staged_block
-        else:
-            if defer_entry:
-                entry = self._table_get(now, block_id)
-            meta = max(meta_latency, remap_latency)
-            if entry.is_remapped and entry.sub_block_remapped(sub_idx):
-                result = self._case2_commit_hit(
-                    now, meta, super_id, block_id, blk_off, sub_idx, line_idx,
-                    entry, is_write,
-                )
-            elif staged_block is not None:
-                result = self._case3_stage_miss(
-                    now, meta, super_id, block_id, blk_off, sub_idx, line_idx,
-                    staged_block, is_write,
-                )
-            elif entry.is_remapped:
-                if self.config.stage.enabled:
-                    result = self._case4_commit_miss(now, meta, is_write)
-                else:
-                    # No-stage ablation: insert directly (with re-sort cost).
-                    result = self._no_stage_miss(
-                        now, meta, super_id, block_id, blk_off, sub_idx,
-                        line_idx, is_write,
-                    )
-            elif self._is_fast_home(block_id):
-                result = self._fast_home_access(now, meta, block_id, is_write)
-            elif self._is_home_block(block_id):
-                # Displaced home block: served from its spread slow copy
-                # until its space frees (never staged; Sec. III-F).
-                result = self._slow_direct(now, meta, is_write)
-            else:
-                result = self._case5_block_miss(
-                    now, meta, super_id, block_id, blk_off, sub_idx, line_idx,
-                    is_write,
-                )
-
-        return result, entry, staged_block
+        return replay
 
     # --------------------------------------------------- recovery paths
     def _dev_read(self, device, now: float, nbytes: int, *, demand: bool = True,
@@ -1468,22 +1250,20 @@ class BaryonController:
         self.recovery.record("remap_cache_repairs", site="remap_cache")
         return False
 
-    def _quarantined_serve(self, now: float, is_write: bool) -> AccessResult:
-        """Degraded service for a poisoned super-block (always succeeds)."""
+    def _quarantined_serve(self, now: float, is_write: bool):
+        """Degraded service for a poisoned super-block (always succeeds);
+        returns the slow-memory :class:`DeviceAccess`."""
         self.recovery.record("quarantined_serves")
         token = self._pause_faults()
         try:
-            return self._slow_direct(
-                now, float(self.config.stage.tag_latency_cycles), is_write
-            )
+            return self._slow_direct(now, is_write)
         finally:
             self._resume_faults(token)
 
-    def _degraded(
-        self, now: float, super_id: int, err: Exception, is_write: bool
-    ) -> AccessResult:
+    def _degraded(self, now: float, super_id: int, err: Exception, is_write: bool):
         """Recovery exhausted (retries spent or corruption with no clean
-        repair): quarantine the super-block and serve from slow memory.
+        repair): quarantine the super-block and serve from slow memory;
+        returns the slow-memory :class:`DeviceAccess`.
 
         The cleanup — flushing staged data, evicting committed data back
         to slow memory, dropping cached metadata — runs with injection
@@ -1496,9 +1276,7 @@ class BaryonController:
             self.recovery.record(
                 f"degraded_{kind}", site=getattr(err, "site", None)
             )
-            return self._slow_direct(
-                now, float(self.config.stage.tag_latency_cycles), is_write
-            )
+            return self._slow_direct(now, is_write)
         finally:
             self._resume_faults(token)
 
@@ -1521,86 +1299,14 @@ class BaryonController:
             self._cf_hints.pop(block_id, None)
         self.remap_cache.invalidate(super_id)
 
-    # ----------------------------------------------------------- case 1
-    def _case1_stage_hit(
-        self,
-        now: float,
-        meta: float,
-        super_id: int,
-        block_id: int,
+    def _stage_overflow(
+        self, now: float, set_index: int, way: int, slot_idx: int, block_id: int,
         blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        staged_sub: Tuple[int, StageTagEntry, int],
-        is_write: bool,
-    ) -> AccessResult:
-        way, entry, slot_idx = staged_sub
-        slot = entry.slots[slot_idx]
-        assert slot is not None
-        set_index = self.stage.set_index_of(super_id)
-        self.stage.touch(set_index, way)
-        prefetched: List[int] = []
-        latency = meta
-        overflow = False
-
-        if slot.zero:
-            # Zero data: nothing to read from the device.
-            if is_write:
-                overflow = self._stage_zero_write(
-                    now, set_index, way, slot_idx, block_id, blk_off, sub_idx
-                )
-                access = self._dev_write(self.devices.fast,
-                    now, self.geometry.cacheline_size, addr=block_id * self.geometry.block_size
-                )
-                latency += access.total_cycles
-        elif is_write:
-            access = self._dev_write(self.devices.fast,
-                now, self.geometry.cacheline_size,
-                addr=block_id * self.geometry.block_size + sub_idx * self.geometry.sub_block_size,
-            )
-            latency += access.total_cycles
-            self.stage.mark_dirty(set_index, way, slot_idx)
-            overflow = self._maybe_stage_overflow(
-                now, set_index, way, slot_idx, block_id, blk_off, sub_idx
-            )
-        else:
-            access = self._dev_read(self.devices.fast,
-                now, self._demand_bytes(slot.cf),
-                addr=block_id * self.geometry.block_size + sub_idx * self.geometry.sub_block_size,
-            )
-            latency += access.total_cycles
-            if slot.cf > 1:
-                latency += self._decomp_i
-                prefetched = self._chunk_lines(
-                    block_id, slot.sub_start, slot.cf, sub_idx, line_idx
-                )
-        return AccessResult(
-            AccessCase.STAGE_HIT, latency, is_write, overflow, prefetched
-        )
-
-    def _maybe_stage_overflow(
-        self,
-        now: float,
-        set_index: int,
-        way: int,
-        slot_idx: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-    ) -> bool:
-        """Recompress after a stage write; reinsert split ranges on overflow."""
+    ) -> None:
+        """A stage write overflowed its range: remove the range and
+        reinsert it as freshly fetched pieces (case 3 semantics) — the
+        data are already in fast memory."""
         entry = self.stage.entry(set_index, way)
-        slot = entry.slots[slot_idx]
-        assert slot is not None
-        changed = self.oracle.note_write(block_id, sub_idx)
-        if not changed or slot.cf == 1:
-            return False
-        if self.oracle.fits(
-            block_id, slot.sub_start, slot.cf, self.config.compression.cacheline_aligned
-        ):
-            return False
-        # Overflow: remove the range and reinsert it as freshly fetched
-        # pieces (case 3 semantics) — data are already in fast memory.
         self._stats.inc("stage_write_overflows")
         removed = self.stage.remove_slot(set_index, way, slot_idx)
         super_id = self.stage.mapper.super_block_of(set_index, entry.tag)
@@ -1610,7 +1316,6 @@ class BaryonController:
             )
             self._stage_insert(now, super_id, block_id, blk_off, piece_slot)
             self._bg_write(self.devices.fast, now, self.geometry.sub_block_size)
-        return True
 
     def _stage_zero_write(
         self,
@@ -1659,78 +1364,6 @@ class BaryonController:
             sub = piece_start + length
         return pieces
 
-    # ----------------------------------------------------------- case 2
-    def _case2_commit_hit(
-        self,
-        now: float,
-        meta: float,
-        super_id: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        entry: RemapEntry,
-        is_write: bool,
-    ) -> AccessResult:
-        located = self.fast_area.find_block(super_id, blk_off)
-        if located is None:
-            raise SimulationError(
-                f"remap entry points to fast memory but block {block_id} "
-                "is not tracked in the fast area"
-            )
-        way, state = located
-        set_index = self.fast_area.set_of_super(super_id)
-        self.fast_area.touch(set_index, way)
-        target_range = entry.range_of(sub_idx)
-        assert target_range is not None
-        start, cf = target_range
-        prefetched: List[int] = []
-        latency = meta
-        overflow = False
-
-        if entry.zero:
-            if is_write:
-                # Writing a committed all-zero block invalidates the Z
-                # encoding: evict the whole logical block, write to slow.
-                self._stats.inc("commit_zero_breaks")
-                self.oracle.note_write(block_id, sub_idx)
-                self._evict_committed_logical_block(now, super_id, block_id, blk_off)
-                access = self._dev_write(self.devices.slow, now, self.geometry.cacheline_size)
-                latency += access.total_cycles
-                overflow = True
-            return AccessResult(
-                AccessCase.COMMIT_HIT, latency, is_write, overflow, prefetched
-            )
-
-        if is_write:
-            access = self._dev_write(self.devices.fast,
-                now, self.geometry.cacheline_size,
-                addr=block_id * self.geometry.block_size + sub_idx * self.geometry.sub_block_size,
-            )
-            latency += access.total_cycles
-            state.dirty_subs.add((blk_off, sub_idx))
-            changed = self.oracle.note_write(block_id, sub_idx)
-            if changed and cf > 1 and not self.oracle.fits(
-                block_id, start, cf, self.config.compression.cacheline_aligned
-            ):
-                overflow = True
-                self._stats.inc("commit_write_overflows")
-                self._handle_commit_overflow(
-                    now, super_id, block_id, blk_off, start, cf, set_index, way
-                )
-        else:
-            access = self._dev_read(self.devices.fast,
-                now, self._demand_bytes(cf),
-                addr=block_id * self.geometry.block_size + sub_idx * self.geometry.sub_block_size,
-            )
-            latency += access.total_cycles
-            if cf > 1:
-                latency += self.config.compression.decompression_latency_cycles
-                prefetched = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
-        return AccessResult(
-            AccessCase.COMMIT_HIT, latency, is_write, overflow, prefetched
-        )
-
     def _handle_commit_overflow(
         self,
         now: float,
@@ -1771,69 +1404,13 @@ class BaryonController:
         ranges = entry.ranges()
         return bool(ranges) and ranges[-1][0] == start
 
-    # ----------------------------------------------------------- case 3
-    def _case3_stage_miss(
-        self,
-        now: float,
-        meta: float,
-        super_id: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        staged_block: Tuple[int, StageTagEntry],
-        is_write: bool,
-    ) -> AccessResult:
-        set_index = self.stage.set_index_of(super_id)
-        way, _entry = staged_block
-        self.stage.record_block_miss(set_index, way)
-        latency, prefetched = self._fetch_and_stage(
-            now, meta, super_id, block_id, blk_off, sub_idx, line_idx, is_write
-        )
-        return AccessResult(AccessCase.STAGE_MISS, latency, is_write, False, prefetched)
-
-    # ----------------------------------------------------------- case 4
-    def _case4_commit_miss(self, now: float, meta: float, is_write: bool) -> AccessResult:
+    def _slow_direct(self, now: float, is_write: bool):
+        """One cacheline to or from slow memory, with no staging side
+        effects; returns the :class:`DeviceAccess`."""
         size = self.geometry.cacheline_size
         if is_write:
-            access = self._dev_write(self.devices.slow, now, size)
-        else:
-            access = self._dev_read(self.devices.slow, now, size, demand=True)
-        return AccessResult(AccessCase.COMMIT_MISS, meta + access.total_cycles, is_write)
-
-    def _slow_direct(self, now: float, meta: float, is_write: bool) -> AccessResult:
-        """Serve from slow memory with no staging side effects."""
-        size = self.geometry.cacheline_size
-        if is_write:
-            access = self._dev_write(self.devices.slow, now, size)
-        else:
-            access = self._dev_read(self.devices.slow, now, size, demand=True)
-        return AccessResult(AccessCase.SLOW_DIRECT, meta + access.total_cycles, is_write)
-
-    # ----------------------------------------------------------- case 5
-    def _case5_block_miss(
-        self,
-        now: float,
-        meta: float,
-        super_id: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        is_write: bool,
-    ) -> AccessResult:
-        if not self.config.stage.enabled:
-            return self._no_stage_miss(
-                now, meta, super_id, block_id, blk_off, sub_idx, line_idx, is_write
-            )
-        set_index = self.stage.set_index_of(super_id)
-        self.stage.record_block_miss(set_index, None)
-        latency, prefetched = self._fetch_and_stage(
-            now, meta, super_id, block_id, blk_off, sub_idx, line_idx, is_write
-        )
-        if self.tracker is not None:
-            self.tracker.block_staged(block_id)
-        return AccessResult(AccessCase.BLOCK_MISS, latency, is_write, False, prefetched)
+            return self._dev_write(self.devices.slow, now, size)
+        return self._dev_read(self.devices.slow, now, size)
 
     # --------------------------------------------------- flat-scheme homes
     def _is_home_block(self, block_id: int) -> bool:
@@ -1859,17 +1436,6 @@ class BaryonController:
         if index >= self._flat_blocks:
             return None
         return index * self._home_period
-
-    def _fast_home_access(
-        self, now: float, meta: float, block_id: int, is_write: bool
-    ) -> AccessResult:
-        size = self.geometry.cacheline_size
-        if is_write:
-            access = self._dev_write(self.devices.fast, now, size, addr=block_id * self.geometry.block_size)
-        else:
-            access = self._dev_read(self.devices.fast, now, size, addr=block_id * self.geometry.block_size)
-        self._home_stamps[block_id] = self.fast_area.next_stamp()
-        return AccessResult(AccessCase.FAST_HOME, meta + access.total_cycles, is_write)
 
     def _commit_victim_way(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
         """Pick the fast block space a commit should take.
@@ -1924,78 +1490,6 @@ class BaryonController:
             raise SimulationError("fast area has no ways")
         return best_way, best_state
 
-    # ------------------------------------------------------- fetch + stage
-    def _fetch_and_stage(
-        self,
-        now: float,
-        meta: float,
-        super_id: int,
-        block_id: int,
-        blk_off: int,
-        sub_idx: int,
-        line_idx: int,
-        is_write: bool,
-    ) -> Tuple[float, List[int]]:
-        """Cases 3/5: fetch from slow memory, respond, stage in background."""
-        g = self.geometry
-        existing = self._staged_block_of(super_id, block_id, blk_off)
-
-        # All-zero block: the Z encoding stages the whole block for free
-        # (only on the first fetch of the block, which covers it entirely).
-        if (
-            existing is None
-            and self._zero_support
-            and self.oracle.is_zero(block_id, 0, g.sub_blocks_per_block)
-        ):
-            slot = RangeSlot(cf=1, dirty=is_write, blk_off=blk_off, zero=True)
-            self._stage_insert(now, super_id, block_id, blk_off, slot, existing)
-            self._stats.inc("zero_block_stages")
-            return meta, []
-
-        start, cf, compressed = self._choose_fetch_range(block_id, blk_off, sub_idx)
-        # Avoid refetching sub-blocks this block already has staged.
-        if existing is not None:
-            _, entry = existing
-            staged_subs = {
-                s
-                for slot in entry.slots
-                if slot is not None and slot.blk_off == blk_off
-                for s in slot.sub_blocks
-            }
-            while cf > 1 and any(
-                s in staged_subs for s in range(start, start + cf)
-            ):
-                cf //= 2
-                start, _ = g.aligned_range(sub_idx, cf)
-                compressed = False
-
-        # Demand chunk first (one 64 B transfer; the whole compressed slot
-        # when cacheline-aligned compression is disabled).
-        demand_bytes = self._demand_bytes(cf) if compressed else g.cacheline_size
-        demand = self._dev_read(self.devices.slow, now, demand_bytes, demand=True)
-        latency = meta + demand.total_cycles
-        prefetched: List[int] = []
-        if compressed:
-            latency += self.config.compression.decompression_latency_cycles
-            prefetched = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
-            fetch_bytes = g.sub_block_size
-        else:
-            fetch_bytes = cf * g.sub_block_size
-        # Background: the rest of the range, plus the stage-area fill.
-        rest = max(0, fetch_bytes - demand_bytes)
-        if rest:
-            self._bg_read(self.devices.slow, now, rest)
-        self._bg_write(self.devices.fast, now, g.sub_block_size)
-        if self._h_fetch_subs is not None:
-            self._h_fetch_subs.observe(cf)
-            self._h_fetch_bytes.observe(fetch_bytes)
-
-        slot = RangeSlot(cf=cf, dirty=is_write, blk_off=blk_off, sub_start=start)
-        self._stage_insert(now, super_id, block_id, blk_off, slot, existing)
-        if is_write:
-            self.oracle.note_write(block_id, sub_idx)
-        return latency, prefetched
-
     def _choose_fetch_range(
         self, block_id: int, blk_off: int, sub_idx: int
     ) -> Tuple[int, int, bool]:
@@ -2016,27 +1510,9 @@ class BaryonController:
             pair = sub_idx // 2
             if (cf2 >> pair) & 1:
                 return pair * 2, 2, True
-        if self._compression_skipped(block_id):
-            return sub_idx, 1, False
         cf = self.oracle.max_cf(block_id, sub_idx, ca)
         start, _ = g.aligned_range(sub_idx, cf)
         return start, cf, False
-
-    def _compression_skipped(self, block_id: int) -> bool:
-        """Selective compression (future-work extension): skip regions
-        whose expected CF is too low to pay for the decompression latency
-        and overflow risk."""
-        comp = self.config.compression
-        if not comp.selective:
-            return False
-        profile_of = getattr(self.oracle, "profile_of", None)
-        if profile_of is None:
-            return False
-        expected = profile_of(block_id).expected_cf(comp.cacheline_aligned)
-        if expected >= comp.selective_threshold:
-            return False
-        self._stats.inc("compression_skips")
-        return True
 
     def _chunk_lines(
         self, block_id: int, range_start: int, cf: int, sub_idx: int, line_idx: int
@@ -2545,20 +2021,21 @@ class BaryonController:
     def _no_stage_miss(
         self,
         now: float,
-        meta: float,
         super_id: int,
         block_id: int,
         blk_off: int,
         sub_idx: int,
         line_idx: int,
         is_write: bool,
-    ) -> AccessResult:
+    ):
         """Fig. 13(c) ablation: no stage area.
 
         Every fetched range goes straight into the committed area. Because
         the compact remap format is sorted and dense, each insertion into
         an existing physical block re-sorts the whole block layout: a full
         fast-memory read + write of the block, on top of the slow fetch.
+        Returns the demand read's :class:`DeviceAccess`, the helper's first
+        transfer, and the prefetched cachelines (decompressed when any).
         """
         g = self.geometry
         entry = self.remap_table.get(block_id)
@@ -2571,11 +2048,9 @@ class BaryonController:
             start, _ = g.aligned_range(sub_idx, cf)
             compressed = False
         demand_bytes = self._demand_bytes(cf) if compressed else g.cacheline_size
-        demand = self._dev_read(self.devices.slow, now, demand_bytes, demand=True)
-        latency = meta + demand.total_cycles
+        demand = self._dev_read(self.devices.slow, now, demand_bytes)
         prefetched: List[int] = []
         if compressed:
-            latency += self.config.compression.decompression_latency_cycles
             prefetched = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
             fetch_bytes = g.sub_block_size
         else:
@@ -2638,7 +2113,7 @@ class BaryonController:
             state.dirty_subs.add((blk_off, sub_idx))
             self.oracle.note_write(block_id, sub_idx)
         self.fast_area.touch(fa_set, way)
-        return AccessResult(AccessCase.BLOCK_MISS, latency, is_write, False, prefetched)
+        return demand, prefetched
 
     # ------------------------------------------------------------ reporting
     def serve_rate(self) -> float:

@@ -67,17 +67,16 @@ class SystemSimulator:
         the core-side cycle increments in scalar order plus one record
         per access that touches the LLC. The loop replays only those
         records' LLC work. LLC misses and writebacks take the
-        controller's *deferred seam* when it has one: safe ops — reads,
-        write hits that provably do not overflow, batch-safe writebacks —
-        are state-applied eagerly in trace order and their channel timing
+        controller's *deferred seam* when it has one: each op is
+        state-applied eagerly in trace order and its channel timing
         replays in one ``access_batch`` call. For Baryon, Hybrid2, Unison
         and DICE the ops are served by the inlined ``serve`` closure of
         ``make_deferred_server``, for ``simple`` by its per-op
-        ``access_deferred``. Any unsafe op (zero-encoding breaks,
-        overflowing writes, block fills) first flushes the pending run and
-        then takes ``controller.access`` with the current clock; without
-        the seam every miss and writeback does. Unison and DICE keep no
-        clock-dependent state, so none of their ops is unsafe, and their
+        ``access_deferred``. Only Simple's block fills leave the seam: such
+        an op first flushes the pending run and then takes
+        ``controller.access`` with the current clock; without the seam
+        every miss and writeback does. The other designs' state never
+        depends on the clock, so ``serve`` takes every op, and their
         ``access`` is itself ``serve`` + ``flush`` + a one-op replay:
         without the seam they run the same code one op at a time. SimResults
         — cycles, counters, energy — and every hierarchy counter are
@@ -89,7 +88,7 @@ class SystemSimulator:
     The seam has two vetoes. The controller's ``supports_batching`` is
     false while a per-access observer of its own is attached — fault
     injection, recovery, the shadow checker, the phase tracker, the
-    content oracle or event tracing all hook the scalar ``access`` flow.
+    content oracle or event tracing, which run one op at a time.
     An attached ``metrics`` registry turns it off as well: a deferred
     op's latency exists only at replay time, but the latency histogram
     observes every miss as it is served. Profiling, spans and progress callbacks never change which
@@ -453,8 +452,8 @@ class SystemSimulator:
         :data:`MAX_PENDING_OPS` entries, the next record boundary replays
         it. A replay boundary only decides when ``batch`` runs, not what
         it computes, so results do not depend on the bound; it keeps a
-        long run of never-declining ops (Unison, DICE) from holding a
-        whole span in memory. The only skipped additions are ``+ 0.0``
+        long run of never-declining ops (every design but Simple) from
+        holding a whole span in memory. The only skipped additions are ``+ 0.0``
         terms (zero instruction gaps), which cannot change a
         non-negative accumulator bit pattern.
         """

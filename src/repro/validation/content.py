@@ -190,10 +190,11 @@ class ContentBackedController(BaryonController):
     def _locate(self, addr: int) -> Tuple[str, Dict[int, int]]:
         """The sub-block's single authoritative tier after the access.
 
-        Mirrors the dispatch priority of :meth:`BaryonController._dispatch`:
-        staged data shadow committed data, committed data shadow the home
-        space, and slow memory is the backstop (including quarantined
-        super-blocks and displaced flat homes).
+        Mirrors the case priority of the controller's access flow
+        (:meth:`BaryonController._build_server`): staged data shadow
+        committed data, committed data shadow the home space, and slow
+        memory is the backstop (including quarantined super-blocks and
+        displaced flat homes).
         """
         g = self.geometry
         block_id = g.block_id(addr)
@@ -398,10 +399,10 @@ class ContentBackedController(BaryonController):
                 self.c_home[line] = value
 
     def _no_stage_miss(
-        self, now, meta, super_id, block_id, blk_off, sub_idx, line_idx, is_write
+        self, now, super_id, block_id, blk_off, sub_idx, line_idx, is_write
     ):
         result = super()._no_stage_miss(
-            now, meta, super_id, block_id, blk_off, sub_idx, line_idx, is_write
+            now, super_id, block_id, blk_off, sub_idx, line_idx, is_write
         )
         # Whatever the final layout holds was either already in the fast
         # store (survived the insertion) or just fetched from slow.

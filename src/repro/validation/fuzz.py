@@ -319,12 +319,14 @@ def run_batched_case(
     The batched controller configuration is *forced*: fault injection off,
     the synthetic compressibility oracle on — exactly the shape for which
     ``BaryonController.supports_batching`` holds. One controller replays
-    the trace through plain ``access`` calls; a twin replays it the way
+    the trace through plain ``access`` calls, each serve, flush and
+    replay of one op; a twin replays it the way
     ``SystemSimulator._fast_span`` does — ``make_deferred_server``'s
     ``serve`` applies state eagerly in trace order and ``access_batch``
-    replays the channel timing at every declined access — under
-    adversarial scheduling: random span boundaries force
-    batch-replay/flush points mid-run (:func:`_seam_replay`). Both must
+    replays the channel timing of a whole run — under adversarial
+    scheduling: random span boundaries force batch-replay/flush points
+    mid-run (:func:`_seam_replay`). The committed twin corpus in
+    ``tests/golden_corpus.json`` pins the per-op replay itself. Both must
     finish with bit-identical counters (controller, devices, remap cache)
     and the same clock, and the twin's stage probe indices must verify
     against its tag array. Raises :class:`OracleViolation`
@@ -416,8 +418,9 @@ def run_fuzz(
     (:func:`run_baseline_case`), Hybrid2 — Baryon at k = 0 — on the
     same server (``run_batched_case`` with ``Hybrid2`` twins), and the
     Unison and DICE servers under forced flush boundaries
-    (``run_baseline_case`` with their classes; their twin is per-op
-    replay of the same server, pinned by the committed twin corpus).
+    (``run_baseline_case`` with their classes). Every twin but simple's
+    is per-op replay of the same server, pinned by the committed twin
+    corpus.
     The later checks draw from the iteration's rng after the earlier
     ones, so adding them changed no earlier check's draws.
     """

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from repro.baselines import DiceCache, Hybrid2, SimpleCache, UnisonCache
+from repro.core import BaryonController
 from repro.core.events import AccessCase
 from repro.sim import SystemSimulator
 from repro.workloads.synthetic import ZipfWorkload
@@ -128,7 +129,10 @@ class TestDice:
         assert ctrl.stats.get("dirty_writebacks") == 1
 
 
-@pytest.mark.parametrize("cls", [UnisonCache, DiceCache], ids=["unison", "dice"])
+@pytest.mark.parametrize(
+    "cls", [UnisonCache, DiceCache, BaryonController, Hybrid2],
+    ids=["unison", "dice", "baryon", "hybrid2"],
+)
 def test_served_controller_is_freed_by_refcount(cls):
     """The cached serve/flush/replay closures must not reference their
     controller. A cycle would keep each finished cell's controller, and
@@ -141,7 +145,7 @@ def test_served_controller_is_freed_by_refcount(cls):
         ctrl = cls(config)
         for i in range(64):
             ctrl.access(i * 4160, i % 3 == 0, float(i))
-        SystemSimulator(ctrl, make_small_sim_config()).run(trace, "wl", cls.name)
+        SystemSimulator(ctrl, make_small_sim_config()).run(trace, "wl", "design")
         assert ctrl.stats.get("accesses") > 64
         freed = weakref.ref(ctrl)
         del ctrl
