@@ -9,12 +9,13 @@ device traffic, or energy. The digests live in
 path the same way still fails here, which an
 in-tree scalar-vs-fast comparison cannot catch.
 
-The corpus also pins observation: profiled, metered and
+The corpus also pins observation: profiled, metered, traced and
 progress-plus-spans runs must reproduce the unobserved digests, and the
 exported latency histogram and serve-rate/IPC series of four metered
 cells are pinned too.
 
-Unison, DICE, Baryon and Hybrid2 are further pinned access by access:
+Simple, Unison, DICE, Baryon and Hybrid2 are further pinned access by
+access:
 for the seed-7 fuzz cases ``repro validate --fuzz-batched`` draws, a
 per-op ``access`` replay's final clock, counters, channel busy state and
 per-access ``(case, latency, prefetched)`` stream are hashed into the
@@ -41,7 +42,7 @@ import pytest
 
 from repro.analysis.experiments import DESIGNS, run_cell
 from repro.common.config import ResilienceConfig
-from repro.obs import MetricsRegistry, PhaseProfiler
+from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler
 from repro.obs.manifest import _result_digest
 from repro.obs.spans import SpanTracer
 from repro.sim import SystemSimulator
@@ -115,7 +116,7 @@ MIN_FLAT_COMMIT_HITS = 100
 
 #: Designs whose observed runs must match their unobserved digests.
 OBSERVED_DESIGNS = ("baryon", "simple", "unison", "dice")
-OBSERVATIONS = ("profiled", "metered", "progress+spans")
+OBSERVATIONS = ("profiled", "metered", "traced", "progress+spans")
 METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 #: Designs whose metered exports (latency histogram, series) are pinned.
 METERED_DESIGNS = ("baryon", "simple", "unison", "dice")
@@ -137,7 +138,7 @@ TWIN_RESILIENCE = {
     "rowbuf": {"p_row_glitch": 1e-2},
 }
 TWIN_DESIGNS = (
-    "unison", "dice", "baryon", "hybrid2",
+    "simple", "unison", "dice", "baryon", "hybrid2",
     *(f"baryon+{variant}" for variant in TWIN_RESILIENCE),
     "baryon+tracker", "baryon+traced",
 )
@@ -190,6 +191,8 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         kwargs["profiler"] = PhaseProfiler()
     elif observation == "metered":
         kwargs["metrics"] = MetricsRegistry()
+    elif observation == "traced":
+        kwargs["tracer"] = EventTracer()
     elif observation == "progress+spans":
         kwargs["spans"] = SpanTracer()
         kwargs["progress"] = lambda done, total: None
@@ -209,12 +212,13 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
 def _twin_controller(design: str, config_kwargs: dict):
     """The controller one twin digest replays, built as ``run_fuzz``
     builds its per-op twins, plus the variant's observer."""
-    from repro.baselines import DiceCache, Hybrid2, UnisonCache
+    from repro.baselines import DiceCache, Hybrid2, SimpleCache, UnisonCache
     from repro.core import BaryonController
     from repro.core.tracking import StagePhaseTracker
-    from repro.obs import EventTracer
 
     config = make_tiny_config(**config_kwargs)
+    if design == "simple":
+        return SimpleCache(config)
     if design == "dice":
         return DiceCache(config, seed=TWIN_SEED)
     if design == "unison":
@@ -244,15 +248,18 @@ def twin_digest(design: str, iteration: int) -> str:
     The case is the one ``run_fuzz(iterations, TWIN_SEED)`` draws for
     ``iteration``.
 
-    Baryon-family twins also hash each access's ``write_overflow`` flag
-    and the remap-cache counters, plus whichever of the resilience
+    Designs with a remap cache (Simple and the Baryon family) also hash
+    its counters. Baryon-family twins hash each access's
+    ``write_overflow`` flag too, plus whichever of the resilience
     scoreboards, row-buffer counters, phase-tracker reports and traced
     events their variant attaches."""
+    from repro.core import BaryonController
+
     rng = random.Random(f"{TWIN_SEED}:{iteration}")
     config_kwargs = sample_config_kwargs(rng)
     trace = generate_trace(rng, make_tiny_config(**config_kwargs))
     ctrl = _twin_controller(design, config_kwargs)
-    baryon = hasattr(ctrl, "remap_cache")
+    baryon = isinstance(ctrl, BaryonController)
     stream = []
     access = ctrl.access
 
@@ -276,8 +283,10 @@ def twin_digest(design: str, iteration: int) -> str:
         ],
         "stream": stream,
     }
+    remap_cache = getattr(ctrl, "remap_cache", None)
+    if remap_cache is not None:
+        payload["remap_cache"] = remap_cache.stats.as_dict()
     if baryon:
-        payload["remap_cache"] = ctrl.remap_cache.stats.as_dict()
         for name in ("faults", "recovery", "checker"):
             component = getattr(ctrl, name)
             if component is not None:
