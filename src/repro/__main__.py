@@ -676,36 +676,13 @@ def _try_configs(args):
 
 
 def _observed_run(args, configs, tracer=None, metrics=None, profiler=None):
-    """Run one cell; returns ``(result, controller)`` so callers can read
-    controller-side diagnostics (e.g. the deferred decline counters)."""
+    """Run one cell with the given observers; returns its ``SimResult``."""
     config, sim_config = configs
     return run_cell(
         args.workload, args.design, config, sim_config,
         args.accesses, args.seed,
         tracer=tracer, metrics=metrics, profiler=profiler,
-    )
-
-
-def _print_deferred_declines(controller) -> None:
-    """Per-reason deferred-seam decline table (``repro report``).
-
-    The counters live on the controller (not in ``stats``: only the
-    deferred seam classifies, and stats must stay bit-identical across
-    loops). All-zero with per-access tracing attached simply means the
-    seam never engaged. A design with no decline reasons (every design
-    but simple) gets one line instead of an empty table.
-    """
-    declines = getattr(controller, "deferred_declines", None)
-    if declines is None:
-        return
-    if not declines:
-        print("  deferred-seam declines: none (this design never declines)")
-        return
-    total = sum(declines.values())
-    print(f"  deferred-seam declines ({total} total):")
-    for reason, count in sorted(declines.items(), key=lambda kv: -kv[1]):
-        share = count / total if total else 0.0
-        print(f"    {reason:<16} {count:>8}  {share:6.1%}")
+    )[0]
 
 
 def _print_case_mix(case_counts) -> None:
@@ -807,7 +784,7 @@ def cmd_report(argv) -> int:
     tracer = EventTracer(capacity=1 << 20)
     registry = MetricsRegistry() if args.metrics else None
     profiler = PhaseProfiler() if args.profile else None
-    result, _ = _observed_run(
+    result = _observed_run(
         args, configs, tracer=tracer, metrics=registry, profiler=profiler
     )
 
@@ -823,15 +800,6 @@ def cmd_report(argv) -> int:
     print("  events by type:")
     for etype, count in sorted(tracer.counts_by_type().items()):
         print(f"    {etype:<16} {count}")
-    # Per-access tracing turns the deferred seam off, so the seam
-    # diagnostics come from one untraced rerun of the same cell —
-    # bit-identical results, real decline counters.
-    seam_result, seam_ctrl = _observed_run(args, configs)
-    if getattr(seam_ctrl, "deferred_declines", None) is not None:
-        _print_deferred_declines(seam_ctrl)
-        if seam_result.to_dict() != result.to_dict():
-            print("  WARNING: untraced rerun diverged from the traced run",
-                  file=sys.stderr)
 
     if registry is not None:
         _print_registry(registry, args.format)
@@ -1187,13 +1155,12 @@ def main(argv=None) -> int:
         from repro.obs import PhaseProfiler
 
         profiler = PhaseProfiler()
-    result, controller = _observed_run(args, configs, profiler=profiler)
+    result = _observed_run(args, configs, profiler=profiler)
     print(f"{args.workload} on {args.design} "
           f"(1/{args.scale} scale, {args.accesses} accesses)")
     for key, value in result.summary().items():
         print(f"  {key:<18} {value:.4f}")
     _print_case_mix(result.case_counts)
-    _print_deferred_declines(controller)
     if profiler is not None:
         print(profiler.format_report())
     return 0

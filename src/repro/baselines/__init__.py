@@ -19,12 +19,11 @@
 
 All expose the same ``access(addr, is_write, now) -> AccessResult`` duck
 type as :class:`~repro.core.controller.BaryonController`, and all take the
-simulator's deferred seam while no event tracer is attached: Simple through
-a per-op ``access_deferred`` whose block fills decline to ``access``, Hybrid2
-through Baryon's. Hybrid2, Unison and DICE *are* their inline servers,
-which never decline (Unison and DICE through
-:class:`~repro.baselines.base.InlineServedBaseline`): their ``access``
-serves one op, flushes its tallies and replays its transfers.
+simulator's deferred seam while no event tracer is attached. Every design
+*is* its inline server, which never declines (Simple, Unison and DICE
+through :class:`~repro.baselines.base.BaselineController`, Hybrid2
+through Baryon's): its ``access`` serves one op, flushes its tallies and
+replays its transfers.
 """
 
 from repro.baselines.base import BaselineController

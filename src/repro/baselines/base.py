@@ -4,9 +4,10 @@ Each baseline owns the same :class:`~repro.devices.memory.HybridMemoryDevices`
 pair as Baryon and returns :class:`~repro.core.events.AccessResult` objects,
 so the system simulator and the analysis code treat all designs uniformly.
 Hybrid2 is the exception: it subclasses ``BaryonController`` directly.
-:class:`InlineServedBaseline` is the whole access flow of designs whose
-state never depends on the clock (Unison, DICE): one inline server plus
-one transfer replay, shared by ``access`` and the deferred seam.
+:class:`BaselineController` is the whole access flow of designs whose
+state never depends on the clock (Simple, Unison, DICE): one inline
+server plus one transfer replay, shared by ``access`` and the deferred
+seam.
 """
 
 from __future__ import annotations
@@ -16,75 +17,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.config import BaryonConfig
 from repro.common.stats import CounterGroup
-from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase, AccessResult
+from repro.core.events import FAST_CASES, AccessCase, AccessResult
 from repro.core.seam import ServedSeam
 from repro.devices.memory import HybridMemoryDevices
 from repro.obs.tracer import NULL_TRACER
 
 
-class BaselineController(abc.ABC):
-    """Base class: devices, stats, clock, and the access() contract."""
-
-    name = "baseline"
-
-    #: May the simulator drive this controller through the deferred batch
-    #: fast path (``make_deferred_server`` or ``access_deferred``, plus
-    #: ``access_batch``)? False here; each subclass shadows it with a
-    #: property that is true while no event tracer is attached —
-    #: ``SimpleCache`` directly, Unison and DICE through
-    #: :class:`InlineServedBaseline`.
-    supports_batching = False
-
-    def __init__(
-        self,
-        config: Optional[BaryonConfig] = None,
-        devices: Optional[HybridMemoryDevices] = None,
-    ) -> None:
-        self.config = config or BaryonConfig()
-        self.geometry = self.config.geometry
-        self.devices = devices or HybridMemoryDevices(self.config.timings)
-        self.stats = CounterGroup(self.name)
-        #: Observability hook point; see :mod:`repro.obs`.
-        self.obs = NULL_TRACER
-        self._now = 0.0
-
-    def _advance(self, now: Optional[float]) -> float:
-        if now is not None:
-            self._now = now
-        else:
-            self._now += 1.0
-        return self._now
-
-    @abc.abstractmethod
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        """Serve one 64 B memory-level access."""
-
-    def _count(
-        self, result: AccessResult, is_write: bool, addr: Optional[int] = None
-    ) -> AccessResult:
-        stats = self.stats
-        stats.inc("accesses")
-        stats.inc("writes" if is_write else "reads")
-        fast = result.case in FAST_CASES
-        if fast:
-            stats.inc("served_fast")
-        stats.inc(CASE_COUNTER_KEYS[result.case])
-        if self.obs.enabled:
-            self.obs.emit(
-                "access", t=self._now, addr=addr,
-                block=None if addr is None else self.geometry.block_id(addr),
-                case=result.case.value, write=is_write,
-                latency=result.latency_cycles, fast=fast,
-                overflow=result.write_overflow,
-            )
-        return result
-
-    def serve_rate(self) -> float:
-        accesses = self.stats.get("accesses")
-        return self.stats.get("served_fast") / accesses if accesses else 0.0
-
-
-class InlineServedBaseline(BaselineController, ServedSeam):
+class BaselineController(ServedSeam, abc.ABC):
     """A baseline whose deferred seam serves every access.
 
     Subclasses keep no clock-dependent state: LRU order, predictors,
@@ -107,6 +46,8 @@ class InlineServedBaseline(BaselineController, ServedSeam):
     run.
     """
 
+    name = "baseline"
+
     #: ``AccessResult.case`` per op kind (slot 0 of an op).
     _CASES: Tuple[AccessCase, ...] = ()
 
@@ -115,9 +56,15 @@ class InlineServedBaseline(BaselineController, ServedSeam):
         config: Optional[BaryonConfig] = None,
         devices: Optional[HybridMemoryDevices] = None,
     ) -> None:
-        super().__init__(config, devices)
-        #: Per-reason decline counters, as on ``simple``; always empty,
-        #: since no access needs a fallback.
+        self.config = config or BaryonConfig()
+        self.geometry = self.config.geometry
+        self.devices = devices or HybridMemoryDevices(self.config.timings)
+        self.stats = CounterGroup(self.name)
+        #: Observability hook point; see :mod:`repro.obs`.
+        self.obs = NULL_TRACER
+        self._now = 0.0
+        #: Per-reason deferred-seam decline counters, as on Baryon;
+        #: always empty, since no access needs a fallback.
         self.deferred_declines: Dict[str, int] = {}
 
     @property
@@ -126,7 +73,13 @@ class InlineServedBaseline(BaselineController, ServedSeam):
         return not self.obs.enabled
 
     def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        now = self._advance(now)
+        """Serve one 64 B memory-level access at ``now`` (or one cycle
+        after the last access)."""
+        if now is not None:
+            self._now = now
+        else:
+            self._now += 1.0
+        now = self._now
         serve, flush, replay = self._closures or self._bind()
         op = serve(addr, is_write)
         flush()
@@ -139,6 +92,10 @@ class InlineServedBaseline(BaselineController, ServedSeam):
                 fast=case in FAST_CASES, overflow=False,
             )
         return result
+
+    def serve_rate(self) -> float:
+        accesses = self.stats.get("accesses")
+        return self.stats.get("served_fast") / accesses if accesses else 0.0
 
     @abc.abstractmethod
     def _build_server(self):

@@ -14,7 +14,7 @@ prefetch of co-compressed lines.
 
 No state here depends on the clock, so the design is one inline server
 that applies each access's state in trace order and one replay of its
-channel transfers (:class:`~repro.baselines.base.InlineServedBaseline`).
+channel transfers (:class:`~repro.baselines.base.BaselineController`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.baselines.base import InlineServedBaseline
+from repro.baselines.base import BaselineController
 from repro.compression.synthetic import SyntheticCompressibility
 from repro.core.events import CASE_COUNTER_KEYS, AccessCase
 
@@ -47,7 +47,7 @@ class _GroupEntry:
     cf: int = 1
 
 
-class DiceCache(InlineServedBaseline):
+class DiceCache(BaselineController):
     """Direct-mapped compressed 64 B-line DRAM cache."""
 
     name = "dice"

@@ -15,14 +15,14 @@ prediction*, embedded in-DRAM tags and a way predictor:
 
 No state here depends on the clock, so the design is one inline server
 that applies each access's state in trace order and one replay of its
-channel transfers (:class:`~repro.baselines.base.InlineServedBaseline`).
+channel transfers (:class:`~repro.baselines.base.BaselineController`).
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.baselines.base import InlineServedBaseline
+from repro.baselines.base import BaselineController
 from repro.cache.replacement import CacheLine, LruSet
 from repro.core.events import CASE_COUNTER_KEYS, AccessCase
 
@@ -44,7 +44,7 @@ _FOOTPRINT_MISS_KEY = CASE_COUNTER_KEYS[AccessCase.STAGE_MISS]
 _PAGE_MISS_KEY = CASE_COUNTER_KEYS[AccessCase.BLOCK_MISS]
 
 
-class UnisonCache(InlineServedBaseline):
+class UnisonCache(BaselineController):
     """Footprint-predicting sub-blocked DRAM cache with in-DRAM tags."""
 
     name = "unison"

@@ -1,7 +1,7 @@
 """The deferred seam shared by every controller whose access is one op.
 
 A design whose state never depends on the clock (Baryon, Hybrid2,
-Unison, DICE) is two closures, built once per controller: ``serve``
+Simple, Unison, DICE) is two closures, built once per controller: ``serve``
 applies an access's state now and returns an op, and ``replay(op, now)``
 runs the op's channel transfers at ``now`` and returns its latency.
 Per-op ``access`` is serve, flush and replay of one op;

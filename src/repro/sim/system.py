@@ -68,17 +68,14 @@ class SystemSimulator:
         per access that touches the LLC. The loop replays only those
         records' LLC work. LLC misses and writebacks take the
         controller's *deferred seam* when it has one: each op is
-        state-applied eagerly in trace order and its channel timing
-        replays in one ``access_batch`` call. For Baryon, Hybrid2, Unison
-        and DICE the ops are served by the inlined ``serve`` closure of
-        ``make_deferred_server``, for ``simple`` by its per-op
-        ``access_deferred``. Only Simple's block fills leave the seam: such
-        an op first flushes the pending run and then takes
-        ``controller.access`` with the current clock; without the seam
-        every miss and writeback does. The other designs' state never
-        depends on the clock, so ``serve`` takes every op, and their
-        ``access`` is itself ``serve`` + ``flush`` + a one-op replay:
-        without the seam they run the same code one op at a time. SimResults
+        state-applied eagerly in trace order by the ``serve`` closure of
+        ``make_deferred_server`` and its channel timing replays in one
+        ``access_batch`` call. No design's state depends on the clock,
+        so ``serve`` takes every op, and every design's ``access`` is
+        itself ``serve`` + ``flush`` + a one-op replay. Without the seam
+        each miss and writeback first replays the pending run and then
+        takes ``controller.access`` with the current clock, running the
+        same code one op at a time. SimResults
         — cycles, counters, energy — and every hierarchy counter are
         bit-identical to the scalar loop (the float accumulation order of
         ``cycles`` is preserved operation for operation);
@@ -335,10 +332,9 @@ class SystemSimulator:
         once per run.
 
         The deferred seam is ``serve``, ``flush`` and ``batch``: the
-        controller's ``make_deferred_server`` triple when it builds one,
-        else its per-op ``access_deferred`` with ``access_batch``. It is
-        bound only when neither veto applies (see the class docstring);
-        otherwise ``serve`` declines every op. A profiler wraps every
+        controller's ``make_deferred_server`` triple. It is bound only
+        when neither veto applies (see the class docstring); otherwise
+        ``serve`` declines every op. A profiler wraps every
         bound hierarchy and controller callable here, so the loop itself
         has no profiling branch; its ``hierarchy`` row also times the
         walk, one call per access walked (none on a memo hit).
@@ -348,12 +344,7 @@ class SystemSimulator:
         ctrl_access = controller.access
         serve, flush, batch = _decline, _no_flush, None
         if self.metrics is None and getattr(controller, "supports_batching", False):
-            make_server = getattr(controller, "make_deferred_server", None)
-            server = make_server() if make_server is not None else None
-            if server is not None:
-                serve, flush, batch = server
-            else:
-                serve, batch = controller.access_deferred, controller.access_batch
+            serve, flush, batch = controller.make_deferred_server()
         if self.profiler.enabled:
             hier = [0.0, 0]
             ctrl = [0.0, 0]
@@ -452,8 +443,8 @@ class SystemSimulator:
         :data:`MAX_PENDING_OPS` entries, the next record boundary replays
         it. A replay boundary only decides when ``batch`` runs, not what
         it computes, so results do not depend on the bound; it keeps a
-        long run of never-declining ops (every design but Simple) from
-        holding a whole span in memory. The only skipped additions are ``+ 0.0``
+        long run of never-declining ops from holding a whole span in
+        memory. The only skipped additions are ``+ 0.0``
         terms (zero instruction gaps), which cannot change a
         non-negative accumulator bit pattern.
         """

@@ -367,12 +367,10 @@ def run_baseline_case(
     ``baseline_cls`` is ``SimpleCache`` (the default), ``UnisonCache``
     or ``DiceCache`` (both twins' oracles seeded with ``seed``). One
     controller replays the trace through plain ``access`` calls; the
-    twin is driven through its ``make_deferred_server``, or for
-    ``simple`` its per-op ``access_deferred``, whose block misses
-    decline with no state applied. Unison's and DICE's ``access`` is
-    itself serve, flush and replay of one op, so for them the check is
-    per-op replay against batched replay under the forced boundaries an
-    ``rng`` adds (:func:`_seam_replay`); the committed twin corpus in
+    twin is driven through its ``make_deferred_server``. Each design's
+    ``access`` is itself serve, flush and replay of one op, so the check
+    is per-op replay against batched replay under the forced boundaries
+    an ``rng`` adds (:func:`_seam_replay`); the committed twin corpus in
     ``tests/golden_corpus.json`` pins the per-op replay itself.
     Counters, device traffic, the remap-cache stats of designs that
     have one, and the clock must be bit-identical.
@@ -384,17 +382,12 @@ def run_baseline_case(
     scalar_ctrl = baseline_cls(make_tiny_config(**config_kwargs), **kwargs)
     twin = baseline_cls(make_tiny_config(**config_kwargs), **kwargs)
     name = baseline_cls.name
-    if not getattr(twin, "supports_batching", False):
+    server = twin.make_deferred_server()
+    if server is None:
         raise OracleViolation(
             f"{name} baseline unexpectedly declines batching",
-            kind="batched_divergence", location="supports_batching",
+            kind="batched_divergence", location="make_deferred_server",
         )
-    make_server = getattr(twin, "make_deferred_server", None)
-    if make_server is not None:
-        server = make_server()
-    else:
-        # Per-op seam: its tallies land as it serves, nothing to flush.
-        server = (twin.access_deferred, lambda: None, twin.access_batch)
     mlp = 4.0
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
     b_cycles = _seam_replay(twin, *server, trace, mlp, rng)
@@ -413,16 +406,14 @@ def run_fuzz(
 
     With ``batched=True`` every iteration additionally replays its trace
     across the deferred-batch seam five ways, each against a fresh
-    per-op twin: Baryon's inline server under forced flush boundaries
-    (:func:`run_batched_case`), the ``simple`` baseline's seam
+    per-op twin and under forced flush boundaries: Baryon's inline
+    server (:func:`run_batched_case`), the ``simple`` baseline's server
     (:func:`run_baseline_case`), Hybrid2 — Baryon at k = 0 — on the
     same server (``run_batched_case`` with ``Hybrid2`` twins), and the
-    Unison and DICE servers under forced flush boundaries
-    (``run_baseline_case`` with their classes). Every twin but simple's
-    is per-op replay of the same server, pinned by the committed twin
-    corpus.
-    The later checks draw from the iteration's rng after the earlier
-    ones, so adding them changed no earlier check's draws.
+    Unison and DICE servers (``run_baseline_case`` with their classes).
+    Every twin is per-op replay of the same server, pinned by the
+    committed twin corpus. Each check draws its boundaries from the
+    iteration's rng after the checks before it.
     """
     from repro.baselines import DiceCache, Hybrid2, UnisonCache
 
@@ -440,7 +431,7 @@ def run_fuzz(
             if batched:
                 run_batched_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_batched_checks")
-                run_baseline_case(config_kwargs, trace, seed)
+                run_baseline_case(config_kwargs, trace, seed, rng=rng)
                 report.stats.inc("fuzz_simple_checks")
                 run_batched_case(config_kwargs, trace, seed, rng, Hybrid2)
                 report.stats.inc("fuzz_hybrid2_checks")

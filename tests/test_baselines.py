@@ -130,8 +130,8 @@ class TestDice:
 
 
 @pytest.mark.parametrize(
-    "cls", [UnisonCache, DiceCache, BaryonController, Hybrid2],
-    ids=["unison", "dice", "baryon", "hybrid2"],
+    "cls", [SimpleCache, UnisonCache, DiceCache, BaryonController, Hybrid2],
+    ids=["simple", "unison", "dice", "baryon", "hybrid2"],
 )
 def test_served_controller_is_freed_by_refcount(cls):
     """The cached serve/flush/replay closures must not reference their
