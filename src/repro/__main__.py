@@ -70,7 +70,6 @@ from repro.analysis import (
     format_matrix,
     run_cell,
     run_matrix_sharded,
-    run_one,
 )
 from repro.common.errors import ConfigurationError
 from repro.workloads import scaled_system

@@ -101,10 +101,8 @@ class SimpleCache(BaselineController):
                 cache_set = sets[set_index] = LruSet(ways)
             lines = cache_set.lines
             line = lines.get(tag)
-            clock = cache_set._clock = cache_set._clock + 1
             if line is not None:
                 # LruSet.touch, inlined.
-                line.counter = clock
                 lines[tag] = lines.pop(tag)
                 if is_write:
                     line.dirty = True
@@ -127,9 +125,7 @@ class SimpleCache(BaselineController):
                 del lines[victim.tag]
                 t_evictions += 1
             # LruSet.insert, inlined (the set has a free way).
-            line = CacheLine(tag, dirty=is_write)
-            line.counter = clock
-            lines[tag] = line
+            lines[tag] = CacheLine(tag, dirty=is_write)
             return miss_ops[rc_miss][is_write][dirty]
 
         def flush():

@@ -141,8 +141,6 @@ class UnisonCache(BaselineController):
                     t_mis += 1
                 predicted_way[set_index] = way
                 # LruSet.touch, inlined.
-                clock = cache_set._clock = cache_set._clock + 1
-                line.counter = clock
                 lines[tag] = lines.pop(tag)
                 payload["touched"].add(line_idx)
                 present = payload["present"]
@@ -227,9 +225,6 @@ class UnisonCache(BaselineController):
             })
             # LruSet.insert, inlined (the set has a free way).
             lines[tag] = line
-            clock = cache_set._clock = cache_set._clock + 1
-            line.counter = clock
-            lines[tag] = lines.pop(tag)
             t_pages += 1
             t_fetched += fetch_lines
             return (_PAGE_MISS, is_write, False, evict_bytes, extra_bytes,

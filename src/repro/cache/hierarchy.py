@@ -126,8 +126,6 @@ def _walk_private(
                 lines = cache_set.lines
                 entry = lines.get(tag)
                 if entry is not None:
-                    cache_set._clock += 1
-                    entry.counter = cache_set._clock
                     lines[tag] = lines.pop(tag)
                     if is_write:
                         entry.dirty = True
@@ -146,8 +144,6 @@ def _walk_private(
                 lines = cache_set.lines
                 entry = lines.get(tag)
                 if entry is not None:
-                    cache_set._clock += 1
-                    entry.counter = cache_set._clock
                     lines[tag] = lines.pop(tag)
                     hit2 = True
                     l2_wb = None
@@ -394,8 +390,6 @@ class CacheHierarchy:
                 entry = lines.get(tag)
                 llc._n_accesses += 1
                 if entry is not None:
-                    cache_set._clock += 1
-                    entry.counter = cache_set._clock
                     lines[tag] = lines.pop(tag)
                     llc._n_hits += 1
                     n_llc += 1

@@ -65,23 +65,15 @@ class BaseSet:
 
 
 class LruSet(BaseSet):
-    """Least-recently-used via a monotonic timestamp per line.
+    """Least-recently-used, with the ``lines`` dict as the recency order.
 
-    The ``lines`` dict doubles as the recency order (Python dicts preserve
-    insertion order): ``touch`` re-inserts the line at the tail, so the
-    head is always the least-recently-used entry and ``victim`` is O(1)
-    instead of an O(ways) minimum scan. Timestamps are unique and strictly
-    increasing, so dict order and counter order agree and the O(1) victim
-    is exactly the line the counter scan used to pick.
+    Python dicts preserve insertion order: ``touch`` re-inserts the line
+    at the tail, so the head is always the least-recently-used entry and
+    ``victim`` is O(1). No per-line timestamp is kept (``counter`` stays
+    0 on LRU lines).
     """
 
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._clock = 0
-
     def touch(self, line: CacheLine) -> None:
-        self._clock += 1
-        line.counter = self._clock
         # Move to the tail of the recency order.
         tag = line.tag
         lines = self.lines

@@ -63,7 +63,8 @@ def lru_fill(
         del lines[victim_tag]
         cache._n_evictions += 1
         # Recycle the evicted line object: reset every field
-        # CacheLine.__init__ would set, skipping the allocation.
+        # CacheLine.__init__ would set, skipping the allocation
+        # (``counter`` is never written on an LRU line, so it is 0).
         line.tag = tag
         line.dirty = dirty
         line.payload = None
@@ -71,8 +72,6 @@ def lru_fill(
         line.stamp = 0
     else:
         line = CacheLine(tag, dirty=dirty)
-    cache_set._clock += 1
-    line.counter = cache_set._clock
     lines[tag] = line
     return writeback, victim_addr
 
@@ -148,8 +147,6 @@ class SetAssociativeCache:
         self._n_accesses += 1
         if entry is not None:
             if self._is_lru:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
                 lines[tag] = lines.pop(tag)
             else:
                 cache_set.touch(entry)

@@ -26,6 +26,8 @@ from repro.common.errors import ConfigurationError
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+#: Hash state before the first part.
+_HASH_INIT = 0x243F6A8885A308D3
 
 
 def _mix64(value: int) -> int:
@@ -39,24 +41,34 @@ def _mix64(value: int) -> int:
     return value
 
 
-def _hash_unit(*parts: int) -> float:
-    """Deterministic uniform value in [0, 1) from integer parts."""
-    acc = 0x243F6A8885A308D3
-    for part in parts:
-        acc = _mix64(acc ^ (part & _MASK64))
-    return acc / float(1 << 64)
-
-
 def _hash_unit5(a: int, b: int, c: int, d: int, e: int) -> float:
-    """:func:`_hash_unit` specialized (and unrolled) for five parts.
+    """Deterministic uniform value in [0, 1) from five integer parts.
 
-    Every oracle draw hashes exactly five integers; skipping the varargs
-    tuple, the loop and the five `_mix64` calls roughly halves the cost
-    of the hottest pure function in the simulator. Bit-identical to
-    ``_hash_unit(a, b, c, d, e)`` by construction.
+    The reference definition of every oracle draw: the oracle hashes
+    ``(seed, block, part, version, kind)`` and the tests compare its
+    verdicts against this function. Each part is folded into the state
+    by one SplitMix64 round (:func:`_mix64`, inlined).
     """
-    acc = 0x243F6A8885A308D3
+    acc = _HASH_INIT
     for part in (a, b, c, d, e):
+        v = (acc ^ (part & _MASK64)) + _GOLDEN64 & _MASK64
+        v ^= v >> 30
+        v = (v * 0xBF58476D1CE4E5B9) & _MASK64
+        v ^= v >> 27
+        v = (v * 0x94D049BB133111EB) & _MASK64
+        acc = v ^ (v >> 31)
+    return acc / 18446744073709551616.0
+
+
+def _hash_tail3(acc: int, c: int, d: int, e: int) -> float:
+    """The last three rounds of :func:`_hash_unit5`.
+
+    ``acc`` is the hash state after the first two parts (seed and block),
+    which the oracle memoizes per block, so
+    ``_hash_tail3(state(a, b), c, d, e) == _hash_unit5(a, b, c, d, e)``.
+    This is the oracle's only hash on the simulation path.
+    """
+    for part in (c, d, e):
         v = (acc ^ (part & _MASK64)) + _GOLDEN64 & _MASK64
         v ^= v >> 30
         v = (v * 0xBF58476D1CE4E5B9) & _MASK64
@@ -143,6 +155,11 @@ class SyntheticCompressibility:
     *versions* advance on destabilizing writes, re-rolling the hashes so a
     previously fitting range can overflow — exactly the event the stage
     area exists to absorb.
+
+    Every draw is ``_hash_unit5(seed, block, part, version, kind)``. The
+    hash state after the seed round is computed once per oracle and the
+    state after the block round once per block, so a draw mixes only the
+    last three rounds (:func:`_hash_tail3`).
     """
 
     def __init__(self, seed: int = 1, cf_boost: float = 1.0) -> None:
@@ -155,10 +172,15 @@ class SyntheticCompressibility:
         self._default = PROFILE_LIBRARY["medium"]
         self._versions: Dict[int, int] = {}
         self._write_counts: Dict[int, int] = {}
-        # ``fits`` is pure given (block, quad, version): memoized verdicts.
-        # Keys carry the version, so a version bump naturally misses; the
-        # cache only needs explicit invalidation when profiles change.
-        self._fits_cache: Dict[Tuple[int, int, int, int, bool], bool] = {}
+        self._seed_state = _mix64(_HASH_INIT ^ (seed & _MASK64))
+        #: Hash state after the (seed, block) rounds, per block.
+        self._block_states: Dict[int, int] = {}
+        # The CF level (4, 2 or 1) of each aligned quad, keyed by (block,
+        # quad, version, cacheline_aligned): one uniform per quad decides
+        # both CF levels, so a quad's 4-range and 2-range verdicts share
+        # one entry. Keys carry the version, so a version bump naturally
+        # misses; the memo only needs clearing when profiles change.
+        self._levels: Dict[Tuple[int, int, int, bool], int] = {}
         # Region resolution is a linear scan; every oracle query starts
         # with it, so the block -> profile answer is memoized alongside.
         self._profile_cache: Dict[int, CompressibilityProfile] = {}
@@ -170,7 +192,7 @@ class SyntheticCompressibility:
 
     def set_default_profile(self, profile: CompressibilityProfile) -> None:
         self._default = profile
-        self._fits_cache.clear()
+        self._levels.clear()
         self._profile_cache.clear()
 
     def add_region(
@@ -180,7 +202,7 @@ class SyntheticCompressibility:
         if first_block > last_block:
             raise ConfigurationError("region bounds out of order")
         self._regions.append((first_block, last_block, profile))
-        self._fits_cache.clear()
+        self._levels.clear()
         self._profile_cache.clear()
 
     def profile_of(self, block_id: int) -> CompressibilityProfile:
@@ -195,6 +217,37 @@ class SyntheticCompressibility:
         self._profile_cache[block_id] = result
         return result
 
+    def _block_state(self, block_id: int) -> int:
+        """Hash state after the seed and block rounds (memoized)."""
+        state = self._block_states.get(block_id)
+        if state is None:
+            state = _mix64(self._seed_state ^ (block_id & _MASK64))
+            self._block_states[block_id] = state
+        return state
+
+    def _draw_level(
+        self, block_id: int, quad_start: int, version: int, cacheline_aligned: bool
+    ) -> int:
+        """Draw one aligned quad's CF level and memoize it.
+
+        One comonotone uniform ``u`` per quad decides both CF levels:
+        the 4-range fits when ``u < p4`` and its 2-ranges when
+        ``u < p2``. Since ``p4 <= p2``, a fitting 4-range implies fitting
+        2-ranges (monotonicity) while both marginal probabilities stay
+        exactly at the profile's values.
+        """
+        u = _hash_tail3(self._block_state(block_id), quad_start, version, 4)
+        profile = self.profile_of(block_id)
+        boost = self.cf_boost
+        if u < min(1.0, profile.effective_p(4, cacheline_aligned) * boost):
+            level = 4
+        elif u < min(1.0, profile.effective_p(2, cacheline_aligned) * boost):
+            level = 2
+        else:
+            level = 1
+        self._levels[(block_id, quad_start, version, cacheline_aligned)] = level
+        return level
+
     # -- oracle interface used by the controller -------------------------
     def fits(
         self,
@@ -205,11 +258,8 @@ class SyntheticCompressibility:
     ) -> bool:
         """Does the aligned ``n_sub``-range compress into one slot?
 
-        One comonotone uniform draw per aligned quad decides both CF
-        levels: ``u < p4`` for the 4-range and ``u < p2`` for its
-        2-ranges. Since ``p4 <= p2``, a fitting 4-range implies fitting
-        2-ranges (monotonicity) while both marginal probabilities stay
-        exactly at the profile's values.
+        The range's quad draws one uniform for both CF levels (see
+        :meth:`_draw_level`).
         """
         return self.fits_at(
             block_id,
@@ -231,40 +281,35 @@ class SyntheticCompressibility:
 
         The deferred access path uses this to test the post-write verdict
         (current version + 1) *before* committing a write's state effects;
-        it shares the memo cache, so the later real query is a hit.
+        it shares the level memo, so the later real query is a hit.
         """
         if n_sub == 1:
             return True
         quad_start = (start_sub // 4) * 4
-        key = (block_id, quad_start, version, n_sub, cacheline_aligned)
-        cached = self._fits_cache.get(key)
-        if cached is not None:
-            return cached
-        profile = self.profile_of(block_id)
-        u = _hash_unit5(self.seed, block_id, quad_start, version, 4)
-        p = min(1.0, profile.effective_p(n_sub, cacheline_aligned) * self.cf_boost)
-        result = u < p
-        self._fits_cache[key] = result
-        return result
+        level = self._levels.get((block_id, quad_start, version, cacheline_aligned))
+        if level is None:
+            level = self._draw_level(block_id, quad_start, version, cacheline_aligned)
+        # As in effective_p, every CF other than 1 and 4 takes p2.
+        return level == 4 if n_sub == 4 else level >= 2
 
     def is_zero(self, block_id: int, start_sub: int, n_sub: int) -> bool:
         """Z-bit oracle for the aligned range."""
         profile = self.profile_of(block_id)
         version = self._versions.get(block_id, 0)
-        u = _hash_unit5(self.seed, block_id, start_sub, version, 0)
+        u = _hash_tail3(self._block_state(block_id), start_sub, version, 0)
         return u < profile.p_zero
 
     def max_cf(
         self, block_id: int, sub_index: int, cacheline_aligned: bool = True
     ) -> int:
-        """Largest CF of an aligned range containing ``sub_index``."""
+        """Largest CF of an aligned range containing ``sub_index``: its
+        quad's CF level, one draw for both levels."""
         quad_start = (sub_index // 4) * 4
-        if self.fits(block_id, quad_start, 4, cacheline_aligned):
-            return 4
-        pair_start = (sub_index // 2) * 2
-        if self.fits(block_id, pair_start, 2, cacheline_aligned):
-            return 2
-        return 1
+        version = self._versions.get(block_id, 0)
+        level = self._levels.get((block_id, quad_start, version, cacheline_aligned))
+        if level is None:
+            level = self._draw_level(block_id, quad_start, version, cacheline_aligned)
+        return level
 
     def note_write(self, block_id: int, sub_index: int) -> bool:
         """Record a write; returns True when the block's content 'changed'
@@ -285,7 +330,7 @@ class SyntheticCompressibility:
         ):
             u = memo[3]
         else:
-            u = _hash_unit5(self.seed, block_id, sub_index, count, 7)
+            u = _hash_tail3(self._block_state(block_id), sub_index, count, 7)
         if u < profile.write_instability:
             self._versions[block_id] = self._versions.get(block_id, 0) + 1
             return True
@@ -298,7 +343,7 @@ class SyntheticCompressibility:
         any state."""
         profile = self.profile_of(block_id)
         count = self._write_counts.get(block_id, 0)
-        u = _hash_unit5(self.seed, block_id, sub_index, count, 7)
+        u = _hash_tail3(self._block_state(block_id), sub_index, count, 7)
         self._peek_memo = (block_id, sub_index, count, u)
         return u < profile.write_instability
 

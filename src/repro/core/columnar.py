@@ -30,8 +30,9 @@ class ColumnarState:
     """Probe indices over one controller's stage tag array.
 
     Constructed by :class:`~repro.core.controller.BaryonController`,
-    which reads the dicts in its access flow (``serve``) and in
-    ``_staged_block_of``.
+    which reads the dicts in its access flow (``serve``: the probes and
+    a stage miss's already-staged sub-blocks), in ``_staged_block_of``
+    and in ``_stage_insert`` (a full way's ``stage_block`` refcount).
     """
 
     def __init__(self, controller) -> None:
@@ -104,12 +105,22 @@ class ColumnarState:
 
         Test-only (O(state) scan): called by the equivalence tests after
         every mutation site. Raises ``AssertionError`` on any stale key,
-        a Rule-3 violation or overlapping ranges.
+        a Rule-3 violation or overlapping ranges. It also checks the
+        stage area's other O(1) answers: each entry's ``used`` count
+        against its non-empty slots, and ``is_lru`` against the
+        ``lru_way`` rank scan.
         """
+        stage = self._stage
         expected_sub: Dict[int, Tuple[int, int]] = {}
         expected_block: Dict[int, List[int]] = {}
-        for set_index, row in enumerate(self._stage.tags.entries):
+        for set_index, row in enumerate(stage.tags.entries):
+            lru_way = stage.lru_way(set_index)
             for way, entry in enumerate(row):
+                occupied = sum(1 for slot in entry.slots if slot is not None)
+                assert entry.used == occupied, ("used count stale", set_index, way)
+                assert stage.is_lru(set_index, way) == (way == lru_way), (
+                    "is_lru disagrees with lru_way", set_index, way,
+                )
                 super_id = entry.tag * self._stage_sets + set_index
                 for slot_index, slot in enumerate(entry.slots):
                     if slot is None:

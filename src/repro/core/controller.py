@@ -424,7 +424,8 @@ class BaryonController(ServedSeam):
         n_rw = self._n_rw
         n_cases = self._n_cases
         col = self.columnar
-        stage_sub_get = col.stage_sub.get
+        stage_sub = col.stage_sub
+        stage_sub_get = stage_sub.get
         stage_block = col.stage_block
         stage_entries = stage.tags.entries
         stage_num_sets = stage.num_sets
@@ -605,12 +606,9 @@ class BaryonController(ServedSeam):
                 rc_tag = super_id // rc_num_sets
                 rc_set = rc_sets[rci]
                 rc_lines = rc_set.lines
-                rc_line = rc_lines.get(rc_tag)
                 rc_total += 1
-                if rc_line is not None:
+                if rc_tag in rc_lines:
                     rc_hit_t += 1
-                    rc_set._clock += 1
-                    rc_line.counter = rc_set._clock
                     rc_lines[rc_tag] = rc_lines.pop(rc_tag)
                     rc_op = None
                 else:
@@ -618,10 +616,7 @@ class BaryonController(ServedSeam):
                     if len(rc_lines) >= rc_set.ways:
                         del rc_lines[next(iter(rc_lines))]
                         rc_ne += 1
-                    rc_line = CacheLine(rc_tag)
-                    rc_set._clock += 1
-                    rc_line.counter = rc_set._clock
-                    rc_lines[rc_tag] = rc_line
+                    rc_lines[rc_tag] = CacheLine(rc_tag)
                     rc_op = rc_miss_op
                     f_rb += 16
                     f_nr += 1
@@ -868,15 +863,13 @@ class BaryonController(ServedSeam):
                             cf = max_cf(block_id, sub_idx, ca)
                             sub_start = (sub_idx // cf) * cf
                         if bound_entry is not None and cf > 1:
-                            # Avoid refetching sub-blocks already staged.
-                            staged_subs = {
-                                s
-                                for bslot in bound_entry.slots
-                                if bslot is not None and bslot.blk_off == blk_off
-                                for s in bslot.sub_blocks
-                            }
+                            # Avoid refetching sub-blocks already staged
+                            # (the block's stage_sub keys; a staged Z slot
+                            # would have made this access a stage hit).
+                            sub_base = block_id * sub_per_block
                             while cf > 1 and any(
-                                s in staged_subs for s in range(sub_start, sub_start + cf)
+                                sub_base + s in stage_sub
+                                for s in range(sub_start, sub_start + cf)
                             ):
                                 cf //= 2
                                 sub_start = (sub_idx // cf) * cf
@@ -938,7 +931,7 @@ class BaryonController(ServedSeam):
                         if own_insert:
                             pass
                         elif bound_entry is not None:
-                            if bound_entry.free_slot() is not None:
+                            if bound_entry.used < sub_per_block:
                                 ins_way = miss_way
                         elif share_phys:
                             candidates = stage_tag_lookup(
@@ -947,7 +940,7 @@ class BaryonController(ServedSeam):
                             if candidates:
                                 with_room = [
                                     (w, e) for w, e in candidates
-                                    if e.free_slot() is not None
+                                    if e.used < sub_per_block
                                 ]
                                 if with_room:
                                     ins_way = rng_choice(with_room)[0]
@@ -1573,11 +1566,15 @@ class BaryonController(ServedSeam):
             bound = self._staged_block_of(super_id, block_id, blk_off)
         if bound is not None:
             way, entry = bound
-            if entry.free_slot() is not None:
+            n_slots = len(entry.slots)
+            if entry.used < n_slots:
                 self.stage.insert_range(set_index, way, new_slot)
                 self.stage.touch(set_index, way)
                 return
-            owns_whole_block = len(entry.slots_of_block(blk_off)) >= len(entry.slots)
+            # The block's slot refcount (Rule 3: all in this way).
+            owns_whole_block = (
+                self.columnar.stage_block[block_id][1] >= n_slots
+            )
             if (
                 not self._two_level
                 or self.stage.is_lru(set_index, way)
@@ -1600,7 +1597,7 @@ class BaryonController(ServedSeam):
                 slot = self.stage.remove_slot(set_index, way, slot_idx)
                 self.stage.insert_range(set_index, new_way, slot)
                 moved += 1
-            if not self.stage.entry(set_index, way).occupancy():
+            if not self.stage.entry(set_index, way).used:
                 self.stage.invalidate(set_index, way)
             # Fast-to-fast regrouping traffic.
             move_bytes = moved * self.geometry.sub_block_size
@@ -1616,7 +1613,7 @@ class BaryonController(ServedSeam):
             # Traditional sub-blocking: a physical block serves one logical
             # block only, so other blocks' stage ways are not candidates.
             candidates = []
-        with_room = [(w, e) for w, e in candidates if e.free_slot() is not None]
+        with_room = [(w, e) for w, e in candidates if e.used < len(e.slots)]
         if with_room:
             way, _ = self._rng.choice(with_room)
             if len(candidates) > 1:
@@ -1755,15 +1752,14 @@ class BaryonController(ServedSeam):
     ) -> None:
         """Put a stage victim back to slow memory (not committed)."""
         entry = self.stage.entry(set_index, way)
-        blocks = entry.blocks_present()
         for slot in entry.slots:
             if slot is not None:
                 self._writeback_stage_slot(now, set_index, super_id, slot)
-        self.stage.invalidate(set_index, way)
+        snapshot = self.stage.invalidate(set_index, way)
         self._stats.inc("stage_evictions")
         if self.tracker is not None:
             base = super_id * self.geometry.super_block_blocks
-            for blk_off in blocks:
+            for blk_off in snapshot.blocks_present():
                 self.tracker.block_unstaged(base + blk_off, committed=False)
 
     # --------------------------------------------------------------- commit
@@ -1780,9 +1776,10 @@ class BaryonController(ServedSeam):
 
         base = super_id * self.geometry.super_block_blocks
         state = FastBlockState(super_id=super_id, displaced_home=displaced)
-        for blk_off in entry.blocks_present():
+        for blk_off, (remap, cf2, cf4, zero, dirties) in self._remap_fields(entry):
             block_id = base + blk_off
-            remap, cf2, cf4, zero, dirties = self._slots_to_remap(entry, blk_off)
+            if zero:
+                cf2 = cf4 = 0
             new_entry = RemapEntry(
                 remap=remap, pointer=target_way, cf2=cf2, cf4=cf4, zero=zero,
                 num_subs=self.geometry.sub_blocks_per_block,
@@ -1815,34 +1812,38 @@ class BaryonController(ServedSeam):
                 slots_per_block=self.geometry.sub_blocks_per_block,
             )
 
-    def _slots_to_remap(
-        self, entry: StageTagEntry, blk_off: int
-    ) -> Tuple[int, int, int, bool, List[int]]:
-        """Translate a block's stage slots into remap-entry fields."""
+    def _remap_fields(self, entry: StageTagEntry) -> List[Tuple[int, list]]:
+        """Translate a stage entry's slots into remap-entry fields.
+
+        One pass over the slots, grouped by block: ``(blk_off, [remap,
+        cf2, cf4, zero, dirties])`` per staged block, ascending BlkOff.
+        ``dirties`` lists the dirty sub-blocks in slot order; a Z slot
+        sets every remap bit (the caller clears ``cf2``/``cf4`` then).
+        """
         n = self.geometry.sub_blocks_per_block
-        remap, cf2, cf4 = 0, 0, 0
-        zero = False
-        dirties: List[int] = []
+        groups: Dict[int, list] = {}
         for slot in entry.slots:
-            if slot is None or slot.blk_off != blk_off:
+            if slot is None:
                 continue
+            fields = groups.get(slot.blk_off)
+            if fields is None:
+                fields = groups[slot.blk_off] = [0, 0, 0, False, []]
             if slot.zero:
-                zero = True
-                remap = (1 << n) - 1
+                fields[0] = (1 << n) - 1
+                fields[3] = True
                 if slot.dirty:
-                    dirties.extend(range(n))
+                    fields[4].extend(range(n))
                 continue
-            for sub in slot.sub_blocks:
-                remap |= 1 << sub
-                if slot.dirty:
-                    dirties.append(sub)
-            if slot.cf == 2:
-                cf2 |= 1 << (slot.sub_start // 2)
-            elif slot.cf == 4:
-                cf4 |= 1 << (slot.sub_start // 4)
-        if zero:
-            cf2, cf4 = 0, 0
-        return remap, cf2, cf4, zero, dirties
+            start = slot.sub_start
+            cf = slot.cf
+            fields[0] |= ((1 << cf) - 1) << start
+            if slot.dirty:
+                fields[4].extend(range(start, start + cf))
+            if cf == 2:
+                fields[1] |= 1 << (start // 2)
+            elif cf == 4:
+                fields[2] |= 1 << (start // 4)
+        return sorted(groups.items())
 
     def _displace_home(self, now: float, fa_set: int, way: int) -> Optional[int]:
         """Flat scheme: spread-swap the home block out of a flat way.

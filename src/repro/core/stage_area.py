@@ -135,9 +135,6 @@ class StageArea:
                     entry.lru -= 1
         target.lru = valid - 1
 
-    def _valid_count(self, set_index: int) -> int:
-        return sum(1 for e in self.tags.entries[set_index] if e.valid)
-
     def lru_way(self, set_index: int) -> Optional[int]:
         """Way with rank 0 (the block-level replacement victim)."""
         best_way, best_rank = None, None
@@ -154,7 +151,10 @@ class StageArea:
         return best_way
 
     def is_lru(self, set_index: int, way: int) -> bool:
-        return self.lru_way(set_index) == way
+        """Is ``way`` the set's LRU? Ranks are dense 0..valid-1, so the
+        LRU is the valid way at rank 0 (:meth:`lru_way`'s answer)."""
+        entry = self.tags.entries[set_index][way]
+        return entry.valid and entry.lru == 0
 
     # -- allocation / invalidation ------------------------------------------
     def allocate(self, super_id: int) -> Optional[Tuple[int, int]]:
@@ -172,10 +172,11 @@ class StageArea:
         entry.valid = True
         self.valid_counts[set_index] += 1
         entry.slots = [None] * self.geometry.sub_blocks_per_block
+        entry.used = 0
         entry.fifo = 0
         entry.miss_count = 0
         # A fresh entry enters at MRU; existing dense ranks 0..n-2 stand.
-        entry.lru = self._valid_count(set_index) - 1
+        entry.lru = self.valid_counts[set_index] - 1
         self.stats.inc("allocations")
         return set_index, way
 
@@ -187,12 +188,14 @@ class StageArea:
         if self.obs.enabled:
             self.obs.emit(
                 "stage_evict", set=set_index, way=way, tag=entry.tag,
-                occupied=entry.occupancy(),
+                occupied=entry.used,
             )
+        # The entry gets a fresh slot list below, so the snapshot can
+        # take the old one over without copying it.
         snapshot = StageTagEntry(
             tag=entry.tag,
             valid=True,
-            slots=list(entry.slots),
+            slots=entry.slots,
             lru=entry.lru,
             fifo=entry.fifo,
             miss_count=entry.miss_count,
@@ -204,6 +207,7 @@ class StageArea:
         entry.valid = False
         self.valid_counts[set_index] -= 1
         entry.slots = [None] * self.geometry.sub_blocks_per_block
+        entry.used = 0
         entry.lru = 0
         entry.fifo = 0
         entry.miss_count = 0
@@ -220,6 +224,7 @@ class StageArea:
         if free is None:
             raise LayoutError("insert_range into a full stage block")
         entry.slots[free] = slot
+        entry.used += 1
         if self.columnar is not None:
             self.columnar.stage_insert(set_index, way, free, slot, entry.tag)
         if self.obs.enabled:
@@ -248,6 +253,7 @@ class StageArea:
         if slot is None:
             raise LayoutError("removing an empty slot")
         entry.slots[slot_index] = None
+        entry.used -= 1
         if self.columnar is not None:
             self.columnar.stage_remove(set_index, way, slot_index, slot, entry.tag)
         return slot

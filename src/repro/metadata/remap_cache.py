@@ -92,8 +92,6 @@ class RemapCache:
         if hit:
             ratio.hits += 1
             # LRU touch inlined (same transitions as LruSet.touch).
-            cache_set._clock += 1
-            line.counter = cache_set._clock
             lines[tag] = lines.pop(tag)
             self._n_hits += 1
         else:
@@ -102,10 +100,7 @@ class RemapCache:
                 victim_tag = next(iter(lines))
                 del lines[victim_tag]
                 self._n_evictions += 1
-            line = CacheLine(tag)
-            cache_set._clock += 1
-            line.counter = cache_set._clock
-            lines[tag] = line
+            lines[tag] = CacheLine(tag)
         return hit
 
     def probe_state(self):
@@ -117,11 +112,10 @@ class RemapCache:
         ``(sets, num_sets, hit_ratio)``. An inline probe must
         preserve this class's transitions exactly:
 
-        * hit — bump the set ``_clock``, stamp ``line.counter``, and
-          re-insert the tag (``lines[tag] = lines.pop(tag)``) so dict
-          order stays LRU→MRU;
+        * hit — re-insert the tag (``lines[tag] = lines.pop(tag)``) so
+          dict order stays LRU→MRU;
         * miss at capacity — evict ``next(iter(lines))`` (the LRU);
-        * fill — fresh ``CacheLine(tag)`` stamped from the set clock.
+        * fill — a fresh ``CacheLine(tag)`` at the MRU end.
 
         Hit/miss/eviction outcomes must be tallied by the caller and
         folded back through :meth:`credit_probes` before anything reads
@@ -177,10 +171,7 @@ class RemapCache:
         if len(lines) >= cache_set.ways:
             del lines[next(iter(lines))]
             self._n_evictions += 1
-        line = CacheLine(tag)
-        cache_set._clock += 1
-        line.counter = cache_set._clock
-        lines[tag] = line
+        lines[tag] = CacheLine(tag)
         return False
 
     def storage_bytes(self, entry_bytes: int = 2, tag_bytes: int = 4) -> int:

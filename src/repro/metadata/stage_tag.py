@@ -150,7 +150,14 @@ class RangeSlot:
 
 @dataclass(slots=True)
 class StageTagEntry:
-    """One stage tag array entry: a staged physical block's full metadata."""
+    """One stage tag array entry: a staged physical block's full metadata.
+
+    ``used`` counts the occupied (non-``None``) slots. It is simulator
+    bookkeeping, not one of the 108 encoded bits: construction (and so
+    :meth:`decode`) derives it from ``slots``, and the stage area's slot
+    mutation sites (allocate, invalidate, insert, remove) keep it exact,
+    so "has this block room?" is ``used < len(slots)`` instead of a scan.
+    """
 
     tag: int = 0
     valid: bool = False
@@ -158,10 +165,12 @@ class StageTagEntry:
     lru: int = 0
     fifo: int = 0
     miss_count: int = 0
+    used: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.slots:
             raise MetadataError("entry must have at least one slot")
+        self.used = len(self.slots) - self.slots.count(None)
 
     # -- queries -----------------------------------------------------------
     def find_sub_block(self, blk_off: int, sub_index: int) -> Optional[int]:
@@ -190,9 +199,6 @@ class StageTagEntry:
             if slot is None:
                 return i
         return None
-
-    def occupancy(self) -> int:
-        return sum(1 for slot in self.slots if slot is not None)
 
     def blocks_present(self) -> List[int]:
         """Distinct BlkOffs with at least one staged range."""

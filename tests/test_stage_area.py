@@ -44,7 +44,7 @@ class TestAllocation:
         s, w = alloc(stage, 0)
         stage.insert_range(s, w, RangeSlot(cf=1, blk_off=2, sub_start=3))
         snap = stage.invalidate(s, w)
-        assert snap.occupancy() == 1
+        assert snap.used == 1
         assert stage.tags.invalid_way(s) is not None
         with pytest.raises(LayoutError):
             stage.invalidate(s, w)
@@ -57,6 +57,25 @@ class TestAllocation:
         hit = stage.lookup_sub_block(5, 1, 5)
         assert hit is not None and hit[0] == w
         assert stage.lookup_sub_block(5, 1, 6) is None
+
+
+class TestUsedCount:
+    def test_mutation_sites_keep_used_exact(self, stage):
+        s, w = alloc(stage, 0)
+        entry = stage.entry(s, w)
+        assert entry.used == 0
+        for sub in range(8):
+            stage.insert_range(s, w, RangeSlot(cf=1, blk_off=0, sub_start=sub))
+        assert entry.used == 8
+        with pytest.raises(LayoutError):
+            stage.insert_range(s, w, RangeSlot(cf=1, blk_off=1, sub_start=0))
+        assert entry.used == 8
+        stage.remove_slot(s, w, 3)
+        assert entry.used == 7
+        snap = stage.invalidate(s, w)
+        assert snap.used == 7 and entry.used == 0
+        _, w2 = alloc(stage, 0)
+        assert stage.entry(s, w2).used == 0
 
 
 class TestLruRanks:

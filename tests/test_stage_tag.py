@@ -123,9 +123,22 @@ class TestStageTagEntry:
     def test_slots_of_block_and_occupancy(self):
         entry = self.make_entry()
         assert entry.slots_of_block(0) == [0]
-        assert entry.occupancy() == 3
+        assert entry.used == 3
         assert entry.blocks_present() == [0, 2, 6]
         assert entry.free_slot() == 1
+
+    def test_used_count_is_derived_not_encoded(self):
+        """``used`` is simulator bookkeeping: construction and ``decode``
+        derive it from the slots, and the 108 encoded bits ignore it."""
+        entry = self.make_entry()
+        assert entry.used == 3
+        assert StageTagEntry(slots=[None] * 32).used == 0
+        decoded = StageTagEntry.decode(entry.encode())
+        assert decoded.used == 3
+        encoded = entry.encode()
+        entry.used = 0
+        assert entry.encode() == encoded
+        assert entry == decoded  # not compared either
 
     def test_dirty_sub_block_count(self):
         entry = self.make_entry()

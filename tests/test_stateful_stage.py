@@ -67,7 +67,7 @@ class StageAreaMachine(RuleBasedStateMachine):
         self.stage.insert_range(self.set_index, way, slot)
 
     @precondition(lambda self: any(
-        self.stage.entry(0, w).valid and self.stage.entry(0, w).occupancy()
+        self.stage.entry(0, w).valid and self.stage.entry(0, w).used
         for w in range(4)
     ))
     @rule(data=st.data())
@@ -75,7 +75,7 @@ class StageAreaMachine(RuleBasedStateMachine):
         candidates = [
             w
             for w in self._valid_ways()
-            if self.stage.entry(self.set_index, w).occupancy()
+            if self.stage.entry(self.set_index, w).used
         ]
         way = data.draw(st.sampled_from(candidates))
         slot_index = self.stage.fifo_victim_slot(self.set_index, way)

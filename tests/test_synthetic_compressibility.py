@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.compression import synthetic
 from repro.compression.synthetic import (
     PROFILE_LIBRARY,
     CompressibilityProfile,
     NullCompressibility,
     SyntheticCompressibility,
+    _hash_unit5,
 )
 
 
@@ -113,6 +115,140 @@ class TestOracle:
         profile = PROFILE_LIBRARY["medium"]
         hits = sum(oracle.fits(b, 0, 4, cacheline_aligned=False) for b in range(4000))
         assert abs(hits / 4000 - profile.p_cf4) < 0.05
+
+
+class _ReferenceOracle:
+    """The oracle's verdicts written straight from ``_hash_unit5``: no
+    memo and no shared draw, every question hashes its own five parts."""
+
+    def __init__(self, seed, cf_boost, default):
+        self.seed = seed
+        self.cf_boost = cf_boost
+        self.default = default
+        self.regions = []
+        self.versions = {}
+        self.write_counts = {}
+
+    def profile_of(self, block):
+        for first, last, profile in self.regions:
+            if first <= block <= last:
+                return profile
+        return self.default
+
+    def fits_at(self, block, start, n_sub, ca, version):
+        if n_sub == 1:
+            return True
+        u = _hash_unit5(self.seed, block, (start // 4) * 4, version, 4)
+        p = self.profile_of(block).effective_p(n_sub, ca) * self.cf_boost
+        return u < min(1.0, p)
+
+    def fits(self, block, start, n_sub, ca):
+        return self.fits_at(block, start, n_sub, ca, self.versions.get(block, 0))
+
+    def max_cf(self, block, sub, ca):
+        if self.fits(block, (sub // 4) * 4, 4, ca):
+            return 4
+        if self.fits(block, (sub // 2) * 2, 2, ca):
+            return 2
+        return 1
+
+    def is_zero(self, block, start, n_sub):
+        u = _hash_unit5(self.seed, block, start, self.versions.get(block, 0), 0)
+        return u < self.profile_of(block).p_zero
+
+    def peek_write(self, block, sub):
+        count = self.write_counts.get(block, 0)
+        u = _hash_unit5(self.seed, block, sub, count, 7)
+        return u < self.profile_of(block).write_instability
+
+    def note_write(self, block, sub):
+        changed = self.peek_write(block, sub)
+        self.write_counts[block] = self.write_counts.get(block, 0) + 1
+        if changed:
+            self.versions[block] = self.versions.get(block, 0) + 1
+        return changed
+
+    def add_region(self, first, last, profile):
+        self.regions.append((first, last, profile))
+
+    def set_default_profile(self, profile):
+        self.default = profile
+
+
+#: Write-unstable profiles keep versions moving, so memo keys go stale.
+_PROFILES = [
+    CompressibilityProfile("unstable", p_cf4=0.3, p_cf2=0.6, p_zero=0.2,
+                           write_instability=0.6),
+    *PROFILE_LIBRARY.values(),
+    CompressibilityProfile("all-fit", p_cf4=1.0, p_cf2=1.0, write_instability=0.3),
+]
+_BLOCK = st.integers(min_value=0, max_value=11)
+_SUB = st.integers(min_value=0, max_value=31)
+_CA = st.booleans()
+_PROFILE = st.integers(min_value=0, max_value=len(_PROFILES) - 1)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("max_cf"), _BLOCK, _SUB, _CA),
+        st.tuples(st.just("fits"), _BLOCK, _SUB, st.sampled_from([1, 2, 4, 8]), _CA),
+        st.tuples(
+            st.just("fits_at"), _BLOCK, _SUB, st.sampled_from([1, 2, 4]), _CA,
+            st.integers(min_value=0, max_value=3),
+        ),
+        st.tuples(st.just("is_zero"), _BLOCK, _SUB, st.just(8)),
+        st.tuples(st.just("note_write"), _BLOCK, _SUB),
+        st.tuples(st.just("peek_write"), _BLOCK, _SUB),
+        st.tuples(st.just("add_region"), _BLOCK, st.integers(0, 4), _PROFILE),
+        st.tuples(st.just("set_default_profile"), _PROFILE),
+    ),
+    max_size=150,
+)
+
+
+class TestAgainstReference:
+    """The memoized oracle (per-quad CF level, per-block hash state)
+    must give exactly the verdicts of the unmemoized reference."""
+
+    @given(
+        seed=st.integers(min_value=-(1 << 65), max_value=1 << 65),
+        cf_boost=st.sampled_from([1.0, 1.25, 0.5]),
+        ops=_OPS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_match_hash_unit5(self, seed, cf_boost, ops):
+        oracle = SyntheticCompressibility(seed=seed, cf_boost=cf_boost)
+        oracle.set_default_profile(_PROFILES[0])
+        ref = _ReferenceOracle(seed, cf_boost, _PROFILES[0])
+        for op, *args in ops:
+            if op == "add_region":
+                first, width, profile = args
+                args = [first, first + width, _PROFILES[profile]]
+            elif op == "set_default_profile":
+                args = [_PROFILES[args[0]]]
+            got = getattr(oracle, op)(*args)
+            assert got == getattr(ref, op)(*args), (op, args)
+        for block in range(12):
+            assert oracle.version_of(block) == ref.versions.get(block, 0)
+
+    def test_max_cf_draws_once_per_quad(self, monkeypatch):
+        """A quad whose 4-range misses costs one draw for both CF levels,
+        and the memo answers every later question about the quad."""
+        probe = SyntheticCompressibility(seed=5)
+        block = next(b for b in range(1000) if probe.max_cf(b, 1) < 4)
+        draws = []
+        real = synthetic._hash_tail3
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(synthetic, "_hash_tail3", counting)
+        oracle = SyntheticCompressibility(seed=5)
+        assert oracle.max_cf(block, 1) == probe.max_cf(block, 1)
+        assert len(draws) == 1
+        oracle.max_cf(block, 3)
+        oracle.fits(block, 0, 4)
+        oracle.fits(block, 2, 2)
+        assert len(draws) == 1
 
 
 class TestNullOracle:
