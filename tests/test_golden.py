@@ -23,6 +23,11 @@ per-access ``(case, latency, prefetched)`` stream are hashed into the
 stage-tag corruption, metadata repair, the phase tracker, event tracing
 and row-buffer glitches too.
 
+Every registered workload's trace is pinned byte for byte as well: the
+``traces`` corpus holds one SHA-256 per (workload, seed, length) over the
+trace's ``addrs``, ``writes``, ``igaps`` and ``cores`` arrays and their
+dtypes, so a generator rewrite must keep every draw in place.
+
 An intentional behaviour change re-baselines the corpus in its own
 change::
 
@@ -32,12 +37,14 @@ change::
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import DESIGNS, run_cell
@@ -53,6 +60,7 @@ from repro.validation.fuzz import (
     make_tiny_config,
     sample_config_kwargs,
 )
+from repro.workloads import WORKLOADS as REGISTERED_WORKLOADS
 from repro.workloads import build_workload, scaled_system
 
 GOLDEN_PATH = Path(__file__).with_name("golden_corpus.json")
@@ -142,6 +150,14 @@ TWIN_DESIGNS = (
     *(f"baryon+{variant}" for variant in TWIN_RESILIENCE),
     "baryon+tracker", "baryon+traced",
 )
+
+
+#: The trace corpus: seeds and lengths each registered workload is pinned
+#: at. 255-257 straddle a 256-draw boundary, where a batched generator's
+#: batch can end an episode.
+TRACE_SEEDS = (1, 7)
+TRACE_LENGTHS = (1, 255, 256, 257, 3000)
+TRACE_FIELDS = ("addrs", "writes", "igaps", "cores")
 
 
 def cell_names():
@@ -312,6 +328,28 @@ def twin_digest(design: str, iteration: int) -> str:
     return _result_digest(payload)
 
 
+def trace_digest(workload: str, seed: int, n_accesses: int) -> str:
+    """SHA-256 over one generated trace's arrays and their dtypes."""
+    config, _ = scaled_system(SCALE)
+    trace = build_workload(
+        workload, config.layout.fast_capacity, n_accesses=n_accesses, seed=seed
+    )
+    digest = hashlib.sha256()
+    for field in TRACE_FIELDS:
+        array = np.ascontiguousarray(getattr(trace, field))
+        digest.update(f"{field}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def trace_digests(workload: str) -> dict:
+    return {
+        f"{seed}/{n}": trace_digest(workload, seed, n)
+        for seed in TRACE_SEEDS
+        for n in TRACE_LENGTHS
+    }
+
+
 @lru_cache(maxsize=1)
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -368,6 +406,17 @@ def test_twin_replay_matches_golden(design):
     )
 
 
+@pytest.mark.parametrize("workload", sorted(REGISTERED_WORKLOADS))
+def test_trace_matches_golden(workload):
+    """Each generator must reproduce its committed traces byte for byte."""
+    want = golden()["traces"][workload]
+    got = trace_digests(workload)
+    moved = sorted(key for key in want if got.get(key) != want[key])
+    assert set(got) == set(want) and not moved, (
+        f"{workload}: trace digests moved at seed/length {moved}"
+    )
+
+
 def regenerate() -> dict:
     return {
         "accesses": N_ACCESSES,
@@ -381,6 +430,9 @@ def regenerate() -> dict:
         "twins": {
             design: [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
             for design in TWIN_DESIGNS
+        },
+        "traces": {
+            workload: trace_digests(workload) for workload in REGISTERED_WORKLOADS
         },
     }
 
