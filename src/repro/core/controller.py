@@ -1571,15 +1571,9 @@ class BaryonController(ServedSeam):
                 self.stage.insert_range(set_index, way, new_slot)
                 self.stage.touch(set_index, way)
                 return
-            # The block's slot refcount (Rule 3: all in this way).
-            owns_whole_block = (
-                self.columnar.stage_block[block_id][1] >= n_slots
-            )
-            if (
-                not self._two_level
-                or self.stage.is_lru(set_index, way)
-                or owns_whole_block
-            ):
+            # A block whose ranges fill the way never reaches here: a way
+            # has one slot per sub-block, so it covers the whole block.
+            if not self._two_level or self.stage.is_lru(set_index, way):
                 self._sub_block_replace(now, set_index, way, super_id)
                 self.stage.insert_range(set_index, way, new_slot)
                 self.stage.touch(set_index, way)

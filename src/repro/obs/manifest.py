@@ -18,8 +18,10 @@ identity differences.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import platform
 import subprocess
 from time import time as _wall
@@ -40,11 +42,25 @@ TIMING_KEYS = ("wall_s", "cpu_s", "created_unix")
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """The current ``git rev-parse HEAD``, or ``None`` outside a repo."""
+    """The current ``git rev-parse HEAD``, or ``None`` outside a repo.
+
+    Computed once per process for each resolved working directory: every
+    checkpointed ``run_plan`` (so every serve job) builds a manifest, and
+    spawning git for each cost most of a warm serve job.
+    """
+    try:
+        directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
+    except OSError:
+        return None
+    return _git_revision_at(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision_at(directory: str) -> Optional[str]:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=5.0,
+            cwd=directory, capture_output=True, text=True, timeout=5.0,
         )
     except (OSError, subprocess.SubprocessError):
         return None

@@ -352,7 +352,10 @@ def run_job(
     )
     job.outcome = outcome
 
-    # Warm the cache with what this job had to simulate itself.
+    # Warm the cache with what this job had to simulate itself; a job
+    # served wholly from the cache simulated nothing.
+    if len(preload) == len(plan):
+        return outcome
     try:
         payloads = load_checkpoint(job.checkpoint_path, fingerprint)
     except (CheckpointCorruptError, ConfigurationError):

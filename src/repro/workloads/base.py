@@ -115,7 +115,8 @@ class Trace:
         """Write the trace (arrays + metadata) to a ``.npz`` file, so
         expensive generations can be reused across runs and shared."""
         region_array = np.asarray(
-            [(f, l, p) for f, l, p in self.regions], dtype=object
+            [(first, last, profile) for first, last, profile in self.regions],
+            dtype=object,
         )
         np.savez_compressed(
             path,
@@ -134,7 +135,8 @@ class Trace:
         """Inverse of :meth:`save`."""
         with np.load(path, allow_pickle=True) as data:
             regions = [
-                (int(f), int(l), str(p)) for f, l, p in data["regions"]
+                (int(first), int(last), str(profile))
+                for first, last, profile in data["regions"]
             ] if data["regions"].size else []
             return Trace(
                 name=str(data["name"]),

@@ -114,11 +114,13 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
         names = [b for b, _ in behaviours]
         weights = np.asarray([w for _, w in behaviours])
         weights = weights / weights.sum()
-        choices = rng.choice(len(names), size=n_accesses, p=weights)
+        choices = rng.choice(len(names), size=n_accesses, p=weights).tolist()
 
-        # Pre-draw the streams each behaviour consumes.
-        addrs = np.empty(n_accesses, dtype=np.uint64)
-        episodic = {
+        # Pre-draw the streams each behaviour consumes. All three are drawn
+        # even when the mix uses fewer: their draws advance the rng, so
+        # skipping one would move every later chase/window, write, igap
+        # and core draw.
+        streams = {
             "hot": self._episode_addrs(
                 n_accesses, max(1, blocks // 40), theta=0.6, coverage=0.5
             ),
@@ -134,7 +136,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 coverage=0.9,
             ),
         }
-        episodic_pos = {k: 0 for k in episodic}
+        episodic = {kind: iter(stream.tolist()) for kind, stream in streams.items()}
         # Iterative solvers re-sweep their field arrays: the scan walks a
         # window of sweep_frac * footprint repeatedly (4 passes), then
         # shifts — giving the reuse-at-distance that makes compression's
@@ -160,17 +162,18 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
         # xz's dictionary matches copy sequential runs inside the window.
         window_run = 0
         window_line = 0
-        for i in range(n_accesses):
-            kind = names[choices[i]]
+        addrs = []
+        emit = addrs.append
+        for i, choice in enumerate(choices):
+            kind = names[choice]
             if kind == "scan":
-                addrs[i] = ((sweep_origin + scan_pos % sweep_lines) % lines) * 64
+                emit(((sweep_origin + scan_pos % sweep_lines) % lines) * 64)
                 scan_pos += 1
                 if scan_pos >= sweep_lines * sweep_passes:
                     scan_pos = 0
                     sweep_origin = (sweep_origin + sweep_lines) % lines
             elif kind in episodic:
-                addrs[i] = episodic[kind][episodic_pos[kind]]
-                episodic_pos[kind] += 1
+                emit(next(episodic[kind]))
             elif kind == "chase":
                 if chase_run == 0:
                     if chase_visits_left == 0:
@@ -182,7 +185,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                     chase_visits_left -= 1
                     chase_line = arc * 3
                     chase_run = 3
-                addrs[i] = (chase_line % lines) * 64
+                emit((chase_line % lines) * 64)
                 chase_line += 1
                 chase_run -= 1
             elif kind == "window":
@@ -191,7 +194,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 if window_run == 0:
                     window_line = window_base + int(rng.integers(0, window_lines))
                     window_run = int(rng.integers(3, 14))
-                addrs[i] = (window_line % lines) * 64
+                emit((window_line % lines) * 64)
                 window_line += 1
                 window_run -= 1
             else:  # pragma: no cover - mix keys are validated above
@@ -200,7 +203,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
         lo, hi = p["igap"]
         return Trace(
             name=self.name,
-            addrs=addrs,
+            addrs=np.asarray(addrs, dtype=np.uint64),
             writes=writes,
             igaps=rng.integers(lo, hi, n_accesses, dtype=np.uint32),
             cores=rng.integers(0, self.cores, n_accesses).astype(np.uint16),

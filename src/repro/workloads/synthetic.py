@@ -91,22 +91,8 @@ def block_footprint(
     return (start + np.arange(length)) % lines_per_block
 
 
-class _Episode:
-    """One in-flight block episode: a walk over the block's footprint."""
-
-    __slots__ = ("block", "footprint", "pos", "remaining")
-
-    def __init__(self, block: int, footprint: np.ndarray, length: int, offset: int):
-        self.block = block
-        self.footprint = footprint
-        self.pos = offset
-        self.remaining = length
-
-    def next_line(self) -> int:
-        line = int(self.footprint[self.pos % len(self.footprint)])
-        self.pos += 1
-        self.remaining -= 1
-        return line
+#: Episode choices ``_episode_addrs`` draws per ``rng.integers`` call.
+EPISODE_BATCH = 256
 
 
 class EpisodeMixin:
@@ -134,49 +120,92 @@ class EpisodeMixin:
         active: int = 24,
         revisit: float = 1.75,
     ) -> np.ndarray:
+        """``n_accesses`` line addresses of ``active`` interleaved episodes.
+
+        The stream is defined by one ``rng.integers(0, active)`` draw per
+        access (which episode steps) with each ended episode's
+        ``new_episode`` draws right after the draw that ended it. The
+        choices are drawn ``EPISODE_BATCH`` at a time: on a ``Generator``
+        k bounded draws in one call consume the bit generator exactly as
+        k scalar calls do. When an episode ends before a batch's last
+        choice, the bit generator is rewound to the batch start and only
+        the choices up to the ending one are redrawn, so the replacement
+        episode's draws land where the per-access order puts them.
+        """
         rng = self.rng
+        bit_generator = rng.bit_generator
         g = self.geometry
+        seed = self.seed
         lines_per_block = g.block_size // 64
         blocks_per_super = g.super_block_blocks
         supers = max(1, blocks // blocks_per_super)
         perm_stride = 2654435761 % supers or 1
-        pool = _zipf_ranks(rng, supers, max(1024, n_accesses // 8), theta)
+        pool = _zipf_ranks(rng, supers, max(1024, n_accesses // 8), theta).tolist()
         pool_pos = 0
+        walks = {}
 
-        def new_episode() -> _Episode:
+        def super_walk(super_id: int) -> list:
+            """The byte addresses of a super-block's episode walk."""
+            walk = walks.get(super_id)
+            if walk is None:
+                # A stable hot subset of the super-block's blocks (2-5 of
+                # 8), derived from the super id so residency generations
+                # repeat; the walk concatenates their line footprints.
+                h = (super_id * 0x9E3779B97F4A7C15 + seed) & ((1 << 64) - 1)
+                n_blocks = 2 + (h >> 17) % 4
+                base = super_id * blocks_per_super
+                hot_blocks = sorted(
+                    {base + ((h >> (5 * i)) % blocks_per_super) for i in range(n_blocks)}
+                )
+                walk = walks[super_id] = [
+                    (block * lines_per_block + line) * 64
+                    for block in hot_blocks
+                    for line in block_footprint(
+                        block, lines_per_block, coverage, seed
+                    ).tolist()
+                ]
+            return walk
+
+        # Per-slot episode state: walk, next walk position, accesses left.
+        ep_walk = [None] * active
+        ep_pos = [0] * active
+        ep_left = [0] * active
+
+        def new_episode(slot: int) -> None:
             nonlocal pool_pos, pool
             if pool_pos >= len(pool):
-                pool = _zipf_ranks(rng, supers, len(pool), theta)
+                pool = _zipf_ranks(rng, supers, len(pool), theta).tolist()
                 pool_pos = 0
-            super_id = (int(pool[pool_pos]) * perm_stride) % supers
+            walk = super_walk((pool[pool_pos] * perm_stride) % supers)
             pool_pos += 1
-            # A stable hot subset of the super-block's blocks (2-5 of 8),
-            # derived from the super id so residency generations repeat.
-            h = (super_id * 0x9E3779B97F4A7C15 + self.seed) & ((1 << 64) - 1)
-            n_blocks = 2 + (h >> 17) % 4
-            base = super_id * blocks_per_super
-            hot_blocks = sorted(
-                {base + ((h >> (5 * i)) % blocks_per_super) for i in range(n_blocks)}
-            )
-            # Concatenate the blocks' line footprints into one walk.
-            walk = []
-            for block in hot_blocks:
-                footprint = block_footprint(
-                    block, lines_per_block, coverage, self.seed
-                )
-                walk.extend(block * lines_per_block + line for line in footprint)
-            walk = np.asarray(walk, dtype=np.int64)
-            length = max(2, int(rng.integers(1, int(len(walk) * revisit * 2))))
-            return _Episode(0, walk, length, int(rng.integers(0, len(walk))))
+            ep_walk[slot] = walk
+            ep_left[slot] = max(2, int(rng.integers(1, int(len(walk) * revisit * 2))))
+            ep_pos[slot] = int(rng.integers(0, len(walk)))
 
-        episodes = [new_episode() for _ in range(active)]
-        addrs = np.empty(n_accesses, dtype=np.uint64)
-        for i in range(n_accesses):
-            e = episodes[int(rng.integers(0, active))]
-            addrs[i] = e.next_line() * 64
-            if e.remaining <= 0:
-                episodes[episodes.index(e)] = new_episode()
-        return addrs
+        for slot in range(active):
+            new_episode(slot)
+        addrs = []
+        emit = addrs.append
+        done = 0
+        while done < n_accesses:
+            count = min(EPISODE_BATCH, n_accesses - done)
+            saved = bit_generator.state
+            for j, slot in enumerate(rng.integers(0, active, size=count).tolist()):
+                walk = ep_walk[slot]
+                pos = ep_pos[slot]
+                emit(walk[pos % len(walk)])
+                ep_pos[slot] = pos + 1
+                left = ep_left[slot] - 1
+                ep_left[slot] = left
+                if left <= 0:
+                    if j < count - 1:
+                        bit_generator.state = saved
+                        rng.integers(0, active, size=j + 1)
+                        count = j + 1
+                    new_episode(slot)
+                    break
+            done += count
+        return np.asarray(addrs, dtype=np.uint64)
 
 
 class ZipfWorkload(EpisodeMixin, TraceGenerator):

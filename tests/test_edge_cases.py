@@ -70,19 +70,31 @@ class TestStageStructuralPaths:
         assert ctrl.stage.lookup_super(n) == []  # super 1 evicted
 
     def test_sub_block_fifo_replacement_when_block_owns_everything(self):
-        """A block owning all 8 slots FIFO-replaces within itself."""
-        ctrl = make_controller(ScriptedOracle(cf=1))
-        for sub in range(8):
-            ctrl.access(sub * 256, False)
-        # The 8 slots hold subs 0..7; writes force an overflow-free refetch
-        # by touching a brand-new sub after evicting one... instead use the
-        # 64 B-variant trick: shrink the geometry so there are >8 subs.
+        """A block whose ranges fill its way is staged whole, so it never
+        takes a stage miss and never FIFO-replaces within itself.
+
+        With 64 B sub-blocks a way has 32 slots, one per sub-block of the
+        2 kB block: the 32 CF-1 misses fill them in order and the 33rd
+        access (sub 0 again) hits the stage.
+        """
         config = make_small_config().with_sub_block_size(64)
         ctrl = BaryonController(config, seed=1)
         ctrl.oracle = ScriptedOracle(cf=1)
-        for sub in range(33):  # 32 sub-blocks + wrap
+        for sub in range(33):
             ctrl.access((sub % 32) * 64, False)
-        assert ctrl.stats.get("accesses") == 33
+        stats = ctrl.stats
+        assert stats.get("accesses") == 33
+        assert stats.get("case_block_miss") == 1
+        assert stats.get("case_stage_miss") == 31
+        assert stats.get("case_stage_hit") == 1
+        assert stats.get("sub_block_replacements") == 0
+        entries = ctrl.stage.lookup_super(0)
+        assert [way for way, _ in entries] == [0]
+        entry = entries[0][1]
+        assert entry.used == len(entry.slots) == 32
+        assert [(s.blk_off, s.sub_start, s.cf, s.dirty) for s in entry.slots] == [
+            (0, sub, 1, False) for sub in range(32)
+        ]
 
     def test_regroup_move_on_block_level_replacement(self):
         """Case 3 insert into a full, non-LRU block regroups the data

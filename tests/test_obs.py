@@ -8,6 +8,8 @@ access-case breakdown the controller's ``CounterGroup`` reports.
 from __future__ import annotations
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.obs import (
     collect_run_metrics,
     load_jsonl,
 )
+from repro.obs import manifest as manifest_module
 from repro.obs.metrics import Histogram, LabeledCounter, TimeSeries
 from repro.sim import SystemSimulator
 from repro.workloads import ZipfWorkload
@@ -642,3 +645,66 @@ class TestTracerFlushOnFinalize:
         tracer.close()
         assert NULL_TRACER.flush() is None
         assert NULL_TRACER.close() is None
+
+
+# ------------------------------------------------------- manifest revision
+def _rev_parse(directory) -> "str | None":
+    """``git rev-parse HEAD`` in ``directory``, or ``None`` if it fails."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=directory,
+            capture_output=True, text=True, timeout=5.0,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    revision = proc.stdout.strip()
+    return revision if proc.returncode == 0 and revision else None
+
+
+def _manifest_run(path):
+    """Run a one-cell plan that writes a manifest to ``path``; return it."""
+    from repro.obs import load_manifest
+    from repro.parallel import plan_cells, run_plan
+
+    plan = plan_cells(["YCSB-B"], ["simple"], seed=3)
+    run_plan(
+        plan, make_small_config(), make_small_sim_config(), n_accesses=300,
+        jobs=1, manifest=str(path),
+    )
+    return load_manifest(str(path))
+
+
+class TestManifestRevision:
+    """The manifest's ``git_revision`` is HEAD of the working directory's
+    repository, computed once per process for each directory."""
+
+    def test_revision_is_head_inside_repo_and_none_outside(
+        self, tmp_path, monkeypatch
+    ):
+        repo = Path(__file__).resolve().parent.parent
+        monkeypatch.chdir(repo)
+        inside = _manifest_run(tmp_path / "inside.json")
+        assert inside["git_revision"] == _rev_parse(repo)
+        outside_dir = tmp_path / "plain"
+        outside_dir.mkdir()
+        if _rev_parse(outside_dir) is not None:
+            pytest.skip("the temporary directory lies inside a git repository")
+        monkeypatch.chdir(outside_dir)
+        assert _manifest_run(tmp_path / "outside.json")["git_revision"] is None
+
+    def test_git_runs_at_most_once_per_directory(self, tmp_path, monkeypatch):
+        manifest_module._git_revision_at.cache_clear()
+        git_calls = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if args and args[0] == "git":
+                git_calls.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+        monkeypatch.chdir(tmp_path)
+        first = _manifest_run(tmp_path / "first.json")
+        second = _manifest_run(tmp_path / "second.json")
+        assert len(git_calls) <= 1
+        assert first["git_revision"] == second["git_revision"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.config import Geometry
 from repro.common.errors import ConfigurationError
@@ -20,7 +21,7 @@ from repro.workloads import (
     build_workload,
 )
 from repro.workloads.spec import SPEC_PARAMS
-from repro.workloads.synthetic import block_footprint
+from repro.workloads.synthetic import EPISODE_BATCH, _zipf_ranks, block_footprint
 
 MB = 1 << 20
 FOOT = 8 * MB
@@ -90,6 +91,129 @@ class TestBlockFootprint:
     def test_lines_in_range(self):
         fp = block_footprint(3, 8, 0.5, seed=2)
         assert ((fp >= 0) & (fp < 8)).all()
+
+
+def reference_episode_addrs(
+    gen, n_accesses, blocks, theta, coverage, active=24, revisit=1.75, log=None
+):
+    """The per-access episode walk that ``_episode_addrs`` batches.
+
+    One scalar ``rng.integers(0, active)`` per access, numpy footprints
+    and a fresh walk per episode. ``log`` (a dict) collects the access
+    indices at which episodes ended and the number of pool refills.
+    """
+    rng = gen.rng
+    g = gen.geometry
+    lines_per_block = g.block_size // 64
+    blocks_per_super = g.super_block_blocks
+    supers = max(1, blocks // blocks_per_super)
+    perm_stride = 2654435761 % supers or 1
+    pool = _zipf_ranks(rng, supers, max(1024, n_accesses // 8), theta)
+    pool_pos = 0
+    log = {} if log is None else log
+    log.update(ends=[], refills=0)
+
+    def new_episode():
+        nonlocal pool_pos, pool
+        if pool_pos >= len(pool):
+            pool = _zipf_ranks(rng, supers, len(pool), theta)
+            pool_pos = 0
+            log["refills"] += 1
+        super_id = (int(pool[pool_pos]) * perm_stride) % supers
+        pool_pos += 1
+        h = (super_id * 0x9E3779B97F4A7C15 + gen.seed) & ((1 << 64) - 1)
+        n_blocks = 2 + (h >> 17) % 4
+        base = super_id * blocks_per_super
+        hot_blocks = sorted(
+            {base + ((h >> (5 * i)) % blocks_per_super) for i in range(n_blocks)}
+        )
+        walk = []
+        for block in hot_blocks:
+            footprint = block_footprint(block, lines_per_block, coverage, gen.seed)
+            walk.extend(block * lines_per_block + line for line in footprint)
+        walk = np.asarray(walk, dtype=np.int64)
+        length = max(2, int(rng.integers(1, int(len(walk) * revisit * 2))))
+        return [walk, int(rng.integers(0, len(walk))), length]
+
+    episodes = [new_episode() for _ in range(active)]
+    addrs = np.empty(n_accesses, dtype=np.uint64)
+    for i in range(n_accesses):
+        slot = int(rng.integers(0, active))
+        walk, pos, remaining = episodes[slot]
+        addrs[i] = int(walk[pos % len(walk)]) * 64
+        episodes[slot][1:] = [pos + 1, remaining - 1]
+        if remaining - 1 <= 0:
+            log["ends"].append(i)
+            episodes[slot] = new_episode()
+    return addrs
+
+
+def unrewound_batch_ends(ends, n_accesses):
+    """Episode ends that fall on a full batch's last draw (no rewind).
+
+    Batches start at 0, after every episode end and after every full
+    batch of ``EPISODE_BATCH`` draws.
+    """
+    hits, start = [], 0
+    for end in ends:
+        while end - start >= EPISODE_BATCH:
+            start += EPISODE_BATCH
+        if end - start == EPISODE_BATCH - 1:
+            hits.append(end)
+        start = end + 1
+    return [end for end in hits if end < n_accesses - 1]
+
+
+def walk_pair(seed, n, blocks, theta, coverage, active):
+    batched = ZipfWorkload("z", FOOT, seed=seed)
+    reference = ZipfWorkload("z", FOOT, seed=seed)
+    log = {}
+    got = batched._episode_addrs(n, blocks, theta, coverage, active)
+    want = reference_episode_addrs(
+        reference, n, blocks, theta, coverage, active, log=log
+    )
+    return batched, reference, got, want, log
+
+
+class TestBatchedEpisodeWalk:
+    """``_episode_addrs`` draws its choices in batches and rewinds at
+    episode ends; it must match the per-access loop draw for draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 1500),
+        blocks=st.integers(1, 4096),
+        theta=st.floats(0.0, 1.5),
+        coverage=st.floats(0.02, 1.0),
+        active=st.integers(1, 40),
+    )
+    @example(seed=1, n=256, blocks=512, theta=0.9, coverage=0.45, active=24)
+    @example(seed=3, n=600, blocks=8, theta=0.5, coverage=1.0, active=1)
+    def test_matches_per_access_loop(self, seed, n, blocks, theta, coverage, active):
+        batched, reference, got, want, _ = walk_pair(
+            seed, n, blocks, theta, coverage, active
+        )
+        assert got.dtype == want.dtype == np.uint64
+        assert got.tolist() == want.tolist()
+        assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
+        # Later draws on the same generator stay in step too.
+        assert batched.rng.random(4).tolist() == reference.rng.random(4).tolist()
+
+    def test_episode_ending_on_a_batch_last_draw(self):
+        """An episode that ends on a full batch's last draw takes no
+        rewind: the next batch starts from the replacement's draws."""
+        _, _, got, want, log = walk_pair(15, 3000, 512, 0.9, 0.45, 2)
+        assert unrewound_batch_ends(log["ends"], 3000) == [1152]
+        assert got.tolist() == want.tolist()
+
+    def test_pool_refill_inside_a_rewound_batch(self):
+        """Short episodes exhaust the Zipf pool; the refill's draws must
+        land where the per-access loop makes them."""
+        batched, reference, got, want, log = walk_pair(5, 12_000, 4096, 0.9, 0.02, 24)
+        assert log["refills"] >= 1
+        assert got.tolist() == want.tolist()
+        assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 class TestSpecProxies:
