@@ -136,7 +136,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 coverage=0.9,
             ),
         }
-        episodic = {kind: iter(stream.tolist()) for kind, stream in streams.items()}
+        episodic = {kind: iter(stream) for kind, stream in streams.items()}
         # Iterative solvers re-sweep their field arrays: the scan walks a
         # window of sweep_frac * footprint repeatedly (4 passes), then
         # shifts — giving the reuse-at-distance that makes compression's

@@ -119,8 +119,8 @@ class EpisodeMixin:
         coverage: float,
         active: int = 24,
         revisit: float = 1.75,
-    ) -> np.ndarray:
-        """``n_accesses`` line addresses of ``active`` interleaved episodes.
+    ) -> list:
+        """``n_accesses`` byte addresses of ``active`` interleaved episodes.
 
         The stream is defined by one ``rng.integers(0, active)`` draw per
         access (which episode steps) with each ended episode's
@@ -205,7 +205,7 @@ class EpisodeMixin:
                     new_episode(slot)
                     break
             done += count
-        return np.asarray(addrs, dtype=np.uint64)
+        return addrs
 
 
 class ZipfWorkload(EpisodeMixin, TraceGenerator):
@@ -228,8 +228,11 @@ class ZipfWorkload(EpisodeMixin, TraceGenerator):
 
     def generate(self, n_accesses: int) -> Trace:
         blocks = max(1, self.footprint_bytes // self.geometry.block_size)
-        addrs = self._episode_addrs(
-            n_accesses, blocks, self.theta, self.coverage, self.active
+        addrs = np.asarray(
+            self._episode_addrs(
+                n_accesses, blocks, self.theta, self.coverage, self.active
+            ),
+            dtype=np.uint64,
         )
         writes = self.rng.random(n_accesses) < self.write_fraction
         return Trace(

@@ -194,8 +194,8 @@ class TestBatchedEpisodeWalk:
         batched, reference, got, want, _ = walk_pair(
             seed, n, blocks, theta, coverage, active
         )
-        assert got.dtype == want.dtype == np.uint64
-        assert got.tolist() == want.tolist()
+        assert want.dtype == np.uint64
+        assert got == want.tolist()
         assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
         # Later draws on the same generator stay in step too.
         assert batched.rng.random(4).tolist() == reference.rng.random(4).tolist()
@@ -205,14 +205,14 @@ class TestBatchedEpisodeWalk:
         rewind: the next batch starts from the replacement's draws."""
         _, _, got, want, log = walk_pair(15, 3000, 512, 0.9, 0.45, 2)
         assert unrewound_batch_ends(log["ends"], 3000) == [1152]
-        assert got.tolist() == want.tolist()
+        assert got == want.tolist()
 
     def test_pool_refill_inside_a_rewound_batch(self):
         """Short episodes exhaust the Zipf pool; the refill's draws must
         land where the per-access loop makes them."""
         batched, reference, got, want, log = walk_pair(5, 12_000, 4096, 0.9, 0.02, 24)
         assert log["refills"] >= 1
-        assert got.tolist() == want.tolist()
+        assert got == want.tolist()
         assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
