@@ -1566,8 +1566,7 @@ class BaryonController(ServedSeam):
             bound = self._staged_block_of(super_id, block_id, blk_off)
         if bound is not None:
             way, entry = bound
-            n_slots = len(entry.slots)
-            if entry.used < n_slots:
+            if entry.used < len(entry.slots):
                 self.stage.insert_range(set_index, way, new_slot)
                 self.stage.touch(set_index, way)
                 return

@@ -379,6 +379,32 @@ class TestRunJobCaching:
         assert all(r["cached"] for r in job2.result_records())
         assert out2.resumed == 2
 
+    def test_partial_hit_job_warms_cache_with_new_cells(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        _run_one_job(tmp_path, cache, "a", dict(self.SPEC, designs=["simple"]))
+        job2, _ = _run_one_job(tmp_path, cache, "b", self.SPEC)
+        assert job2.cache_hits == 1
+        job3, _ = _run_one_job(tmp_path, cache, "c", self.SPEC)
+        assert job3.cache_hits == 2
+
+    def test_all_hit_job_skips_closing_checkpoint_read(self, tmp_path, monkeypatch):
+        import repro.serve.jobs as jobs_module
+
+        reads = []
+        real_load = jobs_module.load_checkpoint
+
+        def counting_load(*args, **kwargs):
+            reads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "load_checkpoint", counting_load)
+        cache = ResultCache(str(tmp_path / "cache"))
+        _run_one_job(tmp_path, cache, "a", self.SPEC)
+        assert len(reads) == 1
+        job2, out2 = _run_one_job(tmp_path, cache, "b", self.SPEC)
+        assert job2.cache_hits == 2 and out2.resumed == 2
+        assert len(reads) == 1
+
     def test_fingerprint_mismatch_forces_full_rerun(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         _run_one_job(tmp_path, cache, "a", self.SPEC)
