@@ -10,10 +10,12 @@ visible. End-to-end and per-layer timing of whole sweeps lives in
 import random
 import struct
 
+from repro.cache.hierarchy import _walk_private
 from repro.compression import BdiCompressor, CompressionEngine, FpcCompressor
 from repro.core import BaryonController
 from repro.metadata.remap import RemapEntry, locate_sub_block
 from repro.metadata.stage_tag import RangeSlot, StageTagEntry
+from repro.workloads import build_workload, scaled_system
 
 from common import bench_system
 
@@ -95,3 +97,19 @@ def test_controller_access_throughput(benchmark):
     benchmark(one_access)
     assert ctrl.stats.get("accesses") > 0
 
+
+
+def test_private_walk(benchmark):
+    """The private L1/L2 walk the first design of a trace pays, alone:
+    20k YCSB-B accesses at scale 256 through fresh all-LRU caches."""
+    config, sim_config = scaled_system(256)
+    trace = build_workload(
+        "YCSB-B", config.layout.fast_capacity, n_accesses=20000, seed=1
+    ).replay_view()
+    hierarchy = sim_config.hierarchy
+    walk = benchmark(
+        _walk_private, hierarchy, trace.addrs, trace.writes, trace.igaps,
+        trace.cores, sim_config.base_cpi, max(1, hierarchy.cores),
+    )
+    assert 0 < walk.l1_hits + walk.l2_hits < len(trace)
+    assert len(walk.addrs) > 0

@@ -100,86 +100,26 @@ def _walk_private(
     addrs, writes, igaps, cores = map(np.asarray, (addrs, writes, igaps, cores))
     n_cores = config.cores
     cores = cores.astype(np.int64) % n_cores
-    l1s = [SetAssociativeCache(config.l1d) for _ in range(n_cores)]
-    l2s = [SetAssociativeCache(config.l2) for _ in range(n_cores)]
-    l1_lru, l1_line, l1_n = l1s[0]._is_lru, l1s[0]._line_size, l1s[0].num_sets
-    l2_lru, l2_line, l2_n = l2s[0]._is_lru, l2s[0]._line_size, l2s[0].num_sets
     # Per access: 0 L1 hit, 1 L2 hit, 2 LLC probe; its dirty L1 victim's
     # L2 spill and its dirty L2 demand victim, -1 when absent.
     levels = bytearray(len(addrs))
     spills = array("q", [-1]) * len(addrs)
     victims = array("q", [-1]) * len(addrs)
+    probe = (
+        _probe_lru if config.l1d.replacement == config.l2.replacement == "lru"
+        else _probe_caches
+    )
     # Private caches see only their own core's accesses, so each core's
     # subsequence is walked on its own, in trace order.
-    for core, (l1, l2) in enumerate(zip(l1s, l2s)):
-        mine = np.flatnonzero(cores == core)
-        l1_sets, l2_sets = l1._sets, l2._sets
-        for i, addr, is_write in zip(
-            mine.tolist(), addrs[mine].tolist(), writes[mine].tolist()
-        ):
-            if l1_lru:
-                # Inlined LRU probe; its counters are tallied after the loop.
-                line = addr // l1_line
-                index = line % l1_n
-                cache_set = l1_sets[index]
-                tag = line // l1_n
-                lines = cache_set.lines
-                entry = lines.get(tag)
-                if entry is not None:
-                    lines[tag] = lines.pop(tag)
-                    if is_write:
-                        entry.dirty = True
-                    continue
-                l1_wb = lru_fill(l1, cache_set, index, tag, is_write)[0]
-            else:
-                hit, l1_wb, _ = l1.access_raw(addr, is_write)
-                if hit:
-                    continue
-            # Read-only at L2 under NINE: dirtiness is tracked at L1.
-            if l2_lru:
-                line = addr // l2_line
-                index = line % l2_n
-                cache_set = l2_sets[index]
-                tag = line // l2_n
-                lines = cache_set.lines
-                entry = lines.get(tag)
-                if entry is not None:
-                    lines[tag] = lines.pop(tag)
-                    hit2 = True
-                    l2_wb = None
-                else:
-                    hit2 = False
-                    l2_wb = lru_fill(l2, cache_set, index, tag, False)[0]
-            else:
-                hit2, l2_wb, _ = l2.access_raw(addr, False)
-            if l2_wb is not None:
-                victims[i] = l2_wb
-            if l1_wb is not None:
-                # Dirty L1 victim lands in L2 (write-allocate at L2).
-                spill = l2.access_raw(l1_wb, True)[1]
-                if spill is not None:
-                    spills[i] = spill
-            levels[i] = 1 if hit2 else 2
+    mine = [np.flatnonzero(cores == core) for core in range(n_cores)]
+    counts = probe(config, addrs, writes, mine, levels, spills, victims)
 
     level = np.frombuffer(levels, np.uint8)
-    # Per core: demand accesses that hit L1, hit L2, and reach the LLC.
-    tally = np.bincount(cores * 3 + level, minlength=3 * n_cores)
-    tally = tally.reshape(n_cores, 3).tolist()
-    for (l1_hit, l2_hit, llc), l1, l2 in zip(tally, l1s, l2s):
-        if l1_lru:
-            l1._n_accesses += l1_hit + l2_hit + llc
-            l1._n_hits += l1_hit
-            l1._n_misses += l2_hit + llc
-        if l2_lru:
-            l2._n_accesses += l2_hit + llc
-            l2._n_hits += l2_hit
-            l2._n_misses += llc
     walk = PrivateWalk()
-    walk.l1_hits = sum(row[0] for row in tally)
-    walk.l2_hits = sum(row[1] for row in tally)
-    walk.counts = [
-        tuple(getattr(c, name) for name in _CACHE_COUNTERS) for c in (*l1s, *l2s)
-    ]
+    # Demand accesses that hit L1 and L2, over all cores.
+    tally = np.bincount(level, minlength=3).tolist()
+    walk.l1_hits, walk.l2_hits = tally[0], tally[1]
+    walk.counts = counts
     # Each access's increments: a non-zero gap's, then its latency's.
     gapped = igaps != 0
     ends = np.cumsum(gapped + 1, dtype=np.int64)
@@ -199,6 +139,120 @@ def _walk_private(
     walk.spills = _packed("q", spills[records])
     walk.victims = _packed("q", np.frombuffer(victims, np.int64)[records])
     return walk
+
+
+def _probe_lru(config, addrs, writes, mine, levels, spills, victims) -> list:
+    """The all-LRU walk: per core, fresh ``tag -> dirty`` dicts per set,
+    probed over (set, tag) columns numpy computes up front. Fills,
+    victims and spills are inlined, with the transitions of
+    :meth:`SetAssociativeCache.access_raw`. Fills ``levels``, ``spills``
+    and ``victims`` and returns the per-cache counter tuples.
+
+    Every set starts full of clean placeholder keys, which equal no tag
+    and are older than every line, so a miss always evicts the head:
+    a placeholder (clean, uncounted) until the set has filled, then the
+    LRU line, exactly as a set that checks its occupancy first.
+    """
+    l1, l2 = config.l1d, config.l2
+    n1, size1 = l1.num_sets, l1.line_size
+    n2, size2 = l2.num_sets, l2.line_size
+    pads1 = {object() for _ in range(l1.ways)}
+    pads2 = {object() for _ in range(l2.ways)}
+    line1 = addrs // size1
+    line2 = addrs // size2
+    columns = (line1 % n1, line1 // n1, line2 % n2, line2 // n2, writes)
+    level = np.frombuffer(levels, np.uint8)
+    l1_counts, l2_counts = [], []
+    for ids in mine:
+        sets1 = [dict.fromkeys(pads1, False) for _ in range(n1)]
+        sets2 = [dict.fromkeys(pads2, False) for _ in range(n2)]
+        n_spills = spill_hits = wb2 = 0
+        for i, s1, t1, s2, t2, is_write in zip(
+            ids.tolist(), *(column[ids].tolist() for column in columns)
+        ):
+            lines = sets1[s1]
+            dirty = lines.pop(t1, None)
+            if dirty is not None:
+                lines[t1] = dirty or is_write
+                continue
+            spill = -1
+            for victim in lines:  # the head: LRU line or placeholder
+                break
+            if lines.pop(victim):
+                spill = (victim * n1 + s1) * size1
+            lines[t1] = is_write
+            # Read-only at L2 under NINE: dirtiness is tracked at L1.
+            lines = sets2[s2]
+            dirty = lines.pop(t2, None)
+            if dirty is not None:
+                lines[t2] = dirty
+                levels[i] = 1
+            else:
+                levels[i] = 2
+                for victim in lines:
+                    break
+                if lines.pop(victim):
+                    victims[i] = (victim * n2 + s2) * size2
+                    wb2 += 1
+                lines[t2] = False
+            if spill >= 0:
+                # Dirty L1 victim lands in L2 (write-allocate at L2).
+                n_spills += 1
+                line = spill // size2
+                index = line % n2
+                tag = line // n2
+                lines = sets2[index]
+                if lines.pop(tag, None) is not None:
+                    spill_hits += 1
+                else:
+                    for victim in lines:
+                        break
+                    if lines.pop(victim):
+                        spills[i] = (victim * n2 + index) * size2
+                        wb2 += 1
+                lines[tag] = True
+        l2_hits, llc = np.bincount(level[ids], minlength=3).tolist()[1:]
+        held1 = sum(len(lines) - len(pads1 & lines.keys()) for lines in sets1)
+        held2 = sum(len(lines) - len(pads2 & lines.keys()) for lines in sets2)
+        # No line is ever invalidated, so every fill past a set's
+        # residents evicted one line.
+        misses1 = l2_hits + llc
+        l1_counts.append(
+            (len(ids), len(ids) - misses1, misses1, 0, n_spills, misses1 - held1)
+        )
+        misses2 = llc + n_spills - spill_hits
+        l2_counts.append((
+            l2_hits + llc + n_spills, l2_hits + spill_hits, misses2, 0, wb2,
+            misses2 - held2,
+        ))
+    return l1_counts + l2_counts
+
+
+def _probe_caches(config, addrs, writes, mine, levels, spills, victims) -> list:
+    """The walk for any other policy mix, through ``access_raw`` on fresh
+    per-core caches (see :func:`_probe_lru`)."""
+    l1s = [SetAssociativeCache(config.l1d) for _ in mine]
+    l2s = [SetAssociativeCache(config.l2) for _ in mine]
+    for ids, l1, l2 in zip(mine, l1s, l2s):
+        for i, addr, is_write in zip(
+            ids.tolist(), addrs[ids].tolist(), writes[ids].tolist()
+        ):
+            hit, l1_wb, _ = l1.access_raw(addr, is_write)
+            if hit:
+                continue
+            # Read-only at L2 under NINE: dirtiness is tracked at L1.
+            hit2, l2_wb, _ = l2.access_raw(addr, False)
+            if l2_wb is not None:
+                victims[i] = l2_wb
+            if l1_wb is not None:
+                # Dirty L1 victim lands in L2 (write-allocate at L2).
+                spill = l2.access_raw(l1_wb, True)[1]
+                if spill is not None:
+                    spills[i] = spill
+            levels[i] = 1 if hit2 else 2
+    return [
+        tuple(getattr(c, name) for name in _CACHE_COUNTERS) for c in (*l1s, *l2s)
+    ]
 
 
 def _packed(typecode: str, values) -> array:
@@ -332,7 +386,7 @@ class CacheHierarchy:
         hierarchy's L1/L2 are cold.
         """
         if any(
-            cache.stats.get("accesses") or any(s.lines for s in cache._sets)
+            cache.stats.get("accesses") or any(cache._lines)
             for cache in (*self._l1, *self._l2)
         ):
             raise SimulationError(
@@ -347,7 +401,7 @@ class CacheHierarchy:
         llc_lru = llc._is_lru
         llc_line = llc._line_size
         llc_sets_n = llc.num_sets
-        llc_sets = llc._sets
+        llc_lines = llc._lines
         llc_raw = llc.access_raw
         llc_install_raw = llc.install_raw
 
@@ -384,18 +438,17 @@ class CacheHierarchy:
             if llc_lru:
                 line = addr // llc_line
                 index = line % llc_sets_n
-                cache_set = llc_sets[index]
                 tag = line // llc_sets_n
-                lines = cache_set.lines
-                entry = lines.get(tag)
+                lines = llc_lines[index]
                 llc._n_accesses += 1
-                if entry is not None:
-                    lines[tag] = lines.pop(tag)
+                dirty = lines.pop(tag, None)
+                if dirty is not None:
+                    lines[tag] = dirty
                     llc._n_hits += 1
                     n_llc += 1
                     return False, writebacks
                 llc._n_misses += 1
-                wb = lru_fill(llc, cache_set, index, tag, False)[0]
+                wb = lru_fill(llc, lines, index, tag, False)[0]
             else:
                 hit, wb, _ = llc_raw(addr, False)
                 if hit:

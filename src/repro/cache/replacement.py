@@ -4,9 +4,11 @@ The paper name-drops LRU, LFU, CLOCK, FIFO and random as interchangeable
 fast-to-slow eviction policies (Sec. III-E) and uses LRU in the SRAM
 hierarchy, LRU for stage-area block replacement and FIFO for sub-block
 replacement. Each policy here is a small class managing one set's lines;
-the cache composes one instance per set. Entries carry a ``dirty`` flag and
-an opaque ``payload`` so higher-level structures (e.g. Unison's footprint
-bitmaps) can ride along.
+a non-LRU :class:`~repro.cache.sram_cache.SetAssociativeCache` composes
+one instance per set (its LRU levels keep bare ``tag -> dirty`` dicts
+instead). Entries carry a ``dirty`` flag and an opaque ``payload`` so
+higher-level structures (the remap cache, Simple's sets, Unison's
+footprint bitmaps) can ride along.
 """
 
 from __future__ import annotations

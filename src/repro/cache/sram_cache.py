@@ -18,7 +18,7 @@ update is deferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import BaseSet, CacheLine, make_set
 from repro.common.config import CacheGeometry
@@ -44,52 +44,55 @@ _HIT = AccessOutcome(hit=True)
 
 
 def lru_fill(
-    cache: "SetAssociativeCache", cache_set: BaseSet, index: int, tag: int,
+    cache: "SetAssociativeCache", lines: Dict[int, bool], index: int, tag: int,
     dirty: bool,
 ) -> Tuple[Optional[int], Optional[int]]:
-    """Allocate ``tag`` in an LRU ``cache_set`` (a miss): evict the LRU
-    line if the set is full. Returns ``(writeback_addr, victim_addr)``.
+    """Allocate ``tag`` in an LRU set's ``tag -> dirty`` dict (a miss):
+    evict the LRU line if the set is full. Returns ``(writeback_addr,
+    victim_addr)``.
 
-    A plain function, so the hierarchy's inlined LRU probes share it.
+    Dict order is recency order, so the victim is the first key. A plain
+    function, so the fast path's LLC closure shares it.
     """
-    lines = cache_set.lines
     writeback = victim_addr = None
-    if len(lines) >= cache_set.ways:
-        victim_tag, line = next(iter(lines.items()))
+    if len(lines) >= cache._ways:
+        victim_tag = next(iter(lines))
         victim_addr = (victim_tag * cache.num_sets + index) * cache._line_size
-        if line.dirty:
+        if lines.pop(victim_tag):
             writeback = victim_addr
             cache._n_writebacks += 1
-        del lines[victim_tag]
         cache._n_evictions += 1
-        # Recycle the evicted line object: reset every field
-        # CacheLine.__init__ would set, skipping the allocation
-        # (``counter`` is never written on an LRU line, so it is 0).
-        line.tag = tag
-        line.dirty = dirty
-        line.payload = None
-        line.referenced = False
-        line.stamp = 0
-    else:
-        line = CacheLine(tag, dirty=dirty)
-    lines[tag] = line
+    lines[tag] = dirty
     return writeback, victim_addr
 
 
 class SetAssociativeCache:
-    """One level of the hierarchy; line granularity = ``geometry.line_size``."""
+    """One level of the hierarchy; line granularity = ``geometry.line_size``.
+
+    ``_lines[index]`` is set ``index``'s resident lines keyed by tag. An
+    LRU level keeps no line objects: its dict maps tag -> dirty bit in
+    recency order (least recent first), so a clean line's value is
+    ``False`` and residency is tested with ``in`` / ``is not None``,
+    never truthiness. Other policies keep a :class:`BaseSet` per set in
+    ``_sets`` and ``_lines`` aliases each set's ``tag -> CacheLine`` dict.
+    """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
         self.num_sets = geometry.num_sets
-        self._sets: List[BaseSet] = [
-            make_set(geometry.replacement, geometry.ways) for _ in range(self.num_sets)
-        ]
+        self._is_lru = geometry.replacement == "lru"
+        self._sets: List[BaseSet] = []
+        if self._is_lru:
+            self._lines: List[dict] = [{} for _ in range(self.num_sets)]
+        else:
+            self._sets = [
+                make_set(geometry.replacement, geometry.ways)
+                for _ in range(self.num_sets)
+            ]
+            self._lines = [cache_set.lines for cache_set in self._sets]
         self._stats = CounterGroup(geometry.name)
         self._line_size = geometry.line_size
-        # LRU dominates the hierarchy configs; its touch/victim/insert are
-        # inlined on the hot path (same state transitions as LruSet's).
-        self._is_lru = geometry.replacement == "lru"
+        self._ways = geometry.ways
         # Deferred counters, folded into ``_stats`` on read.
         self._n_accesses = 0
         self._n_hits = 0
@@ -140,22 +143,29 @@ class SetAssociativeCache:
         """
         line = addr // self._line_size
         index = line % self.num_sets
-        cache_set = self._sets[index]
         tag = line // self.num_sets
-        lines = cache_set.lines
-        entry = lines.get(tag)
         self._n_accesses += 1
+        if self._is_lru:
+            lines = self._lines[index]
+            dirty = lines.pop(tag, None)
+            if dirty is not None:
+                # Re-inserted at the most-recent end.
+                lines[tag] = dirty or is_write
+                self._n_hits += 1
+                return True, None, None
+            self._n_misses += 1
+            writeback, victim = lru_fill(self, lines, index, tag, is_write)
+            return False, writeback, victim
+        cache_set = self._sets[index]
+        entry = cache_set.lines.get(tag)
         if entry is not None:
-            if self._is_lru:
-                lines[tag] = lines.pop(tag)
-            else:
-                cache_set.touch(entry)
+            cache_set.touch(entry)
             if is_write:
                 entry.dirty = True
             self._n_hits += 1
             return True, None, None
         self._n_misses += 1
-        writeback, victim = self._allocate(cache_set, index, tag, is_write)
+        writeback, victim = self._allocate(index, tag, is_write)
         return False, writeback, victim
 
     def access(self, addr: int, is_write: bool) -> AccessOutcome:
@@ -171,12 +181,10 @@ class SetAssociativeCache:
         A no-op when the line is already resident (returns None).
         """
         index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        if cache_set.lines.get(tag) is not None:
+        if tag in self._lines[index]:
             return None
         self._n_installs += 1
-        writeback, _ = self._allocate(cache_set, index, tag, dirty)
-        return writeback
+        return self._allocate(index, tag, dirty)[0]
 
     def install(self, addr: int, dirty: bool = False) -> AccessOutcome:
         """Fill a line without a demand access (prefetch install).
@@ -184,34 +192,35 @@ class SetAssociativeCache:
         A no-op when the line is already resident.
         """
         index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        if cache_set.lines.get(tag) is not None:
+        if tag in self._lines[index]:
             return _HIT
         self._n_installs += 1
-        writeback, victim = self._allocate(cache_set, index, tag, dirty)
+        writeback, victim = self._allocate(index, tag, dirty)
         return AccessOutcome(hit=False, writeback_addr=writeback, victim_addr=victim)
 
     def contains(self, addr: int) -> bool:
         index, tag = self._index_tag(addr)
-        return self._sets[index].lookup(tag) is not None
+        return tag in self._lines[index]
 
     def invalidate(self, addr: int) -> Optional[int]:
         """Drop a line if present; returns its address when it was dirty."""
         index, tag = self._index_tag(addr)
-        line = self._sets[index].invalidate(tag)
-        if line is not None and line.dirty:
-            return self._addr_of(index, tag)
-        return None
+        if self._is_lru:
+            dirty = self._lines[index].pop(tag, None)
+        else:
+            line = self._sets[index].invalidate(tag)
+            dirty = line is not None and line.dirty
+        return self._addr_of(index, tag) if dirty else None
 
     def _allocate(
-        self, cache_set: BaseSet, index: int, tag: int, dirty: bool
+        self, index: int, tag: int, dirty: bool
     ) -> tuple[Optional[int], Optional[int]]:
         if self._is_lru:
-            return lru_fill(self, cache_set, index, tag, dirty)
+            return lru_fill(self, self._lines[index], index, tag, dirty)
         writeback = None
         victim_addr = None
-        lines = cache_set.lines
-        if len(lines) >= cache_set.ways:
+        cache_set = self._sets[index]
+        if len(cache_set.lines) >= cache_set.ways:
             victim = cache_set.victim()
             victim_addr = self._addr_of(index, victim.tag)
             if victim.dirty:

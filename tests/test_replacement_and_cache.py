@@ -187,6 +187,28 @@ class TestSetAssociativeCache:
         cache.access(0x100, False)
         assert cache.access(0x13F, False).hit  # same 64 B line
 
+    @pytest.mark.parametrize("addr", [0x0, 0x1040])
+    @pytest.mark.parametrize("fill", ["access", "install"])
+    def test_clean_resident_line_is_present(self, addr, fill):
+        """An LRU set stores a clean line's dirty bit as False (falsy), and
+        line 0 has the falsy tag 0: both are still resident everywhere
+        the cache probes them."""
+        cache = self.make()
+        getattr(cache, fill)(addr, False)
+        assert cache.contains(addr)
+        assert cache.access_raw(addr, False) == (True, None, None)
+        assert cache.install_raw(addr) is None
+        assert cache.install(addr).hit
+        assert cache.stats.get("installs") == (fill == "install")
+        assert cache.invalidate(addr) is None
+        assert not cache.contains(addr)
+
+    def test_lru_levels_hold_no_line_objects(self):
+        cache = self.make(size_kb=1, ways=2)
+        cache.access(0x0, True)
+        cache.install(0x400)
+        assert cache._lines[0] == {0: True, 2: False}
+
 
 class TestHierarchy:
     def make(self):
@@ -234,6 +256,22 @@ class TestHierarchy:
             result = h.access(i * 64, True, core=0)
             wbs.extend(result.writebacks)
         assert wbs, "dirty LLC victims must surface as memory writebacks"
+
+    @pytest.mark.parametrize("addr", [0x0, 0x20040])
+    def test_fast_path_llc_hits_clean_installed_line(self, addr):
+        """The fast path's LLC closures see a clean prefetched line (and
+        the falsy line-0 tag) as resident."""
+        h = self.make()
+        _, access, install, flush = h.make_fast_path()
+        assert install(addr) is None
+        assert install(addr) is None
+        assert access(addr, -1, -1, 2) == (False, None)
+        flush()
+        assert h.stats.get("llc_hits") == 1
+        assert h.stats.get("llc_misses") == 0
+        assert h.stats.get("llc_prefetch_installs") == 2
+        assert h.llc.stats.get("installs") == 1
+        assert h.llc.stats.get("hits") == 1
 
     def test_llc_miss_rate(self):
         h = self.make()
