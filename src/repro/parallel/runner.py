@@ -51,14 +51,13 @@ Everything the orchestration layer itself does is counted in
 checkpoint write failures, salvage results, injected chaos).
 
 When ``jobs <= 1``, the plan has a single cell, or the platform lacks
-``fork`` (e.g. some macOS/Windows configurations), execution gracefully
-falls back to the same code path in-process — results are identical
+``fork`` (e.g. some macOS/Windows configurations), the same dispatch
+loop runs each cell in-process, one at a time — results are identical
 either way because every cell derives all randomness from its own seed.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import queue as queue_mod
@@ -204,9 +203,8 @@ def _execute_cell(
     progress = None
     heartbeat_every = telemetry.heartbeat_every if telemetry is not None else 0
     # Worker-side orchestration chaos (kills, hangs, heartbeat loss)
-    # rides the heartbeat path; ``getattr`` so pre-chaos WorkerTelemetry
-    # test doubles keep working.
-    chaos_plan = getattr(telemetry, "chaos", None)
+    # rides the heartbeat path.
+    chaos_plan = telemetry.chaos if telemetry is not None else None
     if beat is not None and chaos_plan is not None and chaos_plan.wants_worker_chaos:
         worker_chaos = WorkerChaos(chaos_plan, cell.index, attempt)
 
@@ -307,11 +305,6 @@ def _safe_execute(
     """Run one cell; exceptions become tagged error payloads with the
     worker-side traceback, never a poisoned fold."""
     try:
-        # Positional-only call when untelemetered, so test doubles that
-        # monkeypatch ``_execute_cell`` with the historical five-argument
-        # signature keep working.
-        if telemetry is None and beat is None:
-            return _execute_cell(cell, config, sim_config, n_accesses, attempt)
         return _execute_cell(
             cell, config, sim_config, n_accesses, attempt,
             telemetry=telemetry, beat=beat,
@@ -384,6 +377,8 @@ class CellExecutor:
     ``jobs <= 1`` — or a platform without ``fork`` — yields an
     in-process executor (``pooled`` is False): :meth:`submit` runs the
     cell synchronously and returns an already-completed handle.
+    :func:`run_plan` drives both kinds through the same dispatch loop,
+    running in-process cells one at a time with live heartbeats.
     """
 
     def __init__(self, jobs: Optional[int] = 1) -> None:
@@ -667,89 +662,7 @@ def _cell_event(etype: str, cell: Cell, attempt: int, **fields: Any) -> Dict[str
     return event
 
 
-def _run_serial(
-    cells: Sequence[Cell],
-    config: BaryonConfig,
-    sim_config: SimulationConfig,
-    n_accesses: int,
-    max_attempts: int,
-    note_success,
-    failures: Dict[int, Dict[str, Any]],
-    telemetry: Optional[SweepTelemetry] = None,
-    parent_span: Optional[Span] = None,
-    *,
-    retry_budget: Optional[_RetryBudget] = None,
-    backoff_base_s: float = 0.0,
-    backoff_seed: int = 0,
-    stop: Optional[threading.Event] = None,
-    orchestration: Optional[CounterGroup] = None,
-) -> int:
-    retries = 0
-    orchestration = (
-        orchestration if orchestration is not None
-        else CounterGroup("matrix.orchestration")
-    )
-    spans, progress, spec = _telemetry_parts(telemetry)
-    beat = progress.on_event if progress is not None else None
-    for cell in cells:
-        if stop is not None and stop.is_set():
-            break
-        payload: Dict[str, Any] = {}
-        attempt = 1
-        cell_span = spans.start(
-            "cell", parent=parent_span, index=cell.index,
-            workload=cell.workload, design=cell.design, seed=cell.seed,
-        ) if spans.enabled else None
-        started = perf_counter()
-        for attempt in range(1, max_attempts + 1):
-            if spec is None and beat is None:
-                payload = _safe_execute(
-                    cell, config, sim_config, n_accesses, attempt
-                )
-            else:
-                payload = _safe_execute(
-                    cell, config, sim_config, n_accesses, attempt,
-                    telemetry=spec, beat=beat,
-                )
-            if "error" not in payload:
-                break
-            if attempt < max_attempts:
-                if retry_budget is not None and not retry_budget.take():
-                    orchestration.inc("retry_budget_exhausted")
-                    spans.event(cell_span, "retry_budget_exhausted", attempt=attempt)
-                    break
-                retries += 1
-                orchestration.inc("requeue_error")
-                spans.event(
-                    cell_span, "requeue",
-                    attempt=attempt, error=payload["error"]["type"],
-                )
-                if backoff_base_s > 0.0:
-                    sleep(requeue_backoff_s(
-                        backoff_base_s, attempt, cell.index, backoff_seed,
-                    ))
-        if "error" in payload:
-            failures[cell.index] = payload["error"]
-            spans.end(cell_span, error=payload["error"]["type"])
-            if progress is not None:
-                progress.on_event(_cell_event(
-                    "cell_failed", cell, attempt,
-                    error=payload["error"]["type"],
-                ))
-        else:
-            if cell_span is not None and payload.get("spans"):
-                spans.adopt(payload["spans"], parent=cell_span)
-            spans.end(cell_span, attempt=attempt)
-            note_success(cell.index, payload)
-            if progress is not None:
-                progress.on_event(_cell_event(
-                    "cell_done", cell, attempt,
-                    elapsed_s=perf_counter() - started,
-                ))
-    return retries
-
-
-def _run_pool(
+def _dispatch(
     cells: Sequence[Cell],
     executor: CellExecutor,
     config: BaryonConfig,
@@ -759,6 +672,9 @@ def _run_pool(
     cell_timeout_s: float,
     note_success,
     failures: Dict[int, Dict[str, Any]],
+    quarantined: Dict[int, Dict[str, Any]],
+    orchestration: CounterGroup,
+    stop: threading.Event,
     telemetry: Optional[SweepTelemetry] = None,
     parent_span: Optional[Span] = None,
     *,
@@ -769,13 +685,10 @@ def _run_pool(
     retry_budget: Optional[_RetryBudget] = None,
     backoff_base_s: float = 0.0,
     backoff_seed: int = 0,
-    stop: Optional[threading.Event] = None,
-    orchestration: Optional[CounterGroup] = None,
-    quarantined: Optional[Dict[int, Dict[str, Any]]] = None,
     interrupt_grace_s: float = 30.0,
 ) -> int:
-    """Dispatch cells to a fork pool with deadlines, requeue, and the
-    service-grade failure policies.
+    """Run cells on ``executor`` with deadlines, requeue, and the
+    service-grade failure policies; returns the number of requeues.
 
     ``multiprocessing.Pool`` silently respawns a killed worker and the
     task it was running never completes — so a lapsed deadline *is* the
@@ -791,16 +704,16 @@ def _run_pool(
     the last activity stays at submission time, which is bit-for-bit the
     pre-telemetry deadline behavior.
 
-    Dispatch is windowed (at most ``2 * effective`` cells in flight) so
-    a queued-but-unstarted cell cannot trip its deadline while merely
-    waiting for a worker slot.
+    Pooled dispatch is windowed (at most ``2 * workers`` cells in
+    flight) so a queued-but-unstarted cell cannot trip its deadline
+    while merely waiting for a worker slot. An in-process executor runs
+    each cell inside the submit, so its handle is ready at once and the
+    deadline, hung and quarantine checks never fire; its window is one
+    cell, so a stop (signal or injected interrupt) takes effect before
+    the next cell starts, and its heartbeats reach the progress tracker
+    live while the cell runs.
     """
     retries = 0
-    orchestration = (
-        orchestration if orchestration is not None
-        else CounterGroup("matrix.orchestration")
-    )
-    quarantined = quarantined if quarantined is not None else {}
     by_index = {cell.index: cell for cell in cells}
     spans, progress, spec = _telemetry_parts(telemetry)
     if spec is not None and chaos is not None and chaos.wants_worker_chaos:
@@ -813,26 +726,36 @@ def _run_pool(
         if telemetry is not None and telemetry.wants_heartbeats
         else None
     )
+    inline_beat = progress.on_event if progress is not None else None
     cell_spans: Dict[int, Span] = {}
     ready: deque = deque((cell.index, 1) for cell in cells)
     delayed: List[Tuple[float, int, int]] = []  # (due_t, index, attempt)
     inflight: Dict[int, _Inflight] = {}
     deaths: Dict[int, List[str]] = {}  # consecutive violent deaths
-    window = max(executor.workers * 2, 1)
+    window = executor.workers * 2 if executor.pooled else 1
     interrupted_at: Optional[float] = None
 
     def _submit(index: int, attempt: int) -> _Inflight:
         cell = by_index[index]
+        submitted_t = monotonic()
         if spans.enabled:
             cell_spans[index] = spans.start(
                 "cell", parent=parent_span, index=index,
                 workload=cell.workload, design=cell.design,
                 seed=cell.seed, attempt=attempt,
             )
-        handle = executor.submit(
-            cell, config, sim_config, n_accesses, attempt, spec,
-        )
-        return _Inflight(attempt, handle, monotonic())
+        if executor.pooled:
+            handle = executor.submit(
+                cell, config, sim_config, n_accesses, attempt, spec,
+            )
+        else:
+            # The cell runs inside this call, so its heartbeats go
+            # straight to the tracker instead of through a queue.
+            handle = _ImmediateHandle(_safe_execute(
+                cell, config, sim_config, n_accesses, attempt,
+                telemetry=spec, beat=inline_beat,
+            ))
+        return _Inflight(attempt, handle, submitted_t)
 
     def _pump() -> None:
         now = monotonic()
@@ -919,34 +842,25 @@ def _run_pool(
                 done=max(entry.last_done, 0), total=entry.last_total,
             ))
 
-    def _requeue(index: int, attempt: int, reason: str, counter: str) -> None:
+    def _requeue(
+        index: int, attempt: int, error: Dict[str, Any], counter: str,
+    ) -> None:
+        """Retry the cell's failed ``attempt``, or fail the cell with that
+        attempt's ``error`` record when the global budget is spent."""
         nonlocal retries
-        spans.end(
-            cell_spans.pop(index, None), error=reason, requeued=True,
-        )
         if retry_budget is not None and not retry_budget.take():
             orchestration.inc("retry_budget_exhausted")
             spans.event(
                 parent_span, "retry_budget_exhausted",
                 cell=index, attempt=attempt,
             )
-            _fail_cell(index, {
-                "type": reason,
-                "message": (
-                    f"cell {index} failed on attempt {attempt} "
-                    f"({reason}) and the sweep's global retry budget "
-                    f"is exhausted"
-                ),
-                "traceback": None,
-                "attempt": attempt,
-            }, attempt)
+            _fail_cell(index, error, attempt)
             return
         retries += 1
         orchestration.inc(counter)
-        spans.event(
-            parent_span, "requeue",
-            cell=index, attempt=attempt, error=reason,
-        )
+        span = cell_spans.pop(index, None)
+        spans.event(span, "requeue", attempt=attempt, error=error["type"])
+        spans.end(span, error=error["type"], requeued=True)
         if backoff_base_s > 0.0:
             due = monotonic() + requeue_backoff_s(
                 backoff_base_s, attempt, index, backoff_seed,
@@ -962,35 +876,37 @@ def _run_pool(
         streak.append(reason)
         if quarantine_after is not None and len(streak) >= quarantine_after:
             _quarantine(index, entry, streak)
-        elif entry.attempt < max_attempts:
+            return
+        if reason == "WorkerHungError":
+            message = (
+                f"cell {index} stalled (heartbeats alive, no "
+                f"progress past {entry.last_done} for "
+                f"{progress_timeout_s:.1f}s) on attempt "
+                f"{entry.attempt}"
+            )
+        else:
+            message = (
+                f"cell {index} exceeded {cell_timeout_s:.0f}s "
+                f"without a heartbeat on attempt {entry.attempt} "
+                f"(worker presumed dead)"
+            )
+        error = {
+            "type": reason,
+            "message": message,
+            "traceback": None,
+            "attempt": entry.attempt,
+        }
+        if entry.attempt < max_attempts:
             _requeue(
-                index, entry.attempt, reason,
+                index, entry.attempt, error,
                 "requeue_hung" if reason == "WorkerHungError"
                 else "requeue_timeout",
             )
         else:
-            if reason == "WorkerHungError":
-                message = (
-                    f"cell {index} stalled (heartbeats alive, no "
-                    f"progress past {entry.last_done} for "
-                    f"{progress_timeout_s:.1f}s) on attempt "
-                    f"{entry.attempt}"
-                )
-            else:
-                message = (
-                    f"cell {index} exceeded {cell_timeout_s:.0f}s "
-                    f"without a heartbeat on attempt {entry.attempt} "
-                    f"(worker presumed dead)"
-                )
-            _fail_cell(index, {
-                "type": reason,
-                "message": message,
-                "traceback": None,
-                "attempt": entry.attempt,
-            }, entry.attempt)
+            _fail_cell(index, error, entry.attempt)
 
     while inflight or ready or delayed:
-        if stop is not None and stop.is_set() and interrupted_at is None:
+        if stop.is_set() and interrupted_at is None:
             interrupted_at = monotonic()
             abandoned = len(ready) + len(delayed)
             ready.clear()
@@ -1041,8 +957,8 @@ def _run_pool(
                     deaths.pop(index, None)
                     if entry.attempt < max_attempts:
                         _requeue(
-                            index, entry.attempt,
-                            payload["error"]["type"], "requeue_error",
+                            index, entry.attempt, payload["error"],
+                            "requeue_error",
                         )
                     else:
                         _fail_cell(index, payload["error"], entry.attempt)
@@ -1323,39 +1239,28 @@ def run_plan(
         "simulate", parent=sweep_span, pending=len(pending),
     ) if spans.enabled else None
     guard = _InterruptGuard(stop) if handle_signals else None
-    pooled = executor.pooled if executor is not None else effective > 1
     own_executor: Optional[CellExecutor] = None
+    retries = 0
     try:
         if guard is not None:
             guard.__enter__()
-        if not pending:
-            retries = 0
-        elif not pooled:
-            retries = _run_serial(
-                pending, config, sim_config, n_accesses, max_attempts,
-                note_success, failures,
-                telemetry=telemetry, parent_span=simulate_span,
-                retry_budget=budget, backoff_base_s=backoff_base_s,
-                backoff_seed=backoff_seed, stop=stop,
-                orchestration=orchestration,
-            )
-        else:
+        if pending:
             if executor is None:
                 fork_span = spans.start(
                     "fork", parent=simulate_span, workers=effective,
-                ) if spans.enabled else None
+                ) if spans.enabled and effective > 1 else None
                 executor = own_executor = CellExecutor(jobs=effective)
                 spans.end(fork_span)
-            retries = _run_pool(
+            retries = _dispatch(
                 pending, executor, config, sim_config, n_accesses,
                 max_attempts, cell_timeout_s, note_success, failures,
+                quarantined_ix, orchestration, stop,
                 telemetry=telemetry, parent_span=simulate_span,
                 chaos=chaos, injector=injector,
                 progress_timeout_s=progress_timeout_s,
                 quarantine_after=quarantine_after,
                 retry_budget=budget, backoff_base_s=backoff_base_s,
-                backoff_seed=backoff_seed, stop=stop,
-                orchestration=orchestration, quarantined=quarantined_ix,
+                backoff_seed=backoff_seed,
                 interrupt_grace_s=interrupt_grace_s,
             )
     finally:

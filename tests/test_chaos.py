@@ -500,6 +500,33 @@ class TestSerialChaosBitIdentity:
         assert not os.path.exists(ckpt)  # nothing ever reached the disk
 
 
+    def test_in_process_interrupt_stops_after_one_cell(self, tmp_path):
+        # In process the dispatch window is one cell, so an interrupt
+        # after the first finished cell leaves the other three unstarted.
+        config, sim_config = small_configs()
+        plan = plan_cells(WORKLOADS, DESIGNS, seeds=[1, 2])
+        assert len(plan) == 4
+        reference = run_plan(plan, config, sim_config, n_accesses=N_ACCESSES)
+        ckpt = str(tmp_path / "sweep.ckpt")
+        first = run_plan(
+            plan, config, sim_config, n_accesses=N_ACCESSES, jobs=1,
+            chaos=ChaosPlan(seed=7, interrupt_after_cells=1), checkpoint=ckpt,
+        )
+        assert first.interrupted and not first.failed
+        assert len(first.results) == 1
+
+        final = run_plan(
+            plan, config, sim_config, n_accesses=N_ACCESSES, jobs=1,
+            checkpoint=ckpt, resume=ckpt,
+        )
+        assert not final.interrupted and not final.failed
+        assert final.resumed == 1
+        assert {k: v.to_dict() for k, v in final.results.items()} == {
+            k: v.to_dict() for k, v in reference.results.items()
+        }
+        assert final.counters.as_dict() == reference.counters.as_dict()
+
+
 # ------------------------------------------------- pool chaos (fork only)
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 class TestPoolChaos:

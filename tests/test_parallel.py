@@ -1,6 +1,9 @@
 """The parallel matrix runner: plans, trace reuse, shard merging, and
 serial/parallel bit-equivalence."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -8,12 +11,15 @@ from repro.analysis import run_matrix, run_matrix_sharded, run_one
 from repro.analysis.experiments import run_cell
 from repro.common.stats import CounterGroup
 from repro.devices.energy import EnergyReport
+from repro.obs.progress import ProgressTracker
 from repro.parallel import (
     Cell,
+    SweepTelemetry,
     clear_trace_cache,
     fork_available,
     plan_cells,
     resolve_jobs,
+    run_plan,
 )
 from repro.parallel.runner import _cell_trace
 from repro.sim.results import SimResult
@@ -262,7 +268,7 @@ class TestWorkerFailure:
 
         original = runner._execute_cell
 
-        def explode(cell, config, sim_config, n_accesses, attempt=1):
+        def explode(cell, config, sim_config, n_accesses, attempt=1, **kwargs):
             if cell.design == "dice":
                 raise ValueError("synthetic mid-cell failure")
             return original(cell, config, sim_config, n_accesses, attempt)
@@ -307,13 +313,28 @@ class TestWorkerFailure:
         assert excinfo.value.cell == ("YCSB-B", "dice")
         assert "ValueError" in excinfo.value.traceback_text
 
+    def test_spent_retry_budget_keeps_the_error_record(self, monkeypatch):
+        """A cell failed because the global retry budget ran out keeps
+        its attempt's own error record, worker traceback included."""
+        self._explode_on_dice(monkeypatch)
+        config, sim = make_small_config(), make_small_sim_config()
+        outcome = run_plan(
+            plan_cells(["YCSB-B"], ["dice"], seed=1), config, sim,
+            n_accesses=600, jobs=1, retry_budget=0, max_attempts=3,
+        )
+        error = outcome.failed[("YCSB-B", "dice")]
+        assert error["type"] == "ValueError"
+        assert "ValueError" in error["traceback"]
+        assert outcome.orchestration.as_dict()["retry_budget_exhausted"] == 1
+        assert outcome.retries == 0
+
     def test_transient_failure_recovered_by_retry(self, monkeypatch):
         """A cell failing only on attempt 1 succeeds on the requeue."""
         import repro.parallel.runner as runner
 
         original = runner._execute_cell
 
-        def flaky(cell, config, sim_config, n_accesses, attempt=1):
+        def flaky(cell, config, sim_config, n_accesses, attempt=1, **kwargs):
             if cell.design == "dice" and attempt == 1:
                 raise ValueError("first-attempt-only failure")
             return original(cell, config, sim_config, n_accesses, attempt)
@@ -355,7 +376,7 @@ class TestKilledWorker:
 
         original = runner._execute_cell
 
-        def die_once(cell, config, sim_config, n_accesses, attempt=1):
+        def die_once(cell, config, sim_config, n_accesses, attempt=1, **kwargs):
             if cell.design == "dice" and attempt == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(cell, config, sim_config, n_accesses, attempt)
@@ -372,3 +393,23 @@ class TestKilledWorker:
             k: v.to_dict() for k, v in clean.results.items()
         }
         assert outcome.counters.as_dict() == clean.counters.as_dict()
+
+
+class TestInProcessProgress:
+    def test_cell_done_reports_the_cells_run_time(self):
+        plan = plan_cells(["YCSB-B"], ["simple", "baryon"], seed=1)
+        sink = io.StringIO()
+        telemetry = SweepTelemetry(
+            progress=ProgressTracker(total_cells=len(plan), sink=sink),
+        )
+        run_plan(
+            plan, make_small_config(), make_small_sim_config(),
+            n_accesses=600, jobs=1, telemetry=telemetry,
+        )
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        done = [e for e in events if e["type"] == "cell_done"]
+        assert len(done) == len(plan)
+        assert all(e["elapsed_s"] > 0.001 for e in done)
+        # Heartbeats arrive while each cell runs, ahead of its cell_done.
+        types = [e["type"] for e in events]
+        assert types.index("heartbeat") < types.index("cell_done")

@@ -227,7 +227,7 @@ class TestTempHygiene:
 
         original = runner._execute_cell
 
-        def explode(cell, config, sim_config, n_accesses, attempt=1):
+        def explode(cell, config, sim_config, n_accesses, attempt=1, **kwargs):
             if cell.design == "baryon":
                 raise ValueError("synthetic failure")
             return original(cell, config, sim_config, n_accesses, attempt)
