@@ -375,10 +375,11 @@ class CellExecutor:
     back-to-back jobs may differ in everything but the worker count.
 
     ``jobs <= 1`` — or a platform without ``fork`` — yields an
-    in-process executor (``pooled`` is False): :meth:`submit` runs the
-    cell synchronously and returns an already-completed handle.
-    :func:`run_plan` drives both kinds through the same dispatch loop,
-    running in-process cells one at a time with live heartbeats.
+    in-process executor (``pooled`` is False) that owns no pool.
+    :func:`run_plan` drives both kinds through the same dispatch loop;
+    on an in-process executor the loop runs each cell itself, one at a
+    time with live heartbeats, so :meth:`submit` serves pooled
+    executors only.
     """
 
     def __init__(self, jobs: Optional[int] = 1) -> None:
@@ -411,16 +412,13 @@ class CellExecutor:
         attempt: int = 1,
         spec: Optional[WorkerTelemetry] = None,
     ):
-        """Dispatch one cell attempt; returns an ``AsyncResult``-shaped
-        handle (``ready()``/``get()``)."""
+        """Dispatch one cell attempt to the pool; returns its
+        ``AsyncResult`` (``ready()``/``get()``)."""
         if self.closed:
             raise RuntimeError("submit() on a closed CellExecutor")
-        task = (cell, attempt, config, sim_config, n_accesses, spec)
         if self._pool is None:
-            return _ImmediateHandle(_safe_execute(
-                cell, config, sim_config, n_accesses, attempt,
-                telemetry=spec, beat=None,
-            ))
+            raise RuntimeError("submit() on an in-process CellExecutor")
+        task = (cell, attempt, config, sim_config, n_accesses, spec)
         return self._pool.apply_async(_worker_cell, (task,))
 
     def discard_beats(self) -> int:
@@ -706,9 +704,9 @@ def _dispatch(
 
     Pooled dispatch is windowed (at most ``2 * workers`` cells in
     flight) so a queued-but-unstarted cell cannot trip its deadline
-    while merely waiting for a worker slot. An in-process executor runs
-    each cell inside the submit, so its handle is ready at once and the
-    deadline, hung and quarantine checks never fire; its window is one
+    while merely waiting for a worker slot. On an in-process executor
+    the loop runs each cell as it dispatches it, so its handle is ready
+    at once and the deadline, hung and quarantine checks never fire; its window is one
     cell, so a stop (signal or injected interrupt) takes effect before
     the next cell starts, and its heartbeats reach the progress tracker
     live while the cell runs.
@@ -1246,6 +1244,8 @@ def run_plan(
             guard.__enter__()
         if pending:
             if executor is None:
+                # resolve_jobs() gives 1 without fork, so effective > 1
+                # means this executor builds a pool.
                 fork_span = spans.start(
                     "fork", parent=simulate_span, workers=effective,
                 ) if spans.enabled and effective > 1 else None

@@ -14,6 +14,7 @@ from repro.devices.energy import EnergyReport
 from repro.obs.progress import ProgressTracker
 from repro.parallel import (
     Cell,
+    CellExecutor,
     SweepTelemetry,
     clear_trace_cache,
     fork_available,
@@ -413,3 +414,12 @@ class TestInProcessProgress:
         # Heartbeats arrive while each cell runs, ahead of its cell_done.
         types = [e["type"] for e in events]
         assert types.index("heartbeat") < types.index("cell_done")
+
+    def test_submit_needs_a_pool(self):
+        plan = plan_cells(["YCSB-B"], ["simple"], seed=1)
+        with CellExecutor(jobs=1) as executor:
+            assert not executor.pooled
+            with pytest.raises(RuntimeError, match="in-process"):
+                executor.submit(
+                    plan[0], make_small_config(), make_small_sim_config(), 600,
+                )

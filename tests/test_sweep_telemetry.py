@@ -269,6 +269,20 @@ class TestRunPlanTelemetry:
         assert telemetry.spans.format_tree().startswith("sweep")
         assert telemetry.spans.open_spans == 0
 
+    def test_no_fork_span_when_no_pool_is_built(self, monkeypatch):
+        import repro.parallel.runner as runner
+
+        monkeypatch.setattr(runner, "fork_available", lambda: False)
+        config, sim_config = small_configs()
+        plan = make_plan()
+        telemetry = full_telemetry(len(plan), collect_metrics=False)
+        outcome = run_plan(plan, config, sim_config, n_accesses=N_ACCESSES,
+                           jobs=2, telemetry=telemetry)
+        names = [span["name"] for span in telemetry.spans.export()]
+        assert "fork" not in names
+        assert names.count("cell") == len(plan)
+        assert len(outcome.results) == len(plan)
+
     def test_progress_stream_sees_heartbeats_and_completions(self):
         config, sim_config = small_configs()
         plan = make_plan()
