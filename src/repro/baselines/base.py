@@ -67,11 +67,6 @@ class BaselineController(ServedSeam, abc.ABC):
         #: always empty, since no access needs a fallback.
         self.deferred_declines: Dict[str, int] = {}
 
-    @property
-    def supports_batching(self) -> bool:
-        """The seam applies whenever per-access event tracing is off."""
-        return not self.obs.enabled
-
     def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
         """Serve one 64 B memory-level access at ``now`` (or one cycle
         after the last access)."""

@@ -105,14 +105,10 @@ def _walk_private(
     levels = bytearray(len(addrs))
     spills = array("q", [-1]) * len(addrs)
     victims = array("q", [-1]) * len(addrs)
-    probe = (
-        _probe_lru if config.l1d.replacement == config.l2.replacement == "lru"
-        else _probe_caches
-    )
     # Private caches see only their own core's accesses, so each core's
     # subsequence is walked on its own, in trace order.
     mine = [np.flatnonzero(cores == core) for core in range(n_cores)]
-    counts = probe(config, addrs, writes, mine, levels, spills, victims)
+    counts = _probe_lru(config, addrs, writes, mine, levels, spills, victims)
 
     level = np.frombuffer(levels, np.uint8)
     walk = PrivateWalk()
@@ -142,7 +138,7 @@ def _walk_private(
 
 
 def _probe_lru(config, addrs, writes, mine, levels, spills, victims) -> list:
-    """The all-LRU walk: per core, fresh ``tag -> dirty`` dicts per set,
+    """The private walk: per core, fresh ``tag -> dirty`` dicts per set,
     probed over (set, tag) columns numpy computes up front. Fills,
     victims and spills are inlined, with the transitions of
     :meth:`SetAssociativeCache.access_raw`. Fills ``levels``, ``spills``
@@ -226,33 +222,6 @@ def _probe_lru(config, addrs, writes, mine, levels, spills, victims) -> list:
             misses2 - held2,
         ))
     return l1_counts + l2_counts
-
-
-def _probe_caches(config, addrs, writes, mine, levels, spills, victims) -> list:
-    """The walk for any other policy mix, through ``access_raw`` on fresh
-    per-core caches (see :func:`_probe_lru`)."""
-    l1s = [SetAssociativeCache(config.l1d) for _ in mine]
-    l2s = [SetAssociativeCache(config.l2) for _ in mine]
-    for ids, l1, l2 in zip(mine, l1s, l2s):
-        for i, addr, is_write in zip(
-            ids.tolist(), addrs[ids].tolist(), writes[ids].tolist()
-        ):
-            hit, l1_wb, _ = l1.access_raw(addr, is_write)
-            if hit:
-                continue
-            # Read-only at L2 under NINE: dirtiness is tracked at L1.
-            hit2, l2_wb, _ = l2.access_raw(addr, False)
-            if l2_wb is not None:
-                victims[i] = l2_wb
-            if l1_wb is not None:
-                # Dirty L1 victim lands in L2 (write-allocate at L2).
-                spill = l2.access_raw(l1_wb, True)[1]
-                if spill is not None:
-                    spills[i] = spill
-            levels[i] = 1 if hit2 else 2
-    return [
-        tuple(getattr(c, name) for name in _CACHE_COUNTERS) for c in (*l1s, *l2s)
-    ]
 
 
 def _packed(typecode: str, values) -> array:
@@ -381,9 +350,8 @@ class CacheHierarchy:
         ``access(addr, spill, victim, kind)`` does one walk record's LLC
         work and returns ``(llc_miss, writebacks)``; ``install`` is
         :meth:`install_llc_fast`; ``flush`` folds the LLC tallies into
-        :attr:`stats`. LRU probes are inlined, other policies go through
-        ``access_raw``. Raises :class:`SimulationError` unless this
-        hierarchy's L1/L2 are cold.
+        :attr:`stats`. The demand probe is inlined. Raises
+        :class:`SimulationError` unless this hierarchy's L1/L2 are cold.
         """
         if any(
             cache.stats.get("accesses") or any(cache._lines)
@@ -398,7 +366,6 @@ class CacheHierarchy:
         # (the LLC latency is part of a full miss's increment).
         private = (config.l1d, config.l2, config.llc.latency_cycles, self._cores)
         llc = self.llc
-        llc_lru = llc._is_lru
         llc_line = llc._line_size
         llc_sets_n = llc.num_sets
         llc_lines = llc._lines
@@ -435,25 +402,19 @@ class CacheHierarchy:
                         writebacks.append(wb)
             if not kind:
                 return False, writebacks
-            if llc_lru:
-                line = addr // llc_line
-                index = line % llc_sets_n
-                tag = line // llc_sets_n
-                lines = llc_lines[index]
-                llc._n_accesses += 1
-                dirty = lines.pop(tag, None)
-                if dirty is not None:
-                    lines[tag] = dirty
-                    llc._n_hits += 1
-                    n_llc += 1
-                    return False, writebacks
-                llc._n_misses += 1
-                wb = lru_fill(llc, lines, index, tag, False)[0]
-            else:
-                hit, wb, _ = llc_raw(addr, False)
-                if hit:
-                    n_llc += 1
-                    return False, writebacks
+            line = addr // llc_line
+            index = line % llc_sets_n
+            tag = line // llc_sets_n
+            lines = llc_lines[index]
+            llc._n_accesses += 1
+            dirty = lines.pop(tag, None)
+            if dirty is not None:
+                lines[tag] = dirty
+                llc._n_hits += 1
+                n_llc += 1
+                return False, writebacks
+            llc._n_misses += 1
+            wb = lru_fill(llc, lines, index, tag, False)[0]
             if wb is not None:
                 if writebacks is None:
                     writebacks = [wb]

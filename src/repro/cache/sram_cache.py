@@ -1,4 +1,4 @@
-"""Generic set-associative SRAM cache.
+"""Set-associative SRAM cache, LRU in every set.
 
 Write-back, write-allocate, physically indexed. The cache reports, for
 every access, whether it hit and which (if any) dirty victim address must
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.replacement import BaseSet, CacheLine, make_set
 from repro.common.config import CacheGeometry
 from repro.common.stats import CounterGroup
 
@@ -67,29 +66,19 @@ def lru_fill(
 
 
 class SetAssociativeCache:
-    """One level of the hierarchy; line granularity = ``geometry.line_size``.
+    """One LRU level of the hierarchy; line granularity =
+    ``geometry.line_size``.
 
-    ``_lines[index]`` is set ``index``'s resident lines keyed by tag. An
-    LRU level keeps no line objects: its dict maps tag -> dirty bit in
-    recency order (least recent first), so a clean line's value is
-    ``False`` and residency is tested with ``in`` / ``is not None``,
-    never truthiness. Other policies keep a :class:`BaseSet` per set in
-    ``_sets`` and ``_lines`` aliases each set's ``tag -> CacheLine`` dict.
+    ``_lines[index]`` is set ``index``'s resident lines. No line objects
+    are kept: the dict maps tag -> dirty bit in recency order (least
+    recent first), so a clean line's value is ``False`` and residency is
+    tested with ``in`` / ``is not None``, never truthiness.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
         self.num_sets = geometry.num_sets
-        self._is_lru = geometry.replacement == "lru"
-        self._sets: List[BaseSet] = []
-        if self._is_lru:
-            self._lines: List[dict] = [{} for _ in range(self.num_sets)]
-        else:
-            self._sets = [
-                make_set(geometry.replacement, geometry.ways)
-                for _ in range(self.num_sets)
-            ]
-            self._lines = [cache_set.lines for cache_set in self._sets]
+        self._lines: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self._stats = CounterGroup(geometry.name)
         self._line_size = geometry.line_size
         self._ways = geometry.ways
@@ -145,27 +134,15 @@ class SetAssociativeCache:
         index = line % self.num_sets
         tag = line // self.num_sets
         self._n_accesses += 1
-        if self._is_lru:
-            lines = self._lines[index]
-            dirty = lines.pop(tag, None)
-            if dirty is not None:
-                # Re-inserted at the most-recent end.
-                lines[tag] = dirty or is_write
-                self._n_hits += 1
-                return True, None, None
-            self._n_misses += 1
-            writeback, victim = lru_fill(self, lines, index, tag, is_write)
-            return False, writeback, victim
-        cache_set = self._sets[index]
-        entry = cache_set.lines.get(tag)
-        if entry is not None:
-            cache_set.touch(entry)
-            if is_write:
-                entry.dirty = True
+        lines = self._lines[index]
+        dirty = lines.pop(tag, None)
+        if dirty is not None:
+            # Re-inserted at the most-recent end.
+            lines[tag] = dirty or is_write
             self._n_hits += 1
             return True, None, None
         self._n_misses += 1
-        writeback, victim = self._allocate(index, tag, is_write)
+        writeback, victim = lru_fill(self, lines, index, tag, is_write)
         return False, writeback, victim
 
     def access(self, addr: int, is_write: bool) -> AccessOutcome:
@@ -181,10 +158,11 @@ class SetAssociativeCache:
         A no-op when the line is already resident (returns None).
         """
         index, tag = self._index_tag(addr)
-        if tag in self._lines[index]:
+        lines = self._lines[index]
+        if tag in lines:
             return None
         self._n_installs += 1
-        return self._allocate(index, tag, dirty)[0]
+        return lru_fill(self, lines, index, tag, dirty)[0]
 
     def install(self, addr: int, dirty: bool = False) -> AccessOutcome:
         """Fill a line without a demand access (prefetch install).
@@ -192,10 +170,11 @@ class SetAssociativeCache:
         A no-op when the line is already resident.
         """
         index, tag = self._index_tag(addr)
-        if tag in self._lines[index]:
+        lines = self._lines[index]
+        if tag in lines:
             return _HIT
         self._n_installs += 1
-        writeback, victim = self._allocate(index, tag, dirty)
+        writeback, victim = lru_fill(self, lines, index, tag, dirty)
         return AccessOutcome(hit=False, writeback_addr=writeback, victim_addr=victim)
 
     def contains(self, addr: int) -> bool:
@@ -205,31 +184,8 @@ class SetAssociativeCache:
     def invalidate(self, addr: int) -> Optional[int]:
         """Drop a line if present; returns its address when it was dirty."""
         index, tag = self._index_tag(addr)
-        if self._is_lru:
-            dirty = self._lines[index].pop(tag, None)
-        else:
-            line = self._sets[index].invalidate(tag)
-            dirty = line is not None and line.dirty
+        dirty = self._lines[index].pop(tag, None)
         return self._addr_of(index, tag) if dirty else None
-
-    def _allocate(
-        self, index: int, tag: int, dirty: bool
-    ) -> tuple[Optional[int], Optional[int]]:
-        if self._is_lru:
-            return lru_fill(self, self._lines[index], index, tag, dirty)
-        writeback = None
-        victim_addr = None
-        cache_set = self._sets[index]
-        if len(cache_set.lines) >= cache_set.ways:
-            victim = cache_set.victim()
-            victim_addr = self._addr_of(index, victim.tag)
-            if victim.dirty:
-                writeback = victim_addr
-                self._n_writebacks += 1
-            cache_set.evict(victim.tag)
-            self._n_evictions += 1
-        cache_set.insert(CacheLine(tag, dirty=dirty))
-        return writeback, victim_addr
 
     @property
     def hit_rate(self) -> float:

@@ -143,14 +143,14 @@ def default_geometry() -> Geometry:
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """One level of the SRAM cache hierarchy (Table I rows L1I..LLC)."""
+    """One level of the SRAM cache hierarchy (Table I rows L1I..LLC);
+    every level is LRU."""
 
     name: str
     size_bytes: int
     ways: int
     line_size: int = 64
     latency_cycles: int = 1
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0 and self.ways > 0, "cache size/ways must be positive")

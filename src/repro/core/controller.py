@@ -299,27 +299,6 @@ class BaryonController(ServedSeam):
         return result
 
     # ------------------------------------------------ deferred batch path
-    @property
-    def supports_batching(self) -> bool:
-        """May the simulator drive this controller through the deferred
-        batch fast path (``make_deferred_server`` + ``access_batch``, see
-        :class:`~repro.core.seam.ServedSeam`)?
-
-        Requires every optional per-access observer to be absent: fault
-        injection, recovery, the shadow checker, the phase tracker, event
-        tracing, and quarantined super-blocks. Subclasses that intercept
-        ``access`` (the content-backed oracle) shadow this property with
-        a class attribute ``False``.
-        """
-        return (
-            self.faults is None
-            and self.recovery is None
-            and self.checker is None
-            and self.tracker is None
-            and not self._obs.enabled
-            and not self._quarantined
-        )
-
     def _staged_block_of(self, super_id: int, block_id: int, blk_off: int):
         """Columnar-index form of :meth:`StageArea.lookup_block`.
 

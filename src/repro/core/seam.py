@@ -16,10 +16,9 @@ class ServedSeam:
     """``make_deferred_server``, ``access_deferred`` and ``access_batch``
     over a subclass's closures.
 
-    Subclasses provide ``supports_batching``, ``_build_server() ->
-    (serve, flush)`` and ``_build_replay() -> replay``, reset
-    ``_closures`` to ``None`` when state the closures bind is swapped,
-    and keep an op's
+    Subclasses provide ``obs``, ``_build_server() -> (serve, flush)``
+    and ``_build_replay() -> replay``, reset ``_closures`` to ``None``
+    when state the closures bind is swapped, and keep an op's
     ``is_write`` in slot 1 and its prefetched cacheline addresses (or
     ``None``) in slot 6, where the simulator reads them. The closures
     must not reference the controller: a cycle would keep a finished
@@ -28,6 +27,19 @@ class ServedSeam:
     """
 
     _closures = None
+
+    @property
+    def supports_batching(self) -> bool:
+        """May the simulator drive this controller through the seam?
+
+        Every controller-level observer (faults, recovery, the shadow
+        checker, the phase tracker, quarantined super-blocks) runs inside
+        ``serve``, so only per-access event tracing, which stamps each
+        access with its replay latency, keeps a run off it. A subclass
+        that overrides ``access`` (the content oracle) sets this
+        ``False``.
+        """
+        return not self.obs.enabled
 
     def _bind(self):
         """``(serve, flush, replay)``, built on first use (they bind

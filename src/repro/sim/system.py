@@ -83,13 +83,14 @@ class SystemSimulator:
         ``tests/test_golden.py`` assert this.
 
     The seam has two vetoes. The controller's ``supports_batching`` is
-    false while a per-access observer of its own is attached — fault
-    injection, recovery, the shadow checker, the phase tracker, the
-    content oracle or event tracing, which run one op at a time.
-    An attached ``metrics`` registry turns it off as well: a deferred
-    op's latency exists only at replay time, but the latency histogram
-    observes every miss as it is served. Profiling, spans and progress callbacks never change which
-    code runs.
+    false while event tracing is attached (each traced access carries
+    its replay latency) and always for the content oracle, which
+    overrides ``access``. Faults, recovery, the shadow checker, the
+    phase tracker and quarantined super-blocks run inside ``serve`` and
+    stay on the seam. An attached ``metrics`` registry turns it off as
+    well: a deferred op's latency exists only at replay time, but the
+    latency histogram observes every miss as it is served. Profiling,
+    spans and progress callbacks never change which code runs.
 
     Observability (all optional, all free when absent):
 

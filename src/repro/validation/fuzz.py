@@ -317,8 +317,8 @@ def run_batched_case(
     """Replay one fuzz case across Baryon's deferred seam; raise on drift.
 
     The batched controller configuration is *forced*: fault injection off,
-    the synthetic compressibility oracle on — exactly the shape for which
-    ``BaryonController.supports_batching`` holds. One controller replays
+    the synthetic compressibility oracle on, no event tracer, so
+    ``supports_batching`` holds. One controller replays
     the trace through plain ``access`` calls, each serve, flush and
     replay of one op; a twin replays it the way
     ``SystemSimulator._fast_span`` does — ``make_deferred_server``'s

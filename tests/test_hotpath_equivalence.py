@@ -280,6 +280,92 @@ class TestInlineServer:
         assert stats.get("stage_write_overflows") + stats.get("stage_zero_breaks") > 0
 
 
+#: Controller-level observers the inline server runs under, by
+#: ``ResilienceConfig`` knobs (``rowbuf`` also models the row buffer;
+#: ``tracker`` attaches a StagePhaseTracker instead). ``exhaust``,
+#: ``writedrop`` and ``stagetag`` quarantine super-blocks mid-run.
+OBSERVED_SEAM_SETUPS = {
+    "exhaust": {"p_read_transient": 5e-3, "p_write_drop": 5e-3, "max_retries": 0},
+    "writedrop": {"p_write_drop": 2e-2, "max_retries": 0},
+    "stagetag": {"p_stage_tag_corruption": 2e-2},
+    "checker": {
+        "p_table_corruption": 2e-3, "p_remap_corruption": 3e-3,
+        "check_invariants": True,
+    },
+    "rowbuf": {"p_row_glitch": 1e-2},
+    "faults": {"p_read_transient": 1e-2, "p_latency_spike": 1e-2},
+    "tracker": None,
+}
+
+
+def _observed_baryon_run(setup, workload, *, scalar):
+    """One scale-256 Baryon run under ``setup``; returns everything the
+    observers and the controller counted, plus the run's op counts."""
+    from repro.common.config import ResilienceConfig
+    from repro.core.tracking import StagePhaseTracker
+
+    config, sim_config = scaled_system(256)
+    probs = OBSERVED_SEAM_SETUPS[setup]
+    if probs is not None:
+        config = dataclasses.replace(
+            config, resilience=ResilienceConfig(enabled=True, **probs)
+        )
+    if setup == "rowbuf":
+        timings = dataclasses.replace(config.timings, model_row_buffer=True)
+        config = dataclasses.replace(config, timings=timings)
+    tracker = StagePhaseTracker() if setup == "tracker" else None
+    ctrl = build_controller("baryon", config, seed=1, tracker=tracker)
+    trace = build_workload(
+        workload, config.layout.fast_capacity, n_accesses=3000, seed=1
+    )
+    trace.apply_compressibility(ctrl.oracle)
+    counts = {"deferred": 0, "prefetching": 0, "access": 0}
+    _counting_server(ctrl, counts)
+    access = ctrl.access
+
+    def counting_access(*args):
+        counts["access"] += 1
+        return access(*args)
+
+    ctrl.access = counting_access
+    result = SystemSimulator(ctrl, sim_config).run(
+        trace, workload, "baryon", scalar=scalar
+    )
+    devices = ctrl.devices
+    seen = {
+        "result": result.to_dict(),
+        "controller": ctrl.stats.as_dict(),
+        "fast": devices.fast.stats.as_dict(),
+        "slow": devices.slow.stats.as_dict(),
+        "quarantined": sorted(ctrl._quarantined),
+    }
+    for name in ("faults", "recovery", "checker"):
+        component = getattr(ctrl, name)
+        if component is not None:
+            seen[name] = component.stats.as_dict()
+    if tracker is not None:
+        tracker.finalize()
+        seen["tracker"] = tracker.mpki_distribution()
+    return seen, counts
+
+
+class TestObservedBaryonSeam:
+    """Faults, recovery, the shadow checker, the phase tracker and
+    quarantined super-blocks all run inside Baryon's ``serve``, so the
+    fast loop keeps them on the deferred seam."""
+
+    @pytest.mark.parametrize("setup", OBSERVED_SEAM_SETUPS)
+    def test_observed_run_serves_deferred_and_matches_scalar(self, setup):
+        for workload in ("YCSB-A", "YCSB-B", "519.lbm_r"):
+            ref, ref_counts = _observed_baryon_run(setup, workload, scalar=True)
+            fast, counts = _observed_baryon_run(setup, workload, scalar=False)
+            assert fast == ref, workload
+            assert ref_counts["deferred"] == 0 < ref_counts["access"]
+            assert counts["access"] == 0 < counts["deferred"], workload
+        if setup in ("exhaust", "writedrop", "stagetag"):
+            assert fast["quarantined"]
+
+
 class TestSimpleDesignSeam:
     """The ``simple`` baseline serves every miss on its inline server."""
 
@@ -509,15 +595,12 @@ class TestUnisonAndDiceSeam:
         run_baseline_case({}, records, seed, cls, random.Random(seed * 7))
 
 
-def _four_core_sim_config(policy="lru", l2_kb=32, base_cpi=None, llc_latency=38):
-    level = {"replacement": policy}
+def _four_core_sim_config(l2_kb=32, base_cpi=None, llc_latency=38):
     hierarchy = HierarchyConfig(
         cores=4,
-        l1d=CacheGeometry("L1D", 8 * KB, 8, latency_cycles=4, **level),
-        l2=CacheGeometry("L2", l2_kb * KB, 8, latency_cycles=9, **level),
-        llc=CacheGeometry(
-            "LLC", 128 * KB, 16, latency_cycles=llc_latency, **level
-        ),
+        l1d=CacheGeometry("L1D", 8 * KB, 8, latency_cycles=4),
+        l2=CacheGeometry("L2", l2_kb * KB, 8, latency_cycles=9),
+        llc=CacheGeometry("LLC", 128 * KB, 16, latency_cycles=llc_latency),
     )
     sim_config = SimulationConfig(hierarchy=hierarchy, warmup_fraction=0.1)
     if base_cpi is not None:
@@ -569,21 +652,6 @@ class TestSharedPrivateWalk:
             {"accesses", "hits", "misses", "evictions"} <= set(stats)
             for stats in caches
         )
-
-    @pytest.mark.parametrize("policy", ["fifo", "random"])
-    def test_non_lru_levels_bit_identical(self, policy):
-        """The walk and the LLC loop take access_raw for non-LRU levels."""
-        trace = _ycsb_a()
-        runs = [
-            _run_design(
-                design, trace, _four_core_sim_config(policy), scalar=scalar
-            )
-            for design in ("baryon", "simple")
-            for scalar in (True, False)
-        ]
-        for ref, fast in (runs[0:2], runs[2:4]):
-            assert fast[0].to_dict() == ref[0].to_dict()
-            assert _hierarchy_counters(fast[1]) == _hierarchy_counters(ref[1])
 
     def test_walk_computed_once_per_trace_and_config(self, monkeypatch):
         """Designs replaying one view share the walk; a changed base_cpi,

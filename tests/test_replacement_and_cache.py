@@ -1,9 +1,9 @@
-"""Replacement policies, the generic SRAM cache, and the hierarchy."""
+"""The LRU set, the SRAM cache, and the hierarchy."""
 
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.replacement import CacheLine, make_set
+from repro.cache.replacement import CacheLine, LruSet
 from repro.cache.sram_cache import SetAssociativeCache
 from repro.common.config import CacheGeometry, HierarchyConfig
 
@@ -17,130 +17,19 @@ def fill(cache_set, tags):
 
 class TestPolicies:
     def test_lru_victim(self):
-        s = make_set("lru", 3)
+        s = LruSet(3)
         fill(s, "abc")
         s.touch(s.lookup("a"))
         assert s.victim().tag == "b"
 
     def test_lru_mru(self):
-        s = make_set("lru", 3)
+        s = LruSet(3)
         fill(s, "abc")
         s.touch(s.lookup("a"))
         assert s.mru().tag == "a"
 
-    def test_fifo_ignores_touches(self):
-        s = make_set("fifo", 3)
-        fill(s, "abc")
-        s.touch(s.lookup("a"))
-        assert s.victim().tag == "a"
-
-    def test_lfu_prefers_least_used(self):
-        s = make_set("lfu", 3)
-        fill(s, "abc")
-        for _ in range(3):
-            s.touch(s.lookup("a"))
-        s.touch(s.lookup("c"))
-        assert s.victim().tag == "b"
-
-    def test_clock_second_chance(self):
-        s = make_set("clock", 3)
-        fill(s, "abc")
-        # All referenced: the hand clears bits then evicts the first.
-        victim = s.victim()
-        assert victim.tag in "abc"
-        s.evict(victim.tag)
-        assert len(s.lines) == 2
-
-    def test_clock_survives_invalidation(self):
-        s = make_set("clock", 3)
-        fill(s, "abc")
-        s.invalidate("b")
-        assert s.victim().tag in "ac"
-
-    def test_random_is_deterministic_under_seed(self):
-        a = make_set("random", 4)
-        b = make_set("random", 4)
-        fill(a, "wxyz")
-        fill(b, "wxyz")
-        assert a.victim().tag == b.victim().tag
-
-    def test_lfu_tiebreak_is_insertion_order(self):
-        s = make_set("lfu", 3)
-        fill(s, "abc")
-        # Equal counters: the oldest insertion must lose, not whichever
-        # line object happens to have the lowest id().
-        assert s.victim().tag == "a"
-        s.evict("a")
-        s.insert(CacheLine("d"))
-        assert s.victim().tag == "b"
-
-    def test_lfu_victim_deterministic_across_fork(self):
-        import os
-
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
-
-        def build():
-            s = make_set("lfu", 4)
-            fill(s, "wxyz")
-            s.touch(s.lookup("y"))
-            return s
-
-        parent_victims = []
-        s = build()
-        while s.lines:
-            victim = s.victim().tag
-            parent_victims.append(victim)
-            s.evict(victim)
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: same construction, report the victim order
-            os.close(read_fd)
-            s = build()
-            order = []
-            while s.lines:
-                victim = s.victim().tag
-                order.append(victim)
-                s.evict(victim)
-            os.write(write_fd, "".join(order).encode())
-            os._exit(0)
-        os.close(write_fd)
-        child_victims = os.read(read_fd, 16).decode()
-        os.close(read_fd)
-        assert os.waitpid(pid, 0)[1] == 0
-        assert "".join(parent_victims) == child_victims
-
-    def test_clock_hand_follows_mid_ring_removal(self):
-        s = make_set("clock", 3)
-        fill(s, "abc")
-        s._hand = 2  # pointing at "c"
-        s.evict("a")
-        assert s._ring[s._hand] == "c"
-        # Removing the pointed-at line advances to the next element.
-        s._hand = 0
-        s.evict("b")
-        assert s._ring == ["c"] and s._hand == 0
-
-    def test_clock_second_chance_preserved_after_eviction(self):
-        s = make_set("clock", 3)
-        fill(s, "abc")
-        assert s.victim().tag == "a"  # full sweep clears all bits
-        s.touch(s.lookup("a"))
-        assert s.victim().tag == "b"  # hand now past "a", at "b"
-        s.touch(s.lookup("b"))
-        s.touch(s.lookup("c"))
-        s.evict("a")  # removal below the hand must not shift it onto "c"
-        s.insert(CacheLine("d"))
-        # b, c, d all referenced: the sweep starts at "b" (the line the
-        # hand was on), so "b" loses its bit first and is the victim.
-        assert s.victim().tag == "b"
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_set("mru", 2)
-
     def test_insert_full_raises(self):
-        s = make_set("lru", 1)
+        s = LruSet(1)
         fill(s, "a")
         with pytest.raises(ValueError):
             s.insert(CacheLine("b"))
