@@ -10,9 +10,12 @@ path the same way still fails here, which an
 in-tree scalar-vs-fast comparison cannot catch.
 
 The corpus also pins observation: profiled, metered, traced and
-progress-plus-spans runs must reproduce the unobserved digests, and the
-exported latency histogram and serve-rate/IPC series of four metered
-cells are pinned too.
+progress-plus-spans runs of every design must reproduce the unobserved
+digests, and the exported latency histogram and serve-rate/IPC series
+of every design's metered cell are pinned too. The ``events`` corpus
+holds one SHA-256 per traced run over its JSONL event stream: every
+design on YCSB-B, Baryon with faults, the checker and the row buffer
+armed, and Baryon keeping one event in three.
 
 Simple, Unison, DICE, Baryon and Hybrid2 are further pinned access by
 access:
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import sys
@@ -123,11 +127,31 @@ FLAT_CELLS = (
 MIN_FLAT_COMMIT_HITS = 100
 
 #: Designs whose observed runs must match their unobserved digests.
-OBSERVED_DESIGNS = ("baryon", "simple", "unison", "dice")
+OBSERVED_DESIGNS = DESIGNS
 OBSERVATIONS = ("profiled", "metered", "traced", "progress+spans")
 METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 #: Designs whose metered exports (latency histogram, series) are pinned.
-METERED_DESIGNS = ("baryon", "simple", "unison", "dice")
+METERED_DESIGNS = DESIGNS
+
+
+def _armed(config):
+    """``repro trace --faults read=1e-2,row=1e-2 --check-invariants`` with
+    the row-buffer model on, so fault, recovery, checker and row-buffer
+    events all join the stream."""
+    config = _with_resilience(
+        p_read_transient=1e-2, p_row_glitch=1e-2, check_invariants=True,
+    )(config)
+    timings = dataclasses.replace(config.timings, model_row_buffer=True)
+    return dataclasses.replace(config, timings=timings)
+
+
+#: Baryon traced-run variants: ``(config transform, sample_every)``.
+EVENT_VARIANTS = {"armed": (_armed, 1), "sampled": (None, 3)}
+#: Traced runs whose JSONL event stream is pinned.
+EVENT_CELLS = (
+    *(f"YCSB-B/{design}" for design in DESIGNS),
+    *(f"YCSB-B/baryon+{variant}" for variant in EVENT_VARIANTS),
+)
 
 #: The twin corpus: ``run_fuzz``'s seed and the iterations whose
 #: (config, trace) cases are replayed per design.
@@ -223,6 +247,22 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
             {name: registry.get(name).to_json() for name in METERED_SERIES}
         )
     return layer_digests(result), exported, result.case_counts.get("commit_hit", 0)
+
+
+def event_digest(cell: str) -> str:
+    """SHA-256 over the JSONL event stream of one traced run."""
+    workload, _, design = cell.partition("/")
+    design, _, variant = design.partition("+")
+    transform, sample_every = EVENT_VARIANTS.get(variant, (None, 1))
+    config, sim_config = scaled_system(SCALE)
+    if transform is not None:
+        config = transform(config)
+    sink = io.StringIO()
+    tracer = EventTracer(sample_every=sample_every, sink=sink)
+    run_cell(
+        workload, design, config, sim_config, N_ACCESSES, SEED, tracer=tracer
+    )
+    return hashlib.sha256(sink.getvalue().encode()).hexdigest()
 
 
 def _twin_controller(design: str, config_kwargs: dict):
@@ -394,6 +434,13 @@ def test_metered_export_matches_golden(design):
     assert run_golden_cell(cell, "metered")[1] == golden()["metrics"][cell]
 
 
+@pytest.mark.parametrize("cell", EVENT_CELLS)
+def test_event_stream_matches_golden(cell):
+    """Each traced run must emit its committed event stream byte for
+    byte: the same events, fields and order."""
+    assert event_digest(cell) == golden()["events"][cell]
+
+
 @pytest.mark.parametrize("design", TWIN_DESIGNS)
 def test_twin_replay_matches_golden(design):
     """Per-access pin of each design's access flow: every fuzz case's
@@ -427,6 +474,7 @@ def regenerate() -> dict:
             f"YCSB-B/{design}": run_golden_cell(f"YCSB-B/{design}", "metered")[1]
             for design in METERED_DESIGNS
         },
+        "events": {cell: event_digest(cell) for cell in EVENT_CELLS},
         "twins": {
             design: [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
             for design in TWIN_DESIGNS
