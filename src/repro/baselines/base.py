@@ -17,10 +17,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.config import BaryonConfig
 from repro.common.stats import CounterGroup
-from repro.core.events import FAST_CASES, AccessCase, AccessResult
+from repro.core.events import AccessCase
 from repro.core.seam import ServedSeam
 from repro.devices.memory import HybridMemoryDevices
-from repro.obs.tracer import NULL_TRACER
 
 
 class BaselineController(ServedSeam, abc.ABC):
@@ -41,9 +40,8 @@ class BaselineController(ServedSeam, abc.ABC):
       access's latency, writes included; each device total is
       ``((latency + 0.0) + queue) + transfer`` as in ``MemoryDevice``.
 
-    :meth:`access` is serve, flush and replay of one op;
-    :class:`~repro.core.seam.ServedSeam` loops ``replay`` over a deferred
-    run.
+    :class:`~repro.core.seam.ServedSeam` builds ``access`` (serve, flush
+    and replay of one op) and the batch replay of a deferred run.
     """
 
     name = "baseline"
@@ -60,33 +58,14 @@ class BaselineController(ServedSeam, abc.ABC):
         self.geometry = self.config.geometry
         self.devices = devices or HybridMemoryDevices(self.config.timings)
         self.stats = CounterGroup(self.name)
-        #: Observability hook point; see :mod:`repro.obs`.
-        self.obs = NULL_TRACER
         self._now = 0.0
-        #: Per-reason deferred-seam decline counters, as on Baryon;
-        #: always empty, since no access needs a fallback.
+        #: Always empty: ``serve`` never declines (read by perfbench).
         self.deferred_declines: Dict[str, int] = {}
 
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        """Serve one 64 B memory-level access at ``now`` (or one cycle
-        after the last access)."""
-        if now is not None:
-            self._now = now
-        else:
-            self._now += 1.0
-        now = self._now
-        serve, flush, replay = self._closures or self._bind()
-        op = serve(addr, is_write)
-        flush()
-        case = self._CASES[op[0]]
-        result = AccessResult(case, replay(op, now), is_write, False, op[6] or [])
-        if self.obs.enabled:
-            self.obs.emit(
-                "access", t=now, addr=addr, block=self.geometry.block_id(addr),
-                case=case.value, write=is_write, latency=result.latency_cycles,
-                fast=case in FAST_CASES, overflow=False,
-            )
-        return result
+    @classmethod
+    def _outcome(cls, op):
+        """An op's ``(case, write_overflow)``; baselines never overflow."""
+        return cls._CASES[op[0]], False
 
     def serve_rate(self) -> float:
         accesses = self.stats.get("accesses")

@@ -38,7 +38,7 @@ from repro.common.stats import CounterGroup
 from repro.compression.synthetic import SyntheticCompressibility
 from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitPolicy
-from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase, AccessResult
+from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase
 from repro.core.fast_area import FastArea, FastBlockState
 from repro.core.seam import ServedSeam
 from repro.core.stage_area import StageArea
@@ -47,7 +47,6 @@ from repro.devices.memory import HybridMemoryDevices
 from repro.metadata.remap import RemapEntry, RemapTable
 from repro.metadata.remap_cache import RemapCache
 from repro.metadata.stage_tag import RangeSlot, StageTagEntry
-from repro.obs.tracer import NULL_TRACER
 
 #: Sentinel for "caller did not resolve the staged-block binding" — distinct
 #: from None, which means "resolved: the block is not staged".
@@ -118,7 +117,6 @@ class BaryonController(ServedSeam):
         # reads and writes, and accesses per case index.
         self._n_rw = [0, 0]
         self._n_cases = [0] * len(AccessCase)
-        self.obs = NULL_TRACER
         self._h_fetch_subs = None
         self._h_fetch_bytes = None
         self._now = 0.0
@@ -203,8 +201,7 @@ class BaryonController(ServedSeam):
         self._cwb = self.config.compressed_writeback
         self._two_level = self.config.two_level_replacement
         self._share_phys = self.config.share_physical_blocks
-        #: Per-reason deferred-seam decline counters, as on every design
-        #: with a seam; always empty, since ``serve`` never declines.
+        #: Always empty: ``serve`` never declines (read by perfbench).
         self.deferred_declines: Dict[str, int] = {}
 
         if tracer is not None or metrics is not None:
@@ -225,18 +222,6 @@ class BaryonController(ServedSeam):
             help="bytes moved from slow memory per fetch (compressed size)",
             buckets=[self.geometry.cacheline_size * 2 ** i for i in range(8)],
         )
-        self._closures = None
-
-    @property
-    def obs(self):
-        """Observability hook point; see :mod:`repro.obs`. Attached here
-        and on every instrumented sub-component by
-        :func:`repro.obs.attach_observability`."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, tracer) -> None:
-        self._obs = tracer
         self._closures = None
 
     @property
@@ -272,31 +257,10 @@ class BaryonController(ServedSeam):
                 cases[case.index] = 0
         return stats
 
-    # ------------------------------------------------------------------ API
-    def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
-        """Serve one 64 B memory access; the single external entry point.
-
-        One op of the access flow (:meth:`_build_server`): ``serve``
-        applies its state, ``flush`` folds its tallies and ``replay`` runs
-        its channel transfers at ``now`` and returns its latency.
-        """
-        if now is not None:
-            self._now = now
-        else:
-            self._now += 1.0
-        now = self._now
-        serve, flush, replay = self._closures or self._bind()
-        op = serve(addr, is_write)
-        flush()
-        case = op[0]
-        result = AccessResult(case, replay(op, now), is_write, op[9], op[6] or [])
-        if self._obs.enabled:
-            self._obs.emit(
-                "access", t=now, addr=addr, block=self.geometry.block_id(addr),
-                case=case.value, write=is_write, latency=result.latency_cycles,
-                fast=case.fast, overflow=result.write_overflow,
-            )
-        return result
+    @staticmethod
+    def _outcome(op):
+        """An op's ``(case, write_overflow)``."""
+        return op[0], op[9]
 
     # ------------------------------------------------ deferred batch path
     def _staged_block_of(self, super_id: int, block_id: int, blk_off: int):

@@ -14,6 +14,7 @@ thing disappears when no registry is attached.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.stats import CounterGroup
@@ -125,13 +126,12 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.total += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # The first bucket whose bound is >= value; past the last, +Inf.
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

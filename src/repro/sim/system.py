@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
@@ -19,15 +20,6 @@ from repro.sim.results import SimResult
 #: increments once it holds more than this many entries, so a long
 #: run's memory stays bounded. Replay boundaries never change results.
 MAX_PENDING_OPS = 4096
-
-
-def _decline(addr, is_write):
-    """The seam of a controller without one: every op takes ``access``."""
-    return None
-
-
-def _no_flush():
-    """The flush of a seam that keeps no tallies between calls."""
 
 
 def _timed(acc: list, fn):
@@ -48,9 +40,9 @@ def _timed(acc: list, fn):
 class SystemSimulator:
     """Runs one (controller, trace) pair and produces a :class:`SimResult`.
 
-    The controller is any object with the
-    ``access(addr, is_write, now) -> AccessResult`` duck type (Baryon or a
-    baseline). A fresh :class:`~repro.cache.hierarchy.CacheHierarchy` is
+    The controller is a :class:`~repro.core.seam.ServedSeam` (Baryon or
+    a baseline): the scalar loop calls its ``access``, the fast loop its
+    deferred seam. A fresh :class:`~repro.cache.hierarchy.CacheHierarchy` is
     built per simulator unless one is injected; the fast loop requires
     its L1/L2 caches to be cold.
 
@@ -66,31 +58,26 @@ class SystemSimulator:
         :meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`):
         the core-side cycle increments in scalar order plus one record
         per access that touches the LLC. The loop replays only those
-        records' LLC work. LLC misses and writebacks take the
-        controller's *deferred seam* when it has one: each op is
-        state-applied eagerly in trace order by the ``serve`` closure of
-        ``make_deferred_server`` and its channel timing replays in one
-        ``access_batch`` call. No design's state depends on the clock,
-        so ``serve`` takes every op, and every design's ``access`` is
-        itself ``serve`` + ``flush`` + a one-op replay. Without the seam
-        each miss and writeback first replays the pending run and then
-        takes ``controller.access`` with the current clock, running the
-        same code one op at a time. SimResults
-        — cycles, counters, energy — and every hierarchy counter are
-        bit-identical to the scalar loop (the float accumulation order of
-        ``cycles`` is preserved operation for operation);
-        ``tests/test_hotpath_equivalence.py`` and the golden corpus in
-        ``tests/test_golden.py`` assert this.
+        records' LLC work. Every LLC miss and writeback takes the
+        controller's *deferred seam*: each op is state-applied eagerly in
+        trace order by the ``serve`` closure of ``make_deferred_server``
+        and its channel timing replays in one ``access_batch`` call. No
+        design's state depends on the clock, so ``serve`` takes every
+        op, and every design's ``access`` is itself ``serve`` + ``flush``
+        + a one-op replay. SimResults — cycles, counters, energy — and
+        every hierarchy counter are bit-identical to the scalar loop (the
+        float accumulation order of ``cycles`` is preserved operation for
+        operation); ``tests/test_hotpath_equivalence.py`` and the golden
+        corpus in ``tests/test_golden.py`` assert this.
 
-    The seam has two vetoes. The controller's ``supports_batching`` is
-    false while event tracing is attached (each traced access carries
-    its replay latency) and always for the content oracle, which
-    overrides ``access``. Faults, recovery, the shadow checker, the
-    phase tracker and quarantined super-blocks run inside ``serve`` and
-    stay on the seam. An attached ``metrics`` registry turns it off as
-    well: a deferred op's latency exists only at replay time, but the
-    latency histogram observes every miss as it is served. Profiling,
-    spans and progress callbacks never change which code runs.
+    Watching a run never changes which code runs. Faults, recovery, the
+    shadow checker, the phase tracker, quarantined super-blocks and the
+    content oracle run inside ``serve``. An event tracer emits each op's
+    ``access`` event when it replays, so while one is attached each op
+    replays before the next is served and the event stream keeps the
+    scalar loop's order. An attached ``metrics`` registry observes each
+    demand op's latency and case at replay. Profiling, spans and
+    progress callbacks only wrap or chunk the loop.
 
     Observability (all optional, all free when absent):
 
@@ -147,8 +134,8 @@ class SystemSimulator:
         self._timers: Dict[str, list] = {}
         self.cycles = 0.0
         self.instructions = 0
-        self._served_fast = 0
-        self._mem_seen = 0
+        #: Demand ops the metrics observed, and those served fast.
+        self._tally = [0, 0]
         if metrics is not None:
             self._h_latency = metrics.histogram(
                 "repro_mem_latency_cycles",
@@ -273,8 +260,6 @@ class SystemSimulator:
             if progress is not None and not ((i + 1) % progress_stride):
                 progress(i + 1, n)
 
-        self._served_fast = served_fast
-        self._mem_seen = mem_seen
         if progress is not None and n % progress_stride:
             progress(n, n)
         return mark, wall_start
@@ -288,8 +273,7 @@ class SystemSimulator:
         class docstring)."""
         mark: Optional[Dict[str, float]] = None
         profiling = self.profiler.enabled
-        self._served_fast = 0
-        self._mem_seen = 0
+        self._tally[:] = (0, 0)
 
         wall_start = perf_counter() if profiling else 0.0
         self._bind_loop(trace)
@@ -333,34 +317,32 @@ class SystemSimulator:
         once per run.
 
         The deferred seam is ``serve``, ``flush`` and ``batch``: the
-        controller's ``make_deferred_server`` triple. It is bound only
-        when neither veto applies (see the class docstring); otherwise
-        ``serve`` declines every op. A profiler wraps every
-        bound hierarchy and controller callable here, so the loop itself
-        has no profiling branch; its ``hierarchy`` row also times the
-        walk, one call per access walked (none on a memo hit).
+        controller's ``make_deferred_server`` triple. ``serve_wb`` serves
+        writebacks; it differs from ``serve`` only in a metered run
+        (:meth:`_metered`). ``eager`` is set while an event tracer is
+        attached (see the class docstring). A profiler wraps every bound
+        hierarchy and controller callable here, so the loop itself has no
+        profiling branch; its ``hierarchy`` row also times the walk, one
+        call per access walked (none on a memo hit).
         """
         controller = self.controller
         walk, access, install, hier_flush = self.hierarchy.make_fast_path()
-        ctrl_access = controller.access
-        serve, flush, batch = _decline, _no_flush, None
-        if self.metrics is None and getattr(controller, "supports_batching", False):
-            serve, flush, batch = controller.make_deferred_server()
+        serve, flush, batch = controller.make_deferred_server()
+        serve_wb = serve
+        if self.metrics is not None:
+            serve, serve_wb, batch = self._metered(serve, batch)
         if self.profiler.enabled:
             hier = [0.0, 0]
             ctrl = [0.0, 0]
             self._timers = {"hierarchy": hier, "controller": ctrl}
             access = _timed(hier, access)
             install = _timed(hier, install)
-            ctrl_access = _timed(ctrl, ctrl_access)
-            serve, flush, batch = (
-                fn if fn in (_decline, _no_flush, None) else _timed(ctrl, fn)
-                for fn in (serve, flush, batch)
+            serve, serve_wb, flush, batch = (
+                _timed(ctrl, fn) for fn in (serve, serve_wb, flush, batch)
             )
-        observe = self._observe_miss if self.metrics is not None else None
         self._loop = (
-            access, install, hier_flush, ctrl_access, serve, flush, batch,
-            observe,
+            access, install, hier_flush, serve, serve_wb, flush, batch,
+            controller.obs.enabled,
         )
         cfg = self.config
         start = perf_counter()
@@ -373,12 +355,42 @@ class SystemSimulator:
             hier[0] += perf_counter() - start
             hier[1] += walked
 
-    def _observe_miss(self, mem) -> None:
-        """Metrics for one demand miss served by ``controller.access``."""
-        self._h_latency.observe(mem.latency_cycles)
-        self._mem_seen += 1
-        if mem.served_fast:
-            self._served_fast += 1
+    def _metered(self, serve, batch):
+        """``(serve, serve_wb, batch)`` that feed each demand op's
+        latency and case to the metrics when it replays.
+
+        Both serves queue whether their op is a demand op; ops replay in
+        the order they were served, so the observer takes each op's flag
+        from the queue's head. Writebacks are not observed, as in the
+        scalar loop, and replay runs in trace order, so the histogram
+        sums in the scalar order too.
+        """
+        demand = deque()
+        flag = demand.append
+        observe_latency = self._h_latency.observe
+        tally = self._tally
+
+        def serve_demand(addr, is_write):
+            op = serve(addr, is_write)
+            flag(True)
+            return op
+
+        def serve_wb(addr, is_write):
+            op = serve(addr, is_write)
+            flag(False)
+            return op
+
+        def observe(case, latency):
+            if demand.popleft():
+                observe_latency(latency)
+                tally[0] += 1
+                if case.fast:
+                    tally[1] += 1
+
+        def metered_batch(ops, cycles, mlp):
+            return batch(ops, cycles, mlp, observe)
+
+        return serve_demand, serve_wb, metered_batch
 
     def _segment(self, start: int, stop: int, igaps, total: int) -> None:
         """One warmup/measured segment, in chunks that end at progress
@@ -414,10 +426,10 @@ class SystemSimulator:
         """Advance both series by ``count`` accesses. A chunk never
         crosses a due tick, so a chunk that ends on one records the
         point exactly as a per-access ``tick`` would have."""
-        mem_seen = self._mem_seen
+        mem_seen, served_fast = self._tally
         cycles = self.cycles
         for series, value in (
-            (self._ts_serve, self._served_fast / mem_seen if mem_seen else 0.0),
+            (self._ts_serve, served_fast / mem_seen if mem_seen else 0.0),
             (self._ts_ipc, self.instructions / cycles if cycles else 0.0),
         ):
             tick = series.ticks + count
@@ -433,27 +445,23 @@ class SystemSimulator:
         increments are appended to ``ops`` while a deferred run is
         pending, else added to ``cycles`` one by one — the scalar loop's
         float operation order (``sum`` may compensate, so it is never
-        used on floats). Each record then does its LLC work, and every
-        LLC miss and writeback first goes to the seam's ``serve``. One
-        ``batch`` call replays a run of deferred ops and increments,
-        evolving the channel pools and ``cycles`` in scalar order. A
-        declined op first replays the pending run (so ``cycles`` is
-        current) and flushes the seam's tallies, then takes
-        ``controller.access`` with that clock, exactly as the scalar loop
-        would. The pending run is bounded: once it holds more than
+        used on floats). Each record then does its LLC work: every LLC
+        miss and writeback goes to the seam's ``serve`` and its op joins
+        the pending run. One ``batch`` call replays a run of deferred ops
+        and increments, evolving the channel pools and ``cycles`` in
+        scalar order. The pending run is bounded: once it holds more than
         :data:`MAX_PENDING_OPS` entries, the next record boundary replays
-        it. A replay boundary only decides when ``batch`` runs, not what
-        it computes, so results do not depend on the bound; it keeps a
-        long run of never-declining ops from holding a whole span in
-        memory. The only skipped additions are ``+ 0.0``
-        terms (zero instruction gaps), which cannot change a
-        non-negative accumulator bit pattern.
+        it; an ``eager`` (traced) run replays each op as soon as it is
+        served. A replay boundary only decides when ``batch`` runs, not
+        what it computes, so results do not depend on either. The only
+        skipped additions are ``+ 0.0`` terms (zero instruction gaps),
+        which cannot change a non-negative accumulator bit pattern.
         """
         if start >= stop:
             return
         (
-            llc_access, install_fast, hier_flush, ctrl_access, serve,
-            server_flush, ctrl_batch, observe,
+            llc_access, install_fast, hier_flush, serve, serve_wb,
+            server_flush, ctrl_batch, eager,
         ) = self._loop
         mlp = self.config.memory_level_parallelism
         max_pending = MAX_PENDING_OPS
@@ -487,55 +495,28 @@ class SystemSimulator:
             pos = end
             llc_miss, wbs = llc_access(addr, spill, victim, kind)
             if llc_miss:  # The controller serves it.
-                is_write = kind == 3
-                op = serve(addr, is_write)
-                if op is not None:
-                    append(op)
-                    pls = op[6]
-                    if pls:
-                        for line_addr in pls:
-                            wb = install_fast(line_addr)
-                            if wb:
-                                wop = serve(wb, True)
-                                if wop is not None:
-                                    append(wop)
-                                else:
-                                    cycles = ctrl_batch(ops, cycles, mlp)
-                                    ops.clear()
-                                    server_flush()
-                                    ctrl_access(wb, True, cycles)
-                else:
-                    if ops:
-                        cycles = ctrl_batch(ops, cycles, mlp)
-                        ops.clear()
-                    server_flush()
-                    mem = ctrl_access(addr, is_write, cycles)
-                    if not is_write:
-                        # Writes are posted; only reads stall the core.
-                        cycles += mem.latency_cycles / mlp
-                    if observe is not None:
-                        observe(mem)
-                    pls = mem.prefetched_lines
-                    if pls:
-                        for line_addr in pls:
-                            wb = install_fast(line_addr)
-                            if wb:
-                                ctrl_access(wb, True, cycles)
+                op = serve(addr, kind == 3)
+                append(op)
+                if eager:
+                    cycles = ctrl_batch(ops, cycles, mlp)
+                    ops.clear()
+                pls = op[6]
+                if pls:
+                    for line_addr in pls:
+                        wb = install_fast(line_addr)
+                        if wb:
+                            append(serve_wb(wb, True))
+                            if eager:
+                                cycles = ctrl_batch(ops, cycles, mlp)
+                                ops.clear()
             if wbs is not None:
                 for wb in wbs:
                     # Writebacks are posted ops: a deferred one replays at
-                    # the exact clock the scalar call would have seen, so
-                    # batch-safe writebacks extend the run instead of
-                    # flushing it.
-                    wop = serve(wb, True)
-                    if wop is not None:
-                        append(wop)
-                    else:
-                        if ops:
-                            cycles = ctrl_batch(ops, cycles, mlp)
-                            ops.clear()
-                        server_flush()
-                        ctrl_access(wb, True, cycles)
+                    # the exact clock the scalar call would have seen.
+                    append(serve_wb(wb, True))
+                    if eager:
+                        cycles = ctrl_batch(ops, cycles, mlp)
+                        ops.clear()
         if ops:
             ops.extend(incs[pos:last])
             cycles = ctrl_batch(ops, cycles, mlp)

@@ -15,10 +15,12 @@ threads a value through every data movement the controller performs:
   eviction, zero-break, home displacement/restore, the no-stage path) is
   overridden to copy values between stores exactly when the synthetic
   controller would move data;
-* after every demand access the oracle locates the sub-block's single
-  authoritative tier (mirroring the Fig. 6 dispatch priority: stage →
-  committed fast → fast home → slow) and asserts the value there equals
-  the ``golden`` last-written token. Any divergence — data dropped on a
+* after every access the oracle's ``serve`` (which wraps the
+  controller's, so the simulator's fast loop keeps the deferred seam)
+  locates the sub-block's single authoritative tier (mirroring the
+  Fig. 6 dispatch priority: stage → committed fast → fast home → slow),
+  deposits a write's token there or asserts a read's value equals the
+  ``golden`` last-written token. Any divergence — data dropped on a
   writeback, committed stale, left behind by a swap — raises
   :class:`~repro.common.errors.OracleViolation` at the first read that
   could observe it.
@@ -30,6 +32,7 @@ fuzzer/minimizer pipeline can demonstrate it catches real data loss; see
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import BaryonConfig
@@ -77,12 +80,10 @@ class ContentBackedController(BaryonController):
     Timing, counters and metadata behave exactly as in the base class
     (the overrides only *add* value bookkeeping around each ``super()``
     call), so the oracle validates the very controller the experiments
-    run, not a simplified model of it.
+    run, not a simplified model of it. Its checks wrap ``serve``
+    (:meth:`_build_server`), so ``access``, the deferred seam and the
+    simulator's fast loop all run them.
     """
-
-    #: Content tracking hooks every ``access`` call, so the deferred
-    #: batch path (which bypasses the override) must stay off.
-    supports_batching = False
 
     def __init__(
         self,
@@ -116,9 +117,6 @@ class ContentBackedController(BaryonController):
         self.oracle = _ZeroMaskedOracle(self.oracle, self)
 
     # -- line arithmetic ---------------------------------------------------
-    def _line_of(self, addr: int) -> int:
-        return addr // self.geometry.cacheline_size
-
     def _lines_of_sub(self, block_id: int, sub: int) -> range:
         g = self.geometry
         per_sub = g.cachelines_per_sub_block
@@ -154,38 +152,56 @@ class ContentBackedController(BaryonController):
         return self.c_slow
 
     # -- oracle entry point ------------------------------------------------
-    def access(self, addr, is_write, now=None):
-        self._access_index += 1
-        self._current_is_write = is_write
-        try:
-            result = super().access(addr, is_write, now)
-        finally:
-            self._current_is_write = False
-        line = self._line_of(addr)
-        location, store = self._locate(addr)
-        if is_write:
-            self._token += 1
-            store[line] = self._token
-            self.golden[line] = self._token
-            self.vstats.inc("writes_deposited")
-        else:
-            got = store.get(line, 0)
-            want = self.golden.get(line, 0)
-            self.served_reads.append(got)
-            self.vstats.inc("reads_verified")
-            if got != want:
-                self.vstats.inc("violations")
-                raise OracleViolation(
-                    f"stale read at addr {addr:#x} (access #{self._access_index}, "
-                    f"case {result.case.value}): {location} holds token {got}, "
-                    f"last write was token {want}",
-                    kind="stale_read", addr=addr,
-                    access_index=self._access_index, location=location,
-                    expected=want, got=got,
-                )
-        if self.conservation_every and self._access_index % self.conservation_every == 0:
-            self.check_conservation()
-        return result
+    def _build_server(self):
+        """The base server with the oracle's checks around ``serve``.
+
+        After each op's state effects, a write deposits a fresh token in
+        the sub-block's authoritative tier and a read must find the
+        ``golden`` token there; every ``conservation_every`` ops run
+        :meth:`check_conservation`. The closure reaches the controller
+        only through a weak proxy (see ``ServedSeam``).
+        """
+        serve, flush = super()._build_server()
+        ctrl = weakref.proxy(self)
+        golden = self.golden
+        served_reads = self.served_reads
+        vstats_inc = self.vstats.inc
+        line_size = self.geometry.cacheline_size
+
+        def oracle_serve(addr, is_write):
+            ctrl._access_index += 1
+            ctrl._current_is_write = is_write
+            try:
+                op = serve(addr, is_write)
+            finally:
+                ctrl._current_is_write = False
+            line = addr // line_size
+            location, store = ctrl._locate(addr)
+            if is_write:
+                ctrl._token += 1
+                store[line] = golden[line] = ctrl._token
+                vstats_inc("writes_deposited")
+            else:
+                got = store.get(line, 0)
+                want = golden.get(line, 0)
+                served_reads.append(got)
+                vstats_inc("reads_verified")
+                if got != want:
+                    vstats_inc("violations")
+                    index = ctrl._access_index
+                    raise OracleViolation(
+                        f"stale read at addr {addr:#x} (access #{index}, "
+                        f"case {op[0].value}): {location} holds token {got}, "
+                        f"last write was token {want}",
+                        kind="stale_read", addr=addr, access_index=index,
+                        location=location, expected=want, got=got,
+                    )
+            every = ctrl.conservation_every
+            if every and ctrl._access_index % every == 0:
+                ctrl.check_conservation()
+            return op
+
+        return oracle_serve, flush
 
     def _locate(self, addr: int) -> Tuple[str, Dict[int, int]]:
         """The sub-block's single authoritative tier after the access.

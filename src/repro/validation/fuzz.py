@@ -263,15 +263,13 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
 
 
 def _seam_replay(
-    ctrl, serve, server_flush, batch, trace: List[TraceRecord], mlp: float,
+    serve, server_flush, batch, trace: List[TraceRecord], mlp: float,
     rng: Optional[random.Random],
 ) -> float:
     """Drive ``trace`` through one deferred seam as
     ``SystemSimulator._fast_span`` does; returns the finishing clock.
 
-    Served ops queue for ``batch``; a declined access first replays the
-    pending run and flushes the seam's tallies, then takes
-    ``ctrl.access`` at the current clock. With an ``rng``, random span
+    Served ops queue for ``batch``. With an ``rng``, random span
     boundaries also force replay/flush points mid-run, the same
     write-back points progress chunking and the pending-run bound
     introduce.
@@ -290,17 +288,7 @@ def _seam_replay(
                 ops.clear()
             server_flush()
             boundary += rng.randrange(1, max(2, n // 4))
-        op = serve(addr, is_write)
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            cycles = batch(ops, cycles, mlp)
-            ops.clear()
-        server_flush()
-        mem = ctrl.access(addr, is_write, cycles)
-        if not is_write:
-            cycles += mem.latency_cycles / mlp
+        ops.append(serve(addr, is_write))
     if ops:
         cycles = batch(ops, cycles, mlp)
     server_flush()
@@ -316,11 +304,10 @@ def run_batched_case(
 ) -> None:
     """Replay one fuzz case across Baryon's deferred seam; raise on drift.
 
-    The batched controller configuration is *forced*: fault injection off,
-    the synthetic compressibility oracle on, no event tracer, so
-    ``supports_batching`` holds. One controller replays
-    the trace through plain ``access`` calls, each serve, flush and
-    replay of one op; a twin replays it the way
+    Both controllers run the plain configuration (fault injection off,
+    the synthetic compressibility oracle on, no event tracer). One
+    controller replays the trace through plain ``access`` calls, each
+    serve, flush and replay of one op; a twin replays it the way
     ``SystemSimulator._fast_span`` does — ``make_deferred_server``'s
     ``serve`` applies state eagerly in trace order and ``access_batch``
     replays the channel timing of a whole run — under adversarial
@@ -330,8 +317,7 @@ def run_batched_case(
     finish with bit-identical counters (controller, devices, remap cache)
     and the same clock, and the twin's stage probe indices must verify
     against its tag array. Raises :class:`OracleViolation`
-    (``kind="batched_divergence"``) otherwise, including when the twin
-    builds no server.
+    (``kind="batched_divergence"``) otherwise.
 
     ``controller_cls`` swaps another ``BaryonController`` subclass into
     both twins; ``Hybrid2`` puts the k = 0 commit policy on the seam.
@@ -341,15 +327,10 @@ def run_batched_case(
     controller_cls = controller_cls or BaryonController
     twin = controller_cls(make_tiny_config(**config_kwargs), seed=seed)
     server = twin.make_deferred_server()
-    if server is None:
-        raise OracleViolation(
-            "forced batched configuration builds no deferred server",
-            kind="batched_divergence", location="make_deferred_server",
-        )
     mlp = 4.0
     scalar_ctrl = controller_cls(make_tiny_config(**config_kwargs), seed=seed)
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-    b_cycles = _seam_replay(twin, *server, trace, mlp, rng)
+    b_cycles = _seam_replay(*server, trace, mlp, rng)
 
     path = getattr(controller_cls, "name", "batched")
     _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, path)
@@ -383,14 +364,9 @@ def run_baseline_case(
     twin = baseline_cls(make_tiny_config(**config_kwargs), **kwargs)
     name = baseline_cls.name
     server = twin.make_deferred_server()
-    if server is None:
-        raise OracleViolation(
-            f"{name} baseline unexpectedly declines batching",
-            kind="batched_divergence", location="make_deferred_server",
-        )
     mlp = 4.0
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-    b_cycles = _seam_replay(twin, *server, trace, mlp, rng)
+    b_cycles = _seam_replay(*server, trace, mlp, rng)
 
     _assert_twin_match(scalar_ctrl, twin, cycles, b_cycles, name)
 

@@ -103,9 +103,9 @@ def _flat_layout(config):
     return dataclasses.replace(config, layout=layout)
 
 
-#: Single-design Baryon variants: config transforms (observers that keep
-#: the run off the deferred seam, or the set-associative flat scheme), or
-#: ``None`` for the content oracle.
+#: Single-design Baryon variants: config transforms (fault injection,
+#: the shadow checker, or the set-associative flat scheme), or ``None``
+#: for the content oracle. Every variant runs on the deferred seam.
 VARIANTS = {
     "faults": _with_resilience(
         p_read_transient=1e-2, p_latency_spike=1e-2, p_row_glitch=1e-2,

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import repro.cache.hierarchy as hierarchy_module
-from repro.analysis import build_controller
+from repro.analysis import DESIGNS, build_controller
 from repro.baselines import DiceCache, Hybrid2, UnisonCache
 from repro.cache import CacheHierarchy
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
 from repro.common.errors import SimulationError
 from repro.core import BaryonController, FastArea
-from repro.obs import MetricsRegistry
+from repro.obs import EventTracer, MetricsRegistry, attach_observability
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController, generate_trace, make_tiny_config
 from repro.workloads import StreamWorkload, ZipfWorkload, build_workload, scaled_system
@@ -366,6 +366,70 @@ class TestObservedBaryonSeam:
             assert fast["quarantined"]
 
 
+#: (design, observer) cells whose fast runs must stay on the seam: every
+#: design metered and traced, plus Baryon under the content oracle.
+OBSERVED_CELLS = [
+    *((design, observer) for observer in ("metered", "traced") for design in DESIGNS),
+    ("baryon", "oracle"),
+]
+
+
+def _no_access(*args, **kwargs):
+    raise AssertionError("the fast loop called controller.access")
+
+
+def _observer_run(design, observer, *, scalar, monkeypatch=None):
+    """One scale-512 YCSB-B run of ``design`` under ``observer``; returns
+    the SimResult, what the observer recorded and the run's op counts.
+    With ``monkeypatch``, the controller class's ``access`` fails."""
+    config, sim_config = scaled_system(512)
+    if observer == "oracle":
+        ctrl = ContentBackedController(config, seed=1)
+    else:
+        ctrl = build_controller(design, config, seed=1)
+    if monkeypatch is not None:
+        monkeypatch.setattr(type(ctrl), "access", _no_access)
+    tracer = EventTracer(capacity=1 << 20) if observer == "traced" else None
+    registry = MetricsRegistry() if observer == "metered" else None
+    attach_observability(ctrl, tracer, registry)
+    trace = build_workload(
+        "YCSB-B", config.layout.fast_capacity, n_accesses=3000, seed=1
+    )
+    if hasattr(ctrl, "oracle"):
+        trace.apply_compressibility(ctrl.oracle)
+    counts = {"deferred": 0, "prefetching": 0}
+    _counting_server(ctrl, counts)
+    result = SystemSimulator(ctrl, sim_config, metrics=registry).run(
+        trace, "YCSB-B", design, scalar=scalar
+    )
+    if tracer is not None:
+        seen = list(tracer.ring)
+    elif registry is not None:
+        seen = registry.to_json()
+    else:
+        seen = (ctrl.served_reads, ctrl.vstats.as_dict())
+    return result.to_dict(), seen, counts
+
+
+class TestObserversStayOnTheSeam:
+    """Metrics, event tracing and the content oracle observe the fast
+    loop's deferred seam: no fast run calls ``access``, and each records
+    exactly what the scalar loop's per-op ``access`` calls record."""
+
+    @pytest.mark.parametrize("design,observer", OBSERVED_CELLS)
+    def test_fast_run_serves_deferred_and_matches_scalar(
+        self, design, observer, monkeypatch
+    ):
+        ref, ref_seen, _ = _observer_run(design, observer, scalar=True)
+        fast, seen, counts = _observer_run(
+            design, observer, scalar=False, monkeypatch=monkeypatch
+        )
+        assert counts["deferred"] > 0
+        assert fast == ref
+        assert seen == ref_seen
+        assert seen
+
+
 class TestSimpleDesignSeam:
     """The ``simple`` baseline serves every miss on its inline server."""
 
@@ -544,17 +608,6 @@ class TestUnisonAndDiceSeam:
         # The rare paths are on the compared path.
         seen = {**ctrl.stats.as_dict(), **counts}
         assert all(seen.get(key, 0) > 0 for key in covered), seen
-
-    @pytest.mark.parametrize("cls", [UnisonCache, DiceCache], ids=["unison", "dice"])
-    def test_event_tracer_turns_the_seam_off(self, cls):
-        from repro.obs import EventTracer, attach_observability
-
-        ctrl = cls(make_small_config())
-        assert ctrl.supports_batching
-        attach_observability(ctrl, EventTracer())
-        assert not ctrl.supports_batching
-        assert ctrl.make_deferred_server() is None
-        assert ctrl.access_deferred(0, False) is None
 
     def test_pending_run_bound_keeps_bit_identity(self, monkeypatch):
         """A tiny bound replays the pending run every few records; the

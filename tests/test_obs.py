@@ -395,11 +395,12 @@ class TestTracedRun:
         assert phases["controller"]["seconds"] > 0.0
 
     def test_metered_fast_loop_matches_scalar_exports(self):
-        """Metrics keep the fast loop (seam off): the histogram and the
-        series sampled at chunk boundaries equal the scalar loop's
-        per-access ticks, across odd windows, decimation and progress
-        chunking."""
+        """A metered fast run stays on the deferred seam: the histogram,
+        fed at replay, and the series sampled at chunk boundaries equal
+        the scalar loop's per-access observations, across odd windows,
+        decimation and progress chunking."""
         exports = []
+        served = {True: 0, False: 0}
         for scalar in (True, False):
             config = make_small_config()
             trace = ZipfWorkload(
@@ -410,6 +411,18 @@ class TestTracedRun:
             registry.series("repro_ipc", every=7, capacity=8)
             ctrl = BaryonController(config, seed=6, metrics=registry)
             trace.apply_compressibility(ctrl.oracle)
+            make_server = ctrl.make_deferred_server
+
+            def counting_server():
+                serve, flush, batch = make_server()
+
+                def counting_serve(addr, is_write):
+                    served[scalar] += 1
+                    return serve(addr, is_write)
+
+                return counting_serve, flush, batch
+
+            ctrl.make_deferred_server = counting_server
             sim = SystemSimulator(
                 ctrl, make_small_sim_config(), metrics=registry,
                 progress=lambda done, total: None, progress_every=300,
@@ -423,6 +436,8 @@ class TestTracedRun:
             }))
         assert exports[0] == exports[1]
         assert exports[0][1]["repro_serve_rate"]["every"] > 7
+        # The scalar loop never serves; the fast loop serves every op.
+        assert served[True] == 0 < served[False] == ctrl.stats.get("accesses")
 
     def test_untraced_run_unchanged(self):
         """Observability off must not perturb simulation results."""
