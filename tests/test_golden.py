@@ -26,6 +26,14 @@ per-access ``(case, latency, prefetched)`` stream are hashed into the
 stage-tag corruption, metadata repair, the phase tracker, event tracing
 and row-buffer glitches too.
 
+Baryon-family cells (every Baryon, Baryon-64B, Baryon-FA and Hybrid2
+cell, the variants included) are pinned on counters no SimResult field
+carries: the ``counters`` corpus holds one SHA-256 per cell over the
+counter groups of the controller, its commit policy, stage area, fast
+area, remap cache and both devices, plus the remap table's final
+entries (``fill_read_bytes``, ``sub_block_replacements`` and
+``stage_dirty_writebacks`` live only there).
+
 Every registered workload's trace is pinned byte for byte as well: the
 ``traces`` corpus holds one SHA-256 per (workload, seed, length) over the
 trace's ``addrs``, ``writes``, ``igaps`` and ``cores`` arrays and their
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -53,9 +62,11 @@ import pytest
 
 from repro.analysis.experiments import DESIGNS, run_cell
 from repro.common.config import ResilienceConfig
+from repro.core import BaryonController
 from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler
 from repro.obs.manifest import _result_digest
 from repro.obs.spans import SpanTracer
+from repro.serve import JobSpec, build_configs
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController
 from repro.validation.fuzz import (
@@ -68,6 +79,9 @@ from repro.workloads import WORKLOADS as REGISTERED_WORKLOADS
 from repro.workloads import build_workload, scaled_system
 
 GOLDEN_PATH = Path(__file__).with_name("golden_corpus.json")
+CAPACITY_PLANNING = (
+    Path(__file__).resolve().parent.parent / "examples" / "capacity_planning.py"
+)
 
 N_ACCESSES = 3000
 SCALE = 512
@@ -103,6 +117,26 @@ def _flat_layout(config):
     return dataclasses.replace(config, layout=layout)
 
 
+def _capacity_point(label):
+    """``examples/capacity_planning.py``'s sweep point ``label`` (e.g.
+    ``stage-64``) at the corpus scale: its overrides (associativity 4,
+    aging 312, 64 kB-1 MB stage areas) applied to ``scaled_system(SCALE)``.
+    """
+
+    def transform(config):
+        spec = importlib.util.spec_from_file_location(
+            "capacity_planning", CAPACITY_PLANNING
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for sweep, point, job in module.sweep_points(N_ACCESSES):
+            if f"{sweep}-{point}" == label:
+                return build_configs(JobSpec.from_dict({**job, "scale": SCALE}))[0]
+        raise KeyError(label)
+
+    return transform
+
+
 #: Single-design Baryon variants: config transforms (fault injection,
 #: the shadow checker, or the set-associative flat scheme), or ``None``
 #: for the content oracle. Every variant runs on the deferred seam.
@@ -113,6 +147,8 @@ VARIANTS = {
     "checker": _with_resilience(check_invariants=True, p_table_corruption=2e-3),
     "flat": _flat_layout,
     "oracle": None,
+    "stage-64": _capacity_point("stage-64"),
+    "dram-2": _capacity_point("dram-2"),
 }
 
 #: Flat-scheme cells long enough to hit committed data hundreds of times
@@ -201,30 +237,57 @@ def layer_digests(result) -> dict:
     }
 
 
+def counter_groups(ctrl) -> dict:
+    """Every counter group of a Baryon-family controller, folded, plus
+    the remap table's final entries (it keeps no counters)."""
+    groups = {
+        "controller": ctrl.stats,
+        "policy": ctrl.policy.stats,
+        "stage": ctrl.stage.stats,
+        "fast_area": ctrl.fast_area.stats,
+        "remap_cache": ctrl.remap_cache.stats,
+        "fast": ctrl.devices.fast.stats,
+        "slow": ctrl.devices.slow.stats,
+    }
+    payload = {name: group.as_dict() for name, group in groups.items()}
+    table = ctrl.remap_table._entries
+    payload["remap_table"] = [
+        (block_id, e.remap, e.pointer, e.cf2, e.cf4, e.zero)
+        for block_id, e in sorted(table.items())
+    ]
+    return payload
+
+
 def _run_variant(workload: str, variant: str, n_accesses: int):
+    """``(result, controller)`` of one Baryon variant cell."""
     config, sim_config = scaled_system(SCALE)
     if variant != "oracle":
         config = VARIANTS[variant](config)
-        return run_cell(workload, "baryon", config, sim_config, n_accesses, SEED)[0]
+        return run_cell(workload, "baryon", config, sim_config, n_accesses, SEED)
     controller = ContentBackedController(config, seed=SEED)
     trace = build_workload(
         workload, config.layout.fast_capacity, n_accesses=n_accesses, seed=SEED
     )
     trace.apply_compressibility(controller.oracle)
-    return SystemSimulator(controller, sim_config).run(trace, workload, "baryon")
+    result = SystemSimulator(controller, sim_config).run(trace, workload, "baryon")
+    return result, controller
 
 
 @lru_cache(maxsize=None)
 def run_golden_cell(cell: str, observation: str = "") -> tuple:
-    """``(layer digests, metered-export digest or None, commit hits)``
-    for one cell."""
+    """``(layer digests, metered-export digest or None, commit hits,
+    counter groups or None)`` for one cell; the counter groups
+    (:func:`counter_groups`) are those of a Baryon-family controller."""
     workload, _, design = cell.partition("/")
     design, _, length = design.partition("@")
     n_accesses = int(length) if length else N_ACCESSES
     design, _, variant = design.partition("+")
     if variant:
-        result = _run_variant(workload, variant, n_accesses)
-        return layer_digests(result), None, result.case_counts.get("commit_hit", 0)
+        result, controller = _run_variant(workload, variant, n_accesses)
+        return (
+            layer_digests(result), None, result.case_counts.get("commit_hit", 0),
+            counter_groups(controller),
+        )
     config, sim_config = scaled_system(SCALE)
     kwargs = {}
     if observation == "profiled":
@@ -237,7 +300,7 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         kwargs["spans"] = SpanTracer()
         kwargs["progress"] = lambda done, total: None
         kwargs["progress_every"] = 256
-    result, _ = run_cell(
+    result, controller = run_cell(
         workload, design, config, sim_config, n_accesses, SEED, **kwargs
     )
     exported = None
@@ -246,7 +309,27 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         exported = _result_digest(
             {name: registry.get(name).to_json() for name in METERED_SERIES}
         )
-    return layer_digests(result), exported, result.case_counts.get("commit_hit", 0)
+    counters = (
+        counter_groups(controller)
+        if isinstance(controller, BaryonController) else None
+    )
+    return (
+        layer_digests(result), exported, result.case_counts.get("commit_hit", 0),
+        counters,
+    )
+
+
+def counter_cells():
+    """The Baryon-family cells whose counter groups are pinned."""
+    family = ("baryon", "baryon-64b", "baryon-fa", "hybrid2")
+    return [
+        cell for cell in cell_names()
+        if cell.partition("/")[2].partition("@")[0].partition("+")[0] in family
+    ]
+
+
+def counter_digest(cell: str) -> str:
+    return _result_digest(run_golden_cell(cell)[3])
 
 
 def event_digest(cell: str) -> str:
@@ -269,7 +352,6 @@ def _twin_controller(design: str, config_kwargs: dict):
     """The controller one twin digest replays, built as ``run_fuzz``
     builds its per-op twins, plus the variant's observer."""
     from repro.baselines import DiceCache, Hybrid2, SimpleCache, UnisonCache
-    from repro.core import BaryonController
     from repro.core.tracking import StagePhaseTracker
 
     config = make_tiny_config(**config_kwargs)
@@ -309,8 +391,6 @@ def twin_digest(design: str, iteration: int) -> str:
     ``write_overflow`` flag too, plus whichever of the resilience
     scoreboards, row-buffer counters, phase-tracker reports and traced
     events their variant attaches."""
-    from repro.core import BaryonController
-
     rng = random.Random(f"{TWIN_SEED}:{iteration}")
     config_kwargs = sample_config_kwargs(rng)
     trace = generate_trace(rng, make_tiny_config(**config_kwargs))
@@ -415,6 +495,33 @@ def test_cell_matches_golden(cell):
     assert not moved, f"{cell}: layer digests moved: {moved}"
 
 
+@pytest.mark.parametrize("cell", counter_cells())
+def test_counters_match_golden(cell):
+    """Counters no SimResult field carries (stage replacements, dirty
+    writebacks, fill reads, allocations) must not move either."""
+    assert counter_digest(cell) == golden()["counters"][cell]
+
+
+#: Stage-replacement counters that some pinned cell must exercise, so the
+#: counter pins cover every replacement shape.
+EXERCISED_COUNTERS = (
+    "sub_block_replacements", "block_level_replacements", "commits",
+    "stage_evictions", "stage_regroup_moves", "multi_block_super_stages",
+    "stage_dirty_writebacks",
+)
+
+
+def test_counter_cells_exercise_every_replacement_shape():
+    idle = [
+        name for name in EXERCISED_COUNTERS
+        if not any(
+            run_golden_cell(cell)[3]["controller"].get(name, 0) > 0
+            for cell in counter_cells()
+        )
+    ]
+    assert not idle, f"no pinned cell counts {idle}"
+
+
 @pytest.mark.parametrize("cell", FLAT_CELLS)
 def test_flat_cell_hits_committed_data(cell):
     """The flat cells must keep exercising the committed-block lookup."""
@@ -475,6 +582,7 @@ def regenerate() -> dict:
             for design in METERED_DESIGNS
         },
         "events": {cell: event_digest(cell) for cell in EVENT_CELLS},
+        "counters": {cell: counter_digest(cell) for cell in counter_cells()},
         "twins": {
             design: [twin_digest(design, i) for i in range(TWIN_ITERATIONS)]
             for design in TWIN_DESIGNS
