@@ -3,8 +3,9 @@
 The package composes the substrates into the paper's architecture:
 
 * :class:`~repro.core.stage_area.StageArea` — the small fast-memory staging
-  region with its on-chip tag array, two-level replacement state and the
-  MissCnt/MRUMissCnt statistics that feed the commit cost model;
+  region with its on-chip tag array, two-level replacement state, the
+  MissCnt/MRUMissCnt statistics that feed the commit cost model, and the
+  O(1) index of staged blocks and sub-blocks the access flow probes;
 * :class:`~repro.core.commit.CommitPolicy` — the selective commit decision,
   Eq. 1 with parameter ``k``;
 * :class:`~repro.core.fast_area.FastArea` — the committed cache/flat region
@@ -12,13 +13,10 @@ The package composes the substrates into the paper's architecture:
 * :class:`~repro.core.controller.BaryonController` — the access flow of
   Fig. 6 (cases 1-5), slow-to-stage prefetching, cacheline-aligned
   transfers, flat-scheme swapping and compressed writeback;
-* :class:`~repro.core.columnar.ColumnarState` — O(1) probe indices over
-  the stage tag array, read by the access flow;
 * :class:`~repro.core.seam.ServedSeam` — the deferred seam of every
   controller whose access is one served and replayed op.
 """
 
-from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitDecision, CommitPolicy
 from repro.core.controller import BaryonController
 from repro.core.events import AccessCase, AccessResult
@@ -29,7 +27,6 @@ __all__ = [
     "AccessCase",
     "AccessResult",
     "BaryonController",
-    "ColumnarState",
     "CommitDecision",
     "CommitPolicy",
     "FastArea",

@@ -36,7 +36,6 @@ from repro.common.config import BaryonConfig
 from repro.common.errors import CorruptionError, SimulationError, TransientDeviceError
 from repro.common.stats import CounterGroup
 from repro.compression.synthetic import SyntheticCompressibility
-from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitPolicy
 from repro.core.events import CASE_COUNTER_KEYS, FAST_CASES, AccessCase
 from repro.core.fast_area import FastArea, FastBlockState
@@ -192,11 +191,12 @@ class BaryonController(ServedSeam):
                 self.checker = ShadowChecker(pointer_bits=pointer_bits)
                 self.remap_table.shadow = self.checker
 
-        # O(1) stage probe indices, read by the access server in place of
-        # the way x slot scans.
-        self.columnar = ColumnarState(self)
-
-        # Cached config flags of the fetch and stage-insert helpers.
+        # Cached geometry and config of the fetch, stage-insert and commit
+        # helpers.
+        self._spb = self.geometry.sub_blocks_per_block
+        self._bps = self.geometry.super_block_blocks
+        self._sub_size = self.geometry.sub_block_size
+        self._fully_assoc = self.config.layout.fully_associative
         self._ca = self.config.compression.cacheline_aligned
         self._cwb = self.config.compressed_writeback
         self._two_level = self.config.two_level_replacement
@@ -263,22 +263,6 @@ class BaryonController(ServedSeam):
         return op[0], op[9]
 
     # ------------------------------------------------ deferred batch path
-    def _staged_block_of(self, super_id: int, block_id: int, blk_off: int):
-        """Columnar-index form of :meth:`StageArea.lookup_block`.
-
-        One dict probe instead of the way x slot scan; identical answers
-        by the Rule-3 invariant. Falls back to the scanning lookup when
-        fault injection is armed (the scan draws the per-match corruption
-        sample).
-        """
-        if self.faults is not None:
-            return self.stage.lookup_block(super_id, blk_off)
-        ref = self.columnar.stage_block.get(block_id)
-        if ref is None:
-            return None
-        way = ref[0]
-        return way, self.stage.tags.entries[super_id % self.stage.num_sets][way]
-
     def _build_server(self):
         """``(serve, flush)``: the Fig. 6 access flow.
 
@@ -305,9 +289,17 @@ class BaryonController(ServedSeam):
 
         Movement helpers run against recording pools
         (:class:`_RecordingPool`), so their transfers join the op's log.
-        The hit, bypass and staging-fetch shapes are inlined; their
-        traffic, row-buffer and remap-cache outcomes are tallied in
-        closure locals that ``flush()`` folds into the real counters.
+        The hit, bypass and staging-fetch shapes are inlined, and so is
+        the staging fetch's insert (:meth:`_stage_insert`): a free slot in
+        the bound or a candidate way, a fresh way, or a FIFO sub-block
+        replacement in a full way that is the set's LRU (any full way
+        without two-level replacement). A block-level replacement that
+        frees a fresh way calls :meth:`_block_level_replace`; regrouping a
+        bound block, Z-block stages and overflow re-inserts call
+        :meth:`_stage_insert`. Their traffic, row-buffer and
+        remap-cache outcomes are tallied in closure locals that
+        ``flush()`` folds into the real counters (the fast device's
+        ``fill_read_bytes`` of a FIFO writeback included).
 
         Observers are guarded branches, bound once per server:
 
@@ -325,7 +317,11 @@ class BaryonController(ServedSeam):
           place of the inlined insert shapes.
 
         Neither closure references the controller: helpers are called
-        through a weak proxy, and counts land in lists it owns.
+        through a weak proxy, and counts land in lists it owns. Never
+        bind ``ctrl.<method>`` when the server is built: the bound method
+        holds the controller itself, so the closures would pin it in a
+        reference cycle. Look the method up through the proxy at call
+        time instead (``ctrl._record_hint(...)``).
         """
         ctrl = weakref.proxy(self)
         rc = self.remap_cache
@@ -366,10 +362,8 @@ class BaryonController(ServedSeam):
         h_fetch_bytes = self._h_fetch_bytes
         n_rw = self._n_rw
         n_cases = self._n_cases
-        col = self.columnar
-        stage_sub = col.stage_sub
-        stage_sub_get = stage_sub.get
-        stage_block = col.stage_block
+        stage_block = stage.stage_block
+        stage_block_get = stage_block.get
         stage_entries = stage.tags.entries
         stage_num_sets = stage.num_sets
         set_counts = stage._set_accesses
@@ -380,6 +374,11 @@ class BaryonController(ServedSeam):
         miss_cap = stage.config.miss_counter_max()
         stage_allocate = stage.allocate
         stage_insert_range = stage.insert_range
+        stage_fifo_victim = stage.fifo_victim_slot
+        stage_remove_slot = stage.remove_slot
+        two_level = self._two_level
+        obs = self._obs
+        obs_on = obs.enabled
         stage_tag_lookup = stage.tags.lookup
         stage_lookup_block = stage.lookup_block
         # Remap-cache inline-probe contract: see RemapCache.probe_state
@@ -428,7 +427,7 @@ class BaryonController(ServedSeam):
         # ---- tallies, folded by flush() ----
         t_reads = t_writes = tbl_reads = 0
         rc_total = rc_hit_t = rc_nm = rc_ne = 0
-        f_rb = f_nr = f_db = f_wb = f_nw = 0
+        f_rb = f_nr = f_db = f_fb = f_wb = f_nw = 0
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
 
@@ -509,7 +508,7 @@ class BaryonController(ServedSeam):
         def body(addr, is_write):
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
+            nonlocal f_rb, f_nr, f_db, f_fb, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
 
             block_id = addr // block_size
@@ -572,15 +571,16 @@ class BaryonController(ServedSeam):
             di = -1
             arr = decomp = 0.0
             lines = None
-            staged = stage_sub_get(block_id * sub_per_block + sub_idx)
-            entry = None if staged is not None else entries_get(block_id)
-            if staged is not None:
+            ref = stage_block_get(block_id)
+            slot_idx = None if ref is None else ref[2][sub_idx]
+            entry = None if slot_idx is not None else entries_get(block_id)
+            if slot_idx is not None:
                 # Case 1: stage hit. Exact-rank LRU promote: ranks are
                 # dense 0..valid-1, so a way already at MRU rank leaves
                 # every rank unchanged.
                 case = STAGE_HIT
                 stage_meta = True
-                way, slot_idx = staged
+                way = ref[0]
                 entries_si = stage_entries[set_index]
                 target = entries_si[way]
                 old_rank = target.lru
@@ -697,10 +697,10 @@ class BaryonController(ServedSeam):
             else:
                 read = False
                 miss_way = None
-                if stage_on and block_id in stage_block:
+                if ref is not None:
                     # Case 3: sub-block miss on a staged block.
                     case = STAGE_MISS
-                    miss_way = stage_block[block_id][0]
+                    miss_way = ref[0]
                 elif entry is not None:
                     case = COMMIT_MISS if stage_on else BLOCK_MISS
                 elif (
@@ -807,11 +807,11 @@ class BaryonController(ServedSeam):
                             sub_start = (sub_idx // cf) * cf
                         if bound_entry is not None and cf > 1:
                             # Avoid refetching sub-blocks already staged
-                            # (the block's stage_sub keys; a staged Z slot
-                            # would have made this access a stage hit).
-                            sub_base = block_id * sub_per_block
+                            # (a staged Z slot would have made this access
+                            # a stage hit).
+                            staged_subs = ref[2]
                             while cf > 1 and any(
-                                sub_base + s in stage_sub
+                                staged_subs[s] is not None
                                 for s in range(sub_start, sub_start + cf)
                             ):
                                 cf //= 2
@@ -867,15 +867,21 @@ class BaryonController(ServedSeam):
                         new_slot = RangeSlot(
                             cf=cf, dirty=is_write, blk_off=blk_off, sub_start=sub_start
                         )
-                        # _stage_insert: free-slot / fresh-way shapes
-                        # inline, the replacement shapes (and a subclass's
-                        # own insert) via the helper.
-                        ins_way = None
+                        # _stage_insert: the free-slot, fresh-way and FIFO
+                        # sub-block shapes inline, a block-level replacement
+                        # that frees a fresh way through its helper, and the
+                        # regrouping one (and a subclass's own insert) via
+                        # the insert helper.
+                        ins_way = fifo_way = None
+                        replace = False
                         if own_insert:
                             pass
                         elif bound_entry is not None:
                             if bound_entry.used < sub_per_block:
                                 ins_way = miss_way
+                            elif not two_level or bound_entry.lru == 0:
+                                # The full bound way is the set's LRU.
+                                ins_way = fifo_way = miss_way
                         elif share_phys:
                             candidates = stage_tag_lookup(
                                 set_index, super_id // stage_num_sets
@@ -889,14 +895,73 @@ class BaryonController(ServedSeam):
                                     ins_way = rng_choice(with_room)[0]
                                     if len(candidates) > 1:
                                         stats_inc("multi_block_super_stages")
+                                else:
+                                    # Every candidate is full: the LRU one
+                                    # takes the range.
+                                    for w, e in candidates:
+                                        if e.lru == 0:
+                                            ins_way = fifo_way = w
+                                            break
+                                    else:
+                                        if two_level:
+                                            replace = True
+                                        else:
+                                            ins_way = fifo_way = rng_choice(
+                                                candidates
+                                            )[0]
                             else:
                                 allocated = stage_allocate(super_id)
                                 if allocated is not None:
                                     ins_way = allocated[1]
+                                else:
+                                    replace = True
                         else:
                             allocated = stage_allocate(super_id)
                             if allocated is not None:
                                 ins_way = allocated[1]
+                            else:
+                                replace = True
+                        if replace:
+                            # Commit or evict the set's LRU block, then take
+                            # the way it frees.
+                            recorded(ctrl._block_level_replace, 0.0, set_index)
+                            allocated = stage_allocate(super_id)
+                            if allocated is None:
+                                raise SimulationError(
+                                    "block-level replacement freed no way"
+                                )
+                            ins_way = allocated[1]
+                        elif fifo_way is not None:
+                            # _sub_block_replace, inlined: evict the way's
+                            # FIFO victim, writing dirty data back.
+                            victim = stage_remove_slot(
+                                set_index, fifo_way,
+                                stage_fifo_victim(set_index, fifo_way),
+                            )
+                            if victim.dirty and not victim.zero:
+                                wb_block = super_id * super_blocks + victim.blk_off
+                                if cwb:
+                                    wb = sub_size
+                                    ctrl._record_hint(wb_block, victim)
+                                else:
+                                    wb = victim.cf * sub_size
+                                if exact:
+                                    ctrl._bg_move(fast, slow, 0.0, wb)
+                                else:
+                                    f_rb += wb
+                                    f_nr += 1
+                                    f_fb += wb
+                                    rec_log.append((1, wb, False, 0.0))
+                                    s_wb += wb
+                                    s_nw += 1
+                                    rec_log.append((0, wb, False, 0.0))
+                                stats_inc("stage_dirty_writebacks")
+                                if obs_on:
+                                    obs.emit(
+                                        "writeback", block=wb_block, bytes=wb,
+                                        kind="stage_dirty",
+                                    )
+                            stats_inc("sub_block_replacements")
                         if ins_way is not None:
                             stage_insert_range(set_index, ins_way, new_slot)
                             # stage.touch with the exact-rank MRU shortcut.
@@ -1009,7 +1074,7 @@ class BaryonController(ServedSeam):
         def flush():
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
+            nonlocal f_rb, f_nr, f_db, f_fb, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
             nonlocal rb_h, rb_m, rb_p, rb_a
             if t_reads or t_writes:
@@ -1026,9 +1091,10 @@ class BaryonController(ServedSeam):
                 fast._n_read_bytes += f_rb
                 fast._n_reads += f_nr
                 fast._n_demand_read_bytes += f_db
+                fast._n_fill_read_bytes += f_fb
                 fast._n_write_bytes += f_wb
                 fast._n_writes += f_nw
-                f_rb = f_nr = f_db = f_wb = f_nw = 0
+                f_rb = f_nr = f_db = f_fb = f_wb = f_nw = 0
             if s_nr or s_nw:
                 slow._n_read_bytes += s_rb
                 slow._n_reads += s_nr
@@ -1137,6 +1203,21 @@ class BaryonController(ServedSeam):
         device.pool.transfer(now, nbytes)
         device._n_write_bytes += nbytes
         device._n_writes += 1
+
+    def _bg_move(self, src, dst, now: float, nbytes: int) -> None:
+        """Copy ``nbytes`` from ``src`` to ``dst`` off the critical path:
+        :meth:`_bg_read` then :meth:`_bg_write`, in one call."""
+        if self.faults is not None or src.faults is not None or dst.faults is not None:
+            self._bg_read(src, now, nbytes)
+            self._bg_write(dst, now, nbytes)
+            return
+        src.pool.transfer(now, nbytes, False)
+        src._n_read_bytes += nbytes
+        src._n_reads += 1
+        src._n_fill_read_bytes += nbytes
+        dst.pool.transfer(now, nbytes)
+        dst._n_write_bytes += nbytes
+        dst._n_writes += 1
 
     def _pause_faults(self) -> bool:
         """Suspend injection for a recovery path; returns a resume token."""
@@ -1374,20 +1455,12 @@ class BaryonController(ServedSeam):
         return index * self._home_period
 
     def _commit_victim_way(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
-        """Pick the fast block space a commit should take.
-
-        Low-associative sets scan their few ways for the coldest candidate
-        across committed blocks (replacement stamp) and resident home
-        blocks (last-access stamp), so a hot OS-resident block is not
-        displaced in favour of lukewarm migrated data. Fully-associative
-        organizations use the paper's FIFO policy (Sec. III-E) via a
-        cycling pointer.
-        """
-        if self.config.layout.fully_associative:
-            way = self._fa_next_victim()
+        """Pick the fast block space a commit takes, and take it: the
+        fully-associative FIFO pointer moves past the chosen way."""
+        way, state = self._peek_commit_victim(fa_set)
+        if self._fully_assoc:
             self._fa_victim_ptr = way + 1
-            return way, self.fast_area.state(fa_set, way)
-        return self._coldest_way(fa_set)
+        return way, state
 
     def _fa_next_victim(self) -> int:
         """FIFO victim for the fully-associative organization.
@@ -1402,17 +1475,21 @@ class BaryonController(ServedSeam):
         return first + (max(0, self._fa_victim_ptr - first)) % span
 
     def _peek_commit_victim(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
-        """Like :meth:`_commit_victim_way` but with no side effects (the
-        FA FIFO pointer must not advance for a mere cost-model peek)."""
-        if self.config.layout.fully_associative:
-            way = self._fa_next_victim()
-            return way, self.fast_area.state(fa_set, way)
-        return self._coldest_way(fa_set)
+        """The fast block space a commit would take, with no side effects.
 
-    def _coldest_way(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
+        Low-associative sets scan their few ways for the coldest candidate
+        across committed blocks (replacement stamp) and resident home
+        blocks (last-access stamp), so a hot OS-resident block is not
+        displaced in favour of lukewarm migrated data. Fully-associative
+        organizations use the paper's FIFO policy (Sec. III-E) via a
+        cycling pointer, which only taking the way advances.
+        """
+        row = self.fast_area.blocks[fa_set]
+        if self._fully_assoc:
+            way = self._fa_next_victim()
+            return way, row[way]
         best_way, best_stamp, best_state = None, None, None
-        for way in range(self.fast_area.ways):
-            state = self.fast_area.state(fa_set, way)
+        for way, state in enumerate(row):
             if state is None:
                 home = self._home_block_of(fa_set, way)
                 if home is None:
@@ -1504,87 +1581,62 @@ class BaryonController(ServedSeam):
         and otherwise allocate a fresh physical block via a block-level
         replacement, regrouping the data block's existing ranges into it.
         """
-        set_index = self.stage.set_index_of(super_id)
+        stage = self.stage
+        set_index = super_id % stage.num_sets
         if bound is _UNRESOLVED:
-            bound = self._staged_block_of(super_id, block_id, blk_off)
+            bound = stage.lookup_block(super_id, blk_off)
         if bound is not None:
             way, entry = bound
+            # A block whose ranges fill the way never reaches a full way: a
+            # way has one slot per sub-block, so it covers the whole block.
             if entry.used < len(entry.slots):
-                self.stage.insert_range(set_index, way, new_slot)
-                self.stage.touch(set_index, way)
-                return
-            # A block whose ranges fill the way never reaches here: a way
-            # has one slot per sub-block, so it covers the whole block.
-            if not self._two_level or self.stage.is_lru(set_index, way):
+                pass
+            elif not self._two_level or entry.lru == 0:
                 self._sub_block_replace(now, set_index, way, super_id)
-                self.stage.insert_range(set_index, way, new_slot)
-                self.stage.touch(set_index, way)
-                return
-            # Block-level move: free a way, regroup this data block there.
-            self._block_level_replace(now, set_index, protect_way=way)
-            allocated = self.stage.allocate(super_id)
-            if allocated is None:
-                raise SimulationError("block-level replacement freed no way")
-            _, new_way = allocated
-            moved = 0
-            for slot_idx in list(
-                self.stage.entry(set_index, way).slots_of_block(blk_off)
-            ):
-                slot = self.stage.remove_slot(set_index, way, slot_idx)
-                self.stage.insert_range(set_index, new_way, slot)
-                moved += 1
-            if not self.stage.entry(set_index, way).used:
-                self.stage.invalidate(set_index, way)
-            # Fast-to-fast regrouping traffic.
-            move_bytes = moved * self.geometry.sub_block_size
-            self._bg_read(self.devices.fast, now, move_bytes)
-            self._bg_write(self.devices.fast, now, move_bytes)
-            self._stats.inc("stage_regroup_moves")
-            self.stage.insert_range(set_index, new_way, new_slot)
-            self.stage.touch(set_index, new_way)
-            return
-
-        candidates = self.stage.lookup_super(super_id)
-        if not self._share_phys:
+            else:
+                # Block-level move: free a way, regroup this data block there.
+                self._block_level_replace(now, set_index, protect_way=way)
+                allocated = stage.allocate(super_id)
+                if allocated is None:
+                    raise SimulationError("block-level replacement freed no way")
+                moved = [
+                    stage.remove_slot(set_index, way, slot_idx)
+                    for slot_idx in entry.slots_of_block(blk_off)
+                ]
+                old_way, way = way, allocated[1]
+                for slot in moved:
+                    stage.insert_range(set_index, way, slot)
+                if not entry.used:
+                    stage.invalidate(set_index, old_way)
+                # Fast-to-fast regrouping traffic.
+                move_bytes = len(moved) * self._sub_size
+                self._bg_move(self.devices.fast, self.devices.fast, now, move_bytes)
+                self._stats.inc("stage_regroup_moves")
+        else:
             # Traditional sub-blocking: a physical block serves one logical
             # block only, so other blocks' stage ways are not candidates.
-            candidates = []
-        with_room = [(w, e) for w, e in candidates if e.used < len(e.slots)]
-        if with_room:
-            way, _ = self._rng.choice(with_room)
-            if len(candidates) > 1:
-                self._stats.inc("multi_block_super_stages")
-            self.stage.insert_range(set_index, way, new_slot)
-            self.stage.touch(set_index, way)
-            return
-        if candidates:
-            lru_full = [
-                w for w, _ in candidates if self.stage.is_lru(set_index, w)
-            ]
-            if lru_full or not self._two_level:
-                way = lru_full[0] if lru_full else self._rng.choice(candidates)[0]
+            candidates = stage.lookup_super(super_id) if self._share_phys else []
+            with_room = [(w, e) for w, e in candidates if e.used < len(e.slots)]
+            lru_way = next((w for w, e in candidates if e.lru == 0), None)
+            if with_room:
+                way = self._rng.choice(with_room)[0]
+                if len(candidates) > 1:
+                    self._stats.inc("multi_block_super_stages")
+            elif candidates and (lru_way is not None or not self._two_level):
+                if lru_way is None:
+                    lru_way = self._rng.choice(candidates)[0]
+                way = lru_way
                 self._sub_block_replace(now, set_index, way, super_id)
-                self.stage.insert_range(set_index, way, new_slot)
-                self.stage.touch(set_index, way)
-                return
-            self._block_level_replace(now, set_index)
-            allocated = self.stage.allocate(super_id)
-            if allocated is None:
-                raise SimulationError("block-level replacement freed no way")
-            _, way = allocated
-            self.stage.insert_range(set_index, way, new_slot)
-            self.stage.touch(set_index, way)
-            return
-
-        allocated = self.stage.allocate(super_id)
-        if allocated is None:
-            self._block_level_replace(now, set_index)
-            allocated = self.stage.allocate(super_id)
-            if allocated is None:
-                raise SimulationError("stage allocation failed after replacement")
-        _, way = allocated
-        self.stage.insert_range(set_index, way, new_slot)
-        self.stage.touch(set_index, way)
+            else:
+                allocated = None if candidates else stage.allocate(super_id)
+                if allocated is None:
+                    self._block_level_replace(now, set_index)
+                    allocated = stage.allocate(super_id)
+                    if allocated is None:
+                        raise SimulationError("block-level replacement freed no way")
+                way = allocated[1]
+        stage.insert_range(set_index, way, new_slot)
+        stage.touch(set_index, way)
 
     def _sub_block_replace(
         self, now: float, set_index: int, way: int, super_id: int
@@ -1615,8 +1667,7 @@ class BaryonController(ServedSeam):
                 self._record_hint(block_id, slot)
             else:
                 nbytes = slot.cf * self.geometry.sub_block_size
-            self._bg_read(self.devices.fast, now, nbytes)
-            self._bg_write(self.devices.slow, now, nbytes)
+            self._bg_move(self.devices.fast, self.devices.slow, now, nbytes)
             self._stats.inc("stage_dirty_writebacks")
             if self.obs.enabled:
                 self.obs.emit(
@@ -1635,50 +1686,48 @@ class BaryonController(ServedSeam):
     def _block_level_replace(
         self, now: float, set_index: int, protect_way: Optional[int] = None
     ) -> None:
-        """Evict or commit the stage set's LRU block (selective commit)."""
-        victim_way = self.stage.lru_way(set_index)
-        if victim_way is None:
-            raise SimulationError("block-level replacement on an empty set")
-        if victim_way == protect_way:
-            # The LRU way is the one we must keep: take the next-LRU.
-            ranked = sorted(
-                (
-                    (self.stage.entry(set_index, w).lru, w)
-                    for w in range(self.stage.ways)
-                    if self.stage.entry(set_index, w).valid and w != protect_way
-                ),
-            )
-            if not ranked:
-                raise SimulationError("no replaceable stage way")
-            victim_way = ranked[0][1]
-        entry = self.stage.entry(set_index, victim_way)
-        super_id = self.stage.mapper.super_block_of(set_index, entry.tag)
-        fa_set = self.fast_area.set_of_super(super_id)
-        target_way, prospective = self._peek_commit_victim(fa_set)
-        if prospective is None:
+        """Evict or commit the stage set's LRU block (selective commit).
+
+        The commit victim is picked once, for both the Eq. 1 cost model
+        and the commit itself.
+        """
+        stage = self.stage
+        entries = stage.tags.entries[set_index]
+        # Ranks are dense 0..valid-1: the LRU way has rank 0, and when it
+        # is the way we must keep, the next-LRU has rank 1.
+        rank = 0
+        if protect_way is not None and entries[protect_way].lru == 0:
+            rank = 1
+        for victim_way, entry in enumerate(entries):
+            if entry.valid and entry.lru == rank:
+                break
+        else:
+            raise SimulationError("no replaceable stage way")
+        super_id = entry.tag * stage.num_sets + set_index
+        fa_set = super_id % self.fast_area.num_sets
+        target_way, occupant = self._peek_commit_victim(fa_set)
+        if occupant is None:
             # Displacing a resident home block swaps all of its sub-blocks.
             is_home = self._home_block_of(fa_set, target_way) is not None
-            dirty_area = self.geometry.sub_blocks_per_block if is_home else 0
+            dirty_area = self._spb if is_home else 0
         elif target_way < self._flat_ways:
             # Flat area: every sub-block is swapped regardless of dirtiness.
+            get = self.remap_table.get
+            base = occupant.super_id * self._bps
             dirty_area = sum(
-                self.remap_table.get(
-                    prospective.super_id * self.geometry.super_block_blocks + off
-                ).dirty_like_count()
-                for off in prospective.committed
+                get(base + off).dirty_like_count() for off in occupant.committed
             )
         else:
-            dirty_area = prospective.dirty_count()
+            dirty_area = occupant.dirty_count()
         decision = self.policy.decide(
-            mru_miss_cnt=self.stage.mru_miss_cnt[set_index],
-            associativity=self.stage.ways,
-            victim_miss_cnt=entry.miss_count,
-            dirty_stage=entry.dirty_sub_block_count(),
-            dirty_area=dirty_area,
-            quarantined=super_id in self._quarantined,
+            stage.mru_miss_cnt[set_index], stage.ways, entry.miss_count,
+            entry.dirty_sub_block_count(), dirty_area,
+            super_id in self._quarantined,
         )
         if decision.commit:
-            self._commit_stage_block(now, set_index, victim_way, super_id)
+            self._commit_stage_block(
+                now, set_index, victim_way, super_id, target_way, occupant
+            )
         else:
             self._evict_stage_block(now, set_index, victim_way, super_id)
         self._stats.inc("block_level_replacements")
@@ -1691,95 +1740,118 @@ class BaryonController(ServedSeam):
         for slot in entry.slots:
             if slot is not None:
                 self._writeback_stage_slot(now, set_index, super_id, slot)
-        snapshot = self.stage.invalidate(set_index, way)
+        slots = self.stage.invalidate(set_index, way)
         self._stats.inc("stage_evictions")
         if self.tracker is not None:
-            base = super_id * self.geometry.super_block_blocks
-            for blk_off in snapshot.blocks_present():
+            base = super_id * self._bps
+            for blk_off in sorted({s.blk_off for s in slots if s is not None}):
                 self.tracker.block_unstaged(base + blk_off, committed=False)
 
     # --------------------------------------------------------------- commit
     def _commit_stage_block(
-        self, now: float, set_index: int, way: int, super_id: int
+        self,
+        now: float,
+        set_index: int,
+        way: int,
+        super_id: int,
+        target_way: int,
+        occupant: Optional[FastBlockState],
     ) -> None:
-        """Promote a stage block into the cache/flat area (Rule 4 freeze)."""
-        entry = self.stage.entry(set_index, way)
-        fa_set = self.fast_area.set_of_super(super_id)
-        target_way, occupant = self._commit_victim_way(fa_set)
+        """Promote a stage block into the cache/flat area (Rule 4 freeze).
+
+        ``target_way`` and ``occupant`` are the commit victim that
+        :meth:`_peek_commit_victim` picked for the cost model; the commit
+        takes that way. One pass over the stage entry's slots groups its
+        ranges by block into remap-entry fields: ``[remap, cf2, cf4,
+        zero, ranges]``, where ``ranges`` counts the block's occupied
+        slots and a Z slot sets every remap bit and occupies none.
+        """
+        stage = self.stage
+        entry = stage.tags.entries[set_index][way]
+        fa = self.fast_area
+        fa_set = super_id % fa.num_sets
+        if self._fully_assoc:
+            self._fa_victim_ptr = target_way + 1
         if occupant is not None:
             self._evict_fast_block(now, fa_set, target_way, for_commit=True)
-        displaced = self._displace_home(now, fa_set, target_way)
+        displaced = (
+            self._displace_home(now, fa_set, target_way)
+            if target_way < self._flat_ways else None
+        )
 
-        base = super_id * self.geometry.super_block_blocks
-        state = FastBlockState(super_id=super_id, displaced_home=displaced)
-        for blk_off, (remap, cf2, cf4, zero, dirties) in self._remap_fields(entry):
-            block_id = base + blk_off
-            if zero:
-                cf2 = cf4 = 0
-            new_entry = RemapEntry(
-                remap=remap, pointer=target_way, cf2=cf2, cf4=cf4, zero=zero,
-                num_subs=self.geometry.sub_blocks_per_block,
-            )
-            self.remap_table.set(block_id, new_entry)
-            self._cf_hints.pop(block_id, None)
-            occupied = new_entry.occupied_slots()
-            state.committed[blk_off] = occupied
-            state.slots_used += occupied
-            for sub in dirties:
-                state.dirty_subs.add((blk_off, sub))
-            if self.tracker is not None:
-                self.tracker.block_unstaged(block_id, committed=True)
-        self.fast_area.install(fa_set, target_way, state)
-        # Commit data movement: stage block -> cache/flat area block.
-        move = state.slots_used * self.geometry.sub_block_size
-        if move:
-            self._bg_read(self.devices.fast, now, move)
-            self._bg_write(self.devices.fast, now, move)
-        snapshot = self.stage.invalidate(set_index, way)
-        self._stats.inc("commits")
-        if self.checker is not None:
-            self.checker.check_commit(
-                super_id,
-                table=self.remap_table,
-                stage=self.stage,
-                fa_state=state,
-                snapshot=snapshot,
-                blocks_per_super=self.geometry.super_block_blocks,
-                slots_per_block=self.geometry.sub_blocks_per_block,
-            )
-
-    def _remap_fields(self, entry: StageTagEntry) -> List[Tuple[int, list]]:
-        """Translate a stage entry's slots into remap-entry fields.
-
-        One pass over the slots, grouped by block: ``(blk_off, [remap,
-        cf2, cf4, zero, dirties])`` per staged block, ascending BlkOff.
-        ``dirties`` lists the dirty sub-blocks in slot order; a Z slot
-        sets every remap bit (the caller clears ``cf2``/``cf4`` then).
-        """
-        n = self.geometry.sub_blocks_per_block
+        n = self._spb
+        committed: Dict[int, int] = {}
+        dirty_subs = set()
         groups: Dict[int, list] = {}
         for slot in entry.slots:
             if slot is None:
                 continue
-            fields = groups.get(slot.blk_off)
+            blk_off = slot.blk_off
+            fields = groups.get(blk_off)
             if fields is None:
-                fields = groups[slot.blk_off] = [0, 0, 0, False, []]
+                fields = groups[blk_off] = [0, 0, 0, False, 0]
             if slot.zero:
                 fields[0] = (1 << n) - 1
                 fields[3] = True
-                if slot.dirty:
-                    fields[4].extend(range(n))
-                continue
-            start = slot.sub_start
-            cf = slot.cf
-            fields[0] |= ((1 << cf) - 1) << start
+                subs = range(n)
+            else:
+                start = slot.sub_start
+                cf = slot.cf
+                fields[0] |= ((1 << cf) - 1) << start
+                fields[4] += 1
+                if cf == 2:
+                    fields[1] |= 1 << (start >> 1)
+                elif cf == 4:
+                    fields[2] |= 1 << (start >> 2)
+                subs = range(start, start + cf)
             if slot.dirty:
-                fields[4].extend(range(start, start + cf))
-            if cf == 2:
-                fields[1] |= 1 << (start // 2)
-            elif cf == 4:
-                fields[2] |= 1 << (start // 4)
-        return sorted(groups.items())
+                for sub in subs:
+                    dirty_subs.add((blk_off, sub))
+
+        base = super_id * self._bps
+        table_set = self.remap_table.set
+        hints_pop = self._cf_hints.pop
+        tracker = self.tracker
+        used = 0
+        for blk_off in sorted(groups):
+            remap, cf2, cf4, zero, ranges = groups[blk_off]
+            if zero:
+                cf2 = cf4 = ranges = 0
+            block_id = base + blk_off
+            table_set(block_id, RemapEntry(remap, target_way, cf2, cf4, zero, n))
+            hints_pop(block_id, None)
+            committed[blk_off] = ranges
+            used += ranges
+            if tracker is not None:
+                tracker.block_unstaged(block_id, committed=True)
+        state = FastBlockState(
+            super_id, committed, used, dirty_subs, displaced_home=displaced
+        )
+        fa.install(fa_set, target_way, state)
+        # Commit data movement: stage block -> cache/flat area block.
+        if used:
+            move = used * self._sub_size
+            self._bg_move(self.devices.fast, self.devices.fast, now, move)
+        checker = self.checker
+        if checker is not None:
+            # The entry gets a fresh slot list on invalidation, so the
+            # snapshot can keep the old one.
+            snapshot = StageTagEntry(
+                tag=entry.tag, valid=True, slots=entry.slots, lru=entry.lru,
+                fifo=entry.fifo, miss_count=entry.miss_count,
+            )
+        stage.invalidate(set_index, way)
+        self._stats.inc("commits")
+        if checker is not None:
+            checker.check_commit(
+                super_id,
+                table=self.remap_table,
+                stage=stage,
+                fa_state=state,
+                snapshot=snapshot,
+                blocks_per_super=self._bps,
+                slots_per_block=n,
+            )
 
     def _displace_home(self, now: float, fa_set: int, way: int) -> Optional[int]:
         """Flat scheme: spread-swap the home block out of a flat way.
@@ -1795,8 +1867,7 @@ class BaryonController(ServedSeam):
             return home
         # Spread the original 2 kB into the freed slow sub-block spaces.
         size = self.geometry.block_size
-        self._bg_read(self.devices.fast, now, size)
-        self._bg_write(self.devices.slow, now, size)
+        self._bg_move(self.devices.fast, self.devices.slow, now, size)
         self._displaced[home] = (fa_set, way)
         self._stats.inc("home_displacements")
         return home
@@ -1813,8 +1884,7 @@ class BaryonController(ServedSeam):
         if home is None:
             return
         size = self.geometry.block_size
-        self._bg_read(self.devices.slow, now, size)
-        self._bg_write(self.devices.fast, now, size)
+        self._bg_move(self.devices.slow, self.devices.fast, now, size)
         del self._displaced[home]
         self._stats.inc("home_restores")
 
@@ -1849,8 +1919,7 @@ class BaryonController(ServedSeam):
                     else entry.dirty_like_count() * g.sub_block_size
                 )
                 if nbytes:
-                    self._bg_read(self.devices.fast, now, nbytes)
-                    self._bg_write(self.devices.slow, now, nbytes)
+                    self._bg_move(self.devices.fast, self.devices.slow, now, nbytes)
                     if self.obs.enabled:
                         self.obs.emit(
                             "writeback", block=block_id, bytes=nbytes,
@@ -1868,8 +1937,7 @@ class BaryonController(ServedSeam):
                         nbytes = len(dirty_ranges) * g.sub_block_size
                     else:
                         nbytes = len(dirty_subs) * g.sub_block_size
-                    self._bg_read(self.devices.fast, now, nbytes)
-                    self._bg_write(self.devices.slow, now, nbytes)
+                    self._bg_move(self.devices.fast, self.devices.slow, now, nbytes)
                     self._stats.inc("commit_dirty_writebacks")
                     if self.obs.enabled:
                         self.obs.emit(
@@ -1884,8 +1952,7 @@ class BaryonController(ServedSeam):
                 # Slow swap step 1: shuffle the spread original content
                 # into the spaces just vacated; the home stays displaced
                 # because a new block commits into its space right away.
-                self._bg_read(self.devices.slow, now, g.block_size)
-                self._bg_write(self.devices.slow, now, g.block_size)
+                self._bg_move(self.devices.slow, self.devices.slow, now, g.block_size)
                 self._stats.inc("slow_swaps")
             else:
                 self._restore_home(now, set_index, way)
@@ -1913,8 +1980,7 @@ class BaryonController(ServedSeam):
         nbytes = self.geometry.sub_block_size * (
             1 if self.config.compressed_writeback else cf
         )
-        self._bg_read(self.devices.fast, now, nbytes)
-        self._bg_write(self.devices.slow, now, nbytes)
+        self._bg_move(self.devices.fast, self.devices.slow, now, nbytes)
         new_entry = RemapEntry(
             remap=remap, pointer=way, cf2=cf2, cf4=cf4,
             num_subs=self.geometry.sub_blocks_per_block,
@@ -1942,8 +2008,7 @@ class BaryonController(ServedSeam):
         if not entry.zero:
             nbytes = entry.occupied_slots() * self.geometry.sub_block_size
             if nbytes:
-                self._bg_read(self.devices.fast, now, nbytes)
-                self._bg_write(self.devices.slow, now, nbytes)
+                self._bg_move(self.devices.fast, self.devices.slow, now, nbytes)
         self.remap_table.clear(block_id)
         state.slots_used -= state.committed.pop(blk_off, 0)
         state.dirty_subs = {
@@ -2023,8 +2088,7 @@ class BaryonController(ServedSeam):
         # Re-sort penalty: rewrite the whole physical block layout.
         resort = state.slots_used * g.sub_block_size
         if resort:
-            self._bg_read(self.devices.fast, now, resort)
-            self._bg_write(self.devices.fast, now, resort)
+            self._bg_move(self.devices.fast, self.devices.fast, now, resort)
             self._stats.inc("layout_resorts")
         self._bg_write(self.devices.fast, now, g.sub_block_size)
 

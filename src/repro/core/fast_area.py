@@ -11,10 +11,10 @@ class owns the physical side of that story:
 * for the flat scheme, which OS-visible fast block is *homed* at each
   space and whether it is currently displaced by committed data.
 
-Commit victims are chosen by the controller, not here: cache-mode and
-set-associative flat sets take the coldest way by stamp
-(``BaryonController._coldest_way``), and the fully-associative
-organization (Sec. III-E) takes a cycling FIFO pointer
+Commit victims are chosen by the controller, not here
+(``BaryonController._peek_commit_victim``): cache-mode and
+set-associative flat sets take the coldest way by stamp, and the
+fully-associative organization (Sec. III-E) takes a cycling FIFO pointer
 (``BaryonController._fa_next_victim``). :meth:`FastArea.victim_way`
 implements the paper's interchangeable policies for standalone use; it
 is not on the simulation path.
@@ -132,12 +132,6 @@ class FastArea:
         return self.blocks[set_index][way]
 
     # -- replacement -----------------------------------------------------------
-    def next_stamp(self) -> int:
-        """Advance and return the replacement clock (shared with the
-        controller's home-block recency bookkeeping in the flat scheme)."""
-        self._clock += 1
-        return self._clock
-
     def touch(self, set_index: int, way: int) -> None:
         """Refresh replacement state on a hit.
 
@@ -203,7 +197,11 @@ class FastArea:
         self._clock += 1
         state.stamp = self._clock
         self.blocks[set_index][way] = state
-        insort(self._ways_of_super.setdefault(state.super_id, []), way)
+        ways = self._ways_of_super.get(state.super_id)
+        if ways is None:
+            self._ways_of_super[state.super_id] = [way]
+        else:
+            insort(ways, way)
         self.stats.inc("installs")
 
     def remove(self, set_index: int, way: int) -> FastBlockState:

@@ -59,7 +59,9 @@ class ServedSeam:
     ``None``) in slot 6, where the simulator reads them. The closures
     must not reference the controller: a cycle would keep a finished
     cell's controller, and all its state, alive until the cyclic
-    collector ran.
+    collector ran. They reach it through a ``weakref.proxy`` and look
+    its methods up at call time; binding ``proxy.<method>`` once yields
+    a bound method that holds the controller and closes the cycle.
 
     Every observer runs on the seam: faults, recovery, the shadow
     checker, the phase tracker and quarantined super-blocks inside

@@ -9,6 +9,14 @@ Mechanics only — the *policies* (what to fetch, when to commit) live in
   hit, Sec. III-D);
 * exact 3-bit LRU ranks for block-level replacement and the 3-bit FIFO
   pointer for sub-block-level replacement (Fig. 5a / Fig. 8);
+* an O(1) index of what is staged, kept exact at the slot mutation sites
+  (:meth:`insert_range`, :meth:`remove_slot`, :meth:`invalidate`):
+  ``stage_block`` maps a staged ``block_id`` to ``[way, slots, subs]``,
+  the way holding its ranges, how many slots they take, and per
+  sub-block the index of the slot covering it (None when unstaged).
+  Rule 3 (one block's ranges live in one way) and non-overlapping ranges
+  make the index answer what a way x slot scan would; :meth:`verify`
+  checks that;
 * the per-entry MissCnt and per-set MRUMissCnt counters with their
   right-shift aging every ``aging_period_accesses`` set accesses
   (Sec. III-E), which feed the Eq. 1 commit benefit.
@@ -16,7 +24,7 @@ Mechanics only — the *policies* (what to fetch, when to commit) live in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressMapper
 from repro.common.config import Geometry, StageConfig
@@ -35,9 +43,9 @@ class StageArea:
         self.num_sets = config.num_sets(geometry)
         self.ways = config.ways
         self.mapper = AddressMapper(geometry, self.num_sets)
-        self.tags = StageTagArray(
-            self.num_sets, self.ways, slots_per_entry=geometry.sub_blocks_per_block
-        )
+        self._spb = geometry.sub_blocks_per_block
+        self._bps = geometry.super_block_blocks
+        self.tags = StageTagArray(self.num_sets, self.ways, slots_per_entry=self._spb)
         self.mru_miss_cnt: List[int] = [0] * self.num_sets
         self._set_accesses: List[int] = [0] * self.num_sets
         #: Exact per-set count of valid entries, maintained at the two
@@ -53,10 +61,8 @@ class StageArea:
         #: tag corruption surfaces on block lookups; the controller flushes
         #: and quarantines the affected entry.
         self.faults = None
-        #: Optional :class:`~repro.core.columnar.ColumnarState`. The slot
-        #: mutation sites (insert, remove, invalidate) notify it so its
-        #: O(1) probe indices stay exact.
-        self.columnar = None
+        #: The staged-data index (see the module docstring).
+        self.stage_block: Dict[int, list] = {}
 
     # -- lookup ------------------------------------------------------------
     def lookup_super(self, super_id: int) -> List[Tuple[int, StageTagEntry]]:
@@ -71,20 +77,11 @@ class StageArea:
         Rule 3 keeps all of one block's staged ranges in one physical
         block, so at most one way can match.
         """
-        num_sets = self.num_sets
-        set_index = super_id % num_sets
-        tag = super_id // num_sets
-        match = None
-        for way, entry in enumerate(self.tags.entries[set_index]):
-            if entry.valid and entry.tag == tag:
-                for slot in entry.slots:
-                    if slot is not None and slot.blk_off == blk_off:
-                        match = (way, entry)
-                        break
-                if match is not None:
-                    break
-        if match is None:
+        ref = self.stage_block.get(super_id * self._bps + blk_off)
+        if ref is None:
             return None
+        set_index = super_id % self.num_sets
+        way = ref[0]
         if (
             self.faults is not None
             and self.faults.active
@@ -94,24 +91,23 @@ class StageArea:
                 f"stage tag entry for super-block {super_id} corrupted",
                 site="stage_tag",
                 set_index=set_index,
-                way=match[0],
+                way=way,
                 block_id=super_id,
             )
-        return match
+        return way, self.tags.entries[set_index][way]
 
     def lookup_sub_block(
         self, super_id: int, blk_off: int, sub_index: int
     ) -> Optional[Tuple[int, StageTagEntry, int]]:
         """(way, entry, slot) holding the sub-block, when staged."""
-        num_sets = self.num_sets
-        set_index = super_id % num_sets
-        tag = super_id // num_sets
-        for way, entry in enumerate(self.tags.entries[set_index]):
-            if entry.valid and entry.tag == tag:
-                slot = entry.find_sub_block(blk_off, sub_index)
-                if slot is not None:
-                    return way, entry, slot
-        return None
+        ref = self.stage_block.get(super_id * self._bps + blk_off)
+        if ref is None:
+            return None
+        slot = ref[2][sub_index]
+        if slot is None:
+            return None
+        way = ref[0]
+        return way, self.tags.entries[super_id % self.num_sets][way], slot
 
     def set_index_of(self, super_id: int) -> int:
         return super_id % self.num_sets
@@ -163,26 +159,26 @@ class StageArea:
         Returns ``(set_index, way)``; the entry is initialized empty and
         made MRU.
         """
-        set_index = self.mapper.set_index_of_super(super_id)
-        way = self.tags.invalid_way(set_index)
-        if way is None:
+        set_index = super_id % self.num_sets
+        if self.valid_counts[set_index] == self.ways:
             return None
-        entry = self.tags.entry(set_index, way)
-        entry.tag = self.mapper.tag_of_super(super_id)
+        way = self.tags.invalid_way(set_index)
+        entry = self.tags.entries[set_index][way]
+        entry.tag = super_id // self.num_sets
         entry.valid = True
         self.valid_counts[set_index] += 1
-        entry.slots = [None] * self.geometry.sub_blocks_per_block
-        entry.used = 0
-        entry.fifo = 0
-        entry.miss_count = 0
+        # An invalid entry is already empty: :meth:`invalidate` (or the
+        # tag array's construction) left it no slots, FIFO or MissCnt.
         # A fresh entry enters at MRU; existing dense ranks 0..n-2 stand.
         entry.lru = self.valid_counts[set_index] - 1
         self.stats.inc("allocations")
         return set_index, way
 
-    def invalidate(self, set_index: int, way: int) -> StageTagEntry:
-        """Drop an entry (after commit or eviction); returns its final state."""
-        entry = self.tags.entry(set_index, way)
+    def invalidate(self, set_index: int, way: int) -> List[Optional[RangeSlot]]:
+        """Drop an entry (after commit or eviction); returns its retired
+        slot list (the entry gets a fresh one, so callers may keep it)."""
+        entries = self.tags.entries[set_index]
+        entry = entries[way]
         if not entry.valid:
             raise LayoutError("invalidating an already-invalid stage entry")
         if self.obs.enabled:
@@ -190,43 +186,55 @@ class StageArea:
                 "stage_evict", set=set_index, way=way, tag=entry.tag,
                 occupied=entry.used,
             )
-        # The entry gets a fresh slot list below, so the snapshot can
-        # take the old one over without copying it.
-        snapshot = StageTagEntry(
-            tag=entry.tag,
-            valid=True,
-            slots=entry.slots,
-            lru=entry.lru,
-            fifo=entry.fifo,
-            miss_count=entry.miss_count,
-        )
         old_rank = entry.lru
-        for other in self.tags.entries[set_index]:
+        for other in entries:
             if other.valid and other.lru > old_rank:
                 other.lru -= 1
+        slots = entry.slots
+        if entry.used:
+            # Rule 3: every range of a block staged here lives in this way.
+            super_base = (entry.tag * self.num_sets + set_index) * self._bps
+            drop = self.stage_block.pop
+            dropped = None
+            for slot in slots:
+                if slot is not None and slot.blk_off != dropped:
+                    dropped = slot.blk_off
+                    drop(super_base + dropped, None)
         entry.valid = False
         self.valid_counts[set_index] -= 1
-        entry.slots = [None] * self.geometry.sub_blocks_per_block
+        entry.slots = [None] * self._spb
         entry.used = 0
         entry.lru = 0
         entry.fifo = 0
         entry.miss_count = 0
-        if self.columnar is not None:
-            self.columnar.stage_invalidate(set_index, way, snapshot)
         self.stats.inc("invalidations")
-        return snapshot
+        return slots
 
     # -- slot operations ------------------------------------------------------
+    def _index_of(self, set_index: int, entry: StageTagEntry, slot: RangeSlot):
+        """``(block_id, sub-blocks)`` one of ``entry``'s slots covers."""
+        block_id = (entry.tag * self.num_sets + set_index) * self._bps + slot.blk_off
+        if slot.zero:
+            return block_id, range(self._spb)
+        return block_id, range(slot.sub_start, slot.sub_start + slot.cf)
+
     def insert_range(self, set_index: int, way: int, slot: RangeSlot) -> int:
-        """Place a range into the lowest free slot; caller ensured room."""
-        entry = self.tags.entry(set_index, way)
+        """Place a range into the lowest free slot; caller ensured room
+        and kept Rule 3 (the block has no ranges in another way)."""
+        entry = self.tags.entries[set_index][way]
         free = entry.free_slot()
         if free is None:
             raise LayoutError("insert_range into a full stage block")
         entry.slots[free] = slot
         entry.used += 1
-        if self.columnar is not None:
-            self.columnar.stage_insert(set_index, way, free, slot, entry.tag)
+        block_id, covered = self._index_of(set_index, entry, slot)
+        ref = self.stage_block.get(block_id)
+        if ref is None:
+            ref = self.stage_block[block_id] = [way, 0, [None] * self._spb]
+        ref[1] += 1
+        subs = ref[2]
+        for sub in covered:
+            subs[sub] = free
         if self.obs.enabled:
             self.obs.emit(
                 "stage_insert", set=set_index, way=way, blk_off=slot.blk_off,
@@ -237,7 +245,7 @@ class StageArea:
 
     def fifo_victim_slot(self, set_index: int, way: int) -> int:
         """Advance the FIFO pointer to the next occupied slot and return it."""
-        entry = self.tags.entry(set_index, way)
+        entry = self.tags.entries[set_index][way]
         slots = entry.slots
         n = len(slots)
         for step in range(n):
@@ -248,22 +256,22 @@ class StageArea:
         raise LayoutError("FIFO victim requested from an empty stage block")
 
     def remove_slot(self, set_index: int, way: int, slot_index: int) -> RangeSlot:
-        entry = self.tags.entry(set_index, way)
+        entry = self.tags.entries[set_index][way]
         slot = entry.slots[slot_index]
         if slot is None:
             raise LayoutError("removing an empty slot")
         entry.slots[slot_index] = None
         entry.used -= 1
-        if self.columnar is not None:
-            self.columnar.stage_remove(set_index, way, slot_index, slot, entry.tag)
+        block_id, covered = self._index_of(set_index, entry, slot)
+        ref = self.stage_block[block_id]
+        ref[1] -= 1
+        if ref[1]:
+            subs = ref[2]
+            for sub in covered:
+                subs[sub] = None
+        else:
+            del self.stage_block[block_id]
         return slot
-
-    def mark_dirty(self, set_index: int, way: int, slot_index: int) -> None:
-        """Mark one staged range dirty in place (stage-hit write path)."""
-        slot = self.tags.entries[set_index][way].slots[slot_index]
-        if slot is None:
-            raise LayoutError("dirtying an empty slot")
-        slot.dirty = True
 
     # -- miss statistics for the commit model ---------------------------------
     def record_set_access(self, set_index: int) -> None:
@@ -314,3 +322,42 @@ class StageArea:
 
     def storage_bytes(self) -> int:
         return self.tags.storage_bytes()
+
+    # -- verification -------------------------------------------------------------
+    def verify(self) -> None:
+        """Assert the index matches a rebuild from the tag array.
+
+        Test-only (O(state) scan). Raises ``AssertionError`` on a stale
+        key, a Rule-3 violation or overlapping ranges. It also checks the
+        other O(1) answers: each entry's ``used`` count against its
+        non-empty slots, ``valid_counts``, and ``is_lru`` against the
+        ``lru_way`` rank scan.
+        """
+        expected: Dict[int, list] = {}
+        for set_index, row in enumerate(self.tags.entries):
+            lru_way = self.lru_way(set_index)
+            assert self.valid_counts[set_index] == sum(e.valid for e in row), (
+                "valid count stale", set_index,
+            )
+            for way, entry in enumerate(row):
+                occupied = sum(1 for slot in entry.slots if slot is not None)
+                assert entry.used == occupied, ("used count stale", set_index, way)
+                assert self.is_lru(set_index, way) == (way == lru_way), (
+                    "is_lru disagrees with lru_way", set_index, way,
+                )
+                for slot_index, slot in enumerate(entry.slots):
+                    if slot is None:
+                        continue
+                    assert entry.valid, (set_index, way, slot_index)
+                    block_id, covered = self._index_of(set_index, entry, slot)
+                    ref = expected.setdefault(
+                        block_id, [way, 0, [None] * self._spb]
+                    )
+                    # Rule 3: one block's staged ranges live in one way.
+                    assert ref[0] == way, ("rule-3 violation", block_id)
+                    ref[1] += 1
+                    for sub in covered:
+                        # Ranges never overlap: each sub has one cover.
+                        assert ref[2][sub] is None, ("overlap", block_id, sub)
+                        ref[2][sub] = slot_index
+        assert self.stage_block == expected, "stage_block index stale"

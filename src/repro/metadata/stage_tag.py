@@ -173,18 +173,6 @@ class StageTagEntry:
         self.used = len(self.slots) - self.slots.count(None)
 
     # -- queries -----------------------------------------------------------
-    def find_sub_block(self, blk_off: int, sub_index: int) -> Optional[int]:
-        """Slot index holding ``sub_index`` of block ``blk_off``, if staged."""
-        # ``covers`` inlined: this is the innermost loop of the stage tag probe.
-        for i, slot in enumerate(self.slots):
-            if (
-                slot is not None
-                and slot.blk_off == blk_off
-                and (slot.zero or slot.sub_start <= sub_index < slot.sub_start + slot.cf)
-            ):
-                return i
-        return None
-
     def slots_of_block(self, blk_off: int) -> List[int]:
         """All slot indices holding ranges of block ``blk_off``."""
         return [

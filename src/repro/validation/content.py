@@ -314,14 +314,18 @@ class ContentBackedController(BaryonController):
                     self.c_stage.pop(line, None)
         return overflow
 
-    def _commit_stage_block(self, now, set_index, way, super_id) -> None:
+    def _commit_stage_block(
+        self, now, set_index, way, super_id, target_way, occupant
+    ) -> None:
         entry = self.stage.entry(set_index, way)
         base = super_id * self.geometry.super_block_blocks
         lines: List[int] = []
         for slot in entry.slots:
             if slot is not None:
                 lines.extend(self._slot_lines(base + slot.blk_off, slot))
-        super()._commit_stage_block(now, set_index, way, super_id)
+        super()._commit_stage_block(
+            now, set_index, way, super_id, target_way, occupant
+        )
         c_fast, c_stage, c_slow = self.c_fast, self.c_stage, self.c_slow
         stale = self.inject_bug == "commit_stale_data"
         for line in lines:

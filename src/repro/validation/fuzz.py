@@ -257,9 +257,9 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
                 f"{path} seam diverged in {name} channel busy state",
                 kind="batched_divergence", location=f"{name}_pool",
             )
-    columnar = getattr(twin_ctrl, "columnar", None)
-    if columnar is not None:
-        columnar.verify()
+    stage = getattr(twin_ctrl, "stage", None)
+    if stage is not None:
+        stage.verify()
 
 
 def _seam_replay(

@@ -154,7 +154,7 @@ class TestBatchedEqualsScalar:
 
 
 class TestColumnarEquivalence:
-    """The stage probe indices must stay exact with the tag array."""
+    """The stage area's index must stay exact with the tag array."""
 
     def test_columnar_verifies_after_every_mutation(self):
         """Drive a movement-heavy tiny trace access by access, verifying
@@ -169,7 +169,7 @@ class TestColumnarEquivalence:
             mem = ctrl.access(addr, is_write, now)
             if not is_write:
                 now += mem.latency_cycles
-            ctrl.columnar.verify()
+            ctrl.stage.verify()
         # The tiny config forces constant movement: all mutation sites
         # actually fired inside the verified window.
         assert ctrl.stats.get("commits") > 0
@@ -224,7 +224,7 @@ class TestColumnarEquivalence:
                 == ref.devices.slow.stats.as_dict())
         assert (mixed.remap_cache.stats.as_dict()
                 == ref.remap_cache.stats.as_dict())
-        mixed.columnar.verify()
+        mixed.stage.verify()
 
 
 class TestInlineServer:

@@ -43,8 +43,9 @@ class TestAllocation:
     def test_invalidate_returns_snapshot_and_frees(self, stage):
         s, w = alloc(stage, 0)
         stage.insert_range(s, w, RangeSlot(cf=1, blk_off=2, sub_start=3))
-        snap = stage.invalidate(s, w)
-        assert snap.used == 1
+        retired = stage.invalidate(s, w)
+        assert retired.count(None) == len(retired) - 1
+        assert stage.entry(s, w).slots is not retired
         assert stage.tags.invalid_way(s) is not None
         with pytest.raises(LayoutError):
             stage.invalidate(s, w)
@@ -57,6 +58,17 @@ class TestAllocation:
         hit = stage.lookup_sub_block(5, 1, 5)
         assert hit is not None and hit[0] == w
         assert stage.lookup_sub_block(5, 1, 6) is None
+
+    def test_lookup_sub_block_covers_ranges_and_zero_blocks(self, stage):
+        s, w = alloc(stage, 5)
+        stage.insert_range(s, w, RangeSlot(cf=4, dirty=True, blk_off=0, sub_start=4))
+        stage.insert_range(s, w, RangeSlot(cf=1, blk_off=2, sub_start=7))
+        stage.insert_range(s, w, RangeSlot(zero=True, blk_off=6))
+        assert stage.lookup_sub_block(5, 0, 6)[2] == 0
+        assert stage.lookup_sub_block(5, 2, 7)[2] == 1
+        assert stage.lookup_sub_block(5, 6, 1)[2] == 2  # a zero slot covers all
+        assert stage.lookup_sub_block(5, 0, 0) is None
+        stage.verify()
 
 
 class TestUsedCount:
@@ -72,8 +84,8 @@ class TestUsedCount:
         assert entry.used == 8
         stage.remove_slot(s, w, 3)
         assert entry.used == 7
-        snap = stage.invalidate(s, w)
-        assert snap.used == 7 and entry.used == 0
+        retired = stage.invalidate(s, w)
+        assert retired.count(None) == 1 and entry.used == 0
         _, w2 = alloc(stage, 0)
         assert stage.entry(s, w2).used == 0
 

@@ -113,13 +113,6 @@ class TestStageTagEntry:
         assert decoded.slots[5].zero
         assert decoded.slots[1] is None
 
-    def test_find_sub_block(self):
-        entry = self.make_entry()
-        assert entry.find_sub_block(0, 6) == 0
-        assert entry.find_sub_block(2, 7) == 3
-        assert entry.find_sub_block(6, 1) == 5  # zero slot covers all
-        assert entry.find_sub_block(0, 0) is None
-
     def test_slots_of_block_and_occupancy(self):
         entry = self.make_entry()
         assert entry.slots_of_block(0) == [0]

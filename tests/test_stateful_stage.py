@@ -7,7 +7,8 @@ invalidate must preserve the invariants the controller relies on:
   entry's 3 bits);
 * slot occupancy never exceeds the physical block;
 * Rule 2 alignment of every resident range;
-* FIFO victims are always occupied slots.
+* FIFO victims are always occupied slots;
+* the staged-data index (``stage_block``) stays exact.
 """
 
 from hypothesis import settings
@@ -63,6 +64,14 @@ class StageAreaMachine(RuleBasedStateMachine):
             return
         start = (pos // cf) * cf % 8
         start = (start // cf) * cf
+        # The controller never stages a sub-block twice (ranges do not
+        # overlap); the index relies on it.
+        super_id = entry.tag * self.stage.num_sets + self.set_index
+        if any(
+            self.stage.lookup_sub_block(super_id, blk, sub) is not None
+            for sub in range(start, start + cf)
+        ):
+            return
         slot = RangeSlot(cf=cf, blk_off=blk, sub_start=start)
         self.stage.insert_range(self.set_index, way, slot)
 
@@ -116,6 +125,11 @@ class StageAreaMachine(RuleBasedStateMachine):
                     assert slot.sub_start % slot.cf == 0
             assert occupied <= len(entry.slots)
             assert 0 <= entry.fifo < len(entry.slots)
+
+    @invariant()
+    def index_exact(self):
+        # The staged-data index matches a rebuild from the tag array.
+        self.stage.verify()
 
     @invariant()
     def counters_bounded(self):
