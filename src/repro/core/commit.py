@@ -20,15 +20,15 @@ are off the critical path.
 
 from __future__ import annotations
 
-from math import inf
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from repro.common.config import CommitConfig
 from repro.common.stats import CounterGroup
 from repro.obs.tracer import NULL_TRACER
 
 
-class CommitDecision(NamedTuple):
+@dataclass(frozen=True)
+class CommitDecision:
     """The decision and the inputs that produced it (for tests/analysis)."""
 
     commit: bool
@@ -71,13 +71,13 @@ class CommitPolicy:
         if quarantined:
             self.stats.inc("evictions")
             self.stats.inc("quarantine_vetoes")
-            decision = CommitDecision(False, -inf, stability, dirty)
+            decision = CommitDecision(False, float("-inf"), stability, dirty)
         elif self.config.commit_all:
             self.stats.inc("commits")
-            decision = CommitDecision(True, inf, stability, dirty)
+            decision = CommitDecision(True, float("inf"), stability, dirty)
         else:
             k = self.config.effective_k()
-            if k == inf:
+            if k == float("inf"):
                 benefit = stability
             else:
                 benefit = k * stability + dirty

@@ -291,15 +291,16 @@ class BaryonController(ServedSeam):
         (:class:`_RecordingPool`), so their transfers join the op's log.
         The hit, bypass and staging-fetch shapes are inlined, and so is
         the staging fetch's insert (:meth:`_stage_insert`): a free slot in
-        the bound or a candidate way, a fresh way, or a FIFO sub-block
-        replacement in a full way that is the set's LRU (any full way
-        without two-level replacement). A block-level replacement that
-        frees a fresh way calls :meth:`_block_level_replace`; regrouping a
-        bound block, Z-block stages and overflow re-inserts call
-        :meth:`_stage_insert`. Their traffic, row-buffer and
-        remap-cache outcomes are tallied in closure locals that
-        ``flush()`` folds into the real counters (the fast device's
-        ``fill_read_bytes`` of a FIFO writeback included).
+        the bound or a candidate way, or a fresh way. A FIFO sub-block
+        replacement in a full bound way that is the set's LRU (any full
+        bound way without two-level replacement) calls
+        :meth:`_sub_block_replace`, and a block-level replacement that
+        frees a fresh way calls :meth:`_block_level_replace`, before the
+        inline insert; regrouping a bound block, full candidate ways,
+        Z-block stages and overflow re-inserts call :meth:`_stage_insert`.
+        The inlined shapes' traffic, row-buffer and remap-cache outcomes
+        are tallied in closure locals that ``flush()`` folds into the real
+        counters.
 
         Observers are guarded branches, bound once per server:
 
@@ -374,11 +375,7 @@ class BaryonController(ServedSeam):
         miss_cap = stage.config.miss_counter_max()
         stage_allocate = stage.allocate
         stage_insert_range = stage.insert_range
-        stage_fifo_victim = stage.fifo_victim_slot
-        stage_remove_slot = stage.remove_slot
         two_level = self._two_level
-        obs = self._obs
-        obs_on = obs.enabled
         stage_tag_lookup = stage.tags.lookup
         stage_lookup_block = stage.lookup_block
         # Remap-cache inline-probe contract: see RemapCache.probe_state
@@ -427,7 +424,7 @@ class BaryonController(ServedSeam):
         # ---- tallies, folded by flush() ----
         t_reads = t_writes = tbl_reads = 0
         rc_total = rc_hit_t = rc_nm = rc_ne = 0
-        f_rb = f_nr = f_db = f_fb = f_wb = f_nw = 0
+        f_rb = f_nr = f_db = f_wb = f_nw = 0
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
 
@@ -508,7 +505,7 @@ class BaryonController(ServedSeam):
         def body(addr, is_write):
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_fb, f_wb, f_nw
+            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
 
             block_id = addr // block_size
@@ -867,12 +864,13 @@ class BaryonController(ServedSeam):
                         new_slot = RangeSlot(
                             cf=cf, dirty=is_write, blk_off=blk_off, sub_start=sub_start
                         )
-                        # _stage_insert: the free-slot, fresh-way and FIFO
-                        # sub-block shapes inline, a block-level replacement
-                        # that frees a fresh way through its helper, and the
-                        # regrouping one (and a subclass's own insert) via
-                        # the insert helper.
-                        ins_way = fifo_way = None
+                        # _stage_insert: the free-slot and fresh-way shapes
+                        # inline; a FIFO sub-block replacement in the full
+                        # bound way and a block-level replacement that frees
+                        # a fresh way through their helpers; every other
+                        # shape (and a subclass's own insert) via the insert
+                        # helper.
+                        ins_way = None
                         replace = False
                         if own_insert:
                             pass
@@ -881,7 +879,11 @@ class BaryonController(ServedSeam):
                                 ins_way = miss_way
                             elif not two_level or bound_entry.lru == 0:
                                 # The full bound way is the set's LRU.
-                                ins_way = fifo_way = miss_way
+                                recorded(
+                                    ctrl._sub_block_replace, 0.0, set_index,
+                                    miss_way, super_id,
+                                )
+                                ins_way = miss_way
                         elif share_phys:
                             candidates = stage_tag_lookup(
                                 set_index, super_id // stage_num_sets
@@ -895,20 +897,6 @@ class BaryonController(ServedSeam):
                                     ins_way = rng_choice(with_room)[0]
                                     if len(candidates) > 1:
                                         stats_inc("multi_block_super_stages")
-                                else:
-                                    # Every candidate is full: the LRU one
-                                    # takes the range.
-                                    for w, e in candidates:
-                                        if e.lru == 0:
-                                            ins_way = fifo_way = w
-                                            break
-                                    else:
-                                        if two_level:
-                                            replace = True
-                                        else:
-                                            ins_way = fifo_way = rng_choice(
-                                                candidates
-                                            )[0]
                             else:
                                 allocated = stage_allocate(super_id)
                                 if allocated is not None:
@@ -931,37 +919,6 @@ class BaryonController(ServedSeam):
                                     "block-level replacement freed no way"
                                 )
                             ins_way = allocated[1]
-                        elif fifo_way is not None:
-                            # _sub_block_replace, inlined: evict the way's
-                            # FIFO victim, writing dirty data back.
-                            victim = stage_remove_slot(
-                                set_index, fifo_way,
-                                stage_fifo_victim(set_index, fifo_way),
-                            )
-                            if victim.dirty and not victim.zero:
-                                wb_block = super_id * super_blocks + victim.blk_off
-                                if cwb:
-                                    wb = sub_size
-                                    ctrl._record_hint(wb_block, victim)
-                                else:
-                                    wb = victim.cf * sub_size
-                                if exact:
-                                    ctrl._bg_move(fast, slow, 0.0, wb)
-                                else:
-                                    f_rb += wb
-                                    f_nr += 1
-                                    f_fb += wb
-                                    rec_log.append((1, wb, False, 0.0))
-                                    s_wb += wb
-                                    s_nw += 1
-                                    rec_log.append((0, wb, False, 0.0))
-                                stats_inc("stage_dirty_writebacks")
-                                if obs_on:
-                                    obs.emit(
-                                        "writeback", block=wb_block, bytes=wb,
-                                        kind="stage_dirty",
-                                    )
-                            stats_inc("sub_block_replacements")
                         if ins_way is not None:
                             stage_insert_range(set_index, ins_way, new_slot)
                             # stage.touch with the exact-rank MRU shortcut.
@@ -1074,7 +1031,7 @@ class BaryonController(ServedSeam):
         def flush():
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_fb, f_wb, f_nw
+            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
             nonlocal rb_h, rb_m, rb_p, rb_a
             if t_reads or t_writes:
@@ -1091,10 +1048,9 @@ class BaryonController(ServedSeam):
                 fast._n_read_bytes += f_rb
                 fast._n_reads += f_nr
                 fast._n_demand_read_bytes += f_db
-                fast._n_fill_read_bytes += f_fb
                 fast._n_write_bytes += f_wb
                 fast._n_writes += f_nw
-                f_rb = f_nr = f_db = f_fb = f_wb = f_nw = 0
+                f_rb = f_nr = f_db = f_wb = f_nw = 0
             if s_nr or s_nw:
                 slow._n_read_bytes += s_rb
                 slow._n_reads += s_nr
@@ -1458,9 +1414,14 @@ class BaryonController(ServedSeam):
         """Pick the fast block space a commit takes, and take it: the
         fully-associative FIFO pointer moves past the chosen way."""
         way, state = self._peek_commit_victim(fa_set)
+        self._take_commit_way(way)
+        return way, state
+
+    def _take_commit_way(self, way: int) -> None:
+        """A commit takes ``way``: the fully-associative FIFO pointer
+        moves past it."""
         if self._fully_assoc:
             self._fa_victim_ptr = way + 1
-        return way, state
 
     def _fa_next_victim(self) -> int:
         """FIFO victim for the fully-associative organization.
@@ -1740,12 +1701,13 @@ class BaryonController(ServedSeam):
         for slot in entry.slots:
             if slot is not None:
                 self._writeback_stage_slot(now, set_index, super_id, slot)
-        slots = self.stage.invalidate(set_index, way)
+        tracker = self.tracker
+        staged = entry.blocks_present() if tracker is not None else ()
+        self.stage.invalidate(set_index, way)
         self._stats.inc("stage_evictions")
-        if self.tracker is not None:
-            base = super_id * self._bps
-            for blk_off in sorted({s.blk_off for s in slots if s is not None}):
-                self.tracker.block_unstaged(base + blk_off, committed=False)
+        base = super_id * self._bps
+        for blk_off in staged:
+            tracker.block_unstaged(base + blk_off, committed=False)
 
     # --------------------------------------------------------------- commit
     def _commit_stage_block(
@@ -1770,8 +1732,7 @@ class BaryonController(ServedSeam):
         entry = stage.tags.entries[set_index][way]
         fa = self.fast_area
         fa_set = super_id % fa.num_sets
-        if self._fully_assoc:
-            self._fa_victim_ptr = target_way + 1
+        self._take_commit_way(target_way)
         if occupant is not None:
             self._evict_fast_block(now, fa_set, target_way, for_commit=True)
         displaced = (

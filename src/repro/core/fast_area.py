@@ -197,11 +197,7 @@ class FastArea:
         self._clock += 1
         state.stamp = self._clock
         self.blocks[set_index][way] = state
-        ways = self._ways_of_super.get(state.super_id)
-        if ways is None:
-            self._ways_of_super[state.super_id] = [way]
-        else:
-            insort(ways, way)
+        insort(self._ways_of_super.setdefault(state.super_id, []), way)
         self.stats.inc("installs")
 
     def remove(self, set_index: int, way: int) -> FastBlockState:

@@ -14,9 +14,9 @@ Mechanics only — the *policies* (what to fetch, when to commit) live in
   ``stage_block`` maps a staged ``block_id`` to ``[way, slots, subs]``,
   the way holding its ranges, how many slots they take, and per
   sub-block the index of the slot covering it (None when unstaged).
-  Rule 3 (one block's ranges live in one way) and non-overlapping ranges
-  make the index answer what a way x slot scan would; :meth:`verify`
-  checks that;
+  Rule 3 (one block's ranges live in one way) and non-overlapping ranges,
+  which :meth:`insert_range` enforces, make the index answer what a
+  way x slot scan would; :meth:`verify` checks that;
 * the per-entry MissCnt and per-set MRUMissCnt counters with their
   right-shift aging every ``aging_period_accesses`` set accesses
   (Sec. III-E), which feed the Eq. 1 commit benefit.
@@ -219,20 +219,31 @@ class StageArea:
         return block_id, range(slot.sub_start, slot.sub_start + slot.cf)
 
     def insert_range(self, set_index: int, way: int, slot: RangeSlot) -> int:
-        """Place a range into the lowest free slot; caller ensured room
-        and kept Rule 3 (the block has no ranges in another way)."""
+        """Place a range into the lowest free slot.
+
+        Raises :class:`LayoutError`, changing nothing, when the way is
+        full, when the block has ranges in another way (Rule 3), or when
+        the range covers a sub-block that is already staged.
+        """
         entry = self.tags.entries[set_index][way]
         free = entry.free_slot()
         if free is None:
             raise LayoutError("insert_range into a full stage block")
-        entry.slots[free] = slot
-        entry.used += 1
         block_id, covered = self._index_of(set_index, entry, slot)
         ref = self.stage_block.get(block_id)
         if ref is None:
             ref = self.stage_block[block_id] = [way, 0, [None] * self._spb]
-        ref[1] += 1
+        elif ref[0] != way:
+            raise LayoutError(
+                f"block {block_id} is staged in way {ref[0]}, not {way} (Rule 3)"
+            )
         subs = ref[2]
+        for sub in covered:
+            if subs[sub] is not None:
+                raise LayoutError(f"sub-block {sub} of block {block_id} is staged")
+        entry.slots[free] = slot
+        entry.used += 1
+        ref[1] += 1
         for sub in covered:
             subs[sub] = free
         if self.obs.enabled:

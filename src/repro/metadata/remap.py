@@ -31,29 +31,6 @@ def _mask(bits: int) -> int:
     return (1 << bits) - 1
 
 
-#: Remap bits that CF bits mark, a byte of CF bits per lookup:
-#: ``_PAIR_BITS[b]`` widens each bit ``j`` of ``b`` to bits ``2j, 2j+1``
-#: (a CF2 pair's sub-blocks, or the CF2 bits of a CF4 quad), and
-#: ``_QUAD_BITS[b]`` to bits ``4j..4j+3`` (a CF4 quad's sub-blocks).
-_PAIR_BITS = tuple(
-    sum(0b11 << (2 * j) for j in range(8) if b >> j & 1) for b in range(256)
-)
-_QUAD_BITS = tuple(
-    sum(0xF << (4 * j) for j in range(8) if b >> j & 1) for b in range(256)
-)
-
-
-def _widen(bits: int, table: tuple, width: int) -> int:
-    """``bits`` widened through ``table``, a byte at a time (``width``:
-    output bits per input byte)."""
-    out = shift = 0
-    while bits:
-        out |= table[bits & 0xFF] << shift
-        bits >>= 8
-        shift += width
-    return out
-
-
 @dataclass(slots=True)
 class RemapEntry:
     """Compact per-block remap metadata.
@@ -75,47 +52,53 @@ class RemapEntry:
     #: the Baryon-64B variant. Non-default widths change the bit budget.
     num_subs: int = 8
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         n = self.num_subs
-        remap, cf2, cf4 = self.remap, self.cf2, self.cf4
         # Fast accept for the all-clear entry: RemapTable.get constructs one
         # per probe of an unremapped block, and every check below passes
         # trivially when no field is set.
-        if n == 8 and not (self.zero or remap or self.pointer or cf2 or cf4):
+        if (
+            n == 8
+            and not self.zero
+            and self.remap == 0
+            and self.pointer == 0
+            and self.cf2 == 0
+            and self.cf4 == 0
+        ):
             return
         if n < 4 or n % 4:
             raise MetadataError("num_subs must be a multiple of 4")
-        pair_mask = (1 << (n >> 1)) - 1
-        quad_mask = (1 << (n >> 2)) - 1
-        if not 0 <= remap < (1 << n):
+        if not 0 <= self.remap <= _mask(n):
             raise MetadataError("Remap bits out of range")
-        if not 0 <= cf2 <= pair_mask or not 0 <= cf4 <= quad_mask:
+        if not 0 <= self.cf2 <= _mask(n // 2) or not 0 <= self.cf4 <= _mask(n // 4):
             raise MetadataError("CF2/CF4 bits out of range")
         if self.pointer < 0:
             raise MetadataError("Pointer must be non-negative")
         if self.zero:
             return
-        if cf2 == pair_mask and cf4 == quad_mask:
+        if self.cf2 == _mask(n // 2) and self.cf4 == _mask(n // 4):
             raise MetadataError("CF2/CF4 all-ones is reserved for the zero state")
-        if remap == 0:
+        if self.remap == 0:
             # Hint state (Sec. III-F): after a compressed fast-to-slow
             # writeback the Remap bits are cleared but CF2/CF4 persist as
             # slow-to-stage prefetch and compression hints.
             return
-        # Each CF4 quad and CF2 pair must be fully remapped, and no CF2
-        # pair may lie inside a CF4 quad.
-        if cf4:
-            quads = _QUAD_BITS[cf4] if cf4 < 256 else _widen(cf4, _QUAD_BITS, 32)
-            if quads & ~remap:
-                raise MetadataError(f"CF4 quads {cf4:#b} not fully remapped")
-            if cf2 & (_PAIR_BITS[cf4] if cf4 < 256 else _widen(cf4, _PAIR_BITS, 16)):
-                raise MetadataError(f"CF2 bits {cf2:#b} overlap CF4 quads {cf4:#b}")
-        if cf2:
-            pairs = _PAIR_BITS[cf2] if cf2 < 256 else _widen(cf2, _PAIR_BITS, 16)
-            if pairs & ~remap:
-                raise MetadataError(f"CF2 pairs {cf2:#b} not fully remapped")
-
-    __post_init__ = validate
+        for q in range(n // 4):
+            if (self.cf4 >> q) & 1:
+                quad_mask = 0xF << (4 * q)
+                if (self.remap & quad_mask) != quad_mask:
+                    raise MetadataError(f"CF4 quad {q} not fully remapped")
+                pair_mask = 0b11 << (2 * q)
+                if self.cf2 & pair_mask:
+                    raise MetadataError(f"CF2 bits overlap CF4 quad {q}")
+        for pair in range(n // 2):
+            if (self.cf2 >> pair) & 1:
+                pair_mask = 0b11 << (2 * pair)
+                if (self.remap & pair_mask) != pair_mask:
+                    raise MetadataError(f"CF2 pair {pair} not fully remapped")
 
     # -- queries -----------------------------------------------------------
     @property
@@ -275,7 +258,7 @@ class RemapTable:
     def set(self, block_id: int, entry: RemapEntry) -> None:
         # Every entry self-validates in ``__post_init__``; re-validating
         # here would only re-check an already-accepted construction.
-        if entry.zero or entry.remap:
+        if entry.is_remapped:
             self._entries[block_id] = entry
         else:
             self._entries.pop(block_id, None)

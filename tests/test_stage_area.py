@@ -70,6 +70,23 @@ class TestAllocation:
         assert stage.lookup_sub_block(5, 0, 0) is None
         stage.verify()
 
+    def test_insert_rejects_overlap_and_split_blocks(self, stage):
+        s, w = alloc(stage, 5)
+        _, w2 = alloc(stage, 5)  # a second way of the same super-block
+        stage.insert_range(s, w, RangeSlot(cf=2, blk_off=1, sub_start=4))
+        with pytest.raises(LayoutError, match="is staged"):
+            stage.insert_range(s, w, RangeSlot(cf=1, blk_off=1, sub_start=5))
+        with pytest.raises(LayoutError, match="is staged"):
+            stage.insert_range(s, w, RangeSlot(zero=True, blk_off=1))
+        with pytest.raises(LayoutError, match="Rule 3"):
+            stage.insert_range(s, w2, RangeSlot(cf=1, blk_off=1, sub_start=0))
+        assert stage.entry(s, w).used == 1 and stage.entry(s, w2).used == 0
+        stage.verify()
+        # Other blocks and the block's free sub-blocks still go in.
+        stage.insert_range(s, w2, RangeSlot(cf=1, blk_off=2, sub_start=0))
+        stage.insert_range(s, w, RangeSlot(cf=2, blk_off=1, sub_start=6))
+        stage.verify()
+
 
 class TestUsedCount:
     def test_mutation_sites_keep_used_exact(self, stage):

@@ -1,7 +1,9 @@
 """Hypothesis stateful testing of the stage area's replacement metadata.
 
 Random interleavings of allocate / touch / insert / remove / FIFO-evict /
-invalidate must preserve the invariants the controller relies on:
+invalidate must preserve the invariants the controller relies on (an
+insert that breaks Rule 3 or overlaps a staged range must raise and
+change nothing):
 
 * LRU ranks are a permutation of 0..valid-1 (exactly representable in the
   entry's 3 bits);
@@ -11,11 +13,13 @@ invalidate must preserve the invariants the controller relies on:
 * the staged-data index (``stage_block``) stays exact.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.common.config import Geometry, StageConfig
+from repro.common.errors import LayoutError
 from repro.core.stage_area import StageArea
 from repro.metadata.stage_tag import RangeSlot
 
@@ -56,24 +60,44 @@ class StageAreaMachine(RuleBasedStateMachine):
         assert self.stage.mru_way(self.set_index) == way
 
     @precondition(lambda self: self._valid_ways())
+    @rule(data=st.data())
+    def allocate_shared(self, data):
+        # A second way for a super-block already staged (physical-block
+        # sharing), so inserts can try to split a block across ways.
+        way = data.draw(st.sampled_from(self._valid_ways()))
+        tag = self.stage.entry(self.set_index, way).tag
+        self.stage.allocate(tag * self.stage.num_sets + self.set_index)
+
+    @precondition(lambda self: self._valid_ways())
     @rule(data=st.data(), cf=st.sampled_from([1, 2, 4]), blk=st.integers(0, 7), pos=st.integers(0, 7))
     def insert(self, data, cf, blk, pos):
         way = data.draw(st.sampled_from(self._valid_ways()))
         entry = self.stage.entry(self.set_index, way)
-        if entry.free_slot() is None:
-            return
         start = (pos // cf) * cf % 8
         start = (start // cf) * cf
-        # The controller never stages a sub-block twice (ranges do not
-        # overlap); the index relies on it.
-        super_id = entry.tag * self.stage.num_sets + self.set_index
-        if any(
-            self.stage.lookup_sub_block(super_id, blk, sub) is not None
-            for sub in range(start, start + cf)
-        ):
-            return
         slot = RangeSlot(cf=cf, blk_off=blk, sub_start=start)
-        self.stage.insert_range(self.set_index, way, slot)
+        # The area rejects a full way, a block with ranges in another way
+        # (Rule 3) and a range over an already staged sub-block; the
+        # expectation comes from a scan of the set's slots.
+        rejected = entry.free_slot() is None
+        for other_way in self._valid_ways():
+            other = self.stage.entry(self.set_index, other_way)
+            if other.tag != entry.tag:
+                continue
+            for staged in other.slots:
+                if staged is None or staged.blk_off != blk:
+                    continue
+                if other_way != way:
+                    rejected = True
+                elif staged.sub_start < start + cf and start < staged.sub_start + staged.cf:
+                    rejected = True
+        if rejected:
+            before = (list(entry.slots), entry.used)
+            with pytest.raises(LayoutError):
+                self.stage.insert_range(self.set_index, way, slot)
+            assert (list(entry.slots), entry.used) == before
+        else:
+            self.stage.insert_range(self.set_index, way, slot)
 
     @precondition(lambda self: any(
         self.stage.entry(0, w).valid and self.stage.entry(0, w).used
