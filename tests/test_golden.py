@@ -14,8 +14,8 @@ progress-plus-spans runs of every design must reproduce the unobserved
 digests, and the exported latency histogram and serve-rate/IPC series
 of every design's metered cell are pinned too. The ``events`` corpus
 holds one SHA-256 per traced run over its JSONL event stream: every
-design on YCSB-B, Baryon with faults, the checker and the row buffer
-armed, and Baryon keeping one event in three.
+design on YCSB-B, Baryon with faults and the checker armed, and Baryon
+keeping one event in three.
 
 Simple, Unison, DICE, Baryon and Hybrid2 are further pinned access by
 access:
@@ -171,14 +171,9 @@ METERED_DESIGNS = DESIGNS
 
 
 def _armed(config):
-    """``repro trace --faults read=1e-2,row=1e-2 --check-invariants`` with
-    the row-buffer model on, so fault, recovery, checker and row-buffer
-    events all join the stream."""
-    config = _with_resilience(
-        p_read_transient=1e-2, p_row_glitch=1e-2, check_invariants=True,
-    )(config)
-    timings = dataclasses.replace(config.timings, model_row_buffer=True)
-    return dataclasses.replace(config, timings=timings)
+    """``repro trace --faults read=1e-2 --check-invariants``, so fault,
+    recovery and checker events all join the stream."""
+    return _with_resilience(p_read_transient=1e-2, check_invariants=True)(config)
 
 
 #: Baryon traced-run variants: ``(config transform, sample_every)``.
