@@ -1,22 +1,18 @@
 """Extension studies beyond the paper's figures (Sec. III-E/III-F themes).
 
-Three ablations the paper discusses qualitatively but does not plot:
+Two ablations the paper discusses qualitatively but does not plot:
 
 * **Associativity** (Sec. III-F "Supporting high associativities"): Baryon
   at 1/2/4/8 fast ways per set (the paper picks 4 and argues higher
   associativities are easy because it already uses a forward remap table);
 * **Fast-area eviction policy** (Sec. III-E: "LRU, LFU, CLOCK, and even
-  random" are interchangeable);
-* **DRAM row-buffer modelling**: the open-page bank model versus the flat
-  array latency, showing how much row locality the designs' fast-memory
-  streams retain.
+  random" are interchangeable).
 """
 
 import dataclasses
 
 from repro.analysis import run_one
 from repro.analysis.report import format_series
-from repro.common.config import MemoryTimings
 from repro.common.stats import geometric_mean
 
 from common import N_ACCESSES, bench_system, bench_workloads, emit
@@ -53,23 +49,10 @@ def run_extensions():
     sections.append(
         format_series("Fast-area eviction policy (normalized to LRU)", points)
     )
-
-    rb_cfg = dataclasses.replace(
-        config, timings=MemoryTimings(model_row_buffer=True)
-    )
-    sections.append(
-        format_series(
-            "DRAM row-buffer model (normalized to flat array latency)",
-            [
-                ("flat latency (default)", 1.0),
-                ("open-page banks", geomean_ipc(rb_cfg, sim_config, workloads) / base),
-            ],
-        )
-    )
     return "\n\n".join(sections)
 
 
 def test_extension_studies(benchmark):
     text = benchmark.pedantic(run_extensions, rounds=1, iterations=1)
     emit("extensions", text)
-    assert "Associativity" in text and "row-buffer" in text
+    assert "Associativity" in text and "eviction policy" in text

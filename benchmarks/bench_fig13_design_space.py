@@ -11,6 +11,7 @@
 """
 
 import dataclasses
+import math
 
 from repro.analysis import run_one
 from repro.analysis.report import format_series
@@ -78,7 +79,7 @@ def run_fig13():
         ("k = 1", CommitConfig(k=1.0)),
         ("k = 2", CommitConfig(k=2.0)),
         ("k = 4 (default)", CommitConfig(k=4.0)),
-        ("k = inf (stability only)", CommitConfig(stability_only=True)),
+        ("k = inf (stability only)", CommitConfig(k=math.inf)),
         ("commit-all", CommitConfig(commit_all=True)),
     ]:
         cfg = dataclasses.replace(config, commit=commit)

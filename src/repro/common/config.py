@@ -18,7 +18,6 @@ of aliasing bugs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -169,7 +168,6 @@ class HierarchyConfig:
     """Table I processor-side configuration."""
 
     cores: int = 16
-    frequency_ghz: float = 3.2
     l1d: CacheGeometry = field(
         default_factory=lambda: CacheGeometry("L1D", 64 * KB, 8, latency_cycles=4)
     )
@@ -182,7 +180,6 @@ class HierarchyConfig:
 
     def __post_init__(self) -> None:
         _require(self.cores > 0, "cores must be positive")
-        _require(self.frequency_ghz > 0, "frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -195,9 +192,6 @@ class MemoryTimings:
     """
 
     frequency_ghz: float = 3.2
-    #: Model the DRAM open-page row buffer (per-bank state) for the fast
-    #: memory's demand accesses instead of a fixed array latency.
-    model_row_buffer: bool = False
     # Fast memory: DDR4-3200, 4 channels x 2 ranks x 16 banks.
     fast_channels: int = 4
     fast_read_latency_cycles: int = 44  # ~tRCD+tCAS at 3.2 GHz core clock
@@ -340,16 +334,18 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class CommitConfig:
-    """Selective commit policy (Eq. 1). ``k=None`` means k = infinity."""
+    """Selective commit policy (Eq. 1). ``k = math.inf`` weighs the
+    bandwidth term not at all: the stability-only policy of Fig. 13d."""
 
     k: float = 4.0
     commit_all: bool = False
-    stability_only: bool = False
 
-    def effective_k(self) -> float:
-        if self.stability_only:
-            return math.inf
-        return self.k
+    def __post_init__(self) -> None:
+        # NaN fails ``k >= 0`` as well.
+        _require(
+            isinstance(self.k, (int, float)) and self.k >= 0,
+            f"commit k must be a non-negative number or math.inf, got {self.k!r}",
+        )
 
 
 @dataclass(frozen=True)
@@ -382,9 +378,6 @@ class ResilienceConfig:
     #: adds ``latency_spike_cycles`` to an affected read's array latency.
     p_latency_spike: float = 0.0
     latency_spike_cycles: int = 500
-    #: DRAM row glitch: the open-row state is lost and the access pays a
-    #: full precharge + activate reopen penalty (latency only).
-    p_row_glitch: float = 0.0
     #: Bounded retry with exponential backoff for transient faults:
     #: attempt ``i`` adds ``backoff_base_cycles * 2**i`` latency; after
     #: ``max_retries`` retries the block is quarantined.
@@ -397,7 +390,7 @@ class ResilienceConfig:
         for name in (
             "p_read_transient", "p_write_drop", "p_remap_corruption",
             "p_stage_tag_corruption", "p_table_corruption",
-            "p_latency_spike", "p_row_glitch",
+            "p_latency_spike",
         ):
             value = getattr(self, name)
             _require(0.0 <= value <= 1.0, f"{name} must be in [0, 1]")
@@ -417,7 +410,7 @@ class ResilienceConfig:
             for name in (
                 "p_read_transient", "p_write_drop", "p_remap_corruption",
                 "p_stage_tag_corruption", "p_table_corruption",
-                "p_latency_spike", "p_row_glitch",
+                "p_latency_spike",
             )
         )
 

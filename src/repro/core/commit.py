@@ -76,7 +76,7 @@ class CommitPolicy:
             self.stats.inc("commits")
             decision = CommitDecision(True, float("inf"), stability, dirty)
         else:
-            k = self.config.effective_k()
+            k = self.config.k
             if k == float("inf"):
                 benefit = stability
             else:

@@ -182,8 +182,6 @@ class BaryonController(ServedSeam):
                 self.faults = FaultInjector(FaultPlan.from_config(res))
                 self.devices.fast.faults = self.faults
                 self.devices.slow.faults = self.faults
-                if self.devices.fast.row_buffer is not None:
-                    self.devices.fast.row_buffer.faults = self.faults
                 self.remap_cache.faults = self.faults
                 self.stage.faults = self.faults
             if res.check_invariants:
@@ -298,20 +296,19 @@ class BaryonController(ServedSeam):
         frees a fresh way calls :meth:`_block_level_replace`, before the
         inline insert; regrouping a bound block, full candidate ways,
         Z-block stages and overflow re-inserts call :meth:`_stage_insert`.
-        The inlined shapes' traffic, row-buffer and remap-cache outcomes
-        are tallied in closure locals that ``flush()`` folds into the real
-        counters.
+        The inlined shapes' traffic and remap-cache outcomes are tallied
+        in closure locals that ``flush()`` folds into the real counters.
 
         Observers are guarded branches, bound once per server:
 
-        * *exact* mode, when faults are armed or the remap cache or row
-          buffer is traced: the remap cache is probed through
+        * *exact* mode, when faults are armed or the remap cache is
+          traced: the remap cache is probed through
           :meth:`RemapCache.access` (repairing corruption), the lookups
           that draw faults run (``_table_get``, ``lookup_block``), and
           every transfer goes through ``_dev_read``/``_dev_write`` against
-          the recorders. Each site's fault draws, retries and row-buffer
-          outcomes then happen in the scalar order, and a transfer whose
-          retries run out raises before any later state change;
+          the recorders. Each site's fault draws and retries then happen
+          in the scalar order, and a transfer whose retries run out
+          raises before any later state change;
         * quarantined super-blocks and ``_degraded`` service;
         * the stage-phase tracker;
         * a subclass's own ``_stage_insert`` (the content oracle) in
@@ -328,14 +325,11 @@ class BaryonController(ServedSeam):
         rc = self.remap_cache
         fast = self.devices.fast
         slow = self.devices.slow
-        rb = fast.row_buffer
         fa = self.fast_area
         stage = self.stage
         tracker = self.tracker
         recovery = self.recovery
-        exact = self.faults is not None or rc.obs.enabled or (
-            rb is not None and rb.obs.enabled
-        )
+        exact = self.faults is not None or rc.obs.enabled
         own_insert = type(self)._stage_insert is not BaryonController._stage_insert
 
         g = self.geometry
@@ -400,15 +394,6 @@ class BaryonController(ServedSeam):
         s_write_lat = slow.write_latency
         #: A fault-free remap-table probe: at the op's clock, plain latency.
         rc_miss_op = (0.0, f_read_lat)
-        if rb is not None:
-            rb_open = rb._open_rows
-            rb_row_bytes = rb.row_bytes
-            rb_banks = rb.channels * rb.banks_per_channel
-            rb_cas = rb.t_cas
-            rb_pre_lat = rb.t_rp + rb.t_rcd + rb.t_cas
-            rb_act_lat = rb.t_rcd + rb.t_cas
-        else:
-            rb_open = None
         STAGE_HIT = AccessCase.STAGE_HIT
         COMMIT_HIT = AccessCase.COMMIT_HIT
         STAGE_MISS = AccessCase.STAGE_MISS
@@ -426,7 +411,6 @@ class BaryonController(ServedSeam):
         rc_total = rc_hit_t = rc_nm = rc_ne = 0
         f_rb = f_nr = f_db = f_wb = f_nw = 0
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
-        rb_h = rb_m = rb_p = rb_a = 0
 
         def recorded(helper, *args):
             """Run a movement helper against the recording pools."""
@@ -438,26 +422,7 @@ class BaryonController(ServedSeam):
             finally:
                 fast.pool, slow.pool = saved
 
-        def row(a_addr):
-            """Inlined :meth:`RowBufferModel.access` (no faults or
-            tracing); returns the array latency."""
-            nonlocal rb_h, rb_m, rb_p, rb_a
-            r = a_addr // rb_row_bytes
-            bank = r % rb_banks
-            r //= rb_banks
-            prev = rb_open.get(bank)
-            if prev == r:
-                rb_h += 1
-                return rb_cas
-            rb_open[bank] = r
-            rb_m += 1
-            if prev is not None:
-                rb_p += 1
-                return rb_pre_lat
-            rb_a += 1
-            return rb_act_lat
-
-        def demand(pid, nbytes, is_write, a_addr=None):
+        def demand(pid, nbytes, is_write):
             """Log a recorded op's demand transfer; ``(index, array
             latency)``. Exact mode goes through the retry wrappers."""
             nonlocal f_rb, f_nr, f_db, f_wb, f_nw, s_rb, s_nr, s_db, s_wb, s_nw
@@ -465,9 +430,9 @@ class BaryonController(ServedSeam):
             device = fast if pid else slow
             if exact:
                 if is_write:
-                    access = ctrl._dev_write(device, 0.0, nbytes, a_addr)
+                    access = ctrl._dev_write(device, 0.0, nbytes)
                 else:
-                    access = ctrl._dev_read(device, 0.0, nbytes, addr=a_addr)
+                    access = ctrl._dev_read(device, 0.0, nbytes)
                 return di, access.latency_cycles
             rec_log.append((pid, nbytes, not is_write, 0.0))
             if is_write:
@@ -485,8 +450,6 @@ class BaryonController(ServedSeam):
                 s_rb += nbytes
                 s_nr += 1
                 s_db += nbytes
-            if pid and a_addr is not None and rb_open is not None:
-                return di, row(a_addr)
             if is_write:
                 return di, f_write_lat if pid else s_write_lat
             return di, f_read_lat if pid else s_read_lat
@@ -595,16 +558,15 @@ class BaryonController(ServedSeam):
                         ctrl._stage_zero_write, 0.0, set_index, way, slot_idx,
                         block_id, blk_off, sub_idx,
                     )
-                    di, arr = demand(1, cl_size, True, block_id * block_size)
+                    di, arr = demand(1, cl_size, True)
                     overflow = True
                 elif is_write:
-                    a_addr = block_id * block_size + sub_idx * sub_size
                     if exact:
-                        di, arr = demand(1, cl_size, True, a_addr)
+                        di, arr = demand(1, cl_size, True)
                     else:
                         f_wb += cl_size
                         f_nw += 1
-                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        arr = f_write_lat
                         dev, nbytes = 3, cl_size
                     slot.dirty = True
                     cf = slot.cf
@@ -667,13 +629,12 @@ class BaryonController(ServedSeam):
                     di, arr = demand(0, cl_size, True)
                     overflow = True
                 elif is_write:
-                    a_addr = block_id * block_size + sub_idx * sub_size
                     if exact:
-                        di, arr = demand(1, cl_size, True, a_addr)
+                        di, arr = demand(1, cl_size, True)
                     else:
                         f_wb += cl_size
                         f_nw += 1
-                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        arr = f_write_lat
                         dev, nbytes = 3, cl_size
                     state.dirty_subs.add((blk_off, sub_idx))
                     if (
@@ -739,19 +700,18 @@ class BaryonController(ServedSeam):
                         dev, nbytes, arr = 2, cl_size, s_read_lat
                 elif case is FAST_HOME:
                     # Flat scheme: resident home block, served in place.
-                    a_addr = block_id * block_size
                     if exact:
-                        di, arr = demand(1, cl_size, is_write, a_addr)
+                        di, arr = demand(1, cl_size, is_write)
                     elif is_write:
                         f_wb += cl_size
                         f_nw += 1
-                        arr = f_write_lat if rb_open is None else row(a_addr)
+                        arr = f_write_lat
                         dev, nbytes = 3, cl_size
                     else:
                         f_rb += cl_size
                         f_nr += 1
                         f_db += cl_size
-                        arr = f_read_lat if rb_open is None else row(a_addr)
+                        arr = f_read_lat
                         dev, nbytes = 1, cl_size
                     fa._clock += 1
                     home_stamps[block_id] = fa._clock
@@ -946,14 +906,13 @@ class BaryonController(ServedSeam):
             if read:
                 # Cases 1/2: the demand read of the (compressed) chunk.
                 nbytes = cl_size if (cf <= 1 or ca) else sub_size
-                a_addr = block_id * block_size + sub_idx * sub_size
                 if exact:
-                    di, arr = demand(1, nbytes, False, a_addr)
+                    di, arr = demand(1, nbytes, False)
                 else:
                     f_rb += nbytes
                     f_nr += 1
                     f_db += nbytes
-                    arr = f_read_lat if rb_open is None else row(a_addr)
+                    arr = f_read_lat
                     dev = 1
                 if cf > 1:
                     decomp = decomp_f
@@ -1033,7 +992,6 @@ class BaryonController(ServedSeam):
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
             nonlocal f_rb, f_nr, f_db, f_wb, f_nw
             nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
-            nonlocal rb_h, rb_m, rb_p, rb_a
             if t_reads or t_writes:
                 n_rw[0] += t_reads
                 n_rw[1] += t_writes
@@ -1059,18 +1017,6 @@ class BaryonController(ServedSeam):
                 slow._n_write_bytes += s_wb
                 slow._n_writes += s_nw
                 s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
-            if rb_h:
-                rb.stats.inc("row_hits", rb_h)
-                rb_h = 0
-            if rb_m:
-                rb.stats.inc("row_misses", rb_m)
-                rb_m = 0
-                if rb_p:
-                    rb.stats.inc("precharges", rb_p)
-                    rb_p = 0
-                if rb_a:
-                    rb.stats.inc("activations", rb_a)
-                    rb_a = 0
 
         if exact or tracker is not None or recovery is not None:
             return guarded, flush
@@ -1122,18 +1068,17 @@ class BaryonController(ServedSeam):
         return replay
 
     # --------------------------------------------------- recovery paths
-    def _dev_read(self, device, now: float, nbytes: int, *, demand: bool = True,
-                  addr: Optional[int] = None):
+    def _dev_read(self, device, now: float, nbytes: int, *, demand: bool = True):
         """Device read, through bounded retry when recovery is armed."""
         if self.recovery is not None and self.faults is not None:
-            return self.recovery.retry_read(device, now, nbytes, demand=demand, addr=addr)
-        return device.read(now, nbytes, demand=demand, addr=addr)
+            return self.recovery.retry_read(device, now, nbytes, demand=demand)
+        return device.read(now, nbytes, demand=demand)
 
-    def _dev_write(self, device, now: float, nbytes: int, addr: Optional[int] = None):
+    def _dev_write(self, device, now: float, nbytes: int):
         """Device write, through bounded retry when recovery is armed."""
         if self.recovery is not None and self.faults is not None:
-            return self.recovery.retry_write(device, now, nbytes, addr=addr)
-        return device.write(now, nbytes, addr=addr)
+            return self.recovery.retry_write(device, now, nbytes)
+        return device.write(now, nbytes)
 
     def _bg_read(self, device, now: float, nbytes: int) -> None:
         """Fill-side read whose timing outcome is discarded.

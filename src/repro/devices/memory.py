@@ -41,6 +41,11 @@ class MemoryDevice:
     demand reads, which is how bandwidth bloat turns into lost performance.
     """
 
+    #: No device models a row buffer. perfbench's ``_count_run``
+    #: (``perfbench/layers.py``) still reads this attribute; the constant
+    #: goes when that benchmark change lands (ROADMAP item 3).
+    row_buffer = None
+
     def __init__(
         self,
         name: str,
@@ -48,7 +53,6 @@ class MemoryDevice:
         write_latency: float,
         channels: int,
         cycles_per_byte: float,
-        row_buffer: "RowBufferModel | None" = None,
     ) -> None:
         from repro.devices.channel import ChannelPool
 
@@ -56,11 +60,6 @@ class MemoryDevice:
         self.read_latency = read_latency
         self.write_latency = write_latency
         self.pool = ChannelPool(channels, cycles_per_byte)
-        #: Optional open-page bank model (DRAM): when present, the array
-        #: latency comes from row-buffer hit/miss state instead of the
-        #: fixed ``read_latency``/``write_latency``, and activation counts
-        #: feed the ACT/PRE energy term.
-        self.row_buffer = row_buffer
         self._stats = CounterGroup(name)
         # Deferred traffic counters, folded into ``stats`` on read.
         self._n_reads = 0
@@ -97,20 +96,9 @@ class MemoryDevice:
             self._n_write_bytes = 0
         return self._stats
 
-    def _array_latency(self, addr: int | None, base: float) -> float:
-        if self.row_buffer is None or addr is None:
-            return base
-        return self.row_buffer.access(addr)
-
-    def read(
-        self, now: float, nbytes: int, *, demand: bool = True, addr: int | None = None
-    ) -> DeviceAccess:
+    def read(self, now: float, nbytes: int, *, demand: bool = True) -> DeviceAccess:
         """Read ``nbytes``; demand reads are the latency-critical ones and
-        are prioritized by the channel scheduler (FR-FCFS-style).
-
-        ``addr`` enables the row-buffer model when one is attached; calls
-        without an address fall back to the fixed array latency.
-        """
+        are prioritized by the channel scheduler (FR-FCFS-style)."""
         spike = 0.0
         if self.faults is not None and self.faults.active:
             spike = self.faults.on_read(self.name)
@@ -121,11 +109,9 @@ class MemoryDevice:
             self._n_demand_read_bytes += nbytes
         else:
             self._n_fill_read_bytes += nbytes
-        return DeviceAccess(
-            self._array_latency(addr, self.read_latency) + spike, queue, transfer
-        )
+        return DeviceAccess(self.read_latency + spike, queue, transfer)
 
-    def write(self, now: float, nbytes: int, addr: int | None = None) -> DeviceAccess:
+    def write(self, now: float, nbytes: int) -> DeviceAccess:
         """Write ``nbytes``; writes are posted (off the critical path) but
         still occupy channel bandwidth."""
         if self.faults is not None and self.faults.active:
@@ -133,7 +119,7 @@ class MemoryDevice:
         queue, transfer = self.pool.transfer(now, nbytes)
         self._n_write_bytes += nbytes
         self._n_writes += 1
-        return DeviceAccess(self._array_latency(addr, self.write_latency), queue, transfer)
+        return DeviceAccess(self.write_latency, queue, transfer)
 
     def credit_traffic(
         self,
@@ -179,22 +165,14 @@ class HybridMemoryDevices:
     """
 
     def __init__(self, timings: MemoryTimings | None = None) -> None:
-        from repro.devices.rowbuffer import RowBufferModel
-
         self.timings = timings or MemoryTimings()
         t = self.timings
-        fast_rows = (
-            RowBufferModel(channels=t.fast_channels, banks_per_channel=16)
-            if t.model_row_buffer
-            else None
-        )
         self.fast = MemoryDevice(
             "fast",
             read_latency=t.fast_read_latency_cycles,
             write_latency=t.fast_write_latency_cycles,
             channels=t.fast_channels,
             cycles_per_byte=t.fast_cycles_per_byte() / 1.0,
-            row_buffer=fast_rows,
         )
         self.slow = MemoryDevice(
             "slow",

@@ -4,8 +4,8 @@ Three orthogonal pieces, all zero-cost when not attached:
 
 * :class:`~repro.obs.tracer.EventTracer` — structured, ring-buffered,
   optionally sampled event records (JSONL) from hook points across the
-  controller, stage area, commit policy, remap cache, row buffers and
-  baselines;
+  controller, stage area, commit policy, remap cache, resilience layer
+  and baselines;
 * :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters,
   histograms and windowed time series, exported as JSON or
   Prometheus-style text exposition;
@@ -123,7 +123,7 @@ def attach_observability(
 
     Works on any design by duck type: the controller's own ``obs``
     attribute plus every known instrumented sub-component that exists
-    (stage area, commit policy, remap cache, device row buffers).
+    (stage area, commit policy, remap cache, resilience components).
     """
     if tracer is not None:
         controller.obs = tracer
@@ -131,11 +131,6 @@ def attach_observability(
             component = getattr(controller, attr, None)
             if component is not None:
                 component.obs = tracer
-        devices = getattr(controller, "devices", None)
-        if devices is not None:
-            for device in (devices.fast, devices.slow):
-                if device.row_buffer is not None:
-                    device.row_buffer.obs = tracer
     if metrics is not None:
         bind = getattr(controller, "bind_metrics", None)
         if bind is not None:
@@ -155,8 +150,7 @@ def collect_run_metrics(
       controller counted;
     * ``repro_device_bytes_total{device=...,op=...}`` and
       ``repro_device_transfers_total{device=...,op=...}``;
-    * ``repro_remap_cache_total{outcome=...}`` and
-      ``repro_rowbuffer_total{outcome=...}`` when those components exist;
+    * ``repro_remap_cache_total{outcome=...}`` when a remap cache exists;
     * ``repro_compression_total{event=...}`` when a content-backed oracle
       carries a real :class:`~repro.compression.engine.CompressionEngine`
       — including the memo effectiveness events ``memo_hits`` /
@@ -206,17 +200,6 @@ def collect_run_metrics(
                     snap.get(f"{op}s", 0),
                     **const_labels, device=device.name, op=op,
                 )
-            if device.row_buffer is not None:
-                rb = registry.counter(
-                    "repro_rowbuffer_total",
-                    help="row-buffer outcomes",
-                    labels=(*const_labels.keys(), "device", "outcome"),
-                )
-                for outcome in ("row_hits", "row_misses", "precharges", "activations"):
-                    rb.inc(
-                        device.row_buffer.stats.get(outcome),
-                        **const_labels, device=device.name, outcome=outcome,
-                    )
 
     engine = getattr(getattr(controller, "oracle", None), "engine", None)
     if engine is not None and getattr(engine, "stats", None) is not None:

@@ -2,9 +2,9 @@
 
 The tracer is the "flight recorder" of the observability layer: components
 emit typed event records (access resolved, stage insert/evict, commit
-decision with its Eq. 1 cost terms, remap-cache probe, row-buffer
-open/close, writeback) into a bounded ring buffer, optionally mirrored to
-a JSONL sink as they happen.
+decision with its Eq. 1 cost terms, remap-cache probe, writeback) into
+a bounded ring buffer, optionally mirrored to a JSONL sink as they
+happen.
 
 Design constraints, in order:
 
@@ -47,8 +47,6 @@ EVENT_SCHEMA: Dict[str, tuple] = {
     ),
     # Remap-cache probe (super-block line granularity).
     "remap_cache": ("super", "hit"),
-    # Row-buffer state transition in a banked device.
-    "rowbuffer": ("bank", "row", "hit", "closed"),
     # Dirty data moved back toward slow memory.
     "writeback": ("block", "bytes", "kind"),
     # A fault-injection draw fired (see repro.resilience.faults).

@@ -11,8 +11,7 @@ pure function of ``(fault_seed, site, n)``:
   hook point does not reshuffle existing injections.
 
 Injection sites live in the component models (``devices/memory.py``,
-``devices/rowbuffer.py``, ``metadata/remap_cache.py``,
-``core/stage_area.py``) and fire *before* any traffic or statistics
+``metadata/remap_cache.py``, ``core/stage_area.py``) and fire *before* any traffic or statistics
 accounting, so a retried operation leaves no trace of its failed
 attempts — a fully recovered run differs from the fault-free run only in
 latency. The injector can be ``paused`` while the controller executes a
@@ -40,7 +39,6 @@ FAULT_SPEC_KEYS: Dict[str, str] = {
     "stage": "p_stage_tag_corruption",
     "table": "p_table_corruption",
     "spike": "p_latency_spike",
-    "row": "p_row_glitch",
 }
 
 _MASK64 = (1 << 64) - 1
@@ -92,7 +90,6 @@ class FaultPlan:
     p_table_corruption: float = 0.0
     p_latency_spike: float = 0.0
     latency_spike_cycles: int = 500
-    p_row_glitch: float = 0.0
 
     @staticmethod
     def from_config(config: ResilienceConfig) -> "FaultPlan":
@@ -105,7 +102,6 @@ class FaultPlan:
             p_table_corruption=config.p_table_corruption,
             p_latency_spike=config.p_latency_spike,
             latency_spike_cycles=config.latency_spike_cycles,
-            p_row_glitch=config.p_row_glitch,
         )
 
     def describe(self) -> Dict[str, float]:
@@ -207,14 +203,6 @@ class FaultInjector:
             return False
         if self._uniform("remap_table") < self.plan.p_table_corruption:
             self._fire("remap_table", "table_corruption")
-            return True
-        return False
-
-    def row_glitch(self) -> bool:
-        if self.paused or self.plan.p_row_glitch <= 0.0:
-            return False
-        if self._uniform("row_buffer") < self.plan.p_row_glitch:
-            self._fire("row_buffer", "row_glitch")
             return True
         return False
 

@@ -16,8 +16,6 @@ between a recovered and a fault-free run.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.config import ResilienceConfig
 from repro.common.errors import TransientDeviceError
 from repro.common.stats import CounterGroup
@@ -63,13 +61,12 @@ class RecoveryManager:
     def _backoff(self, attempt: int) -> float:
         return float(self.backoff_base_cycles * (2 ** attempt))
 
-    def retry_read(self, device, now: float, nbytes: int, *, demand: bool = True,
-                   addr: Optional[int] = None):
+    def retry_read(self, device, now: float, nbytes: int, *, demand: bool = True):
         """``device.read`` with bounded retry; backoff lands in latency."""
         penalty = 0.0
         for attempt in range(self.max_retries + 1):
             try:
-                access = device.read(now + penalty, nbytes, demand=demand, addr=addr)
+                access = device.read(now + penalty, nbytes, demand=demand)
             except TransientDeviceError:
                 if attempt >= self.max_retries:
                     self.record("retry_exhausted", site=f"{device.name}.read",
@@ -86,13 +83,12 @@ class RecoveryManager:
             return access
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def retry_write(self, device, now: float, nbytes: int, *,
-                    addr: Optional[int] = None):
+    def retry_write(self, device, now: float, nbytes: int):
         """``device.write`` with bounded retry; backoff lands in latency."""
         penalty = 0.0
         for attempt in range(self.max_retries + 1):
             try:
-                access = device.write(now + penalty, nbytes, addr=addr)
+                access = device.write(now + penalty, nbytes)
             except TransientDeviceError:
                 if attempt >= self.max_retries:
                     self.record("retry_exhausted", site=f"{device.name}.write",

@@ -20,6 +20,8 @@ content-oracle violation down to {n_records} trace record(s).
 Regenerate with: {command}
 """
 
+from math import inf  # CONFIG_KWARGS spells a stability-only k as inf
+
 import pytest
 
 from repro.common.errors import OracleViolation

@@ -13,6 +13,7 @@ any violation the fuzzer finds can be replayed, delta-debugged
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -48,7 +49,7 @@ def make_tiny_config(
     cacheline_aligned: bool = True,
     zero_block_support: bool = True,
     commit_all: bool = False,
-    stability_only: bool = False,
+    k: float = 4.0,
     fast_replacement: str = "auto",
 ) -> BaryonConfig:
     """A deliberately tiny configuration for fast, stressful fuzzing.
@@ -56,7 +57,8 @@ def make_tiny_config(
     Small capacities force constant replacement/commit/swap traffic, so a
     few hundred accesses visit every movement path. All parameters are
     plain scalars so a sampled configuration round-trips through the
-    emitted fixture's ``CONFIG_KWARGS`` literal.
+    emitted fixture's ``CONFIG_KWARGS`` literal (the fixture imports
+    ``inf`` for a stability-only ``k``).
     """
     layout = HybridLayout(
         fast_capacity=fast_kb * KB,
@@ -75,7 +77,7 @@ def make_tiny_config(
         cacheline_aligned=cacheline_aligned,
         zero_block_support=zero_block_support,
     )
-    commit = CommitConfig(commit_all=commit_all, stability_only=stability_only)
+    commit = CommitConfig(k=k, commit_all=commit_all)
     config = dataclasses.replace(
         BaryonConfig(),
         layout=layout,
@@ -117,7 +119,7 @@ def sample_config_kwargs(rng: random.Random) -> Dict:
     if commit > 0.85:
         kwargs["commit_all"] = True
     elif commit > 0.7:
-        kwargs["stability_only"] = True
+        kwargs["k"] = math.inf  # stability only
     # stage blocks must divide evenly into ways
     if (kwargs["stage_kb"] * KB) // 2048 < kwargs["stage_ways"]:
         kwargs["stage_ways"] = 2

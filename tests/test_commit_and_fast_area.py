@@ -1,5 +1,6 @@
 """The Eq. 1 commit policy and the committed-area bookkeeping."""
 
+import math
 import random
 
 import pytest
@@ -33,9 +34,9 @@ class TestCommitPolicy:
         assert d.commit
 
     def test_k_infinity_is_stability_only(self):
-        d = self.decide(stability_only=True, mru=0, victim=1, ds=100, da=0)
+        d = self.decide(k=math.inf, mru=0, victim=1, ds=100, da=0)
         assert not d.commit
-        d = self.decide(stability_only=True, mru=8, victim=1, ds=0, da=100)
+        d = self.decide(k=math.inf, mru=8, victim=1, ds=0, da=100)
         assert d.commit
 
     def test_commit_all(self):

@@ -1,6 +1,7 @@
 """Configuration: Table I defaults, derived sizes, and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -147,9 +148,10 @@ class TestBaryonConfig:
 
 
 class TestCommitAndCompressionConfig:
-    def test_effective_k(self):
-        assert CommitConfig(k=4.0).effective_k() == 4.0
-        assert CommitConfig(stability_only=True).effective_k() == float("inf")
+    @pytest.mark.parametrize("k", [None, math.nan, -1.0, "4"])
+    def test_k_rejects_non_numbers_and_negatives(self, k):
+        with pytest.raises(ConfigurationError, match="commit k"):
+            CommitConfig(k=k)
 
     def test_compression_validation(self):
         with pytest.raises(ConfigurationError):

@@ -23,8 +23,8 @@ for the seed-7 fuzz cases ``repro validate --fuzz-batched`` draws, a
 per-op ``access`` replay's final clock, counters, channel busy state and
 per-access ``(case, latency, prefetched)`` stream are hashed into the
 ``twins`` corpus. Baryon is pinned that way under retry exhaustion,
-stage-tag corruption, metadata repair, the phase tracker, event tracing
-and row-buffer glitches too.
+write drops, stage-tag corruption, metadata repair, the phase tracker
+and event tracing too.
 
 Baryon-family cells (every Baryon, Baryon-64B, Baryon-FA and Hybrid2
 cell, the variants included) are pinned on counters no SimResult field
@@ -141,9 +141,7 @@ def _capacity_point(label):
 #: the shadow checker, or the set-associative flat scheme), or ``None``
 #: for the content oracle. Every variant runs on the deferred seam.
 VARIANTS = {
-    "faults": _with_resilience(
-        p_read_transient=1e-2, p_latency_spike=1e-2, p_row_glitch=1e-2,
-    ),
+    "faults": _with_resilience(p_read_transient=1e-2, p_latency_spike=1e-2),
     "checker": _with_resilience(check_invariants=True, p_table_corruption=2e-3),
     "flat": _flat_layout,
     "oracle": None,
@@ -189,7 +187,7 @@ EVENT_CELLS = (
 TWIN_SEED = 7
 TWIN_ITERATIONS = 25
 #: Baryon twin variants that arm the resilience layer, by their
-#: ``ResilienceConfig`` knobs (``rowbuf`` also models the row buffer).
+#: ``ResilienceConfig`` knobs.
 TWIN_RESILIENCE = {
     "exhaust": {"p_read_transient": 5e-3, "p_write_drop": 5e-3, "max_retries": 0},
     "writedrop": {"p_write_drop": 2e-2, "max_retries": 0},
@@ -198,7 +196,6 @@ TWIN_RESILIENCE = {
         "p_table_corruption": 2e-3, "p_remap_corruption": 3e-3,
         "check_invariants": True,
     },
-    "rowbuf": {"p_row_glitch": 1e-2},
 }
 TWIN_DESIGNS = (
     "simple", "unison", "dice", "baryon", "hybrid2",
@@ -364,9 +361,6 @@ def _twin_controller(design: str, config_kwargs: dict):
             config,
             resilience=ResilienceConfig(enabled=True, **TWIN_RESILIENCE[variant]),
         )
-    if variant == "rowbuf":
-        timings = dataclasses.replace(config.timings, model_row_buffer=True)
-        config = dataclasses.replace(config, timings=timings)
     return BaryonController(
         config, seed=TWIN_SEED,
         tracker=StagePhaseTracker() if variant == "tracker" else None,
@@ -384,8 +378,8 @@ def twin_digest(design: str, iteration: int) -> str:
     Designs with a remap cache (Simple and the Baryon family) also hash
     its counters. Baryon-family twins hash each access's
     ``write_overflow`` flag too, plus whichever of the resilience
-    scoreboards, row-buffer counters, phase-tracker reports and traced
-    events their variant attaches."""
+    scoreboards, phase-tracker reports and traced events their variant
+    attaches."""
     rng = random.Random(f"{TWIN_SEED}:{iteration}")
     config_kwargs = sample_config_kwargs(rng)
     trace = generate_trace(rng, make_tiny_config(**config_kwargs))
@@ -422,8 +416,6 @@ def twin_digest(design: str, iteration: int) -> str:
             component = getattr(ctrl, name)
             if component is not None:
                 payload[name] = component.stats.as_dict()
-        if devices.fast.row_buffer is not None:
-            payload["row_buffer"] = devices.fast.row_buffer.stats.as_dict()
         tracker = ctrl.tracker
         if tracker is not None:
             tracker.finalize()

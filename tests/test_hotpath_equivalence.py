@@ -281,8 +281,8 @@ class TestInlineServer:
 
 
 #: Controller-level observers the inline server runs under, by
-#: ``ResilienceConfig`` knobs (``rowbuf`` also models the row buffer;
-#: ``tracker`` attaches a StagePhaseTracker instead). ``exhaust``,
+#: ``ResilienceConfig`` knobs (``tracker`` attaches a StagePhaseTracker
+#: instead). ``exhaust``,
 #: ``writedrop`` and ``stagetag`` quarantine super-blocks mid-run.
 OBSERVED_SEAM_SETUPS = {
     "exhaust": {"p_read_transient": 5e-3, "p_write_drop": 5e-3, "max_retries": 0},
@@ -292,7 +292,6 @@ OBSERVED_SEAM_SETUPS = {
         "p_table_corruption": 2e-3, "p_remap_corruption": 3e-3,
         "check_invariants": True,
     },
-    "rowbuf": {"p_row_glitch": 1e-2},
     "faults": {"p_read_transient": 1e-2, "p_latency_spike": 1e-2},
     "tracker": None,
 }
@@ -310,9 +309,6 @@ def _observed_baryon_run(setup, workload, *, scalar):
         config = dataclasses.replace(
             config, resilience=ResilienceConfig(enabled=True, **probs)
         )
-    if setup == "rowbuf":
-        timings = dataclasses.replace(config.timings, model_row_buffer=True)
-        config = dataclasses.replace(config, timings=timings)
     tracker = StagePhaseTracker() if setup == "tracker" else None
     ctrl = build_controller("baryon", config, seed=1, tracker=tracker)
     trace = build_workload(

@@ -15,7 +15,6 @@ import pytest
 
 from repro.baselines import DiceCache, Hybrid2, SimpleCache
 from repro.core import BaryonController
-from repro.devices.rowbuffer import RowBufferModel
 from repro.obs import (
     EVENT_SCHEMA,
     NULL_PROFILER,
@@ -127,7 +126,7 @@ class TestEventTracer:
 
     def test_schema_names_known_types(self):
         assert {"access", "commit_decision", "stage_insert", "stage_evict",
-                "remap_cache", "rowbuffer", "writeback"} <= set(EVENT_SCHEMA)
+                "remap_cache", "writeback"} <= set(EVENT_SCHEMA)
 
 
 # -------------------------------------------------------------------- metrics
@@ -303,17 +302,6 @@ class TestAttachObservability:
         assert ctrl.obs is tracer
         ctrl.access(0, False)
         assert any(tracer.events("access"))
-
-    def test_rowbuffer_events(self):
-        rb = RowBufferModel(channels=1, banks_per_channel=2, row_bytes=2048)
-        tracer = EventTracer()
-        rb.obs = tracer
-        rb.access(0)
-        rb.access(64)
-        rb.access(4096)  # same bank, different row -> close + open
-        events = list(tracer.events("rowbuffer"))
-        assert [e["hit"] for e in events] == [False, True, False]
-        assert events[2]["closed"] == 0
 
 
 class TestTracedRun:

@@ -133,7 +133,7 @@ class TestReproducibility:
         config = faulty_config(
             p_read_transient=5e-3, p_write_drop=5e-3, p_latency_spike=5e-3,
             p_remap_corruption=3e-3, p_table_corruption=2e-3,
-            p_row_glitch=5e-3, check_invariants=True,
+            check_invariants=True,
         )
         first_result, first = run_baryon(config)
         clear_trace_cache()
@@ -160,8 +160,7 @@ class TestTransparentRecovery:
         clear_trace_cache()
         faulty_result, faulty = run_baryon(faulty_config(
             p_read_transient=5e-3, p_write_drop=5e-3,
-            p_latency_spike=5e-3, p_row_glitch=5e-3,
-            max_retries=8,
+            p_latency_spike=5e-3, max_retries=8,
         ))
         # Retries fire before any device accounting: traffic, energy and
         # every controller counter match the fault-free run exactly.

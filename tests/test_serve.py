@@ -344,6 +344,13 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             build_configs(spec)
 
+    def test_build_configs_rejects_null_commit_k(self):
+        """``{"commit": {"k": null}}`` fails at build time, not inside a
+        run's commit decision."""
+        spec = JobSpec.from_dict(dict(self.GOOD, overrides={"commit": {"k": None}}))
+        with pytest.raises(ConfigurationError, match="commit k"):
+            build_configs(spec)
+
 
 # ---------------------------------------------------------------------------
 # run_job: the cache contract (ISSUE satellite 4)

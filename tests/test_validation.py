@@ -1,5 +1,6 @@
 """Tests for the differential-oracle validation subsystem."""
 
+import math
 import random
 
 import pytest
@@ -201,8 +202,13 @@ class TestMinimizeAndEmit:
         assert len(minimal) <= 20
         assert fails(minimal)
 
-    def test_emitted_fixture_reproduces(self, tmp_path):
+    @pytest.mark.parametrize("extra", [{}, {"k": math.inf}],
+                             ids=["selective", "stability-only"])
+    def test_emitted_fixture_reproduces(self, tmp_path, extra):
+        """The emitted module execs and reproduces the violation, also
+        when its ``CONFIG_KWARGS`` literal holds ``k = inf``."""
         kwargs, trace = selftest_case()
+        kwargs = {**kwargs, **extra}
         fixture = emit_fixture(
             tmp_path / "test_regression_demo.py", trace, kwargs,
             seed=7, inject_bug="drop_dirty_writeback", tag="demo",
