@@ -334,8 +334,8 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class CommitConfig:
-    """Selective commit policy (Eq. 1). ``k = math.inf`` weighs the
-    bandwidth term not at all: the stability-only policy of Fig. 13d."""
+    """Selective commit policy (Eq. 1). ``k = math.inf`` drops the
+    write-cost term: the stability-only policy of Fig. 13d."""
 
     k: float = 4.0
     commit_all: bool = False
