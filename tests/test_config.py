@@ -153,6 +153,10 @@ class TestCommitAndCompressionConfig:
         with pytest.raises(ConfigurationError, match="commit k"):
             CommitConfig(k=k)
 
+    @pytest.mark.parametrize("k", [0, 4, math.inf])
+    def test_k_accepts_zero_integers_and_infinity(self, k):
+        assert CommitConfig(k=k).k == k
+
     def test_compression_validation(self):
         with pytest.raises(ConfigurationError):
             CompressionConfig(algorithms=())

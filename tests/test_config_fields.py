@@ -93,3 +93,31 @@ class Knobs:
 '''
     assert unread_fields(config_source, []) == {"validated": ["Knobs"]}
     assert unread_fields(config_source, ["print(cfg.validated)"]) == {}
+
+
+def test_an_attribute_store_is_not_a_read():
+    config_source = '''
+from dataclasses import dataclass
+
+@dataclass
+class Knobs:
+    written: int = 1
+'''
+    assert unread_fields(config_source, ["cfg.written = 2"]) == {"written": ["Knobs"]}
+    assert unread_fields(config_source, ["cfg.written += 2"]) == {"written": ["Knobs"]}
+
+
+def test_a_shared_field_name_is_checked_by_name():
+    config_source = '''
+from dataclasses import dataclass
+
+@dataclass
+class A:
+    ways: int = 4
+
+@dataclass
+class B:
+    ways: int = 8
+'''
+    assert unread_fields(config_source, []) == {"ways": ["A", "B"]}
+    assert unread_fields(config_source, ["print(a.ways)"]) == {}

@@ -89,6 +89,16 @@ class TestMemoryDevice:
         dev.reset()
         assert dev.total_bytes == 0
 
+    def test_array_latency_is_fixed(self):
+        """No open-page state: repeated and interleaved accesses all pay
+        the fixed array latency."""
+        dev = self.make()
+        assert dev.row_buffer is None
+        for now in (0.0, 100.0, 200.0):
+            assert dev.read(now, 64).latency_cycles == 40
+            assert dev.write(now, 64).latency_cycles == 40
+            assert dev.read(now, 64, demand=False).latency_cycles == 40
+
 
 class TestHybridDevices:
     def test_table1_asymmetry(self):

@@ -78,7 +78,7 @@ class TestFaultSpec:
             "p_latency_spike": 0.5,
         }
 
-    @pytest.mark.parametrize("spec", ["bogus=1", "read", "read=x", "", ","])
+    @pytest.mark.parametrize("spec", ["bogus=1", "read", "read=x", "", ",", "row=5e-3"])
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(ConfigurationError):
             parse_fault_spec(spec)

@@ -172,6 +172,15 @@ class TestFuzz:
             kwargs = sample_config_kwargs(random.Random(i))
             make_tiny_config(**kwargs)
 
+    def test_sampler_spells_stability_only_as_infinite_k(self):
+        """A stability-only draw sets ``k = inf``; no other kwarg names it."""
+        drawn = [sample_config_kwargs(random.Random(i)) for i in range(40)]
+        stability = [kw for kw in drawn if "k" in kw]
+        assert stability, "40 seeds drew no stability-only case"
+        for kwargs in stability:
+            assert kwargs["k"] == math.inf and "commit_all" not in kwargs
+            assert make_tiny_config(**kwargs).commit.k == math.inf
+
 
 class TestMinimizeAndEmit:
     def test_ddmin_finds_minimal_pair(self):
