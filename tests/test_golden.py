@@ -149,6 +149,14 @@ VARIANTS = {
     "dram-2": _capacity_point("dram-2"),
 }
 
+
+def _fifo_replacement(config):
+    return dataclasses.replace(config, fast_replacement="fifo")
+
+
+#: Variants pinned only by their long cells below.
+LONG_VARIANTS = {"fifo": _fifo_replacement}
+
 #: Flat-scheme cells long enough to hit committed data hundreds of times
 #: (at 3k accesses they record 1-26 commit hits), so the fast-area
 #: committed-block lookup is pinned: the set-associative ``--flat``
@@ -159,6 +167,11 @@ FLAT_CELLS = (
     "YCSB-B/hybrid2@10000",
 )
 MIN_FLAT_COMMIT_HITS = 100
+
+#: A set-associative Baryon cell under FIFO fast-area replacement, long
+#: enough that commits evict committed blocks (392 at 20k accesses), so
+#: the commit-victim choice is pinned for a policy that ignores touches.
+FIFO_CELLS = ("519.lbm_r/baryon+fifo@20000",)
 
 #: Designs whose observed runs must match their unobserved digests.
 OBSERVED_DESIGNS = DESIGNS
@@ -216,7 +229,7 @@ def cell_names():
     names = [f"{wl}/{design}" for wl in WORKLOADS for design in DESIGNS]
     names += [f"{wl}/{d}" for wl in SPILL_WORKLOADS for d in CACHE_DESIGNS]
     names += [f"YCSB-B/baryon+{variant}" for variant in VARIANTS]
-    return names + list(FLAT_CELLS)
+    return names + list(FLAT_CELLS) + list(FIFO_CELLS)
 
 
 def layer_digests(result) -> dict:
@@ -254,7 +267,7 @@ def _run_variant(workload: str, variant: str, n_accesses: int):
     """``(result, controller)`` of one Baryon variant cell."""
     config, sim_config = scaled_system(SCALE)
     if variant != "oracle":
-        config = VARIANTS[variant](config)
+        config = {**VARIANTS, **LONG_VARIANTS}[variant](config)
         return run_cell(workload, "baryon", config, sim_config, n_accesses, SEED)
     controller = ContentBackedController(config, seed=SEED)
     trace = build_workload(
@@ -513,6 +526,12 @@ def test_counter_cells_exercise_every_replacement_shape():
 def test_flat_cell_hits_committed_data(cell):
     """The flat cells must keep exercising the committed-block lookup."""
     assert run_golden_cell(cell)[2] >= MIN_FLAT_COMMIT_HITS
+
+
+@pytest.mark.parametrize("cell", FIFO_CELLS)
+def test_fifo_cell_evicts_committed_blocks(cell):
+    """The FIFO cells must keep taking occupied ways for commits."""
+    assert run_golden_cell(cell)[3]["controller"]["fast_block_evictions"] > 0
 
 
 @pytest.mark.parametrize("observation", OBSERVATIONS)
