@@ -30,7 +30,11 @@ DESIGNS = (
 )
 
 
-def _flat_variant(config: BaryonConfig) -> BaryonConfig:
+#: Designs that run :func:`flat_variant` of the configuration they get.
+FLAT_DESIGNS = ("hybrid2", "baryon-fa")
+
+
+def flat_variant(config: BaryonConfig) -> BaryonConfig:
     """The Fig. 10 flat organization, shared by Hybrid2 and Baryon-FA.
 
     Both designs statically provision a cache section next to the
@@ -69,9 +73,9 @@ def build_controller(
             config.with_sub_block_size(64), seed=seed, tracker=tracker
         )
     if design == "hybrid2":
-        return Hybrid2(_flat_variant(config), seed=seed)
+        return Hybrid2(flat_variant(config), seed=seed)
     if design == "baryon-fa":
-        return BaryonController(_flat_variant(config), seed=seed, tracker=tracker)
+        return BaryonController(flat_variant(config), seed=seed, tracker=tracker)
     raise ConfigurationError(f"unknown design {design!r}; choose from {DESIGNS}")
 
 

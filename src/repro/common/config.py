@@ -443,12 +443,25 @@ class BaryonConfig:
     share_physical_blocks: bool = True
     #: Fast-to-slow eviction policy for the committed area: "auto" picks
     #: the paper's choices (LRU for low-associative, FIFO for fully-
-    #: associative); explicit values from {lru, fifo, lfu, clock, random}
-    #: override (Sec. III-E lists them as interchangeable).
+    #: associative); "lru" or "fifo" overrides it on a set-associative
+    #: layout. Sec. III-E's LFU, CLOCK and random are not modelled, and
+    #: the fully-associative area always evicts through its FIFO pointer.
     fast_replacement: str = "auto"
     #: Fault-injection / recovery / invariant-checking configuration
     #: (None keeps the resilience layer completely out of the hot path).
     resilience: "ResilienceConfig | None" = None
+
+    def __post_init__(self) -> None:
+        _require(
+            self.fast_replacement in ("auto", "lru", "fifo"),
+            "fast_replacement must be 'auto', 'lru' or 'fifo', not "
+            f"{self.fast_replacement!r}",
+        )
+        _require(
+            not (self.layout.fully_associative and self.fast_replacement == "lru"),
+            "fast_replacement 'lru' needs a set-associative layout: the "
+            "fully-associative fast area evicts through a FIFO pointer",
+        )
 
     @staticmethod
     def cache_mode(**overrides) -> "BaryonConfig":

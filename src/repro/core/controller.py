@@ -127,18 +127,15 @@ class BaryonController(ServedSeam):
             overhead += self.config.stage.size_bytes
         usable = self.config.layout.fast_capacity - overhead
         fast_blocks = max(1, usable // self.geometry.block_size)
-        if self.config.layout.fully_associative:
+        fully_assoc = self.config.layout.fully_associative
+        if fully_assoc:
             num_sets, ways = 1, fast_blocks
-            replacement = "fifo"
         else:
             ways = self.config.layout.associativity
             num_sets = max(1, fast_blocks // ways)
-            replacement = "lru"
-        if self.config.fast_replacement != "auto":
-            replacement = self.config.fast_replacement
-        self.fast_area = FastArea(
-            num_sets, ways, self.geometry, replacement, seed=seed
-        )
+        replacement = self.config.fast_replacement
+        if replacement == "auto":
+            replacement = "fifo" if fully_assoc else "lru"
 
         # Flat scheme: the first `flat_ways` of each set are OS-visible
         # fast block spaces, each the home of one block. Homes are
@@ -154,15 +151,13 @@ class BaryonController(ServedSeam):
         ) // self.geometry.block_size
         self._home_period = max(1, total_blocks // max(1, self._flat_blocks))
         self._displaced: Dict[int, Tuple[int, int]] = {}
+        self.fast_area = FastArea(
+            num_sets, ways, self.geometry, replacement,
+            self._flat_ways, self._home_period, fully_assoc,
+        )
 
         # CF2/CF4 hints kept after compressed fast-to-slow writebacks.
         self._cf_hints: Dict[int, Tuple[int, int, bool]] = {}
-        # Flat scheme: last-access stamps of home blocks, on the fast
-        # area's replacement clock, so commits displace cold homes.
-        self._home_stamps: Dict[int, int] = {}
-        # Fully-associative victim selection is FIFO (Sec. III-E): a
-        # cycling pointer instead of an O(ways) recency scan.
-        self._fa_victim_ptr = 0
 
         # Resilience layer: fault injection, bounded-retry recovery, and
         # the shadow invariant checker. All None when resilience is off,
@@ -194,7 +189,6 @@ class BaryonController(ServedSeam):
         self._spb = self.geometry.sub_blocks_per_block
         self._bps = self.geometry.super_block_blocks
         self._sub_size = self.geometry.sub_block_size
-        self._fully_assoc = self.config.layout.fully_associative
         self._ca = self.config.compression.cacheline_aligned
         self._cwb = self.config.compressed_writeback
         self._two_level = self.config.two_level_replacement
@@ -348,7 +342,7 @@ class BaryonController(ServedSeam):
         flat_blocks = self._flat_blocks
         home_period = self._home_period
         displaced = self._displaced
-        home_stamps = self._home_stamps
+        home_stamps = fa.home_stamps
         quarantined = self._quarantined
         cf_hints_get = self._cf_hints.get
         rng_choice = self._rng.choice
@@ -379,7 +373,6 @@ class BaryonController(ServedSeam):
         rc_access = rc.access
         fa_find = fa.find_block
         fa_lru = fa.replacement == "lru"
-        fa_touch = fa.touch
         fa_num_sets = fa.num_sets
         entries_tbl = self.remap_table._entries
         entries_get = entries_tbl.get
@@ -600,8 +593,6 @@ class BaryonController(ServedSeam):
                 if fa_lru:
                     fa._clock += 1
                     state.stamp = fa._clock
-                else:
-                    fa_touch(super_id % fa_num_sets, way)
                 read = not (entry.zero or is_write)
                 if not entry.zero:
                     # entry.range_of, inlined (membership established).
@@ -1341,74 +1332,6 @@ class BaryonController(ServedSeam):
         """Home-fast *and* currently resident (not displaced by a commit)."""
         return self._is_home_block(block_id) and block_id not in self._displaced
 
-    def _home_location(self, block_id: int) -> Tuple[int, int]:
-        """(set, way) of a home-fast block's space."""
-        index = block_id // self._home_period
-        return index % self.fast_area.num_sets, index // self.fast_area.num_sets
-
-    def _home_block_of(self, set_index: int, way: int) -> Optional[int]:
-        """Inverse of :meth:`_home_location` for flat ways."""
-        if way >= self._flat_ways:
-            return None
-        index = way * self.fast_area.num_sets + set_index
-        if index >= self._flat_blocks:
-            return None
-        return index * self._home_period
-
-    def _commit_victim_way(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
-        """Pick the fast block space a commit takes, and take it: the
-        fully-associative FIFO pointer moves past the chosen way."""
-        way, state = self._peek_commit_victim(fa_set)
-        self._take_commit_way(way)
-        return way, state
-
-    def _take_commit_way(self, way: int) -> None:
-        """A commit takes ``way``: the fully-associative FIFO pointer
-        moves past it."""
-        if self._fully_assoc:
-            self._fa_victim_ptr = way + 1
-
-    def _fa_next_victim(self) -> int:
-        """FIFO victim for the fully-associative organization.
-
-        The pointer cycles over the cache-area ways; OS-resident home
-        blocks are only displaced when the configuration provisions no
-        cache section at all (flat_fraction = 1).
-        """
-        ways = self.fast_area.ways
-        first = self._flat_ways if self._flat_ways < ways else 0
-        span = ways - first
-        return first + (max(0, self._fa_victim_ptr - first)) % span
-
-    def _peek_commit_victim(self, fa_set: int) -> Tuple[int, Optional[FastBlockState]]:
-        """The fast block space a commit would take, with no side effects.
-
-        Low-associative sets scan their few ways for the coldest candidate
-        across committed blocks (replacement stamp) and resident home
-        blocks (last-access stamp), so a hot OS-resident block is not
-        displaced in favour of lukewarm migrated data. Fully-associative
-        organizations use the paper's FIFO policy (Sec. III-E) via a
-        cycling pointer, which only taking the way advances.
-        """
-        row = self.fast_area.blocks[fa_set]
-        if self._fully_assoc:
-            way = self._fa_next_victim()
-            return way, row[way]
-        best_way, best_stamp, best_state = None, None, None
-        for way, state in enumerate(row):
-            if state is None:
-                home = self._home_block_of(fa_set, way)
-                if home is None:
-                    return way, None  # free cache-area way
-                stamp = self._home_stamps.get(home, 0)
-            else:
-                stamp = state.stamp
-            if best_stamp is None or stamp < best_stamp:
-                best_way, best_stamp, best_state = way, stamp, state
-        if best_way is None:
-            raise SimulationError("fast area has no ways")
-        return best_way, best_state
-
     def _choose_fetch_range(
         self, block_id: int, blk_off: int, sub_idx: int
     ) -> Tuple[int, int, bool]:
@@ -1604,17 +1527,18 @@ class BaryonController(ServedSeam):
         rank = 0
         if protect_way is not None and entries[protect_way].lru == 0:
             rank = 1
-        for victim_way, entry in enumerate(entries):
+        for stage_way, entry in enumerate(entries):
             if entry.valid and entry.lru == rank:
                 break
         else:
             raise SimulationError("no replaceable stage way")
         super_id = entry.tag * stage.num_sets + set_index
-        fa_set = super_id % self.fast_area.num_sets
-        target_way, occupant = self._peek_commit_victim(fa_set)
+        fa = self.fast_area
+        fa_set = super_id % fa.num_sets
+        target_way, occupant = fa.commit_victim(fa_set)
         if occupant is None:
             # Displacing a resident home block swaps all of its sub-blocks.
-            is_home = self._home_block_of(fa_set, target_way) is not None
+            is_home = fa.home_block_of(fa_set, target_way) is not None
             dirty_area = self._spb if is_home else 0
         elif target_way < self._flat_ways:
             # Flat area: every sub-block is swapped regardless of dirtiness.
@@ -1632,10 +1556,10 @@ class BaryonController(ServedSeam):
         )
         if decision.commit:
             self._commit_stage_block(
-                now, set_index, victim_way, super_id, target_way, occupant
+                now, set_index, stage_way, super_id, target_way, occupant
             )
         else:
-            self._evict_stage_block(now, set_index, victim_way, super_id)
+            self._evict_stage_block(now, set_index, stage_way, super_id)
         self._stats.inc("block_level_replacements")
 
     def _evict_stage_block(
@@ -1667,8 +1591,8 @@ class BaryonController(ServedSeam):
         """Promote a stage block into the cache/flat area (Rule 4 freeze).
 
         ``target_way`` and ``occupant`` are the commit victim that
-        :meth:`_peek_commit_victim` picked for the cost model; the commit
-        takes that way. One pass over the stage entry's slots groups its
+        :meth:`FastArea.commit_victim` picked for the cost model; the
+        commit takes that way. One pass over the stage entry's slots groups its
         ranges by block into remap-entry fields: ``[remap, cf2, cf4,
         zero, ranges]``, where ``ranges`` counts the block's occupied
         slots and a Z slot sets every remap bit and occupies none.
@@ -1677,7 +1601,7 @@ class BaryonController(ServedSeam):
         entry = stage.tags.entries[set_index][way]
         fa = self.fast_area
         fa_set = super_id % fa.num_sets
-        self._take_commit_way(target_way)
+        fa.take(target_way)
         if occupant is not None:
             self._evict_fast_block(now, fa_set, target_way, for_commit=True)
         displaced = (
@@ -1766,7 +1690,7 @@ class BaryonController(ServedSeam):
         slow-swapped away for this commit), only the bookkeeping carries
         over — the data already sit in slow memory.
         """
-        home = self._home_block_of(fa_set, way)
+        home = self.fast_area.home_block_of(fa_set, way)
         if home is None:
             return None
         if home in self._displaced:
@@ -1779,7 +1703,7 @@ class BaryonController(ServedSeam):
         return home
 
     def _home_displaced_at(self, fa_set: int, way: int) -> Optional[int]:
-        home = self._home_block_of(fa_set, way)
+        home = self.fast_area.home_block_of(fa_set, way)
         if home is not None and self._displaced.get(home) == (fa_set, way):
             return home
         return None
@@ -1985,7 +1909,8 @@ class BaryonController(ServedSeam):
         if entry.is_remapped and located is not None:
             way, state = located
         else:
-            way, occupant = self._commit_victim_way(fa_set)
+            way, occupant = self.fast_area.commit_victim(fa_set)
+            self.fast_area.take(way)
             if occupant is not None:
                 self._evict_fast_block(now, fa_set, way, for_commit=True)
             displaced = self._displace_home(now, fa_set, way)

@@ -7,17 +7,19 @@ class owns the physical side of that story:
   blocks (BlkOffs) of it are committed there;
 * the per-physical-block dirty/replacement metadata the paper stores
   separately from the remap entries (Sec. III-C): replacement stamps,
-  which :meth:`FastArea.touch` refreshes under LRU;
+  which :meth:`FastArea.touch` refreshes under LRU and FIFO leaves at
+  insertion time;
 * for the flat scheme, which OS-visible fast block is *homed* at each
-  space and whether it is currently displaced by committed data.
+  space (:meth:`FastArea.home_block_of`) and its last-access stamp;
+* the commit victim: :meth:`FastArea.commit_victim` names the way a
+  commit would take, with no side effects, and :meth:`FastArea.take`
+  records that a commit took it. Set-associative sets take a free
+  cache-area way, else the coldest way across committed blocks and
+  resident home blocks. The fully-associative organization (Sec. III-E)
+  takes a cycling FIFO pointer that only :meth:`FastArea.take` advances.
 
-Commit victims are chosen by the controller, not here
-(``BaryonController._peek_commit_victim``): cache-mode and
-set-associative flat sets take the coldest way by stamp, and the
-fully-associative organization (Sec. III-E) takes a cycling FIFO pointer
-(``BaryonController._fa_next_victim``). :meth:`FastArea.victim_way`
-implements the paper's interchangeable policies for standalone use; it
-is not on the simulation path.
+Sec. III-E lists LRU, LFU, CLOCK and random as interchangeable; only LRU
+and FIFO are modelled.
 
 Indexing: slow-side lookups map a super-block to a set via
 ``super_block_id % num_sets`` so that one stage block (whose ranges all
@@ -52,9 +54,6 @@ class FastBlockState:
     dirty_subs: Set[Tuple[int, int]] = field(default_factory=set)
     #: Replacement timestamp (LRU touch time or FIFO insertion time).
     stamp: int = 0
-    #: LFU access frequency and CLOCK referenced bit.
-    frequency: int = 0
-    referenced: bool = False
     #: Flat scheme: home block displaced by this committed data, if any.
     displaced_home: Optional[int] = None
 
@@ -63,11 +62,16 @@ class FastBlockState:
 
 
 class FastArea:
-    """Set-associative committed area, indexed by super-block."""
+    """Set-associative committed area, indexed by super-block.
 
-    #: Fast-to-slow eviction policies the paper lists as interchangeable
-    #: (Sec. III-E: "LRU, LFU, CLOCK, and even random").
-    POLICIES = ("lru", "fifo", "lfu", "clock", "random")
+    The first ``flat_ways`` ways of each set are the flat scheme's
+    OS-visible spaces; the home of flat space ``index = way * num_sets +
+    set`` is block ``index * home_period``.
+    """
+
+    #: Fast-to-slow eviction policies: LRU refreshes a way's stamp on
+    #: every hit, FIFO keeps its insertion stamp.
+    POLICIES = ("lru", "fifo")
 
     def __init__(
         self,
@@ -75,10 +79,10 @@ class FastArea:
         ways: int,
         geometry: Geometry,
         replacement: str = "lru",
-        seed: int = 0xFA57,
+        flat_ways: int = 0,
+        home_period: int = 1,
+        fully_associative: bool = False,
     ) -> None:
-        import random
-
         if num_sets <= 0 or ways <= 0:
             raise LayoutError("fast area needs positive sets and ways")
         if replacement not in self.POLICIES:
@@ -89,6 +93,9 @@ class FastArea:
         self.ways = ways
         self.geometry = geometry
         self.replacement = replacement
+        self.flat_ways = flat_ways
+        self.home_period = home_period
+        self.fully_associative = fully_associative
         self.blocks: List[List[Optional[FastBlockState]]] = [
             [None] * ways for _ in range(num_sets)
         ]
@@ -97,7 +104,13 @@ class FastArea:
         #: ``super_id`` never changes while it is installed.
         self._ways_of_super: Dict[int, List[int]] = {}
         self._clock = 0
-        self._rng = random.Random(seed)
+        #: Flat scheme: last-access stamps of home blocks, on the
+        #: replacement clock, so commits displace cold homes.
+        self.home_stamps: Dict[int, int] = {}
+        # Fully-associative FIFO pointer: it cycles over the cache-area
+        # ways, and over the flat ways only when there is no cache area.
+        self._fifo_first = flat_ways if flat_ways < ways else 0
+        self._fifo_ptr = 0
         self.stats = CounterGroup("fast_area")
 
     # -- indexing -----------------------------------------------------------
@@ -131,59 +144,56 @@ class FastArea:
     def state(self, set_index: int, way: int) -> Optional[FastBlockState]:
         return self.blocks[set_index][way]
 
+    def home_block_of(self, set_index: int, way: int) -> Optional[int]:
+        """Flat scheme: the block homed at ``(set_index, way)``, if any."""
+        if way >= self.flat_ways:
+            return None
+        return (way * self.num_sets + set_index) * self.home_period
+
     # -- replacement -----------------------------------------------------------
     def touch(self, set_index: int, way: int) -> None:
-        """Refresh replacement state on a hit.
-
-        LRU bumps the stamp; LFU increments a frequency count; CLOCK sets
-        the referenced bit; FIFO and random ignore touches.
-        """
+        """Refresh replacement state on a hit: LRU bumps the stamp, FIFO
+        ignores touches."""
         state = self.blocks[set_index][way]
         if state is None:
             raise LayoutError("touched an empty fast block space")
         if self.replacement == "lru":
             self._clock += 1
             state.stamp = self._clock
-        elif self.replacement == "lfu":
-            state.frequency += 1
-        elif self.replacement == "clock":
-            state.referenced = True
 
-    def free_way(self, set_index: int) -> Optional[int]:
-        for way, state in enumerate(self.blocks[set_index]):
-            if state is None:
-                return way
-        return None
+    def commit_victim(self, set_index: int) -> Tuple[int, Optional[FastBlockState]]:
+        """The way a commit into ``set_index`` would take, and its
+        occupant (None for a free way or a resident home); no side effects.
 
-    def victim_way(self, set_index: int) -> int:
-        """Replacement victim according to the configured policy."""
+        Set-associative sets return a free cache-area way, else the
+        coldest way by committed-block stamp or resident-home last-access
+        stamp, so a hot OS-resident block is not displaced in favour of
+        lukewarm migrated data. The fully-associative organization returns
+        the way under its FIFO pointer.
+        """
         row = self.blocks[set_index]
+        if self.fully_associative:
+            first = self._fifo_first
+            way = first + max(0, self._fifo_ptr - first) % (self.ways - first)
+            return way, row[way]
+        best_way, best_stamp, best_state = 0, None, None
         for way, state in enumerate(row):
             if state is None:
-                return way
-        if self.replacement == "random":
-            return self._rng.randrange(self.ways)
-        if self.replacement == "lfu":
-            return min(
-                range(self.ways), key=lambda w: (row[w].frequency, row[w].stamp)
-            )
-        if self.replacement == "clock":
-            # Second chance sweep from the oldest stamp.
-            order = sorted(range(self.ways), key=lambda w: row[w].stamp)
-            for way in order:
-                if not row[way].referenced:
-                    return way
-                row[way].referenced = False
-            return order[0]
-        # LRU / FIFO: oldest stamp (touch refreshes it only under LRU).
-        return min(range(self.ways), key=lambda w: row[w].stamp)
+                home = self.home_block_of(set_index, way)
+                if home is None:
+                    return way, None  # free cache-area way
+                stamp = self.home_stamps.get(home, 0)
+            else:
+                stamp = state.stamp
+            if best_stamp is None or stamp < best_stamp:
+                best_way, best_stamp, best_state = way, stamp, state
+        return best_way, best_state
 
-    def peek_victim(self, set_index: int) -> Optional[FastBlockState]:
-        """The state that :meth:`victim_way` would displace (None if a free
-        way exists) — used by the commit cost model's #Dirty_area term."""
-        if self.free_way(set_index) is not None:
-            return None
-        return self.blocks[set_index][self.victim_way(set_index)]
+    def take(self, way: int) -> None:
+        """A commit takes ``way``: the fully-associative FIFO pointer
+        moves past it."""
+        if self.fully_associative:
+            self._fifo_ptr = way + 1
 
     # -- mutation -----------------------------------------------------------------
     def install(self, set_index: int, way: int, state: FastBlockState) -> None:

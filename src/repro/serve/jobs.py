@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from time import time as _wall
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.experiments import DESIGNS
+from repro.analysis.experiments import DESIGNS, FLAT_DESIGNS, flat_variant
 from repro.common.config import BaryonConfig, SimulationConfig
 from repro.common.errors import CheckpointCorruptError, ConfigurationError
 from repro.obs.progress import ProgressTracker
@@ -188,6 +188,10 @@ def build_configs(spec: JobSpec) -> Tuple[BaryonConfig, SimulationConfig]:
                 f"{', '.join(_SUB_CONFIGS)}; scalars: "
                 f"{', '.join(_SCALAR_FIELDS)}"
             )
+    if set(spec.designs) & set(FLAT_DESIGNS):
+        # Those designs run the fully-associative variant, so the
+        # overrides must be valid there too.
+        flat_variant(config)
     sim_updates = _thaw(spec.sim_overrides)
     if sim_updates:
         try:

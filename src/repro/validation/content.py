@@ -398,7 +398,7 @@ class ContentBackedController(BaryonController):
                     backing[line] = value
 
     def _displace_home(self, now, fa_set, way):
-        home = self._home_block_of(fa_set, way)
+        home = self.fast_area.home_block_of(fa_set, way)
         fresh = home is not None and home not in self._displaced
         result = super()._displace_home(now, fa_set, way)
         if fresh:

@@ -43,7 +43,7 @@ class TestBuildController:
     def test_flat_designs_derived(self):
         ctrl = build_controller("baryon-fa", make_small_config())
         assert ctrl.config.layout.fully_associative
-        # Flat space plus a provisioned cache section (see _flat_variant).
+        # Flat space plus a provisioned cache section (see flat_variant).
         assert 0.5 <= ctrl.config.layout.flat_fraction < 1.0
 
     def test_unknown_design(self):

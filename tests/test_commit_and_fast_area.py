@@ -96,28 +96,28 @@ class TestFastArea:
         area.install(0, 0, a)
         area.install(0, 1, b)
         area.touch(0, 0)
-        assert area.victim_way(0) == 1
+        assert area.commit_victim(0) == (1, b)
 
     def test_fifo_victim_ignores_touch(self):
         area = self.make(replacement="fifo")
-        area.install(0, 0, FastBlockState(super_id=0))
+        a = FastBlockState(super_id=0)
+        area.install(0, 0, a)
         area.install(0, 1, FastBlockState(super_id=4))
         area.touch(0, 0)
-        assert area.victim_way(0) == 0
+        assert area.commit_victim(0) == (0, a)
 
     def test_free_way_preferred_as_victim(self):
         area = self.make()
         area.install(0, 0, FastBlockState(super_id=0))
-        assert area.victim_way(0) == 1
-        assert area.peek_victim(0) is None
+        assert area.commit_victim(0) == (1, None)
 
-    def test_peek_victim_full_set(self):
+    def test_commit_victim_full_set(self):
         area = self.make()
         a = FastBlockState(super_id=0, dirty_subs={(0, 1)})
         area.install(0, 0, a)
         area.install(0, 1, FastBlockState(super_id=4))
         area.touch(0, 1)
-        assert area.peek_victim(0) is a
+        assert area.commit_victim(0) == (0, a)
 
     def test_same_super_multiple_ways(self):
         """A super-block's data can occupy more than one physical block."""

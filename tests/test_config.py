@@ -147,6 +147,33 @@ class TestBaryonConfig:
         assert cfg.geometry.block_size == 2 * KB
 
 
+class TestFastReplacement:
+    @pytest.mark.parametrize("policy", ["lfu", "clock", "random", "LRU", None])
+    def test_rejects_unmodelled_policies(self, policy):
+        with pytest.raises(ConfigurationError, match="fast_replacement"):
+            dataclasses.replace(BaryonConfig(), fast_replacement=policy)
+
+    def test_rejects_lru_on_a_fully_associative_layout(self):
+        """The fully-associative area evicts through its FIFO pointer,
+        so an explicit lru would silently run FIFO."""
+        with pytest.raises(ConfigurationError, match="fast_replacement 'lru'"):
+            BaryonConfig.fully_associative(fast_replacement="lru")
+        lru = BaryonConfig(fast_replacement="lru")
+        layout = dataclasses.replace(lru.layout, fully_associative=True)
+        with pytest.raises(ConfigurationError, match="fast_replacement 'lru'"):
+            dataclasses.replace(lru, layout=layout)
+
+    @pytest.mark.parametrize("policy", ["auto", "lru", "fifo"])
+    def test_set_associative_layouts_accept_every_policy(self, policy):
+        assert BaryonConfig.cache_mode(fast_replacement=policy).fast_replacement == policy
+        assert BaryonConfig.flat_mode(fast_replacement=policy).fast_replacement == policy
+
+    @pytest.mark.parametrize("policy", ["auto", "fifo"])
+    def test_fully_associative_layout_accepts_auto_and_fifo(self, policy):
+        config = BaryonConfig.fully_associative(fast_replacement=policy)
+        assert config.fast_replacement == policy
+
+
 class TestCommitAndCompressionConfig:
     @pytest.mark.parametrize("k", [None, math.nan, -1.0, "4"])
     def test_k_rejects_non_numbers_and_negatives(self, k):

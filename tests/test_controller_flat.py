@@ -41,12 +41,17 @@ class TestHomes:
         assert result.case is AccessCase.BLOCK_MISS
 
     def test_home_location_roundtrip(self):
+        """Each flat space homes its own home block."""
         ctrl = make_flat(ScriptedOracle(cf=1))
-        period = ctrl._home_period
-        for block in (0, period, (ctrl._flat_blocks - 1) * period):
-            assert ctrl._is_home_block(block)
-            s, w = ctrl._home_location(block)
-            assert ctrl._home_block_of(s, w) == block
+        fa = ctrl.fast_area
+        homes = [
+            fa.home_block_of(s, w)
+            for s in range(fa.num_sets)
+            for w in range(fa.ways)
+        ]
+        homes = [block for block in homes if block is not None]
+        assert len(set(homes)) == len(homes) == ctrl._flat_blocks
+        assert all(ctrl._is_home_block(block) for block in homes)
 
     def test_homes_striped_across_space(self):
         """Hotness-neutral placement: fast homes are spread, not clustered
@@ -141,9 +146,12 @@ class TestFullyAssociative:
 
     def test_fifo_victim_pointer_cycles(self):
         ctrl = make_flat(ScriptedOracle(cf=1), fa=True)
-        first, _ = ctrl._commit_victim_way(0)
-        second, _ = ctrl._commit_victim_way(0)
-        assert second == (first + 1) % ctrl.fast_area.ways
+        fa = ctrl.fast_area
+        first, _ = fa.commit_victim(0)
+        assert fa.commit_victim(0)[0] == first  # peeking does not advance
+        fa.take(first)
+        second, _ = fa.commit_victim(0)
+        assert second == (first + 1) % fa.ways
 
 
 class TestNoStageAblation:

@@ -351,6 +351,33 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match="commit k"):
             build_configs(spec)
 
+    @pytest.mark.parametrize("overrides", [
+        {"fast_replacement": "lfu"},
+        {"fast_replacement": "clock"},
+        {"fast_replacement": "random"},
+        {"fast_replacement": "lru", "layout": {"fully_associative": True}},
+    ])
+    def test_build_configs_rejects_unmodelled_fast_replacement(self, overrides):
+        spec = JobSpec.from_dict(dict(self.GOOD, overrides=overrides))
+        with pytest.raises(ConfigurationError, match="fast_replacement"):
+            build_configs(spec)
+
+    @pytest.mark.parametrize("design", ["hybrid2", "baryon-fa"])
+    def test_build_configs_rejects_lru_for_fully_associative_designs(self, design):
+        """Those designs run a fully-associative variant of the spec's
+        configuration, so lru fails at build time, not inside a cell."""
+        spec = JobSpec.from_dict(dict(
+            self.GOOD, designs=["baryon", design],
+            overrides={"fast_replacement": "lru"},
+        ))
+        with pytest.raises(ConfigurationError, match="fast_replacement 'lru'"):
+            build_configs(spec)
+        fifo = JobSpec.from_dict(dict(
+            self.GOOD, designs=["baryon", design],
+            overrides={"fast_replacement": "fifo"},
+        ))
+        assert build_configs(fifo)[0].fast_replacement == "fifo"
+
 
 # ---------------------------------------------------------------------------
 # run_job: the cache contract (ISSUE satellite 4)
