@@ -286,8 +286,9 @@ def build_validate_parser() -> argparse.ArgumentParser:
                         help="delta-debug any fuzzer-found failure before "
                         "reporting it (the selftest is always minimized)")
     parser.add_argument("--emit-dir", metavar="DIR", default=None,
-                        help="directory for emitted regression fixtures "
-                        "(default: a fresh temporary directory)")
+                        help="keep the selftest's regression fixture in DIR "
+                        "(default: a temporary directory, removed after "
+                        "the fixture reruns)")
     parser.add_argument("--skip-selftest", action="store_true",
                         help="skip the injected-bug selftest (clean checks "
                         "only)")
@@ -307,6 +308,7 @@ def cmd_validate(argv) -> int:
     AND the deliberately injected placement bug is caught, minimized and
     re-raised by its emitted regression fixture.
     """
+    import contextlib
     import tempfile
     from pathlib import Path
 
@@ -389,23 +391,29 @@ def cmd_validate(argv) -> int:
             ok = False
         else:
             minimized = ddmin(selftest_trace, _bug_fails)
-            emit_dir = Path(args.emit_dir or tempfile.mkdtemp(prefix="repro-validate-"))
-            emit_dir.mkdir(parents=True, exist_ok=True)
-            fixture = emit_fixture(
-                emit_dir / f"test_regression_{bug}.py",
-                minimized, config_kwargs, seed=args.seed, inject_bug=bug,
-                tag=bug,
-                command=f"python -m repro validate --seed {args.seed}",
-            )
-            try:
-                run_fixture(fixture)
-            except Exception as err:  # noqa: BLE001 - report any breakage
-                print(f"selftest FAILED: emitted fixture did not reproduce: "
-                      f"{err}", file=sys.stderr)
-                ok = False
+            if args.emit_dir:
+                emit_to = contextlib.nullcontext(args.emit_dir)
             else:
-                print(f"selftest: injected bug {bug!r} caught, minimized to "
-                      f"{len(minimized)} record(s), fixture at {fixture}")
+                emit_to = tempfile.TemporaryDirectory(prefix="repro-validate-")
+            with emit_to as emit_dir:
+                emit_dir = Path(emit_dir)
+                emit_dir.mkdir(parents=True, exist_ok=True)
+                fixture = emit_fixture(
+                    emit_dir / f"test_regression_{bug}.py",
+                    minimized, config_kwargs, seed=args.seed, inject_bug=bug,
+                    tag=bug,
+                    command=f"python -m repro validate --seed {args.seed}",
+                )
+                try:
+                    run_fixture(fixture)
+                except Exception as err:  # noqa: BLE001 - report any breakage
+                    print(f"selftest FAILED: emitted fixture did not "
+                          f"reproduce: {err}", file=sys.stderr)
+                    ok = False
+                else:
+                    kept = f", fixture at {fixture}" if args.emit_dir else ""
+                    print(f"selftest: injected bug {bug!r} caught, minimized "
+                          f"to {len(minimized)} record(s){kept}")
             # The bug hook must not fire without injection.
             try:
                 run_case(config_kwargs, selftest_trace, args.seed)

@@ -244,6 +244,38 @@ class TestValidateCli:
         assert "validation PASSED" in out
         assert "selftest" in out
 
+    def test_validate_leaves_no_temporary_files(self, tmp_path):
+        """Without --emit-dir the selftest's fixture directory is removed
+        once the fixture has rerun, and no path to it is printed."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "validate", "--fuzz", "1",
+             "--seed", "7", "--accesses", "200"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert "validation PASSED" in out
+        assert "fixture at" not in out
+        assert list(scratch.iterdir()) == []
+
+    def test_validate_keeps_fixture_in_emit_dir(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main(["validate", "--fuzz", "1", "--seed", "7",
+                     "--accesses", "200", "--emit-dir", str(tmp_path)]) == 0
+        fixture = tmp_path / "test_regression_drop_dirty_writeback.py"
+        assert f"fixture at {fixture}" in capsys.readouterr().out
+        assert fixture.is_file()
+
     def test_validate_metrics_export(self, capsys):
         from repro.__main__ import main
 
