@@ -110,7 +110,7 @@ class FastArea:
         # Fully-associative FIFO pointer: it cycles over the cache-area
         # ways, and over the flat ways only when there is no cache area.
         self._fifo_first = flat_ways if flat_ways < ways else 0
-        self._fifo_ptr = 0
+        self._fifo_next = self._fifo_first
         self.stats = CounterGroup("fast_area")
 
     # -- indexing -----------------------------------------------------------
@@ -173,8 +173,7 @@ class FastArea:
         """
         row = self.blocks[set_index]
         if self.fully_associative:
-            first = self._fifo_first
-            way = first + max(0, self._fifo_ptr - first) % (self.ways - first)
+            way = self._fifo_next
             return way, row[way]
         best_way, best_stamp, best_state = 0, None, None
         for way, state in enumerate(row):
@@ -193,7 +192,8 @@ class FastArea:
         """A commit takes ``way``: the fully-associative FIFO pointer
         moves past it."""
         if self.fully_associative:
-            self._fifo_ptr = way + 1
+            way += 1
+            self._fifo_next = way if way < self.ways else self._fifo_first
 
     # -- mutation -----------------------------------------------------------------
     def install(self, set_index: int, way: int, state: FastBlockState) -> None:
