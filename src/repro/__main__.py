@@ -72,6 +72,7 @@ from repro.analysis import (
     run_matrix_sharded,
 )
 from repro.common.errors import ConfigurationError
+from repro.obs import SpanTracer
 from repro.workloads import scaled_system
 from repro.workloads.suite import WORKLOADS
 
@@ -215,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for matrix mode (default 1 = "
                         "in-process; matrix results are identical either way)")
     parser.add_argument("--profile", action="store_true",
-                        help="time the simulator's phases and print a profile")
+                        help="time the simulator's phases and print the "
+                        "span tree")
     parser.add_argument("--list", action="store_true",
                         help="list workloads and designs, then exit")
     _add_resilience_args(parser)
@@ -256,7 +258,8 @@ def build_report_parser() -> argparse.ArgumentParser:
                         help="worker processes when reporting a matrix "
                         "(comma-separated workloads/designs)")
     parser.add_argument("--profile", action="store_true",
-                        help="include the phase profile in the report")
+                        help="include the simulator's span tree in the "
+                        "report")
     _add_checkpoint_args(parser)
     _add_chaos_args(parser)
     _add_telemetry_args(parser)
@@ -461,9 +464,10 @@ def _build_telemetry(args, n_cells: int):
     """``(SweepTelemetry, span tracer, progress sink)`` from CLI flags.
 
     Everything is ``None`` when no telemetry flag was given, so the
-    untelemetered CLI path is exactly the pre-telemetry one.
+    untelemetered CLI path is exactly the pre-telemetry one. The span
+    tracer exists for ``--trace-spans`` and for ``--profile``.
     """
-    from repro.obs import SpanTracer, make_cli_tracker
+    from repro.obs import make_cli_tracker
     from repro.parallel import SweepTelemetry
     from repro.parallel.telemetry import DEFAULT_HEARTBEAT_EVERY
 
@@ -471,9 +475,10 @@ def _build_telemetry(args, n_cells: int):
     progress_out = getattr(args, "progress_out", None)
     spans_out = getattr(args, "trace_spans", None)
     collect_metrics = getattr(args, "metrics", False)
-    if not (render or progress_out or spans_out or collect_metrics):
+    profile = getattr(args, "profile", False)
+    if not (render or progress_out or spans_out or collect_metrics or profile):
         return None, None, None
-    spans = SpanTracer(origin="sweep") if spans_out else None
+    spans = SpanTracer(origin="sweep") if spans_out or profile else None
     sink = None
     tracker = None
     if render or progress_out:
@@ -490,24 +495,25 @@ def _build_telemetry(args, n_cells: int):
 
 
 def _run_matrix_outcome(args, workloads, designs):
-    """Validate, run the sharded matrix, and return the outcome (or None)."""
+    """Validate, run the sharded matrix, and return ``(outcome, span
+    tracer)``; the outcome is None when the run could not start."""
     for workload in workloads:
         if not _validate_workload(workload):
-            return None
+            return None, None
     for design in designs:
         if design not in DESIGNS:
             print(f"unknown design {design!r}; choose from {', '.join(DESIGNS)}",
                   file=sys.stderr)
-            return None
+            return None, None
     configs = _try_configs(args)
     if configs is None:
-        return None
+        return None, None
     config, sim_config = configs
     try:
         chaos = _chaos_plan(args)
     except ConfigurationError as err:
         print(str(err), file=sys.stderr)
-        return None
+        return None, None
     telemetry, spans, progress_sink = _build_telemetry(
         args, len(workloads) * len(designs)
     )
@@ -541,17 +547,17 @@ def _run_matrix_outcome(args, workloads, designs):
     except ConfigurationError as err:
         # e.g. a resume checkpoint written by a different plan
         print(str(err), file=sys.stderr)
-        return None
+        return None, None
     finally:
         if telemetry is not None and telemetry.progress is not None:
             telemetry.progress.finish()
         if progress_sink is not None:
             progress_sink.close()
-    if spans is not None:
-        spans_out = getattr(args, "trace_spans", None)
+    spans_out = getattr(args, "trace_spans", None)
+    if spans_out:
         count = spans.dump_jsonl(spans_out)
         print(f"wrote {count} span(s) -> {spans_out}", file=sys.stderr)
-    return outcome
+    return outcome, spans
 
 
 def _chaos_plan(args):
@@ -635,10 +641,11 @@ def cmd_matrix(args, workloads, designs) -> int:
     Exit codes: 0 clean, 3 completed-with-quarantined, 4 failed cells or
     failed audit, 130 interrupted with a resumable checkpoint.
     """
-    outcome = _run_matrix_outcome(args, workloads, designs)
+    outcome, spans = _run_matrix_outcome(args, workloads, designs)
     if outcome is None:
         return 2
     _print_matrix(outcome, workloads, designs, args)
+    _print_profile(args, spans)
     return _matrix_exit_code(outcome)
 
 
@@ -682,14 +689,20 @@ def _try_configs(args):
         return None
 
 
-def _observed_run(args, configs, tracer=None, metrics=None, profiler=None):
+def _observed_run(args, configs, tracer=None, metrics=None, spans=None):
     """Run one cell with the given observers; returns its ``SimResult``."""
     config, sim_config = configs
     return run_cell(
         args.workload, args.design, config, sim_config,
         args.accesses, args.seed,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics, spans=spans,
     )[0]
+
+
+def _print_profile(args, spans) -> None:
+    """``--profile``'s output: the run's span tree."""
+    if args.profile:
+        print(spans.format_tree())
 
 
 def _print_case_mix(case_counts) -> None:
@@ -748,7 +761,7 @@ def cmd_matrix_report(args, workloads, designs) -> int:
     """Matrix mode of ``report``: sweep, then export merged metric shards."""
     from repro.obs import MetricsRegistry
 
-    outcome = _run_matrix_outcome(args, workloads, designs)
+    outcome, spans = _run_matrix_outcome(args, workloads, designs)
     if outcome is None:
         return 2
     _print_matrix(outcome, workloads, designs, args)
@@ -772,12 +785,13 @@ def cmd_matrix_report(args, workloads, designs) -> int:
                 help="compression-engine counters merged across matrix cells",
             )
         _print_registry(registry, args.format)
+    _print_profile(args, spans)
     return 0
 
 
 def cmd_report(argv) -> int:
     """``python -m repro report``: run, then summarize trace and metrics."""
-    from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler
+    from repro.obs import EventTracer, MetricsRegistry
 
     args = build_report_parser().parse_args(argv)
     matrix = _parse_matrix(args)
@@ -790,9 +804,9 @@ def cmd_report(argv) -> int:
         return 2
     tracer = EventTracer(capacity=1 << 20)
     registry = MetricsRegistry() if args.metrics else None
-    profiler = PhaseProfiler() if args.profile else None
+    spans = SpanTracer() if args.profile else None
     result = _observed_run(
-        args, configs, tracer=tracer, metrics=registry, profiler=profiler
+        args, configs, tracer=tracer, metrics=registry, spans=spans
     )
 
     print(f"{args.workload} on {args.design} "
@@ -810,8 +824,7 @@ def cmd_report(argv) -> int:
 
     if registry is not None:
         _print_registry(registry, args.format)
-    if profiler is not None:
-        print(profiler.format_report())
+    _print_profile(args, spans)
     return 0
 
 
@@ -1157,19 +1170,14 @@ def main(argv=None) -> int:
     configs = _try_configs(args)
     if configs is None:
         return 2
-    profiler = None
-    if args.profile:
-        from repro.obs import PhaseProfiler
-
-        profiler = PhaseProfiler()
-    result = _observed_run(args, configs, profiler=profiler)
+    spans = SpanTracer() if args.profile else None
+    result = _observed_run(args, configs, spans=spans)
     print(f"{args.workload} on {args.design} "
           f"(1/{args.scale} scale, {args.accesses} accesses)")
     for key, value in result.summary().items():
         print(f"  {key:<18} {value:.4f}")
     _print_case_mix(result.case_counts)
-    if profiler is not None:
-        print(profiler.format_report())
+    _print_profile(args, spans)
     return 0
 
 

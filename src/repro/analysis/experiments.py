@@ -89,7 +89,6 @@ def run_cell(
     tracker: Optional[StagePhaseTracker] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
     trace=None,
     spans=None,
     progress=None,
@@ -122,8 +121,8 @@ def run_cell(
     if hasattr(controller, "oracle"):
         trace.apply_compressibility(controller.oracle)
     simulator = SystemSimulator(
-        controller, sim_config, metrics=metrics, profiler=profiler,
-        spans=spans, progress=progress, progress_every=progress_every,
+        controller, sim_config, metrics=metrics, spans=spans,
+        progress=progress, progress_every=progress_every,
     )
     result = simulator.run(trace, name=workload, design=design)
     if metrics is not None:
@@ -143,21 +142,20 @@ def run_one(
     tracker: Optional[StagePhaseTracker] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
     trace=None,
     spans=None,
     progress=None,
 ) -> SimResult:
     """Run one (workload, design) cell and return its result.
 
-    ``tracer``/``metrics``/``profiler``/``spans``/``progress`` attach
-    the observability layer (see :mod:`repro.obs`) to the controller and
+    ``tracer``/``metrics``/``spans``/``progress`` attach the
+    observability layer (see :mod:`repro.obs`) to the controller and
     simulator; all default to off and cost nothing when absent.
     """
     result, _ = run_cell(
         workload, design, config, sim_config, n_accesses, seed,
-        tracker=tracker, tracer=tracer, metrics=metrics, profiler=profiler,
-        trace=trace, spans=spans, progress=progress,
+        tracker=tracker, tracer=tracer, metrics=metrics, trace=trace,
+        spans=spans, progress=progress,
     )
     return result
 

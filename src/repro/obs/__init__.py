@@ -9,8 +9,10 @@ Three orthogonal pieces, all zero-cost when not attached:
 * :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters,
   histograms and windowed time series, exported as JSON or
   Prometheus-style text exposition;
-* :class:`~repro.obs.profiler.PhaseProfiler` — per-phase wall-clock and
-  instruction accounting inside :class:`~repro.sim.system.SystemSimulator`.
+* :class:`~repro.obs.spans.SpanTracer` — the one timer: a tree of timed
+  spans over sweeps, cells and the
+  :class:`~repro.sim.system.SystemSimulator`'s walk, warmup and measured
+  phases (``--profile`` prints it).
 
 :func:`attach_observability` wires a tracer/registry into any controller
 design (Baryon or baseline) by duck type, so ``run_one`` and the CLI can
@@ -46,7 +48,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TimeSeries,
 )
-from repro.obs.profiler import NULL_PROFILER, NullProfiler, PhaseProfiler
 from repro.obs.progress import (
     HEARTBEAT_SCHEMA,
     ProgressTracker,
@@ -76,7 +77,6 @@ __all__ = [
     "MANIFEST_MAGIC",
     "MANIFEST_VERSION",
     "NULL_TRACER",
-    "NULL_PROFILER",
     "NULL_SPANS",
     "DEFAULT_LATENCY_BUCKETS",
     "SHARD_LABEL",
@@ -90,8 +90,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "TimeSeries",
-    "NullProfiler",
-    "PhaseProfiler",
     "aggregate_shard_snapshots",
     "attach_observability",
     "audit_manifest",

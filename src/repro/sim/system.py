@@ -4,14 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from time import perf_counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SimulationConfig
 from repro.devices.energy import EnergyModel
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
 from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.sim.results import SimResult
 
@@ -20,21 +18,6 @@ from repro.sim.results import SimResult
 #: increments once it holds more than this many entries, so a long
 #: run's memory stays bounded. Replay boundaries never change results.
 MAX_PENDING_OPS = 4096
-
-
-def _timed(acc: list, fn):
-    """``fn`` with every call's wall time and count added to ``acc``
-    (``[seconds, calls]``, folded into the profiler once per run)."""
-    clock = perf_counter
-
-    def timed(*args):
-        t0 = clock()
-        out = fn(*args)
-        acc[0] += clock() - t0
-        acc[1] += 1
-        return out
-
-    return timed
 
 
 class SystemSimulator:
@@ -76,8 +59,8 @@ class SystemSimulator:
     ``access`` event when it replays, so while one is attached each op
     replays before the next is served and the event stream keeps the
     scalar loop's order. An attached ``metrics`` registry observes each
-    demand op's latency and case at replay. Profiling, spans and
-    progress callbacks only wrap or chunk the loop.
+    demand op's latency and case at replay. Spans and progress
+    callbacks only wrap or chunk the loop.
 
     Observability (all optional, all free when absent):
 
@@ -86,17 +69,14 @@ class SystemSimulator:
         registers a memory-latency histogram (one observation per demand
         LLC miss) plus windowed serve-rate and IPC time series sampled
         every ``metrics_window`` accesses.
-    ``profiler``
-        A :class:`~repro.obs.profiler.PhaseProfiler`; wall-clock is split
-        into warmup/measured phases and cache-hierarchy vs controller
-        time, with instruction counts per phase. The fast loop wraps its
-        bound hierarchy and controller callables once per run, so every
-        call is timed and unprofiled runs pay nothing.
     ``spans``
-        A :class:`~repro.obs.spans.SpanTracer`; the run is wrapped in a
-        ``sim.run`` span with ``sim.warmup``/``sim.measured`` child
-        phase spans (fast loop; the scalar reference loop records the
-        run span only).
+        A :class:`~repro.obs.spans.SpanTracer`, the simulator's only
+        timer (``--profile`` prints its tree). The run is wrapped in a
+        ``sim.run`` span; the fast loop adds ``sim.walk`` (the private
+        L1/L2 walk, ``accesses`` walked, 0 on a memo hit) and the
+        ``sim.warmup``/``sim.measured`` phase spans, each ending with
+        its phase's ``instructions``. The scalar reference loop records
+        the run span only.
     ``progress``
         A ``callable(done, total)`` invoked every ``progress_every``
         accesses (and at each phase boundary).
@@ -113,7 +93,6 @@ class SystemSimulator:
         config: Optional[SimulationConfig] = None,
         hierarchy: Optional[CacheHierarchy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[PhaseProfiler] = None,
         metrics_window: int = 1000,
         spans: Optional[SpanTracer] = None,
         progress=None,
@@ -122,16 +101,15 @@ class SystemSimulator:
         self.controller = controller
         self.config = config or SimulationConfig()
         self.hierarchy = hierarchy or CacheHierarchy(self.config.hierarchy)
-        self.profiler = profiler or NULL_PROFILER
         self.metrics = metrics
-        self.spans = spans or NULL_SPANS
+        # A fresh tracer has no finished spans yet, so it is falsy.
+        self.spans = spans if spans is not None else NULL_SPANS
         self._progress = progress
         self._progress_every = max(1, progress_every)
         self._run_span = None
         self._loop = None
         self._walk = None
         self._inc_pos = 0
-        self._timers: Dict[str, list] = {}
         self.cycles = 0.0
         self.instructions = 0
         #: Demand ops the metrics observed, and those served fast.
@@ -172,12 +150,10 @@ class SystemSimulator:
             )
         try:
             if scalar:
-                mark, wall_start = self._run_scalar(trace, n, warmup_end)
+                mark = self._run_scalar(trace, n, warmup_end)
             else:
-                mark, wall_start = self._run_fast(trace, n, warmup_end)
-            return self._finalize(
-                trace, name, design, n, warmup_end, mark, wall_start
-            )
+                mark = self._run_fast(trace, n, warmup_end)
+            return self._finalize(trace, name, design, mark)
         finally:
             if self._run_span is not None:
                 spans.end(
@@ -189,7 +165,7 @@ class SystemSimulator:
     # ----------------------------------------------------- reference loop
     def _run_scalar(
         self, trace, n: int, warmup_end: int
-    ) -> Tuple[Optional[Dict[str, float]], float]:
+    ) -> Optional[Dict[str, float]]:
         """The original per-access loop, kept verbatim as the equivalence
         reference for the fast loop."""
         mark: Optional[Dict[str, float]] = None
@@ -204,41 +180,25 @@ class SystemSimulator:
         # time per access is the per-thread time over the core count.
         threads = max(1, self.config.hierarchy.cores)
 
-        profiling = self.profiler.enabled
         observing = self.metrics is not None
         progress = self._progress
         progress_stride = self._progress_every
         served_fast = 0
         mem_seen = 0
-        wall_start = perf_counter() if profiling else 0.0
 
         for i in range(n):
             if i == warmup_end:
                 mark = self._snapshot()
-                if profiling:
-                    self.profiler.add("warmup", perf_counter() - wall_start, calls=i)
-                    self.profiler.count("warmup_instructions", self.instructions)
-                    wall_start = perf_counter()
             gap = int(igaps[i])
             self.instructions += gap + 1
             self.cycles += gap * base_cpi / threads
 
             addr = int(addrs[i])
             is_write = bool(writes[i])
-            if profiling:
-                t0 = perf_counter()
-                result = self.hierarchy.access(addr, is_write, int(cores[i]))
-                self.profiler.add("hierarchy", perf_counter() - t0)
-            else:
-                result = self.hierarchy.access(addr, is_write, int(cores[i]))
+            result = self.hierarchy.access(addr, is_write, int(cores[i]))
             self.cycles += result.latency_cycles / threads
             if result.llc_miss:
-                if profiling:
-                    t0 = perf_counter()
-                    mem = self.controller.access(addr, is_write, self.cycles)
-                    self.profiler.add("controller", perf_counter() - t0)
-                else:
-                    mem = self.controller.access(addr, is_write, self.cycles)
+                mem = self.controller.access(addr, is_write, self.cycles)
                 if not is_write:
                     # Writes are posted; only read latency stalls the core.
                     self.cycles += mem.latency_cycles / mlp
@@ -262,55 +222,36 @@ class SystemSimulator:
 
         if progress is not None and n % progress_stride:
             progress(n, n)
-        return mark, wall_start
+        return mark
 
     # ----------------------------------------------------- fast loop
     def _run_fast(
         self, trace, n: int, warmup_end: int
-    ) -> Tuple[Optional[Dict[str, float]], float]:
-        """Segmented fast loop: warmup span, boundary snapshot, measured
-        span. State effects are bit-identical to the scalar loop (see the
+    ) -> Optional[Dict[str, float]]:
+        """Segmented fast loop: warmup phase, boundary snapshot, measured
+        phase. State effects are bit-identical to the scalar loop (see the
         class docstring)."""
         mark: Optional[Dict[str, float]] = None
-        profiling = self.profiler.enabled
         self._tally[:] = (0, 0)
-
-        wall_start = perf_counter() if profiling else 0.0
         self._bind_loop(trace)
         igaps = trace.igaps
         igaps = igaps.tolist() if hasattr(igaps, "tolist") else list(igaps)
-
-        spans = self.spans
-        phase_span = (
-            spans.start("sim.warmup", parent=self._run_span, accesses=warmup_end)
-            if spans.enabled and warmup_end else None
-        )
-        self._segment(0, warmup_end, igaps, n)
-        if phase_span is not None:
-            spans.end(phase_span)
+        if warmup_end:
+            self._phase("sim.warmup", 0, warmup_end, igaps, n)
         if warmup_end < n:
             mark = self._snapshot()
-            if profiling:
-                self.profiler.add(
-                    "warmup", perf_counter() - wall_start, calls=warmup_end
-                )
-                self.profiler.count("warmup_instructions", self.instructions)
-                wall_start = perf_counter()
-            phase_span = (
-                spans.start(
-                    "sim.measured", parent=self._run_span,
-                    accesses=n - warmup_end,
-                )
-                if spans.enabled else None
-            )
-            self._segment(warmup_end, n, igaps, n)
-            if phase_span is not None:
-                spans.end(phase_span)
+            self._phase("sim.measured", warmup_end, n, igaps, n)
         self.hierarchy.add_walk_counts(self._walk)
-        for row, (seconds, calls) in self._timers.items():
-            if calls:
-                self.profiler.add(row, seconds, calls=calls)
-        return mark, wall_start
+        return mark
+
+    def _phase(self, name: str, start: int, stop: int, igaps, total: int) -> None:
+        """Run accesses ``[start, stop)`` in a ``name`` span that ends
+        with the phase's instructions."""
+        spans = self.spans
+        span = spans.start(name, parent=self._run_span, accesses=stop - start)
+        before = self.instructions
+        self._segment(start, stop, igaps, total)
+        spans.end(span, instructions=self.instructions - before)
 
     def _bind_loop(self, trace) -> None:
         """Bind the fast loop's callables and the trace's private walk
@@ -320,10 +261,9 @@ class SystemSimulator:
         controller's ``make_deferred_server`` triple. ``serve_wb`` serves
         writebacks; it differs from ``serve`` only in a metered run
         (:meth:`_metered`). ``eager`` is set while an event tracer is
-        attached (see the class docstring). A profiler wraps every bound
-        hierarchy and controller callable here, so the loop itself has no
-        profiling branch; its ``hierarchy`` row also times the walk, one
-        call per access walked (none on a memo hit).
+        attached (see the class docstring). The walk runs in a
+        ``sim.walk`` span whose ``accesses`` counts the accesses walked
+        (0 on a memo hit).
         """
         controller = self.controller
         walk, access, install, hier_flush = self.hierarchy.make_fast_path()
@@ -331,29 +271,19 @@ class SystemSimulator:
         serve_wb = serve
         if self.metrics is not None:
             serve, serve_wb, batch = self._metered(serve, batch)
-        if self.profiler.enabled:
-            hier = [0.0, 0]
-            ctrl = [0.0, 0]
-            self._timers = {"hierarchy": hier, "controller": ctrl}
-            access = _timed(hier, access)
-            install = _timed(hier, install)
-            serve, serve_wb, flush, batch = (
-                _timed(ctrl, fn) for fn in (serve, serve_wb, flush, batch)
-            )
         self._loop = (
             access, install, hier_flush, serve, serve_wb, flush, batch,
             controller.obs.enabled,
         )
         cfg = self.config
-        start = perf_counter()
+        spans = self.spans
+        span = spans.start("sim.walk", parent=self._run_span)
         self._walk, walked = walk(
             trace.addrs, trace.writes, trace.igaps, trace.cores,
             cfg.base_cpi, max(1, cfg.hierarchy.cores),
         )
+        spans.end(span, accesses=walked)
         self._inc_pos = 0
-        if walked and self.profiler.enabled:
-            hier[0] += perf_counter() - start
-            hier[1] += walked
 
     def _metered(self, serve, batch):
         """``(serve, serve_wb, batch)`` that feed each demand op's
@@ -535,12 +465,8 @@ class SystemSimulator:
         trace,
         name: str,
         design: str,
-        n: int,
-        warmup_end: int,
         mark: Optional[Dict[str, float]],
-        wall_start: float,
     ) -> SimResult:
-        profiling = self.profiler.enabled
         tracker = getattr(self.controller, "tracker", None)
         if tracker is not None:
             tracker.finalize()
@@ -556,14 +482,6 @@ class SystemSimulator:
             # Warmup covered the whole trace (or it was empty): the
             # measured window is empty and every delta below is zero.
             mark = self._snapshot()
-        if profiling:
-            phase = "measured" if warmup_end < n else "warmup"
-            self.profiler.add(phase, perf_counter() - wall_start, calls=n - warmup_end)
-            self.profiler.count(
-                "measured_instructions",
-                self.instructions - self.profiler.counters.get("warmup_instructions", 0),
-            )
-            self.profiler.count("accesses", n)
         end = self._snapshot()
         cases = {
             key[len("case_"):]: int(end.get(key, 0) - mark.get(key, 0))

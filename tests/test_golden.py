@@ -11,7 +11,8 @@ in-tree scalar-vs-fast comparison cannot catch.
 
 The corpus also pins observation: profiled, metered, traced and
 progress-plus-spans runs of every design must reproduce the unobserved
-digests, and the exported latency histogram and serve-rate/IPC series
+digests (the two span-traced ones must also record the simulator's
+spans), and the exported latency histogram and serve-rate/IPC series
 of every design's metered cell are pinned too. The ``events`` corpus
 holds one SHA-256 per traced run over its JSONL event stream: every
 design on YCSB-B, Baryon with faults and the checker armed, and Baryon
@@ -63,9 +64,8 @@ import pytest
 from repro.analysis.experiments import DESIGNS, run_cell
 from repro.common.config import ResilienceConfig
 from repro.core import BaryonController
-from repro.obs import EventTracer, MetricsRegistry, PhaseProfiler
+from repro.obs import EventTracer, MetricsRegistry, SpanTracer
 from repro.obs.manifest import _result_digest
-from repro.obs.spans import SpanTracer
 from repro.serve import JobSpec, build_configs
 from repro.sim import SystemSimulator
 from repro.validation import ContentBackedController
@@ -176,6 +176,9 @@ FIFO_CELLS = ("519.lbm_r/baryon+fifo@20000",)
 #: Designs whose observed runs must match their unobserved digests.
 OBSERVED_DESIGNS = DESIGNS
 OBSERVATIONS = ("profiled", "metered", "traced", "progress+spans")
+#: Observations that attach a fresh span tracer (``profiled`` as
+#: ``--profile`` does).
+SPAN_OBSERVATIONS = ("profiled", "progress+spans")
 METERED_SERIES = ("repro_mem_latency_cycles", "repro_serve_rate", "repro_ipc")
 #: Designs whose metered exports (latency histogram, series) are pinned.
 METERED_DESIGNS = DESIGNS
@@ -281,8 +284,10 @@ def _run_variant(workload: str, variant: str, n_accesses: int):
 @lru_cache(maxsize=None)
 def run_golden_cell(cell: str, observation: str = "") -> tuple:
     """``(layer digests, metered-export digest or None, commit hits,
-    counter groups or None)`` for one cell; the counter groups
-    (:func:`counter_groups`) are those of a Baryon-family controller."""
+    counter groups or None, span names)`` for one cell; the counter
+    groups (:func:`counter_groups`) are those of a Baryon-family
+    controller, and the span names those an observation's span tracer
+    recorded (none without one)."""
     workload, _, design = cell.partition("/")
     design, _, length = design.partition("@")
     n_accesses = int(length) if length else N_ACCESSES
@@ -291,12 +296,12 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         result, controller = _run_variant(workload, variant, n_accesses)
         return (
             layer_digests(result), None, result.case_counts.get("commit_hit", 0),
-            counter_groups(controller),
+            counter_groups(controller), frozenset(),
         )
     config, sim_config = scaled_system(SCALE)
     kwargs = {}
     if observation == "profiled":
-        kwargs["profiler"] = PhaseProfiler()
+        kwargs["spans"] = SpanTracer()
     elif observation == "metered":
         kwargs["metrics"] = MetricsRegistry()
     elif observation == "traced":
@@ -318,9 +323,11 @@ def run_golden_cell(cell: str, observation: str = "") -> tuple:
         counter_groups(controller)
         if isinstance(controller, BaryonController) else None
     )
+    spans = kwargs.get("spans")
+    finished = spans.finished if spans is not None else ()
     return (
         layer_digests(result), exported, result.case_counts.get("commit_hit", 0),
-        counters,
+        counters, frozenset(span.name for span in finished),
     )
 
 
@@ -538,7 +545,11 @@ def test_fifo_cell_evicts_committed_blocks(cell):
 @pytest.mark.parametrize("design", OBSERVED_DESIGNS)
 def test_observed_run_matches_unobserved(design, observation):
     cell = f"YCSB-B/{design}"
-    assert run_golden_cell(cell, observation)[0] == golden()["cells"][cell]
+    digests, _, _, _, span_names = run_golden_cell(cell, observation)
+    assert digests == golden()["cells"][cell]
+    if observation in SPAN_OBSERVATIONS:
+        # A fresh tracer must record the simulator's spans.
+        assert {"sim.run", "sim.walk", "sim.warmup", "sim.measured"} <= span_names
 
 
 @pytest.mark.parametrize("design", METERED_DESIGNS)

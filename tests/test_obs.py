@@ -1,4 +1,4 @@
-"""The observability layer: tracer, metrics registry, profiler, wiring.
+"""The observability layer: tracer, metrics registry, profiling, wiring.
 
 Includes the PR's acceptance check: with tracing enabled on a small
 synthetic workload, the emitted event stream reconstructs the exact
@@ -17,11 +17,10 @@ from repro.baselines import DiceCache, Hybrid2, SimpleCache
 from repro.core import BaryonController
 from repro.obs import (
     EVENT_SCHEMA,
-    NULL_PROFILER,
     NULL_TRACER,
     EventTracer,
     MetricsRegistry,
-    PhaseProfiler,
+    SpanTracer,
     attach_observability,
     case_breakdown,
     collect_run_metrics,
@@ -36,14 +35,14 @@ from tests.conftest import make_small_config, make_small_sim_config
 
 
 def run_traced(
-    n=3000, seed=3, tracer=None, metrics=None, profiler=None, **config_kwargs
+    n=3000, seed=3, tracer=None, metrics=None, spans=None, **config_kwargs
 ):
     config = make_small_config(**config_kwargs)
     sim_config = make_small_sim_config()
     trace = ZipfWorkload("wl", 4 * config.layout.fast_capacity, seed=seed).generate(n)
     ctrl = BaryonController(config, seed=seed, tracer=tracer, metrics=metrics)
     trace.apply_compressibility(ctrl.oracle)
-    sim = SystemSimulator(ctrl, sim_config, metrics=metrics, profiler=profiler)
+    sim = SystemSimulator(ctrl, sim_config, metrics=metrics, spans=spans)
     return sim.run(trace), ctrl, sim
 
 
@@ -246,34 +245,6 @@ class TestMetricsRegistry:
         assert counter.value(design="baryon", outcome="misses") == 1
 
 
-# ------------------------------------------------------------------- profiler
-class TestPhaseProfiler:
-    def test_phase_context_accumulates(self):
-        clock_values = iter([0.0, 1.5])
-        p = PhaseProfiler(clock=lambda: next(clock_values))
-        with p.phase("warmup"):
-            pass
-        assert p.seconds["warmup"] == 1.5
-
-    def test_add_and_count(self):
-        p = PhaseProfiler()
-        p.add("controller", 0.25, calls=10)
-        p.add("controller", 0.75, calls=10)
-        p.count("accesses", 100)
-        report = p.report()
-        assert report["phases"]["controller"]["seconds"] == 1.0
-        assert report["phases"]["controller"]["calls"] == 20
-        assert report["counters"]["accesses"] == 100
-        assert "controller" in p.format_report()
-
-    def test_null_profiler(self):
-        assert NULL_PROFILER.enabled is False
-        with NULL_PROFILER.phase("x"):
-            NULL_PROFILER.add("y", 1.0)
-            NULL_PROFILER.count("z")
-        assert NULL_PROFILER.report() == {"phases": {}, "counters": {}}
-
-
 # ------------------------------------------------------- wiring + integration
 class TestAttachObservability:
     def test_attach_to_baryon_reaches_components(self):
@@ -352,35 +323,52 @@ class TestTracedRun:
         text = registry.to_prometheus()
         assert "repro_access_cases_total" in text
 
-    def test_profiler_records_phases(self):
-        profiler = PhaseProfiler()
-        _, _, _ = run_traced(n=800, profiler=profiler)
-        report = profiler.report()
-        assert {"warmup", "measured", "hierarchy", "controller"} <= set(
-            report["phases"]
-        )
-        assert report["counters"]["accesses"] == 800
-        assert report["phases"]["controller"]["calls"] > 0
-
     def test_profiled_run_keeps_the_seam(self, monkeypatch):
-        """A profiler wraps the fast loop's callables: the run stays on
-        the deferred seam (``serve`` takes every miss, so nothing
-        declines and per-op ``access`` never runs), matches the
-        unprofiled result bit for bit, and times every hierarchy access
-        (no sampling)."""
+        """A fresh span tracer, as ``--profile`` attaches, leaves the run
+        on the deferred seam (``serve`` takes every miss, so nothing
+        declines and per-op ``access`` never runs) and matches the
+        unprofiled result bit for bit."""
         def fallback(*args, **kwargs):
             raise AssertionError("a miss left the deferred seam")
 
         monkeypatch.setattr(BaryonController, "access", fallback)
         plain, plain_ctrl, _ = run_traced(seed=4)
-        profiler = PhaseProfiler()
-        profiled, ctrl, _ = run_traced(seed=4, profiler=profiler)
+        spans = SpanTracer()
+        profiled, ctrl, _ = run_traced(seed=4, spans=spans)
         assert profiled.to_dict() == plain.to_dict()
         assert ctrl.deferred_declines == plain_ctrl.deferred_declines == {}
-        phases = profiler.report()["phases"]
-        assert phases["hierarchy"]["calls"] >= 3000
-        assert phases["controller"]["calls"] > 0
-        assert phases["controller"]["seconds"] > 0.0
+        assert len(spans) == 4
+
+    def test_profile_spans_account_for_the_run(self):
+        """``sim.walk``, ``sim.warmup`` and ``sim.measured`` hang off
+        ``sim.run``; the phases split its accesses and instructions."""
+        spans = SpanTracer()
+        result, _, sim = run_traced(n=800, spans=spans)
+        by_name = {span.name: span for span in spans.finished}
+        assert set(by_name) == {"sim.run", "sim.walk", "sim.warmup", "sim.measured"}
+        run = by_name["sim.run"].attributes
+        phases = [by_name[name].attributes for name in ("sim.warmup", "sim.measured")]
+        for name in ("sim.walk", "sim.warmup", "sim.measured"):
+            assert by_name[name].parent_id == by_name["sim.run"].span_id
+        assert by_name["sim.walk"].attributes["accesses"] == 800
+        assert sum(phase["accesses"] for phase in phases) == run["accesses"] == 800
+        assert (
+            sum(phase["instructions"] for phase in phases)
+            == run["instructions"] == sim.instructions
+        )
+        assert phases[1]["instructions"] == result.instructions
+
+    def test_scalar_loop_records_the_run_span_only(self):
+        config = make_small_config()
+        trace = ZipfWorkload("wl", 4 * config.layout.fast_capacity, seed=5).generate(600)
+        ctrl = BaryonController(config, seed=5)
+        trace.apply_compressibility(ctrl.oracle)
+        spans = SpanTracer()
+        SystemSimulator(ctrl, make_small_sim_config(), spans=spans).run(
+            trace, scalar=True
+        )
+        assert [span.name for span in spans.finished] == ["sim.run"]
+        assert spans.finished[0].attributes["accesses"] == 600
 
     def test_metered_fast_loop_matches_scalar_exports(self):
         """A metered fast run stays on the deferred seam: the histogram,
@@ -529,16 +517,39 @@ class TestCliObservability:
         payload = json.loads(out[out.index("{"):])
         assert "repro_mem_latency_cycles" in payload
 
-    def test_profile_flag(self, capsys):
+    @pytest.mark.parametrize("command", [[], ["report"]])
+    def test_profile_flag_prints_span_tree(self, capsys, command):
         from repro.__main__ import main
 
-        code = main([
-            "YCSB-B", "baryon", "--accesses", "800", "--scale", "512",
-            "--profile",
-        ])
-        assert code == 0
+        argv = [*command, "YCSB-B", "baryon", "--accesses", "800",
+                "--scale", "512"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "phase" in out and "controller" in out
+        assert out.startswith(plain)
+        tree = out[len(plain):].splitlines()
+        assert tree[0].startswith("sim.run (")
+        assert [line.split(" (")[0] for line in tree[1:]] == [
+            "  sim.walk", "  sim.warmup", "  sim.measured",
+        ]
+
+    @pytest.mark.parametrize("command", [[], ["report"]])
+    def test_matrix_profile_flag_prints_span_tree(self, capsys, command):
+        from repro.__main__ import main
+
+        argv = [*command, "YCSB-B,YCSB-C", "simple", "--accesses", "600",
+                "--scale", "512"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--profile"]) == 0
+        out = capsys.readouterr().out
+        tables = plain[plain.index("IPC"):]
+        assert tables in out
+        tree = out[out.index(tables) + len(tables):]
+        assert tree.startswith("sweep (")
+        for name in ("sim.run", "sim.walk", "sim.warmup", "sim.measured"):
+            assert tree.count(f" {name} (") == 2
 
 
 # ------------------------------------------------- sweep-telemetry satellites
