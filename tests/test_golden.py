@@ -154,8 +154,15 @@ def _fifo_replacement(config):
     return dataclasses.replace(config, fast_replacement="fifo")
 
 
-#: Variants pinned only by their long cells below.
-LONG_VARIANTS = {"fifo": _fifo_replacement}
+def _no_stage(config):
+    """The Fig. 13(c) ablation: no stage area."""
+    return dataclasses.replace(
+        config, stage=dataclasses.replace(config.stage, enabled=False)
+    )
+
+
+#: Variants pinned only by the cells named below.
+LONG_VARIANTS = {"fifo": _fifo_replacement, "nostage": _no_stage}
 
 #: Flat-scheme cells long enough to hit committed data hundreds of times
 #: (at 3k accesses they record 1-26 commit hits), so the fast-area
@@ -172,6 +179,11 @@ MIN_FLAT_COMMIT_HITS = 100
 #: enough that commits evict committed blocks (392 at 20k accesses), so
 #: the commit-victim choice is pinned for a policy that ignores touches.
 FIFO_CELLS = ("519.lbm_r/baryon+fifo@20000",)
+
+#: The no-stage ablation, whose block misses insert straight into the
+#: committed area: the streaming cell re-sorts committed layouts and
+#: evicts committed blocks (601 and 45 times at 3k accesses).
+NOSTAGE_CELLS = ("YCSB-B/baryon+nostage", "519.lbm_r/baryon+nostage")
 
 #: Designs whose observed runs must match their unobserved digests.
 OBSERVED_DESIGNS = DESIGNS
@@ -232,7 +244,7 @@ def cell_names():
     names = [f"{wl}/{design}" for wl in WORKLOADS for design in DESIGNS]
     names += [f"{wl}/{d}" for wl in SPILL_WORKLOADS for d in CACHE_DESIGNS]
     names += [f"YCSB-B/baryon+{variant}" for variant in VARIANTS]
-    return names + list(FLAT_CELLS) + list(FIFO_CELLS)
+    return names + list(FLAT_CELLS) + list(FIFO_CELLS) + list(NOSTAGE_CELLS)
 
 
 def layer_digests(result) -> dict:
@@ -539,6 +551,14 @@ def test_flat_cell_hits_committed_data(cell):
 def test_fifo_cell_evicts_committed_blocks(cell):
     """The FIFO cells must keep taking occupied ways for commits."""
     assert run_golden_cell(cell)[3]["controller"]["fast_block_evictions"] > 0
+
+
+def test_no_stage_cell_resorts_and_evicts_committed_blocks():
+    """The streaming no-stage cell must keep inserting into occupied
+    committed blocks and evicting full ones."""
+    counters = run_golden_cell("519.lbm_r/baryon+nostage")[3]["controller"]
+    assert counters["layout_resorts"] > 0
+    assert counters["fast_block_evictions"] > 0
 
 
 @pytest.mark.parametrize("observation", OBSERVATIONS)
