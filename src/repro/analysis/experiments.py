@@ -204,19 +204,11 @@ def run_matrix(
     callers wanting the degraded partial outcome use
     :func:`run_matrix_sharded`.
     """
-    from repro.parallel import plan_cells, run_plan
-    from repro.parallel.runner import DEFAULT_CELL_TIMEOUT_S
-
-    plan = plan_cells(workloads, designs, seed=seed, seeds=seeds)
-    outcome = run_plan(
-        plan, config, sim_config, n_accesses=n_accesses, jobs=jobs,
-        max_attempts=max_attempts,
-        cell_timeout_s=(
-            DEFAULT_CELL_TIMEOUT_S if cell_timeout_s is None else cell_timeout_s
-        ),
-        checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, manifest=manifest,
-        **runner_kwargs,
+    outcome = run_matrix_sharded(
+        workloads, designs, config, sim_config, n_accesses=n_accesses,
+        seed=seed, jobs=jobs, seeds=seeds, max_attempts=max_attempts,
+        cell_timeout_s=cell_timeout_s, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, manifest=manifest, **runner_kwargs,
     )
     if outcome.quarantined:
         cell_key, record = next(iter(outcome.quarantined.items()))

@@ -113,12 +113,6 @@ class Geometry:
     def sub_block_base(self, addr: int) -> int:
         return addr - (addr % self.sub_block_size)
 
-    def cacheline_base(self, addr: int) -> int:
-        return addr - (addr % self.cacheline_size)
-
-    def super_block_base(self, addr: int) -> int:
-        return addr - (addr % self.super_block_size)
-
     def sub_block_addr(self, block_id: int, sub_index: int) -> int:
         """Byte address of sub-block ``sub_index`` of global ``block_id``."""
         return block_id * self.block_size + sub_index * self.sub_block_size

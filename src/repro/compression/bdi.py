@@ -39,10 +39,6 @@ _BD_CONFIGS: Tuple[Tuple[int, int, int], ...] = (
 _HEADER_BITS = 4
 
 
-def _granules(data: bytes, size: int) -> List[int]:
-    return np.frombuffer(data, dtype=f">u{size}").tolist()
-
-
 def _try_base_delta(
     data: bytes, base_bytes: int, delta_bytes: int
 ) -> Optional[Tuple[int, List[bool], List[int]]]:

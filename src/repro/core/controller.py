@@ -281,32 +281,37 @@ class BaryonController(ServedSeam):
 
         Movement helpers run against recording pools
         (:class:`_RecordingPool`), so their transfers join the op's log.
-        The hit, bypass and staging-fetch shapes are inlined, and so is
-        the staging fetch's insert (:meth:`_stage_insert`): a free slot in
-        the bound or a candidate way, or a fresh way. A FIFO sub-block
-        replacement in a full bound way that is the set's LRU (any full
-        bound way without two-level replacement) calls
-        :meth:`_sub_block_replace`, and a block-level replacement that
-        frees a fresh way calls :meth:`_block_level_replace`, before the
-        inline insert; regrouping a bound block, full candidate ways,
-        Z-block stages and overflow re-inserts call :meth:`_stage_insert`.
+        The hit, bypass and slow-memory fetch shapes are inlined. One
+        fetch serves cases 3 and 5 and the no-stage block miss: the range
+        choice, the shrink past sub-blocks the block already holds, and
+        the demand and rest transfers. With a stage area its insert
+        (:meth:`_stage_insert`) is inlined too: a free slot in the bound
+        or a candidate way, or a fresh way. A FIFO sub-block replacement
+        in a full bound way that is the set's LRU (any full bound way
+        without two-level replacement) calls :meth:`_sub_block_replace`,
+        and a block-level replacement that frees a fresh way calls
+        :meth:`_block_level_replace`, before the inline insert;
+        regrouping a bound block, full candidate ways, Z-block stages
+        and overflow re-inserts call :meth:`_stage_insert`. Without one,
+        :meth:`_no_stage_insert` places the range in the committed area.
         The inlined shapes' traffic and remap-cache outcomes are tallied
-        in closure locals that ``flush()`` folds into the real counters.
+        in closure locals that ``flush()`` folds into the real counters;
+        a traced remap cache gets its ``remap_cache`` events from the
+        inline probe.
 
         Observers are guarded branches, bound once per server:
 
-        * *exact* mode, when faults are armed or the remap cache is
-          traced: the remap cache is probed through
-          :meth:`RemapCache.access` (repairing corruption), the lookups
-          that draw faults run (``_table_get``, ``lookup_block``), and
-          every transfer goes through ``_dev_read``/``_dev_write`` against
-          the recorders. Each site's fault draws and retries then happen
-          in the scalar order, and a transfer whose retries run out
-          raises before any later state change;
+        * *exact* mode, when faults are armed: the remap cache is probed
+          through :meth:`RemapCache.access` (repairing corruption), the
+          lookups that draw faults run (``_table_get``, ``lookup_block``),
+          and every transfer goes through ``_dev_read``/``_dev_write``
+          against the recorders. Each site's fault draws and retries then
+          happen in the scalar order, and a transfer whose retries run
+          out raises before any later state change;
         * quarantined super-blocks and ``_degraded`` service;
         * the stage-phase tracker;
-        * a subclass's own ``_stage_insert`` (the content oracle) in
-          place of the inlined insert shapes.
+        * a subclass's own ``_stage_insert`` in place of the inlined
+          insert shapes.
 
         Neither closure references the controller: helpers are called
         through a weak proxy, and counts land in lists it owns. Never
@@ -323,7 +328,7 @@ class BaryonController(ServedSeam):
         stage = self.stage
         tracker = self.tracker
         recovery = self.recovery
-        exact = self.faults is not None or rc.obs.enabled
+        exact = self.faults is not None
         own_insert = type(self)._stage_insert is not BaryonController._stage_insert
 
         g = self.geometry
@@ -347,7 +352,7 @@ class BaryonController(ServedSeam):
         cf_hints_get = self._cf_hints.get
         rng_choice = self._rng.choice
         stats_inc = self._stats.inc
-        h_fetch_subs = self._h_fetch_subs
+        h_fetch_subs = self._h_fetch_subs if stage_on else None
         h_fetch_bytes = self._h_fetch_bytes
         n_rw = self._n_rw
         n_cases = self._n_cases
@@ -371,6 +376,7 @@ class BaryonController(ServedSeam):
         rc_sets, rc_num_sets, _ = rc.probe_state()
         rc_credit = rc.credit_probes
         rc_access = rc.access
+        rc_emit = rc.obs.emit if rc.obs.enabled else None
         fa_find = fa.find_block
         fa_lru = fa.replacement == "lru"
         fa_num_sets = fa.num_sets
@@ -402,8 +408,8 @@ class BaryonController(ServedSeam):
         # ---- tallies, folded by flush() ----
         t_reads = t_writes = tbl_reads = 0
         rc_total = rc_hit_t = rc_nm = rc_ne = 0
-        f_rb = f_nr = f_db = f_wb = f_nw = 0
-        s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
+        f_nr = f_db = f_wb = f_nw = 0
+        s_nr = s_db = s_nf = s_fb = s_wb = s_nw = 0
 
         def recorded(helper, *args):
             """Run a movement helper against the recording pools."""
@@ -418,7 +424,7 @@ class BaryonController(ServedSeam):
         def demand(pid, nbytes, is_write):
             """Log a recorded op's demand transfer; ``(index, array
             latency)``. Exact mode goes through the retry wrappers."""
-            nonlocal f_rb, f_nr, f_db, f_wb, f_nw, s_rb, s_nr, s_db, s_wb, s_nw
+            nonlocal f_nr, f_db, f_wb, f_nw, s_nr, s_db, s_wb, s_nw
             di = len(rec_log)
             device = fast if pid else slow
             if exact:
@@ -436,11 +442,9 @@ class BaryonController(ServedSeam):
                     s_wb += nbytes
                     s_nw += 1
             elif pid:
-                f_rb += nbytes
                 f_nr += 1
                 f_db += nbytes
             else:
-                s_rb += nbytes
                 s_nr += 1
                 s_db += nbytes
             if is_write:
@@ -461,8 +465,8 @@ class BaryonController(ServedSeam):
         def body(addr, is_write):
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
-            nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
+            nonlocal f_nr, f_db, f_wb, f_nw
+            nonlocal s_nr, s_db, s_nf, s_fb, s_wb, s_nw
 
             block_id = addr // block_size
             super_id = block_id // super_blocks
@@ -513,13 +517,14 @@ class BaryonController(ServedSeam):
                         rc_ne += 1
                     rc_lines[rc_tag] = CacheLine(rc_tag)
                     rc_op = rc_miss_op
-                    f_rb += 16
                     f_nr += 1
                     f_db += 16
                     tbl_reads += 1
+                if rc_emit is not None:
+                    rc_emit("remap_cache", super=super_id, hit=rc_op is None)
 
             # ---- resolve the case and apply its state ----
-            stage_meta = overflow = False
+            stage_meta = overflow = chunk = False
             dev = nbytes = 0
             di = -1
             arr = decomp = 0.0
@@ -661,21 +666,7 @@ class BaryonController(ServedSeam):
                 else:
                     # Case 5: block miss.
                     case = BLOCK_MISS
-                if not stage_on and case is BLOCK_MISS:
-                    # No-stage ablation (Fig. 13c): insert straight into
-                    # the committed area; the demand read is the helper's
-                    # first transfer.
-                    di = len(rec_log)
-                    access, lines = recorded(
-                        ctrl._no_stage_miss, 0.0, super_id, block_id, blk_off,
-                        sub_idx, (rem % sub_size) // cl_size, is_write,
-                    )
-                    arr = access.latency_cycles
-                    if lines:
-                        decomp = decomp_f
-                    else:
-                        lines = None
-                elif case is COMMIT_MISS or case is SLOW_DIRECT:
+                if case is COMMIT_MISS or case is SLOW_DIRECT:
                     # Commit miss (a slow-memory bypass) or a displaced
                     # home, served from its spread slow copy.
                     if exact:
@@ -685,7 +676,6 @@ class BaryonController(ServedSeam):
                         s_nw += 1
                         dev, nbytes, arr = 4, cl_size, s_write_lat
                     else:
-                        s_rb += cl_size
                         s_nr += 1
                         s_db += cl_size
                         dev, nbytes, arr = 2, cl_size, s_read_lat
@@ -699,7 +689,6 @@ class BaryonController(ServedSeam):
                         arr = f_write_lat
                         dev, nbytes = 3, cl_size
                     else:
-                        f_rb += cl_size
                         f_nr += 1
                         f_db += cl_size
                         arr = f_read_lat
@@ -707,14 +696,13 @@ class BaryonController(ServedSeam):
                     fa._clock += 1
                     home_stamps[block_id] = fa._clock
                 else:
-                    # Cases 3/5: fetch from slow memory, stage the range.
+                    # Cases 3/5: fetch from slow memory into the stage
+                    # area, or with no stage area (the Fig. 13c
+                    # ablation) straight into the committed area.
                     # stage.record_block_miss, inlined; the MRU check uses
                     # the dense-rank invariant (MRU way has rank valid-1).
-                    if miss_way is None:
-                        bound_entry = None
-                        n = mru_miss_cnt[set_index] + 1
-                        mru_miss_cnt[set_index] = n if n < miss_cap else miss_cap
-                    else:
+                    bound_entry = None
+                    if miss_way is not None:
                         bound_entry = stage_entries[set_index][miss_way]
                         n = bound_entry.miss_count + 1
                         bound_entry.miss_count = n if n < miss_cap else miss_cap
@@ -724,8 +712,12 @@ class BaryonController(ServedSeam):
                         if exact:
                             # The fetch resolves its staged block again.
                             stage_lookup_block(super_id, blk_off)
+                    elif stage_on:
+                        n = mru_miss_cnt[set_index] + 1
+                        mru_miss_cnt[set_index] = n if n < miss_cap else miss_cap
                     if (
-                        bound_entry is None
+                        stage_on
+                        and bound_entry is None
                         and zero_support
                         and is_zero(block_id, 0, sub_per_block)
                     ):
@@ -738,7 +730,9 @@ class BaryonController(ServedSeam):
                         )
                         stats_inc("zero_block_stages")
                     else:
-                        # _choose_fetch_range, inlined.
+                        # The maximal compressible aligned range around the
+                        # demanded sub-block; a CF hint left by a compressed
+                        # writeback means slow memory holds it compressed.
                         compressed = False
                         hint = cf_hints_get(block_id)
                         if hint is not None and cwb:
@@ -753,14 +747,19 @@ class BaryonController(ServedSeam):
                         if not compressed:
                             cf = max_cf(block_id, sub_idx, ca)
                             sub_start = (sub_idx // cf) * cf
-                        if bound_entry is not None and cf > 1:
-                            # Avoid refetching sub-blocks already staged
-                            # (a staged Z slot would have made this access
-                            # a stage hit).
-                            staged_subs = ref[2]
-                            while cf > 1 and any(
-                                staged_subs[s] is not None
-                                for s in range(sub_start, sub_start + cf)
+                        if cf > 1 and (ref is not None or entry is not None):
+                            # Never refetch sub-blocks the block already
+                            # holds: staged ones, or committed ones when
+                            # there is no stage area (a Z slot or entry
+                            # would have made this access a hit).
+                            staged_subs = ref[2] if ref is not None else None
+                            while cf > 1 and (
+                                any(
+                                    staged_subs[s] is not None
+                                    for s in range(sub_start, sub_start + cf)
+                                )
+                                if staged_subs is not None
+                                else (entry.remap >> sub_start) & ((1 << cf) - 1)
                             ):
                                 cf //= 2
                                 sub_start = (sub_idx // cf) * cf
@@ -771,44 +770,33 @@ class BaryonController(ServedSeam):
                         if compressed:
                             demand_nb = cl_size if ca else sub_size
                             fetch_bytes = sub_size
-                            decomp = decomp_f
-                            # _chunk_lines, inlined.
-                            base = block_id * block_size + sub_start * sub_size
-                            demanded = (
-                                (sub_idx - sub_start) * lines_per_sub
-                                + (rem % sub_size) // cl_size
-                            )
-                            if ca:
-                                first = (demanded // cf) * cf
-                                rng = range(first, first + cf)
-                            else:
-                                rng = range(cf * lines_per_sub)
-                            lines = [base + i * cl_size for i in rng if i != demanded]
+                            chunk = True
                         else:
                             demand_nb = cl_size
                             fetch_bytes = cf * sub_size
                         # Background: the rest of the range, then the
-                        # stage-area fill.
+                        # stage-area fill (after the placement without a
+                        # stage area).
                         rest = fetch_bytes - demand_nb
                         if exact:
                             di, arr = demand(0, demand_nb, False)
                             if rest > 0:
                                 ctrl._bg_read(slow, 0.0, rest)
-                            ctrl._bg_write(fast, 0.0, sub_size)
+                            if stage_on:
+                                ctrl._bg_write(fast, 0.0, sub_size)
                         else:
-                            s_rb += demand_nb
                             s_nr += 1
                             s_db += demand_nb
                             di, arr = len(rec_log), s_read_lat
                             rec_log.append((0, demand_nb, True, 0.0))
                             if rest > 0:
-                                s_rb += rest
-                                s_nr += 1
+                                s_nf += 1
                                 s_fb += rest
                                 rec_log.append((0, rest, False, 0.0))
-                            f_wb += sub_size
-                            f_nw += 1
-                            rec_log.append((1, sub_size, False, 0.0))
+                            if stage_on:
+                                f_wb += sub_size
+                                f_nw += 1
+                                rec_log.append((1, sub_size, False, 0.0))
                         if h_fetch_subs is not None:
                             h_fetch_subs.observe(cf)
                             h_fetch_bytes.observe(fetch_bytes)
@@ -820,10 +808,10 @@ class BaryonController(ServedSeam):
                         # bound way and a block-level replacement that frees
                         # a fresh way through their helpers; every other
                         # shape (and a subclass's own insert) via the insert
-                        # helper.
+                        # helper, and the no-stage placement via its own.
                         ins_way = None
                         replace = False
-                        if own_insert:
+                        if own_insert or not stage_on:
                             pass
                         elif bound_entry is not None:
                             if bound_entry.used < sub_per_block:
@@ -882,16 +870,21 @@ class BaryonController(ServedSeam):
                                     if e.valid and e.lru > old_rank:
                                         e.lru -= 1
                                 target.lru = mru
-                        else:
+                        elif stage_on:
                             recorded(
                                 ctrl._stage_insert, 0.0, super_id, block_id,
                                 blk_off, new_slot,
                                 None if bound_entry is None
                                 else (miss_way, bound_entry),
                             )
+                        else:
+                            recorded(
+                                ctrl._no_stage_insert, 0.0, super_id, block_id,
+                                blk_off, sub_idx, sub_start, cf, is_write,
+                            )
                         if is_write:
                             note_write(block_id, sub_idx)
-                    if case is BLOCK_MISS and tracker is not None:
+                    if stage_on and case is BLOCK_MISS and tracker is not None:
                         tracker.block_staged(block_id)
 
             if read:
@@ -900,26 +893,29 @@ class BaryonController(ServedSeam):
                 if exact:
                     di, arr = demand(1, nbytes, False)
                 else:
-                    f_rb += nbytes
                     f_nr += 1
                     f_db += nbytes
                     arr = f_read_lat
                     dev = 1
-                if cf > 1:
-                    decomp = decomp_f
-                    # _chunk_lines, inlined: sibling cachelines of the
-                    # compressed chunk the demand read decompresses.
-                    base = block_id * block_size + sub_start * sub_size
-                    demanded = (
-                        (sub_idx - sub_start) * lines_per_sub
-                        + (rem % sub_size) // cl_size
-                    )
-                    if ca:
-                        first = (demanded // cf) * cf
-                        rng = range(first, first + cf)
-                    else:
-                        rng = range(cf * lines_per_sub)
-                    lines = [base + i * cl_size for i in rng if i != demanded]
+                chunk = cf > 1
+            if chunk:
+                # Sibling cachelines of the compressed chunk the demand
+                # read decompresses (Fig. 7): with cacheline-aligned
+                # compression the chunk holds ``cf`` consecutive lines;
+                # without it the whole range arrives (bandwidth waste +
+                # LLC pollution, the Fig. 12 w/o-CA penalty).
+                decomp = decomp_f
+                base = block_id * block_size + sub_start * sub_size
+                demanded = (
+                    (sub_idx - sub_start) * lines_per_sub
+                    + (rem % sub_size) // cl_size
+                )
+                if ca:
+                    first = (demanded // cf) * cf
+                    rng = range(first, first + cf)
+                else:
+                    rng = range(cf * lines_per_sub)
+                lines = [base + i * cl_size for i in rng if i != demanded]
             n_cases[case.index] += 1
             if exact or rec_log:
                 return logged(
@@ -981,8 +977,8 @@ class BaryonController(ServedSeam):
         def flush():
             nonlocal t_reads, t_writes, tbl_reads
             nonlocal rc_total, rc_hit_t, rc_nm, rc_ne
-            nonlocal f_rb, f_nr, f_db, f_wb, f_nw
-            nonlocal s_rb, s_nr, s_db, s_fb, s_wb, s_nw
+            nonlocal f_nr, f_db, f_wb, f_nw
+            nonlocal s_nr, s_db, s_nf, s_fb, s_wb, s_nw
             if t_reads or t_writes:
                 n_rw[0] += t_reads
                 n_rw[1] += t_writes
@@ -994,20 +990,11 @@ class BaryonController(ServedSeam):
                 rc_credit(rc_total, rc_hit_t, rc_nm, rc_ne)
                 rc_total = rc_hit_t = rc_nm = rc_ne = 0
             if f_nr or f_nw:
-                fast._n_read_bytes += f_rb
-                fast._n_reads += f_nr
-                fast._n_demand_read_bytes += f_db
-                fast._n_write_bytes += f_wb
-                fast._n_writes += f_nw
-                f_rb = f_nr = f_db = f_wb = f_nw = 0
-            if s_nr or s_nw:
-                slow._n_read_bytes += s_rb
-                slow._n_reads += s_nr
-                slow._n_demand_read_bytes += s_db
-                slow._n_fill_read_bytes += s_fb
-                slow._n_write_bytes += s_wb
-                slow._n_writes += s_nw
-                s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
+                fast.credit_traffic(f_nr, f_db, 0, 0, f_nw, f_wb)
+                f_nr = f_db = f_wb = f_nw = 0
+            if s_nr or s_nf or s_nw:
+                slow.credit_traffic(s_nr, s_db, s_nf, s_fb, s_nw, s_wb)
+                s_nr = s_db = s_nf = s_fb = s_wb = s_nw = 0
 
         if exact or tracker is not None or recovery is not None:
             return guarded, flush
@@ -1331,66 +1318,6 @@ class BaryonController(ServedSeam):
     def _is_fast_home(self, block_id: int) -> bool:
         """Home-fast *and* currently resident (not displaced by a commit)."""
         return self._is_home_block(block_id) and block_id not in self._displaced
-
-    def _choose_fetch_range(
-        self, block_id: int, blk_off: int, sub_idx: int
-    ) -> Tuple[int, int, bool]:
-        """Pick the maximal compressible aligned range around ``sub_idx``.
-
-        Returns ``(start, cf, compressed)``; ``compressed`` means the data
-        are already stored compressed in slow memory (CF hint present after
-        a compressed writeback), so the fetch itself moves fewer bytes.
-        """
-        g = self.geometry
-        ca = self._ca
-        hint = self._cf_hints.get(block_id)
-        if hint is not None and self._cwb:
-            cf2, cf4, _zero = hint
-            quad = sub_idx // 4
-            if (cf4 >> quad) & 1:
-                return quad * 4, 4, True
-            pair = sub_idx // 2
-            if (cf2 >> pair) & 1:
-                return pair * 2, 2, True
-        cf = self.oracle.max_cf(block_id, sub_idx, ca)
-        start, _ = g.aligned_range(sub_idx, cf)
-        return start, cf, False
-
-    def _chunk_lines(
-        self, block_id: int, range_start: int, cf: int, sub_idx: int, line_idx: int
-    ) -> List[int]:
-        """Cachelines sharing the demanded 64 B compressed chunk (Fig. 7).
-
-        With cacheline-aligned compression the chunk holds ``cf``
-        consecutive cachelines; without it the whole range must be fetched
-        and decompressed, so every line of the range arrives (bandwidth
-        waste + LLC pollution, the Fig. 12 w/o-CA penalty).
-        """
-        g = self.geometry
-        if cf <= 1:
-            return []
-        base = block_id * g.block_size + range_start * g.sub_block_size
-        lines_per_sub = g.cachelines_per_sub_block
-        demanded = (sub_idx - range_start) * lines_per_sub + line_idx
-        if self.config.compression.cacheline_aligned:
-            chunk = demanded // cf
-            indices = range(chunk * cf, chunk * cf + cf)
-        else:
-            indices = range(cf * lines_per_sub)
-        return [
-            base + i * g.cacheline_size for i in indices if i != demanded
-        ]
-
-    def _demand_bytes(self, cf: int) -> int:
-        """Bytes the critical-path transfer must move for one demand read.
-
-        Cacheline-aligned compression keeps this at 64 B regardless of CF;
-        without it a compressed slot has unknown internal boundaries and
-        the whole slot must be fetched before decompression (Fig. 7 left).
-        """
-        if cf <= 1 or self.config.compression.cacheline_aligned:
-            return self.geometry.cacheline_size
-        return self.geometry.sub_block_size
 
     # ------------------------------------------------------- stage insertion
     def _stage_insert(
@@ -1850,48 +1777,30 @@ class BaryonController(ServedSeam):
             self.fast_area.remove(set_index, way)
 
     # ------------------------------------------------------- no-stage path
-    def _no_stage_miss(
+    def _no_stage_insert(
         self,
         now: float,
         super_id: int,
         block_id: int,
         blk_off: int,
         sub_idx: int,
-        line_idx: int,
+        start: int,
+        cf: int,
         is_write: bool,
-    ):
-        """Fig. 13(c) ablation: no stage area.
+    ) -> None:
+        """Fig. 13(c) ablation: place a fetched range with no stage area.
 
-        Every fetched range goes straight into the committed area. Because
+        The server has fetched the range ``[start, start + cf)`` from
+        slow memory; it goes straight into the committed area. Because
         the compact remap format is sorted and dense, each insertion into
         an existing physical block re-sorts the whole block layout: a full
-        fast-memory read + write of the block, on top of the slow fetch.
-        Returns the demand read's :class:`DeviceAccess`, the helper's first
-        transfer, and the prefetched cachelines (decompressed when any).
+        fast-memory read + write of the block, before the range's fill
+        write.
         """
         g = self.geometry
         entry = self.remap_table.get(block_id)
-        start, cf, compressed = self._choose_fetch_range(block_id, blk_off, sub_idx)
-        # Never refetch sub-blocks the block already holds in fast memory.
-        while cf > 1 and any(
-            entry.sub_block_remapped(s) for s in range(start, start + cf)
-        ):
-            cf //= 2
-            start, _ = g.aligned_range(sub_idx, cf)
-            compressed = False
-        demand_bytes = self._demand_bytes(cf) if compressed else g.cacheline_size
-        demand = self._dev_read(self.devices.slow, now, demand_bytes)
-        prefetched: List[int] = []
-        if compressed:
-            prefetched = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
-            fetch_bytes = g.sub_block_size
-        else:
-            fetch_bytes = cf * g.sub_block_size
-        rest = max(0, fetch_bytes - demand_bytes)
-        if rest:
-            self._bg_read(self.devices.slow, now, rest)
-
         fa_set = self.fast_area.set_of_super(super_id)
+        located = None
         if entry.is_remapped:
             # Rule 3: the block's data already live at entry.pointer.
             located = self.fast_area.find_block(super_id, blk_off)
@@ -1904,11 +1813,7 @@ class BaryonController(ServedSeam):
                 self._evict_fast_block(now, fa_set, way)
                 entry = self.remap_table.get(block_id)
                 located = None
-        else:
-            located = None
-        if entry.is_remapped and located is not None:
-            way, state = located
-        else:
+        if located is None:
             way, occupant = self.fast_area.commit_victim(fa_set)
             self.fast_area.take(way)
             if occupant is not None:
@@ -1943,9 +1848,7 @@ class BaryonController(ServedSeam):
         state.slots_used += 1
         if is_write:
             state.dirty_subs.add((blk_off, sub_idx))
-            self.oracle.note_write(block_id, sub_idx)
         self.fast_area.touch(fa_set, way)
-        return demand, prefetched
 
     # ------------------------------------------------------------ reporting
     def serve_rate(self) -> float:

@@ -106,16 +106,19 @@ class RemapCache:
     def probe_state(self):
         """Bindings for an externally inlined probe loop.
 
-        The deferred-batch server inlines :meth:`access` (minus faults
-        and tracing, which disable batching altogether) and needs the
-        cache's mutable internals hoisted once per run. Returns
-        ``(sets, num_sets, hit_ratio)``. An inline probe must
-        preserve this class's transitions exactly:
+        The deferred-batch server inlines :meth:`access` (armed faults
+        send it through :meth:`access` instead) and needs the cache's
+        mutable internals hoisted once per run. Returns ``(sets,
+        num_sets, hit_ratio)``. An inline probe must preserve this
+        class's transitions exactly:
 
         * hit — re-insert the tag (``lines[tag] = lines.pop(tag)``) so
           dict order stays LRU→MRU;
         * miss at capacity — evict ``next(iter(lines))`` (the LRU);
-        * fill — a fresh ``CacheLine(tag)`` at the MRU end.
+        * fill — a fresh ``CacheLine(tag)`` at the MRU end;
+        * tracing — when ``obs`` is enabled, emit the ``remap_cache``
+          event before any later event of the same access, as
+          :meth:`access` does.
 
         Hit/miss/eviction outcomes must be tallied by the caller and
         folded back through :meth:`credit_probes` before anything reads

@@ -48,12 +48,6 @@ class SimResult:
             return 0.0
         return self.fast_traffic_bytes / self.useful_bytes
 
-    @property
-    def slow_bloat(self) -> float:
-        if not self.useful_bytes:
-            return 0.0
-        return self.slow_traffic_bytes / self.useful_bytes
-
     def speedup_over(self, other: "SimResult") -> float:
         """IPC ratio of this run over ``other`` (same trace assumed)."""
         if other.ipc == 0.0:

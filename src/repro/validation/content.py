@@ -11,10 +11,11 @@ threads a value through every data movement the controller performs:
   ``stage`` area, the committed ``fast`` area, and flat-scheme ``home``
   block spaces;
 * every movement seam of :class:`~repro.core.controller.BaryonController`
-  (stage insertion, dirty writeback, commit, cache/flat eviction, range
-  eviction, zero-break, home displacement/restore, the no-stage path) is
-  overridden to copy values between stores exactly when the synthetic
-  controller would move data;
+  (dirty writeback, commit, cache/flat eviction, range eviction,
+  zero-break, home displacement/restore, the no-stage placement) is
+  overridden, and the stage area's ``insert_range`` wrapped, to copy
+  values between stores exactly when the synthetic controller would
+  move data;
 * after every access the oracle's ``serve`` (which wraps the
   controller's, so the simulator's fast loop keeps the deferred seam)
   locates the sub-block's single authoritative tier (mirroring the
@@ -38,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.config import BaryonConfig
 from repro.common.errors import OracleViolation
 from repro.common.stats import CounterGroup
-from repro.core.controller import _UNRESOLVED, BaryonController
+from repro.core.controller import BaryonController
 from repro.metadata.stage_tag import RangeSlot
 
 #: Test-only placement bugs the oracle must catch (selftest + docs).
@@ -115,6 +116,35 @@ class ContentBackedController(BaryonController):
         self._current_is_write = False
         # Mask the Z-bit oracle so zero blocks stay content-consistent.
         self.oracle = _ZeroMaskedOracle(self.oracle, self)
+        self.stage.insert_range = self._copying_insert_range()
+
+    def _copying_insert_range(self):
+        """The stage area's ``insert_range`` plus the value copy.
+
+        Every insert (the server's inline shapes and the insert helpers
+        alike) copies values into the stage store: fetched ranges take
+        the slow values; re-inserted overflow pieces and regrouped ranges
+        keep the values already staged (setdefault never clobbers them).
+        The wrapper lives on the stage area, so it reaches the controller
+        through a weak proxy and calls the class's function rather than
+        a bound method: neither object is pinned in a reference cycle.
+        """
+        ctrl = weakref.proxy(self)
+        insert_range = type(self.stage).insert_range
+        blocks_per_super = self.geometry.super_block_blocks
+
+        def copying_insert_range(set_index, way, slot):
+            stage = ctrl.stage
+            free = insert_range(stage, set_index, way, slot)
+            tag = stage.tags.entries[set_index][way].tag
+            super_id = stage.mapper.super_block_of(set_index, tag)
+            block_id = super_id * blocks_per_super + slot.blk_off
+            c_stage, c_slow = ctrl.c_stage, ctrl.c_slow
+            for line in ctrl._slot_lines(block_id, slot):
+                c_stage.setdefault(line, c_slow.get(line, 0))
+            return free
+
+        return copying_insert_range
 
     # -- line arithmetic ---------------------------------------------------
     def _lines_of_sub(self, block_id: int, sub: int) -> range:
@@ -275,16 +305,6 @@ class ContentBackedController(BaryonController):
             )
 
     # -- movement seams ----------------------------------------------------
-    def _stage_insert(
-        self, now, super_id, block_id, blk_off, new_slot, bound=_UNRESOLVED
-    ) -> None:
-        super()._stage_insert(now, super_id, block_id, blk_off, new_slot, bound)
-        # Fetched ranges copy the slow values; re-inserted overflow pieces
-        # keep the values already staged (setdefault never clobbers them).
-        c_stage, c_slow = self.c_stage, self.c_slow
-        for line in self._slot_lines(block_id, new_slot):
-            c_stage.setdefault(line, c_slow.get(line, 0))
-
     def _writeback_stage_slot(self, now, set_index, super_id, slot) -> None:
         super()._writeback_stage_slot(now, set_index, super_id, slot)
         block_id = super_id * self.geometry.super_block_blocks + slot.blk_off
@@ -418,11 +438,11 @@ class ContentBackedController(BaryonController):
             if value is not None:
                 self.c_home[line] = value
 
-    def _no_stage_miss(
-        self, now, super_id, block_id, blk_off, sub_idx, line_idx, is_write
-    ):
-        result = super()._no_stage_miss(
-            now, super_id, block_id, blk_off, sub_idx, line_idx, is_write
+    def _no_stage_insert(
+        self, now, super_id, block_id, blk_off, sub_idx, start, cf, is_write
+    ) -> None:
+        super()._no_stage_insert(
+            now, super_id, block_id, blk_off, sub_idx, start, cf, is_write
         )
         # Whatever the final layout holds was either already in the fast
         # store (survived the insertion) or just fetched from slow.
@@ -434,7 +454,6 @@ class ContentBackedController(BaryonController):
                     continue
                 for line in self._lines_of_sub(block_id, sub):
                     c_fast.setdefault(line, c_slow.get(line, 0))
-        return result
 
 
 class GoldenReference:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import run_cell
 from repro.baselines import DiceCache, Hybrid2, SimpleCache
 from repro.core import BaryonController
 from repro.obs import (
@@ -29,7 +30,7 @@ from repro.obs import (
 from repro.obs import manifest as manifest_module
 from repro.obs.metrics import Histogram, LabeledCounter, TimeSeries
 from repro.sim import SystemSimulator
-from repro.workloads import ZipfWorkload
+from repro.workloads import ZipfWorkload, scaled_system
 
 from tests.conftest import make_small_config, make_small_sim_config
 
@@ -414,6 +415,25 @@ class TestTracedRun:
         assert exports[0][1]["repro_serve_rate"]["every"] > 7
         # The scalar loop never serves; the fast loop serves every op.
         assert served[True] == 0 < served[False] == ctrl.stats.get("accesses")
+
+    def test_traced_run_takes_the_plain_server(self, monkeypatch):
+        """Tracing never switches the server into its fault path: a
+        traced fault-free Baryon run makes no retry-wrapped device call,
+        and the inline remap-cache probe emits the probe events."""
+        calls = []
+        for name in ("_dev_read", "_dev_write"):
+            original = getattr(BaryonController, name)
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(BaryonController, name, counting)
+        config, sim_config = scaled_system(512)
+        tracer = EventTracer(capacity=1 << 20)
+        run_cell("YCSB-B", "baryon", config, sim_config, 3000, 1, tracer=tracer)
+        assert len(calls) == 0
+        assert list(tracer.events("remap_cache"))
 
     def test_untraced_run_unchanged(self):
         """Observability off must not perturb simulation results."""
